@@ -25,10 +25,9 @@ def main():
     for n in (100, 300, 1000, 3000, 10000, 30000):
         mode = modes.select_disk_mode_at_scale(n, TARGET,
                                                optimize="restriction")
-        trace = modes.restrict_disk(mode, 0.5)
         print("%8d %16.6f %12.3e %12.3e %12.4f" %
               (n, mode.lam, mode.sigma(0.5), float(n) ** -TARGET.alpha,
-               abs(trace.amplitudes[0])))
+               abs(modes.restrict_disk(mode, 0.5))))
     print()
     print("sigma tracks n^-alpha (same decade), and the amplitude grows")
     print("slowly: that growth rate is measured in 02_amplitude_growth.py")

@@ -15,14 +15,14 @@ hypersurface.  It provides:
 - scaling experiments that measure growth exponents of restricted norms and
   quasimode ensembles (`glancelab.experiments`);
 - independent slow-but-sure cross-checks used to validate the fast paths
-  (`glancelab.oracle`);
+  (`glancelab.oracle`, imported on demand since it loads scipy);
 - deterministic CSV/SVG output and a command line front end
   (`glancelab.io`, `glancelab.svgplot`, `glancelab.cli`).
 """
 
 __version__ = "0.1.0"
 
-from . import specfun, weights, modes, experiments, oracle, io, svgplot  # noqa: F401
+from . import specfun, weights, modes, experiments, io, svgplot  # noqa: F401
 
-__all__ = ["specfun", "weights", "modes", "experiments", "oracle", "io",
-           "svgplot", "__version__"]
+__all__ = ["specfun", "weights", "modes", "experiments", "io", "svgplot",
+           "__version__"]

@@ -4,7 +4,8 @@ Subcommands
 -----------
 sweep-disk     disk amplitude sweep; with --rho1/--rho2 a band-filtered
                sigma^s-weighted sweep; with --derivative an h-scaled
-               normal-derivative sweep weighted by sigma^{-s}
+               normal-derivative sweep weighted by sigma^{-s}.  --s needs
+               a band or --derivative; --rho and --cutoff need --derivative
 sweep-sphere   equator amplitude sweep over spherical-harmonic degrees
 quasimode      random quasimodes on unit frequency windows, weighted norms
 normal-band    sqrt(xi_d)-weighted trace norms (bounded by theory)
@@ -30,7 +31,7 @@ import dataclasses
 import json
 import sys
 
-from . import experiments, io, modes, oracle, specfun, svgplot
+from . import experiments, io, modes, specfun, svgplot
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -73,7 +74,8 @@ _OPTIONS = {
     "sweep-disk": _COMMON_SWEEP + [
         ("alpha", "--alpha", float, None, "scale exponent (required)"),
         ("radius", "--radius", float, 0.5, "restriction circle radius"),
-        ("s", "--s", float, 0.0, "weight power"),
+        ("s", "--s", float, 0.0,
+         "weight power (with --rho1/--rho2 or --derivative)"),
         ("rho1", "--rho1", float, None, "band outer scale (with --rho2)"),
         ("rho2", "--rho2", float, None, "band inner scale (with --rho1)"),
         ("derivative", "--derivative", _bool, False,
@@ -81,7 +83,7 @@ _OPTIONS = {
         ("rho", "--rho", float, 2.0 / 3.0,
          "glancing-weight scale for --derivative"),
         ("cutoff", "--cutoff", str, "exp",
-         "cutoff shape: exp or smoothstep"),
+         "cutoff shape for --derivative: exp or smoothstep"),
         ("optimize", "--optimize", str, None,
          "mode choice within the window: first, restriction, "
          "normal_derivative (default: match the measured quantity)"),
@@ -167,9 +169,12 @@ def _resolve(args, name: str) -> dict:
         section = io.config_for(raw, name)
         own = dict(raw.get(name, {}))
     known = {}
+    given = set()   # flags set on the command line or in the own section
     for dest, flag, typ, default, _help in _OPTIONS[name]:
         key = flag.lstrip("-")
         value = getattr(args, dest)
+        if value is not None or key in own:
+            given.add(flag)
         if value is None and key in section:
             try:
                 value = typ(section[key])
@@ -195,7 +200,27 @@ def _resolve(args, name: str) -> dict:
             flag = next(f for d, f, *_ in _OPTIONS[name] if d == dest)
             raise _ConfigError(f"{name}: {flag} is required"
                                + (" (flag or config)" if args.config else ""))
+    if name == "sweep-disk":
+        _check_sweep_disk(known, given)
     return known
+
+
+def _check_sweep_disk(vals: dict, given: set) -> None:
+    """Reject sweep-disk flags that pick no sweep or that the picked sweep
+    would ignore.  Only `given` flags are checked: a [common] key may be
+    meant for another subcommand."""
+    band_flags = (vals["rho1"] is not None, vals["rho2"] is not None)
+    if any(band_flags) and not all(band_flags):
+        raise _ConfigError("--rho1 and --rho2 must be given together")
+    if all(band_flags) and vals["derivative"]:
+        raise _ConfigError("--derivative cannot carry a band filter")
+    if "--s" in given and not (all(band_flags) or vals["derivative"]):
+        raise _ConfigError("sweep-disk: --s applies only with a band "
+                           "(--rho1/--rho2) or --derivative")
+    for flag in ("--rho", "--cutoff"):
+        if flag in given and not vals["derivative"]:
+            raise _ConfigError(f"sweep-disk: {flag} applies only with "
+                               "--derivative")
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +243,6 @@ def _write_outputs(out_prefix: str, name: str, result, vals: dict,
 
 
 def _run_sweep_disk(vals: dict) -> int:
-    band_flags = (vals["rho1"] is not None, vals["rho2"] is not None)
-    if any(band_flags) and not all(band_flags):
-        raise _ConfigError("--rho1 and --rho2 must be given together")
-    if all(band_flags) and vals["derivative"]:
-        raise _ConfigError("--derivative cannot carry a band filter")
     config = experiments.SweepConfig(
         kind="disk", alpha=vals["alpha"], n_lo=vals["n_min"],
         n_hi=vals["n_max"], points=vals["points"], radius=vals["radius"],
@@ -231,7 +251,7 @@ def _run_sweep_disk(vals: dict) -> int:
     if vals["derivative"]:
         result = experiments.normal_derivative_sweep(
             config, s=vals["s"], rho=vals["rho"], cutoff=vals["cutoff"])
-    elif all(band_flags):
+    elif vals["rho1"] is not None:      # a band: rho2 is set too
         from .weights import BandSpec
         result = experiments.sharpness_sweep(
             config, s=vals["s"], band=BandSpec(vals["rho1"], vals["rho2"]))
@@ -318,7 +338,12 @@ def _run_plot(vals: dict) -> int:
 
 
 def _run_selftest(vals: dict) -> int:
-    report = oracle.run_all()
+    from . import oracle     # loads scipy, which no other command needs
+    try:
+        report = oracle.run_all()
+    except oracle.OracleError as exc:
+        print(f"glancelab: oracle failure: {exc}", file=sys.stderr)
+        return _EXIT_ORACLE
     doc = {
         "all_passed": bool(report.all_passed),
         "elapsed_seconds": round(float(report.elapsed), 3),
@@ -353,9 +378,6 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"glancelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except oracle.OracleError as exc:
-        print(f"glancelab: oracle failure: {exc}", file=sys.stderr)
-        return _EXIT_ORACLE
     except (specfun.NumericalError, experiments.FitError,
             modes.NoModeError) as exc:
         print(f"glancelab: numerical failure: {exc}", file=sys.stderr)

@@ -18,17 +18,11 @@ restriction theory predicts:
 Rows whose window contains no admissible eigenvalue are skipped and logged,
 not fabricated; skipping happens routinely for narrow windows and for
 band-constrained sweeps at small order.
-
-``GLANCELAB_THREADS`` controls row-level parallelism (0 = all cores,
-unset/1 = serial).  Results are gathered by row index, so the output is
-byte-identical whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +63,18 @@ def fit_exponent(x, y, drop_low: float = 0.25) -> FitResult:
     Raises
     ------
     FitError
-        Fewer than 3 usable points, non-positive data, or a fit that claims
-        a trend the data cannot support: r^2 < 0.8 with a slope exceeding
-        both 3 standard errors and 0.05.  Flat data with scatter is *not* an
-        error: a slope consistent with 0 is a legitimate measurement of a
-        bounded quantity, whatever its r^2.
+        Non-finite data, fewer than 3 usable points, non-positive data, or
+        a fit that claims a trend the data cannot support: r^2 < 0.8 with a
+        slope exceeding both 3 standard errors and 0.05.  Flat data with
+        scatter is *not* an error: a slope consistent with 0 is a legitimate
+        measurement of a bounded quantity, whatever its r^2.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise FitError("x and y must be 1-d arrays of equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise FitError("x and y must be finite (no nan or inf)")
     keep = math.floor(len(x) * drop_low)
     x, y = x[keep:], y[keep:]
     if len(x) < 3:
@@ -171,28 +167,6 @@ class SweepResult:
                             drop_low=drop_low)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GLANCELAB_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"GLANCELAB_THREADS must be an integer, got {raw!r}") \
-            from exc
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
-
-
-def _map_indexed(fn, items):
-    """Map preserving order, optionally on a thread pool (row order, and
-    therefore every downstream byte, is independent of the thread count)."""
-    k = _thread_count()
-    if k == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            band: BandSpec | None = None,
            weight: WeightSpec | None = None) -> SweepResult:
@@ -202,7 +176,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     rho1 = band.rho1 if band is not None else (weight.rho if weight else 0.0)
     rho2 = band.rho2 if band is not None else 0.0
 
-    def one(n: int):
+    for n in config.orders():
         try:
             if config.kind == "disk":
                 optimize = config.optimize
@@ -212,24 +186,29 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
                     n, target, radius=config.radius, optimize=optimize,
                     band=band)
                 if quantity == "normal_derivative":
-                    tr = modes_mod.restrict_disk_normal_derivative(
+                    amp = modes_mod.restrict_disk_normal_derivative(
                         mode, config.radius)
                 else:
-                    tr = modes_mod.restrict_disk(mode, config.radius)
-                lam = mode.lam
+                    amp = modes_mod.restrict_disk(mode, config.radius)
+                k, radius = mode.n, config.radius
             elif config.kind == "sphere":
                 mode = modes_mod.sphere_mode_at_scale(n, target)
-                tr = modes_mod.restrict_sphere(mode)
-                lam = mode.lam
+                amp = modes_mod.restrict_sphere(mode)
+                k, radius = mode.m, 1.0
             else:
                 raise ValueError(f"unknown sweep kind {config.kind!r}")
         except NoModeError as exc:
-            return (n, str(exc))
+            result.skipped.append((n, str(exc)))
+            continue
+        lam = mode.lam
         h = 1.0 / lam
-        sigma = float(tr.sigmas()[0])
+        # t * t, not t ** 2: float ** goes through libm pow, which can miss
+        # the correctly rounded product by an ulp and change the CSV bytes
+        t = h * k / radius
+        sigma = 1.0 - t * t
         xi_d = math.sqrt(max(sigma, 0.0))
-        amplitude = float(abs(tr.amplitudes[0]))
-        norm = trace_norm(tr.amplitudes, tr.radius)
+        amplitude = float(abs(amp))
+        norm = trace_norm([amp], radius)
         if quantity == "amplitude":
             weighted = norm
         elif quantity == "band_power":
@@ -242,16 +221,12 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
         if weighted == 0.0:
-            return (n, "selected mode fell outside the band")
-        return SweepRow(n=n, lam=lam, h=h, sigma=sigma, xi_d=xi_d,
-                        amplitude=amplitude, weighted_norm=weighted,
-                        s=s, alpha=config.alpha, rho1=rho1, rho2=rho2)
-
-    for item in _map_indexed(one, config.orders()):
-        if isinstance(item, SweepRow):
-            result.rows.append(item)
-        else:
-            result.skipped.append(item)
+            result.skipped.append((n, "selected mode fell outside the band"))
+            continue
+        result.rows.append(SweepRow(
+            n=n, lam=lam, h=h, sigma=sigma, xi_d=xi_d, amplitude=amplitude,
+            weighted_norm=weighted, s=s, alpha=config.alpha, rho1=rho1,
+            rho2=rho2))
     if not result.rows:
         raise FitError(f"sweep produced no usable rows "
                        f"({len(result.skipped)} skipped)")
@@ -350,8 +325,8 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
-    def one(args):
-        wi, lam = args
+    rows = []
+    for wi, lam in enumerate(lams):
         found = modes_mod.modes_in_frequency_window(lam, lam + 1.0)
         h = 1.0 / lam
         amps = []
@@ -376,9 +351,8 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
             nr = trace_norm(c * amps, radius)
             best = max(best, nr)
             total += nr
-        return QuasimodeRow(lam=float(lam), dim=dim, weyl_estimate=weyl,
-                            max_norm=best, mean_norm=total / trials)
+        rows.append(QuasimodeRow(lam=float(lam), dim=dim, weyl_estimate=weyl,
+                                 max_norm=best, mean_norm=total / trials))
 
-    rows = _map_indexed(one, list(enumerate(lams)))
     return QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed,
                            radius=radius)

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import specfun
 
 
@@ -107,48 +105,6 @@ class SphereMode:
         return 1.0 - (self.m / self.lam) ** 2
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Restriction of a mode (or combination) to a circle of given radius.
-
-    The restricted function is sum_j amplitudes[j] e^{i wavenumbers[j] theta};
-    components are orthogonal on the circle, so norms are l2 sums.
-    """
-    wavenumbers: np.ndarray
-    amplitudes: np.ndarray
-    radius: float
-    h: float
-
-    def sigmas(self) -> np.ndarray:
-        k = np.asarray(self.wavenumbers, dtype=float)
-        return 1.0 - (self.h * k / self.radius) ** 2
-
-    def norm(self) -> float:
-        from .weights import trace_norm
-        return trace_norm(self.amplitudes, self.radius)
-
-
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """Where a trace component sits in boundary phase space.
-
-    tangential = |xi'| = h k / R, sigma = 1 - tangential^2, and
-    normal = sqrt(max(sigma, 0)) is the conormal frequency xi_d; sigma <= 0
-    marks glancing/evanescent components with no real normal direction.
-    """
-    sigma: float
-    tangential: float
-    normal: float
-
-
-def phase_space_point(mode: DiskMode, radius: float) -> PhaseSpacePoint:
-    """Boundary phase-space location of a disk mode's trace component."""
-    tang = mode.h * mode.n / radius
-    sigma = 1.0 - tang * tang
-    return PhaseSpacePoint(sigma=sigma, tangential=tang,
-                           normal=math.sqrt(max(sigma, 0.0)))
-
-
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
@@ -172,37 +128,31 @@ def _mode_at_zero(n: int, lam: float) -> DiskMode:
     return DiskMode(n=n, lam=lam, normalization=1.0 / (math.sqrt(math.pi) * abs(jnp1)))
 
 
-def restrict_disk(mode: DiskMode, radius: float) -> Trace:
-    """Trace of the mode on the circle of the given radius."""
+def restrict_disk(mode: DiskMode, radius: float) -> float:
+    """Amplitude of the mode's trace on the circle of the given radius: the
+    trace is that amplitude times e^{i n theta}."""
     if not (0.0 < radius < 1.0):
         raise ValueError("radius must lie strictly inside the disk")
-    amp = mode.normalization * specfun.bessel_j(mode.n, mode.lam * radius)
-    return Trace(wavenumbers=np.array([mode.n]),
-                 amplitudes=np.array([amp], dtype=float),
-                 radius=radius, h=mode.h)
+    return mode.normalization * specfun.bessel_j(mode.n, mode.lam * radius)
 
 
-def restrict_disk_normal_derivative(mode: DiskMode, radius: float) -> Trace:
-    """Trace of the h-scaled normal derivative h d_r u on the circle.
+def restrict_disk_normal_derivative(mode: DiskMode, radius: float) -> float:
+    """Amplitude of the trace of the h-scaled normal derivative h d_r u.
 
-    h d_r (c J_n(lam r)) = c J_n'(lam r) since h = 1/lam, so the component
-    amplitude is the normalization times J_n' at the restriction point.
+    h d_r (c J_n(lam r)) = c J_n'(lam r) since h = 1/lam, so the amplitude
+    is the normalization times J_n' at the restriction point.
     """
     if not (0.0 < radius < 1.0):
         raise ValueError("radius must lie strictly inside the disk")
-    amp = mode.normalization * specfun.bessel_j_prime(mode.n, mode.lam * radius)
-    return Trace(wavenumbers=np.array([mode.n]),
-                 amplitudes=np.array([amp], dtype=float),
-                 radius=radius, h=mode.h)
+    return mode.normalization * specfun.bessel_j_prime(mode.n,
+                                                       mode.lam * radius)
 
 
-def restrict_sphere(mode: SphereMode) -> Trace:
-    """Trace of Y_l^m on the equator: a single harmonic of amplitude
-    Y_l^m(pi/2, 0), which vanishes identically when l + m is odd."""
-    amp = specfun.legendre_equator(mode.l, mode.m)
-    return Trace(wavenumbers=np.array([mode.m]),
-                 amplitudes=np.array([amp], dtype=float),
-                 radius=1.0, h=mode.h)
+def restrict_sphere(mode: SphereMode) -> float:
+    """Amplitude of the trace of Y_l^m on the equator, Y_l^m(pi/2, 0): the
+    trace is that amplitude times e^{i m phi}.  It vanishes identically when
+    l + m is odd."""
+    return specfun.legendre_equator(mode.l, mode.m)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +160,9 @@ def restrict_sphere(mode: SphereMode) -> Trace:
 # ----------------------------------------------------------------------
 
 _OPTIMIZE = ("first", "restriction", "normal_derivative")
+
+# how many model-ranked candidates selection evaluates exactly
+_REFINED = 3
 
 
 def _phase_model(n: int, lam: float, radius: float) -> float:
@@ -231,7 +184,6 @@ class SelectionDiagnostics:
 
 def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
                               optimize: str = "first", band=None,
-                              top_k: int = 3,
                               with_diagnostics: bool = False):
     """Pick a disk eigenmode whose frequency lies in the target window.
 
@@ -247,13 +199,11 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
         "first": smallest eigenvalue in the window.
         "restriction": the candidate maximizing the restricted amplitude
         |J_n(lam radius)|, located by the phase model and then verified
-        exactly on the top_k candidates.
+        exactly on the best few (`_REFINED`) model-ranked candidates.
         "normal_derivative": same, for the h-scaled normal derivative.
     band : BandSpec or None
         If given, only zeros whose sigma at `radius` lies in the sharp band
         (with h = 1/lam) are admissible.
-    top_k : int
-        Number of model-ranked candidates to evaluate exactly.
     with_diagnostics : bool
         Also return a SelectionDiagnostics.
 
@@ -275,11 +225,9 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
 
     spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n, 1.0))
     candidates = []   # (score, m, lam_seed)
-    a_prev = None
     for m in range(m_lo, m_hi + 1):
         a_m = specfun.airy_zero(m)
         lam_seed = n * specfun.z_of_zeta(n ** (-2.0 / 3.0) * a_m) if n >= 1 else 0.0
-        a_prev = a_m
         # seed-level window check with half-spacing slack; exact membership
         # is re-verified after refinement
         if lam_seed < lam_lo - 0.6 * spacing or lam_seed > lam_hi + 0.6 * spacing:
@@ -334,12 +282,11 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
             if best is None or quality > best[0]:
                 best = (quality, mode)
 
-    k = max(1, top_k)
-    refine(candidates[:k])
+    refine(candidates[:_REFINED])
     if best is None:
         # the ranked few all drifted outside on exact refinement (narrow
         # window, seeds near the edges): sweep the rest before giving up
-        refine(candidates[k:])
+        refine(candidates[_REFINED:])
     if best is None:
         raise NoModeError(
             f"all candidates left the window/band after refinement "

@@ -166,30 +166,6 @@ def band_indicator(sigma, h: float, band: BandSpec):
     return out if out.ndim else bool(out)
 
 
-def glancing_weight_profile(h: float, spec: WeightSpec, sigma_grid=None):
-    """(sigma, G(sigma)) pairs for plotting/inspection, log-spaced through
-    the crossover by default."""
-    if sigma_grid is None:
-        scale = h ** spec.rho
-        sigma_grid = np.geomspace(scale * 1e-2, min(1.0, scale * 1e3), 400)
-    sigma_grid = np.asarray(sigma_grid, dtype=float)
-    return sigma_grid, glancing_weight(sigma_grid, h, spec)
-
-
-def apply_weight(amplitudes, sigmas, h: float, spec: WeightSpec):
-    """Per-component weighted amplitudes G(sigma_k) a_k."""
-    amplitudes = np.asarray(amplitudes)
-    w = glancing_weight(sigmas, h, spec)
-    return amplitudes * w
-
-
-def apply_band(amplitudes, sigmas, h: float, band: BandSpec):
-    """Amplitudes with components outside the sharp band zeroed."""
-    amplitudes = np.asarray(amplitudes)
-    keep = band_indicator(sigmas, h, band)
-    return np.where(keep, amplitudes, 0.0)
-
-
 def trace_norm(amplitudes, radius: float) -> float:
     """L2 norm over the restriction circle of sum_k a_k e^{i k theta}:
     sqrt(2 pi R sum |a_k|^2) by orthogonality of the angular factors.

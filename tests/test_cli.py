@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -112,6 +114,15 @@ def test_fit_refusal_is_numerical_error(tmp_path, capsys):
     assert code == 2 and "numerical failure" in err
 
 
+def test_fit_rejects_nan_cell(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("x,y\n1,2\n2,nan\n3,8\n4,16\n")
+    code, stdout, err = _run(capsys, "fit", "--in", str(csv), "--x", "x",
+                             "--y", "y", "--drop-low", "0")
+    assert code == 2 and "finite" in err
+    assert "NaN" not in stdout
+
+
 def test_plot_writes_svg_with_input_hash(tmp_path, capsys):
     out = str(tmp_path / "run")
     _run(capsys, "sweep-disk", "--alpha", "0.5", "--n-min", "100",
@@ -167,6 +178,38 @@ def test_derivative_sweep_via_cli(tmp_path, capsys):
     assert doc["config"]["derivative"] is True
 
 
+@pytest.mark.parametrize("flags, section", [
+    (["--s", "0.25"], ""),                       # no band, no --derivative
+    (["--rho", "0.7"], ""),
+    (["--cutoff", "smoothstep"], ""),
+    (["--rho1", "0.3", "--rho2", "0.6", "--rho", "0.7"], ""),
+    ([], "s = 0.25\n"),
+    ([], "rho = 0.7\n"),
+    ([], "cutoff = smoothstep\n"),
+])
+def test_sweep_disk_rejects_flags_that_do_not_apply(tmp_path, capsys, flags,
+                                                    section):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[sweep-disk]\nalpha = 0.5\n" + section)
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, "sweep-disk", "--config", str(cfg), *flags,
+                        "--out", out)
+    assert code == 1 and "applies only with" in err
+    assert not os.path.exists(out + ".csv")
+
+
+def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
+    out = str(tmp_path / "dv")
+    code, _, _ = _run(capsys, "sweep-disk", "--alpha", "0.5", "--derivative",
+                      "--s", "0.25", "--rho", "0.7", "--cutoff", "smoothstep",
+                      "--n-min", "200", "--n-max", "600", "--points", "3",
+                      "--out", out)
+    assert code == 0
+    doc = io.read_manifest(out + ".manifest.json")
+    assert doc["config"]["rho"] == 0.7
+    assert doc["config"]["cutoff"] == "smoothstep"
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[common]\npoints = 3\n"
@@ -200,6 +243,7 @@ def test_unknown_key_in_own_section_rejected(tmp_path, capsys):
 def test_common_keys_for_other_subcommands_ignored(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[common]\nseed = 11\n"              # quasimode-only key
+                   "s = 0.3\n"              # the amplitude sweep takes no s
                    "[sweep-disk]\nalpha = 0.5\nn-min = 100\nn-max = 400\n"
                    "points = 3\n")
     out = str(tmp_path / "run")
@@ -215,6 +259,20 @@ def test_selftest_json(capsys):
     assert doc["all_passed"] is True
     assert len(doc["checks"]) >= 10
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only the oracle, which `selftest` imports on demand
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, glancelab.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unwritable_output_path(tmp_path, capsys):

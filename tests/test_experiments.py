@@ -69,6 +69,9 @@ def test_fit_validation_errors():
         ex.fit_exponent([2, 2, 2, 2], [1, 1, 1, 1], drop_low=0.0)
     with pytest.raises(ex.FitError):
         ex.fit_exponent(np.ones((2, 2)), np.ones((2, 2)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ex.FitError, match="finite"):
+            ex.fit_exponent([1, 2, 3, 4], [1, bad, 3, 4], drop_low=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -248,38 +251,3 @@ def test_quasimode_seed_changes_draws():
     assert [r.max_norm for r in a.rows] != [r.max_norm for r in b.rows]
     # the mode content (dimension) is seed-independent
     assert [r.dim for r in a.rows] == [r.dim for r in b.rows]
-
-
-# ----------------------------------------------------------------------
-# threading
-# ----------------------------------------------------------------------
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("GLANCELAB_THREADS", raising=False)
-    assert ex._thread_count() == 1
-    monkeypatch.setenv("GLANCELAB_THREADS", "3")
-    assert ex._thread_count() == 3
-    monkeypatch.setenv("GLANCELAB_THREADS", "0")
-    assert ex._thread_count() >= 1
-    monkeypatch.setenv("GLANCELAB_THREADS", "soup")
-    with pytest.raises(ValueError):
-        ex._thread_count()
-
-
-def test_threaded_sweep_identical_to_serial(monkeypatch):
-    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=100, n_hi=1500,
-                         points=6)
-    monkeypatch.setenv("GLANCELAB_THREADS", "1")
-    serial = ex.amplitude_sweep(cfg)
-    monkeypatch.setenv("GLANCELAB_THREADS", "4")
-    threaded = ex.amplitude_sweep(cfg)
-    assert serial.rows == threaded.rows
-
-
-def test_threaded_quasimode_identical_to_serial(monkeypatch):
-    kw = dict(lam_lo=50.0, lam_hi=80.0, windows=2, trials=3, seed=5)
-    monkeypatch.setenv("GLANCELAB_THREADS", "1")
-    serial = ex.quasimode_boundedness(**kw)
-    monkeypatch.setenv("GLANCELAB_THREADS", "0")
-    threaded = ex.quasimode_boundedness(**kw)
-    assert serial.rows == threaded.rows

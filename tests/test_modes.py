@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glancelab import modes, oracle, specfun
-from glancelab.modes import (DiskMode, NoModeError, ScaleTarget, SphereMode,
-                             Trace)
+from glancelab import modes, oracle, specfun, weights
+from glancelab.modes import DiskMode, NoModeError, ScaleTarget, SphereMode
 from glancelab.weights import BandSpec
 
 J0_ZERO_1 = 2.40482555769577276862
@@ -40,20 +39,17 @@ class TestDiskMode:
 class TestRestriction:
     def test_trace_amplitude(self):
         mode = modes.disk_mode(5, 4)
-        tr = modes.restrict_disk(mode, 0.5)
-        assert tr.wavenumbers.tolist() == [5]
-        assert tr.amplitudes[0] == pytest.approx(
+        assert modes.restrict_disk(mode, 0.5) == pytest.approx(
             mode.normalization * specfun.bessel_j(5, mode.lam * 0.5), rel=1e-13)
-        assert tr.radius == 0.5 and tr.h == mode.h
 
     def test_normal_derivative_is_h_scaled(self):
         # h d_r u at r = R equals the stored amplitude times e^{in theta}
         mode = modes.disk_mode(6, 5)
-        tr = modes.restrict_disk_normal_derivative(mode, 0.5)
         eps = 1e-6
         u = lambda r: mode.normalization * specfun.bessel_j(6, mode.lam * r)
         fd = mode.h * (u(0.5 + eps) - u(0.5 - eps)) / (2 * eps)
-        assert tr.amplitudes[0] == pytest.approx(fd, rel=1e-7)
+        assert modes.restrict_disk_normal_derivative(mode, 0.5) == \
+            pytest.approx(fd, rel=1e-7)
 
     def test_radius_validated(self):
         mode = modes.disk_mode(0, 1)
@@ -64,25 +60,24 @@ class TestRestriction:
                 modes.restrict_disk_normal_derivative(mode, r)
 
     def test_sphere_trace(self):
-        tr = modes.restrict_sphere(SphereMode(l=3, m=1))
-        assert tr.amplitudes[0] == pytest.approx(
+        assert modes.restrict_sphere(SphereMode(l=3, m=1)) == pytest.approx(
             specfun.legendre_equator(3, 1), rel=1e-14)
-        assert tr.radius == 1.0
 
     def test_sphere_odd_parity_trace_vanishes(self):
-        tr = modes.restrict_sphere(SphereMode(l=4, m=1))
-        assert tr.amplitudes[0] == 0.0
-
-    def test_trace_sigmas(self):
-        tr = Trace(wavenumbers=np.array([3, 5]),
-                   amplitudes=np.array([1.0, 2.0]), radius=0.5, h=0.01)
-        expect = 1.0 - (0.01 * np.array([3.0, 5.0]) / 0.5) ** 2
-        assert np.allclose(tr.sigmas(), expect)
+        assert modes.restrict_sphere(SphereMode(l=4, m=1)) == 0.0
 
     def test_trace_norm_orthogonality(self):
-        tr = Trace(wavenumbers=np.array([3, 5]),
-                   amplitudes=np.array([3.0, 4.0]), radius=0.5, h=0.01)
-        assert tr.norm() == pytest.approx(5.0 * math.sqrt(math.pi), rel=1e-13)
+        # distinct circle wavenumbers are orthogonal, so the trace norm is
+        # the l2 norm of the amplitudes times sqrt(2 pi R)
+        r = 0.5
+        assert weights.trace_norm([3.0, 4.0], r) == pytest.approx(
+            5.0 * math.sqrt(math.pi), rel=1e-13)
+        m3, m5 = modes.disk_mode(3, 2), modes.disk_mode(5, 2)
+        a = np.array([modes.restrict_disk(m3, r), modes.restrict_disk(m5, r)])
+        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        u = a[0] * np.exp(3j * theta) + a[1] * np.exp(5j * theta)
+        quad = math.sqrt(2.0 * math.pi * r * np.mean(np.abs(u) ** 2))
+        assert weights.trace_norm(a, r) == pytest.approx(quad, rel=1e-12)
 
 
 class TestScaleTarget:
@@ -128,8 +123,8 @@ class TestSelection:
         for n in (200, 700, 1500):
             best = modes.select_disk_mode_at_scale(n, t, optimize="restriction")
             first = modes.select_disk_mode_at_scale(n, t, optimize="first")
-            a_best = abs(modes.restrict_disk(best, 0.5).amplitudes[0])
-            a_first = abs(modes.restrict_disk(first, 0.5).amplitudes[0])
+            a_best = abs(modes.restrict_disk(best, 0.5))
+            a_first = abs(modes.restrict_disk(first, 0.5))
             assert a_best >= a_first - 1e-12
             assert first.lam <= best.lam + 1e-9 or True  # first = smallest lam
             # and "first" really is the smallest eigenvalue in the window
@@ -143,9 +138,9 @@ class TestSelection:
         mode = modes.select_disk_mode_at_scale(800, t, optimize="normal_derivative")
         lo, hi = t.disk_window(800)
         assert lo <= mode.lam <= hi
-        d = abs(modes.restrict_disk_normal_derivative(mode, 0.5).amplitudes[0])
+        d = abs(modes.restrict_disk_normal_derivative(mode, 0.5))
         first = modes.select_disk_mode_at_scale(800, t, optimize="first")
-        d_first = abs(modes.restrict_disk_normal_derivative(first, 0.5).amplitudes[0])
+        d_first = abs(modes.restrict_disk_normal_derivative(first, 0.5))
         assert d >= d_first - 1e-12
 
     def test_band_constraint_respected(self):
@@ -225,18 +220,3 @@ class TestFrequencyWindow:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             modes.modes_in_frequency_window(6.0, 5.0)
-
-
-class TestPhaseSpacePoint:
-    def test_consistency(self):
-        mode = modes.disk_mode(30, 2)
-        p = modes.phase_space_point(mode, 0.5)
-        assert p.sigma + p.tangential ** 2 == pytest.approx(1.0, rel=1e-14)
-        assert p.normal == pytest.approx(math.sqrt(max(p.sigma, 0.0)))
-
-    def test_evanescent_has_zero_normal(self):
-        # n = 30 at lam r < 30 means tangential > 1
-        mode = modes.disk_mode(30, 1)
-        p = modes.phase_space_point(mode, 0.5)
-        if p.sigma < 0:
-            assert p.normal == 0.0

@@ -128,14 +128,6 @@ class TestBand:
         with pytest.raises(ValueError):
             BandSpec(rho1=0.3, rho2=0.3)
 
-    def test_apply_band_zeroes_outside(self):
-        band = BandSpec(rho1=0.3, rho2=0.6)
-        h = 0.01
-        sig = np.array([-0.1, 0.5 * h ** 0.6, h ** 0.45, 0.9])
-        amp = np.ones(4)
-        out = weights.apply_band(amp, sig, h, band)
-        assert list(out) == [0.0, 0.0, 1.0, 0.0]
-
 
 class TestTraceNorm:
     def test_single_component(self):
