@@ -1,7 +1,7 @@
 """Special functions for the large-order regime, self-contained.
 
 Everything the mode machinery needs: Bessel J of integer order accurate
-uniformly in (order, argument) including orders ~1e5, Airy Ai on the real
+uniformly in (order, argument) including orders ~1e6, Airy Ai on the real
 line, zeros of both, the turning-point change of variables from the uniform
 asymptotic theory, and equator values of normalized associated Legendre
 functions.
@@ -11,17 +11,25 @@ Design notes
 ``bessel_j`` dispatches between three methods, each used strictly inside the
 region where it was validated against backward-recurrence oracles:
 
-- ascending power series (DLMF 10.2.2) for small argument,
-- forward recurrence seeded by order-0/1 Hankel expansions (DLMF 10.17.3)
-  from the oscillatory side up to ~4 n^{1/3} below the turning point,
-- Olver's uniform Airy expansion with the first correction term
-  (DLMF 10.20.4-10.20.10) in the remaining wedge around and below the
-  turning point.
+- ascending power series (DLMF 10.2.2) where x <= 17 or x^2 <= 4(n+1),
+- forward recurrence seeded by order-0/1 Hankel expansions (DLMF 10.17.3),
+  only for orders n < N_U = 200 and x >= n - 4 n^{1/3}; it costs O(n),
+- everywhere else Olver's uniform Airy expansion with the second-order terms
+  A_1, B_0, B_1 (DLMF 10.20.4, 10.20.10-11 with the Debye polynomials of
+  10.41.10), on both sides of and at the turning point.  It costs O(1) in
+  the order.  Its truncation error is below 3e-13 of the scaled J from
+  n = N_U on and falls like n^{-4} at fixed z (at n = 100 it is 4e-12,
+  which sets N_U); rounding in the Airy phase adds ~n eps far above the
+  turning point (4e-12 at n = 1e6, z = 2).
+  The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
+  |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
 Accuracy target, validated by the oracle battery: relative error below 1e-8
 measured against max(|J_n(x)|, n^{-1/3}).  The n^{-1/3} floor is the natural
 amplitude scale at the turning point; deep in the evanescent region absolute
 accuracy at that scale is what the glancing-weight computations require.
+Orders up to 1e6 are certified: the oracle battery reaches 1e5, and the
+tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -29,6 +37,7 @@ independent checks live in :mod:`glancelab.oracle`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,23 +95,36 @@ def _airy_maclaurin(x: float) -> tuple[float, float]:
     return ai, aip
 
 
-def _airy_u_terms(xi: float, kmax: int = 60):
-    """Yield (u_k / xi^k, v_k / xi^k) for the Airy asymptotic series.
+def _airy_uv_coefficients(kmax: int) -> tuple[tuple[float, float], ...]:
+    """(u_k, v_k) for k = 1..kmax (DLMF 9.7.1-9.7.2).
 
     u_0 = v_0 = 1, u_{k+1} = u_k (6k+5)(6k+3)(6k+1)/(216 (k+1) (2k+1)),
-    v_k = -(6k+1)/(6k-1) u_k  (DLMF 9.7.1-9.7.2).  Stops at the smallest
-    term (asymptotic optimal truncation).
+    v_k = -(6k+1)/(6k-1) u_k.
     """
+    out = []
     uk = 1.0
-    prev = abs(uk)
-    terms = [(1.0, 1.0)]
     for k in range(kmax):
         uk = uk * (6 * k + 5) * (6 * k + 3) * (6 * k + 1) / (216.0 * (k + 1) * (2 * k + 1))
-        t = uk / xi ** (k + 1)
+        out.append((uk, -(6 * k + 7) / (6 * k + 5) * uk))
+    return tuple(out)
+
+
+_AIRY_UV = _airy_uv_coefficients(60)
+
+
+def _airy_u_terms(xi: float):
+    """Return [(u_k / xi^k, v_k / xi^k)] for the Airy asymptotic series,
+    stopping at the smallest term (asymptotic optimal truncation)."""
+    prev = 1.0
+    terms = [(1.0, 1.0)]
+    inv = 1.0 / xi
+    scale = 1.0
+    for uk, vk in _AIRY_UV:
+        scale *= inv
+        t = uk * scale
         if abs(t) >= prev:
             break
-        vk = -(6 * (k + 1) + 1) / (6 * (k + 1) - 1) * uk
-        terms.append((t, vk / xi ** (k + 1)))
+        terms.append((t, vk * scale))
         prev = abs(t)
         if abs(t) < 1e-18:
             break
@@ -126,9 +148,9 @@ def _airy_asymp_pos(x: float) -> tuple[float, float]:
     return ai, aip
 
 
-def _airy_asymp_neg(x: float) -> tuple[float, float]:
-    """(Ai, Ai') at -x for large positive x (DLMF 9.7.9-9.7.10)."""
-    xi = (2.0 / 3.0) * x ** 1.5
+def _airy_asymp_neg(x: float, xi: float) -> tuple[float, float]:
+    """(Ai, Ai') at -x for large positive x (DLMF 9.7.9-9.7.10), given the
+    phase xi = (2/3) x^{3/2}."""
     terms = _airy_u_terms(xi)
     ce = se = 0.0   # even-index sums (u, v)
     co = so = 0.0   # odd-index sums
@@ -175,7 +197,7 @@ def _airy_bridge(x: float) -> tuple[float, float]:
 
 def _airy_pair(x: float) -> tuple[float, float]:
     if x < _AIRY_SERIES_NEG:
-        return _airy_asymp_neg(-x)
+        return _airy_asymp_neg(-x, (2.0 / 3.0) * (-x) ** 1.5)
     if x <= _AIRY_SERIES_POS:
         return _airy_maclaurin(x)
     if x < _AIRY_ASYMP:
@@ -202,10 +224,17 @@ def airy_ai_prime(x: float) -> float:
 def airy_zero(m: int) -> float:
     """The m-th negative zero a_m of Ai (m >= 1), by Newton from the
     asymptotic seed a_m ~ -u (1 + 5/(48 u^3)), u = (3 pi (4m-1)/8)^{2/3}
-    (DLMF 9.9.6 truncated).
+    (DLMF 9.9.6 truncated).  Results are memoised per m.
     """
     if m < 1:
         raise ValueError("zero index starts at 1")
+    return _airy_zero(m)
+
+
+# a quasimode window enumeration asks for each m many times; 4096 entries
+# (about a megabyte) cover every index below Lambda ~ 1.3e4
+@functools.lru_cache(maxsize=4096)
+def _airy_zero(m: int) -> float:
     u = (3.0 * math.pi * (4 * m - 1) / 8.0) ** (2.0 / 3.0)
     x = -u * (1.0 + 5.0 / (48.0 * u ** 3))
     for _ in range(30):
@@ -376,43 +405,115 @@ def _bessel_recurrence_pair(n: int, x: float) -> tuple[float, float]:
     return j_prev, j
 
 
-def _b0_correction(zeta: float, z: float) -> float:
-    """First correction weight B_0(zeta) of the uniform expansion (DLMF 10.20.10).
+# Orders at and above which the O(n) forward recurrence is never used.  From
+# here on the truncation error of the uniform expansion is below 3e-13 of
+# the scaled J; at n = 150 it is 9e-13, at n = 100 4e-12 (near z = 1.02 to
+# 1.05).  Higher crossovers do not make the quasimode windows (orders up to
+# 2000) faster.
+_N_U = 200
 
-    Both branches were pinned numerically against high-precision references;
-    the bracketed sign differs between the oscillatory and evanescent sides.
-    """
-    if zeta < 0.0:
-        zz = z * z - 1.0
-        return (-5.0 / (48.0 * zeta * zeta)
-                + (5.0 / (24.0 * zz ** 1.5) + 1.0 / (8.0 * math.sqrt(zz)))
-                / math.sqrt(-zeta))
-    zz = 1.0 - z * z
-    return (-5.0 / (48.0 * zeta * zeta)
-            + (5.0 / (24.0 * zz ** 1.5) - 1.0 / (8.0 * math.sqrt(zz)))
-            / math.sqrt(zeta))
+# Half-width, in n^{2/3} zeta, of the strip around the turning point where the
+# Maclaurin series below replace the closed forms of A_1, B_0, B_1.  Those
+# cancel there: their rounding error grows like 2e-11 |n^{2/3} zeta|^{-5}
+# of the scaled J, 2e-11 at 0.1 but 2e-16 at 1.0, where the eight-term series
+# (|zeta| < N_U^{-2/3} < 0.03) are still exact to rounding.
+_UNIFORM_STRIP = 1.0
+
+# Maclaurin coefficients in zeta (ascending powers) of r = (zeta/(1-z^2))^{1/2}
+# and of B_0, A_1, B_1.  Derived offline in 120-digit arithmetic from the
+# closed forms in _bessel_uniform, by interpolation at Chebyshev nodes in
+# |zeta| <= 0.2 (a second node set on |zeta| <= 0.3 agrees to 1e-42);
+# r(0) = 2^{-1/3}, B_0(0) = 2^{1/3}/70, A_1(0) = -1/225.
+_R_SERIES = (0.79370052598409973738, 0.25198420997897463295,
+             0.045714285714285714286, -0.00040314947351573319994,
+             -0.0029837091365063498076, -0.00072680081822938965796,
+             0.000071988918930253531099, 0.000093046470951874072842)
+_B0_SERIES = (0.017998872141355330925, 0.0088888888888888888889,
+              0.0016256871626835734881, -0.00036428486521990960368,
+              -0.00030206044899922450943, -0.000058443572545668708922,
+              0.000016769870920170089627, 0.000013016402516458538868)
+_A1_SERIES = (-0.0044444444444444444444, -0.0014637074635031449702,
+              0.00070641727241968956931, 0.00067288760622093955427,
+              0.00015400276720923507972, -0.000057663018476394250809,
+              -0.000049886522195168320285, -0.000010429604367829555299)
+_B1_SERIES = (-0.0014928295321342917205, -0.0013940630797773654917,
+              -0.00038209541455316256374, 0.00016909214802859954808,
+              0.00017098534913549511981, 0.000041056073909885070129,
+              -0.000017066235326534381065, -0.000015505462076725412276)
+
+
+def _maclaurin(coeffs: tuple[float, ...], t: float) -> float:
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
 
 
 def _bessel_uniform(n: int, x: float) -> float:
-    """Olver's uniform expansion with one correction term (DLMF 10.20.4)."""
+    """Olver's uniform expansion to second order (DLMF 10.20.4):
+
+        J_n(n z) ~ (4 zeta / (1 - z^2))^{1/4}
+            (Ai(n^{2/3} zeta) / n^{1/3} (1 + A_1 / n^2)
+             + Ai'(n^{2/3} zeta) / n^{5/3} (B_0 + B_1 / n^2)),
+
+    with A_1, B_0, B_1 from DLMF 10.20.10-11: sums of (3/2)^j u_j, v_j
+    (DLMF 9.7.2) times zeta^{-3j/2} times the Debye polynomials U_0..U_3
+    (DLMF 10.41.10) at p = (1 - z^2)^{-1/2}.  Every term pairs odd powers of
+    zeta^{-1/2} and p, so with y = 1 - z^2 and r = (zeta / y)^{1/2} it is
+    real on both sides of the turning point: zeta^{-1/2} p = r / zeta,
+    p^2 = 1 / y.  This is the substitution zeta^{1/2} -> i (-zeta)^{1/2},
+    p -> -i (z^2 - 1)^{-1/2} on the oscillatory side.  In the strip
+    |n^{2/3} zeta| < _UNIFORM_STRIP, where those closed forms cancel, the
+    Maclaurin series in zeta take over.
+    """
     z = x / n
     zeta = zeta_of_z(z)
     arg = n ** (2.0 / 3.0) * zeta
-    ai, aip = _airy_pair(arg)
-    if zeta == 0.0:
-        factor = 2.0 ** (1.0 / 3.0)   # limit of (4 zeta / (1 - z^2))^{1/4}
+    if arg < _AIRY_SERIES_NEG:
+        # the Airy phase (2/3)(-arg)^{3/2} is n g(z) exactly; taken from g
+        # it skips the round trip through zeta, which costs ~n eps of phase
+        ai, aip = _airy_asymp_neg(-arg, n * phase_integral(z))
     else:
-        factor = (4.0 * zeta / ((1.0 - z) * (1.0 + z))) ** 0.25
-    b0 = _b0_correction(zeta, z)
-    return factor * (ai / n ** (1.0 / 3.0) + aip * b0 / n ** (5.0 / 3.0))
+        ai, aip = _airy_pair(arg)
+    if abs(arg) < _UNIFORM_STRIP:
+        r = _maclaurin(_R_SERIES, zeta)
+        b0 = _maclaurin(_B0_SERIES, zeta)
+        a1 = _maclaurin(_A1_SERIES, zeta)
+        b1 = _maclaurin(_B1_SERIES, zeta)
+    else:
+        q = 1.0 / ((1.0 - z) * (1.0 + z))   # p^2
+        r = math.sqrt(zeta * q)
+        rz = r / zeta                        # zeta^{-1/2} p
+        iz2 = 1.0 / (zeta * zeta)
+        u1 = (3.0 - 5.0 * q) / 24.0          # U_1(p) / p
+        u2 = q * (81.0 - q * (462.0 - 385.0 * q)) / 1152.0
+        u3 = q * (30375.0 - q * (369603.0 - q * (765765.0 - 425425.0 * q))) \
+            / 414720.0                       # U_3(p) / p
+        # (3/2) u_1 = 5/48, (3/2) v_1 = -7/48, (9/4) u_2 = 385/4608,
+        # (9/4) v_2 = -455/4608, (27/8) u_3 = 85085/663552
+        b0 = -rz * u1 - 5.0 / 48.0 * iz2
+        a1 = u2 - 7.0 / 48.0 * rz * u1 / zeta - 455.0 / 4608.0 * iz2 / zeta
+        b1 = (-rz * u3 - 5.0 / 48.0 * iz2 * u2
+              - 385.0 / 4608.0 * rz * u1 * iz2 / zeta
+              - 85085.0 / 663552.0 * iz2 * iz2 / zeta)
+    n2 = float(n) * n
+    return math.sqrt(2.0 * r) * (ai / n ** (1.0 / 3.0) * (1.0 + a1 / n2)
+                                 + aip / n ** (5.0 / 3.0) * (b0 + b1 / n2))
 
 
 def bessel_j(n: int, x: float) -> float:
     """Bessel function J_n(x), n >= 0, uniformly accurate in large order.
 
+    Regions: the ascending series where x <= 17 or x^2 <= 4(n+1); the
+    Hankel-seeded forward recurrence for n < N_U = 200 and
+    x >= n - 4 n^{1/3}; the second-order uniform expansion everywhere else,
+    at and on both sides of the turning point, so that from n = N_U on the
+    cost does not grow with the order.
+
     Relative error below 1e-8 measured against max(|J_n(x)|, n^{-1/3});
-    validated for orders up to 1e5 by the oracle battery
-    (``glancelab selftest``).
+    validated for orders up to 1e6: by the oracle battery
+    (``glancelab selftest``) up to 1e5, and by frozen Miller-recurrence
+    values at n = 1e5 and 1e6 in the tests.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -421,16 +522,24 @@ def bessel_j(n: int, x: float) -> float:
         raise ValueError("argument must be nonnegative")
     if x <= 17.0 or x * x <= 4.0 * (n + 1.0):
         return _bessel_series_ascending(n, x)
-    if x >= n - 4.0 * n ** (1.0 / 3.0):
+    if n < _N_U and x >= n - 4.0 * n ** (1.0 / 3.0):
         return _bessel_recurrence_pair(n, x)[1]
     return _bessel_uniform(n, x)
 
 
 def bessel_j_pair(n: int, x: float) -> tuple[float, float]:
-    """(J_{n-1}(x), J_n(x)) with one recurrence pass where possible."""
-    if n >= 1 and x > 17.0 and x * x > 4.0 * (n + 1.0) \
-            and x >= n - 4.0 * n ** (1.0 / 3.0):
-        return _bessel_recurrence_pair(n, x)
+    """(J_{n-1}(x), J_n(x)), same regions and accuracy as :func:`bessel_j`.
+
+    Outside the ascending-series region it makes one recurrence pass for
+    n < N_U near and above the turning point, and two uniform evaluations
+    (orders n - 1 and n) for n >= N_U, so its cost too is O(1) in the order.
+    """
+    x = float(x)
+    if n >= 1 and x > 17.0 and x * x > 4.0 * (n + 1.0):
+        if n >= _N_U:
+            return _bessel_uniform(n - 1, x), _bessel_uniform(n, x)
+        if x >= n - 4.0 * n ** (1.0 / 3.0):
+            return _bessel_recurrence_pair(n, x)
     if n == 0:
         return -bessel_j(1, x), bessel_j(0, x)
     return bessel_j(n - 1, x), bessel_j(n, x)

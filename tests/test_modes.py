@@ -210,6 +210,14 @@ class TestFrequencyWindow:
         slots = sum(2 if m.n >= 1 else 1 for m in found)
         assert slots == oracle.weyl_count(82.5, 80.0)
 
+    def test_exact_at_quasimode_windows(self):
+        # criterion 4's windows; at Lambda = 536.54 and 1439.37 a zero lies
+        # within the phase counter's error of the window edge
+        for lam in np.geomspace(200.0, 2000.0, 8):
+            found = modes.modes_in_frequency_window(lam, lam + 1.0)
+            slots = sum(2 if m.n >= 1 else 1 for m in found)
+            assert slots == oracle.weyl_count(lam + 1.0, lam)
+
     def test_all_inside_and_normalized(self):
         found = modes.modes_in_frequency_window(40.0, 41.0)
         for m in found:

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glancelab import specfun
+from glancelab import oracle, specfun
 
 AI_AT_0 = 0.35502805388781723926
 AIP_AT_0 = -0.25881940379280679841
@@ -20,6 +20,21 @@ AIRY_ZERO_5 = -7.94413358712085312314
 J0_ZERO_1 = 2.40482555769577276862
 J100_AT_130 = 0.08084377958789141517
 ZETA_AT_Z2 = -1.01810488856711602008
+
+# J_n(x) by Miller's recurrence, frozen from glancelab.oracle.bessel_series:
+#   PYTHONPATH=src python -c "from glancelab.oracle import bessel_series; \
+#       print(repr(bessel_series(1000000, 2000000.0)))"
+# (about 10 s per value at n = 1e6 on one core); they certify bessel_j past
+# the orders the oracle battery reaches
+MILLER_FROZEN = [
+    (100000, 200000.0, -0.0010964176196624307),
+    (1000000, 1000400.0, 0.004241171477590452),
+    (1000000, 2000000.0, -0.00033747216262191215),
+]
+
+
+def scaled_error(got, want, n):
+    return abs(got - want) / max(abs(want), n ** (-1.0 / 3.0))
 
 
 class TestAiry:
@@ -113,12 +128,14 @@ class TestBesselJ:
         assert lhs == pytest.approx(rhs, abs=4e-8 * scale * max(1.0, 2 * n / x))
 
     def test_dispatch_seams_continuous(self):
-        n = 400
-        cube = 4.0 * n ** (1.0 / 3.0)
-        for x0 in (2.0 * math.sqrt(n + 1.0), n - cube):
-            a = specfun.bessel_j(n, x0 * (1 - 1e-9))
-            b = specfun.bessel_j(n, x0 * (1 + 1e-9))
-            assert a == pytest.approx(b, abs=1e-8 * n ** (-1.0 / 3.0))
+        # below N_U = 200 the uniform expansion hands over to the recurrence
+        # at n - 4 n^{1/3}; above it only the ascending-series seam is left
+        for n in (150, 400):
+            cube = 4.0 * n ** (1.0 / 3.0)
+            for x0 in (2.0 * math.sqrt(n + 1.0), n - cube):
+                a = specfun.bessel_j(n, x0 * (1 - 1e-9))
+                b = specfun.bessel_j(n, x0 * (1 + 1e-9))
+                assert a == pytest.approx(b, abs=1e-8 * n ** (-1.0 / 3.0))
 
     def test_pair_consistent(self):
         for n, x in [(5, 40.0), (500, 520.0), (200, 100.0), (0, 25.0)]:
@@ -136,6 +153,61 @@ class TestBesselJ:
             scale = (n + 1.0) ** (-1.0 / 3.0)
             assert specfun.bessel_j_prime(n, x) == pytest.approx(
                 fd, abs=1e-6 * max(abs(fd), scale))
+
+
+class TestUniformExpansion:
+    """The second-order uniform expansion that serves every order >= N_U."""
+
+    @pytest.mark.parametrize("n", [specfun._N_U, 1000, 100000])
+    def test_turning_point_matches_miller(self, n):
+        x = float(n)
+        want = oracle.bessel_series(n, x)
+        want_prev = oracle.bessel_series(n - 1, x)
+        got = specfun.bessel_j(n, x)
+        got_prev, got_pair = specfun.bessel_j_pair(n, x)
+        assert all(math.isfinite(v) for v in (got, got_prev, got_pair))
+        assert scaled_error(got, want, n) < 1e-8
+        assert scaled_error(got_pair, want, n) < 1e-8
+        assert scaled_error(got_prev, want_prev, n) < 1e-8
+
+    @pytest.mark.parametrize("n", [specfun._N_U, 1000, 100000])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_continuous_across_strip_edge(self, n, side):
+        # adjacent floats on either side of |n^{2/3} zeta| = strip, where the
+        # Maclaurin series in zeta hand over to the closed forms
+        def inside(x):
+            return abs(n ** (2.0 / 3.0) * specfun.zeta_of_z(x / n)) \
+                < specfun._UNIFORM_STRIP
+        far = n * (1.0 + side * 2.0 * specfun._UNIFORM_STRIP * n ** (-2.0 / 3.0))
+        a, b = float(n), far
+        assert inside(a) and not inside(b)
+        while True:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            if inside(mid):
+                a = mid
+            else:
+                b = mid
+        ja, jb = specfun.bessel_j(n, a), specfun.bessel_j(n, b)
+        assert scaled_error(ja, jb, n) < 1e-12
+
+    @pytest.mark.parametrize("n", [specfun._N_U, 1000, 100000])
+    def test_no_recurrence_from_crossover_on(self, monkeypatch, n):
+        def forbidden(*args):
+            raise AssertionError("O(n) recurrence used at a large order")
+
+        monkeypatch.setattr(specfun, "_bessel_recurrence_pair", forbidden)
+        for z in (0.9, 1.0, 1.01, 2.0):
+            x = n * z
+            assert math.isfinite(specfun.bessel_j(n, x))
+            assert all(math.isfinite(v) for v in specfun.bessel_j_pair(n, x))
+            m = max(1, round(specfun.bessel_zero_index(n, x)))
+            assert specfun.bessel_zero(n, m) > n
+
+    @pytest.mark.parametrize("n,x,want", MILLER_FROZEN)
+    def test_frozen_miller_values(self, n, x, want):
+        assert scaled_error(specfun.bessel_j(n, x), want, n) < 1e-8
 
 
 class TestBesselZeros:
