@@ -247,6 +247,8 @@ def sharpness_sweep(config: SweepConfig, s: float, band: BandSpec) -> SweepResul
     sigma^s ||u|_H|| over band-feasible modes; expected exponent in h is
     alpha (s - 1/4).  Orders whose whole window misses the band are skipped.
     """
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     return _sweep(config, "band_power", s=s, band=band)
 
 
@@ -322,20 +324,18 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     Randomness is deterministic: each (window, trial) pair seeds its own
     generator from (seed, window index, trial index).
     """
+    if windows < 1 or trials < 1:
+        raise ValueError("need at least one window and one trial")
     spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
     rows = []
     for wi, lam in enumerate(lams):
         found = modes_mod.modes_in_frequency_window(lam, lam + 1.0)
-        h = 1.0 / lam
-        amps = []
-        for mode in found:
-            a = mode.normalization * specfun.bessel_j(mode.n, mode.lam * radius)
-            sigma = mode.sigma(radius)
-            w = float(glancing_weight(sigma, h, spec)) * a
-            amps.extend([w] * (2 if mode.n >= 1 else 1))
-        amps = np.asarray(amps, dtype=float)
+        amps = np.array([modes_mod.restrict_disk(m, radius) for m in found])
+        sigmas = np.array([m.sigma(radius) for m in found])
+        weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps
+        amps = np.repeat(weighted, [2 if m.n >= 1 else 1 for m in found])
         dim = len(amps)
         weyl = lam / 2.0 - 0.25
         if abs(dim - weyl) > 0.2 * weyl:

@@ -56,8 +56,8 @@ class ScaleTarget:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.offset <= 0.0:
-            raise ValueError("offset must be positive")
+        if not (0.0 < self.offset < math.inf):
+            raise ValueError("offset must be positive and finite")
 
     def disk_window(self, n: int) -> tuple[float, float]:
         """Frequency window for angular order n at R = 1/2."""

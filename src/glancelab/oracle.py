@@ -541,7 +541,7 @@ def run_all(include_slow: bool = True) -> OracleReport:
         worst = max(worst, abs(specfun.airy_ai(x) - w) / abs(w))
     rep.checks.append(CheckResult("specfun.airy_ai vs contour integral",
                                   worst <= 1e-8, worst / 1e-8,
-                                  "positive axis through the bridge region"))
+                                  "positive axis through the transport region"))
 
     # -- turning-point map by ODE -------------------------------------------
     zetas, zs = olver_ode_check()

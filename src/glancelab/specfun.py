@@ -24,6 +24,19 @@ region where it was validated against backward-recurrence oracles:
   The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
   |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
+The Airy factors (``airy_ai``, ``airy_ai_prime``, ``airy_zero`` and the
+uniform expansion) use two methods keyed on the one constant
+_AIRY_ASYMP = 8, all in float64:
+
+- |x| >= 8: the Poincare asymptotic series (DLMF 9.7.5-6, 9.7.9-10),
+  truncated at their smallest term; relative error ~3e-15 at |x| = 8,
+  falling further out;
+- |x| < 8: Taylor transport from correctly rounded (Ai, Ai') at +8 for
+  x >= 0, stepping left so that the growing Bi-direction error decays, and
+  at -8 for x < 0, stepping right where neither solution grows.  Against
+  30-digit values the error is below 5e-16 relative on [0, 8) and below
+  1e-14 of the local amplitude (Ai^2 + Bi^2)^{1/2} on (-8, 0).
+
 Accuracy target, validated by the oracle battery: relative error below 1e-8
 measured against max(|J_n(x)|, n^{-1/3}).  The n^{-1/3} floor is the natural
 amplitude scale at the turning point; deep in the evanescent region absolute
@@ -50,50 +63,6 @@ class NumericalError(Exception):
 # ----------------------------------------------------------------------
 # Airy function
 # ----------------------------------------------------------------------
-
-# Ai(0) = 3^{-2/3}/Gamma(2/3) and Ai'(0) = -3^{-1/3}/Gamma(1/3) (DLMF 9.2.3)
-_AI0 = 0.35502805388781723926006318600418
-_AIP0 = -0.25881940379280679840518356018921
-
-# region boundaries: Maclaurin series on [-8, 4.5], asymptotics beyond 8
-# on both sides, Taylor recentering across (4.5, 8) on the positive axis
-_AIRY_SERIES_NEG = -8.0
-_AIRY_SERIES_POS = 4.5
-_AIRY_ASYMP = 8.0
-
-
-def _airy_maclaurin(x: float) -> tuple[float, float]:
-    """(Ai, Ai') by the Maclaurin series, extended precision (DLMF 9.4.1-9.4.2).
-
-    Ai = c1 f - c2 g with f, g the standard solutions; cancellation on the
-    negative axis stays below ~4e6 for x >= -8, well inside long-double head
-    room.
-    """
-    xl = np.longdouble(x)
-    x3 = xl * xl * xl
-    fk = np.longdouble(1.0)      # term of f, k = 0
-    gk = xl                      # term of g
-    f = fk
-    g = gk
-    fp = np.longdouble(0.0)      # term sums for derivatives
-    gp = np.longdouble(1.0)
-    k = 0
-    while k < 200:
-        fk = fk * x3 / np.longdouble((3 * k + 2) * (3 * k + 3))
-        gk = gk * x3 / np.longdouble((3 * k + 3) * (3 * k + 4))
-        f += fk
-        g += gk
-        # d/dx of the k+1 terms: f-term ~ x^{3k+3}, g-term ~ x^{3k+4}
-        if x != 0.0:
-            fp += fk * np.longdouble(3 * k + 3) / xl
-            gp += gk * np.longdouble(3 * k + 4) / xl
-        if abs(fk) < 1e-25 * abs(f) and abs(gk) < 1e-25 * max(abs(g), 1e-30):
-            break
-        k += 1
-    ai = float(np.longdouble(_AI0) * f + np.longdouble(_AIP0) * g)
-    aip = float(np.longdouble(_AI0) * fp + np.longdouble(_AIP0) * gp)
-    return ai, aip
-
 
 def _airy_uv_coefficients(kmax: int) -> tuple[tuple[float, float], ...]:
     """(u_k, v_k) for k = 1..kmax (DLMF 9.7.1-9.7.2).
@@ -170,48 +139,62 @@ def _airy_asymp_neg(x: float, xi: float) -> tuple[float, float]:
     return ai, aip
 
 
-def _airy_bridge(x: float) -> tuple[float, float]:
-    """(Ai, Ai') on (4.5, 8) by Taylor recentering leftward from x = 8.
+# The asymptotic series serve |x| >= _AIRY_ASYMP; inside, Taylor transport
+# from (Ai, Ai') at +8 or -8.  The anchors are 30-digit values computed
+# offline in arbitrary precision: the asymptotic series is good only to
+# ~9e-15 at x = -8, more than the transport itself adds on (-8, 0).
+_AIRY_ASYMP = 8.0
+_AIRY_ANCHOR_POS = (4.69220761609923162564908170349e-8,
+                    -1.34143929790678657429115370793e-7)
+_AIRY_ANCHOR_NEG = (-5.27050503563862026220826757939e-2,
+                    9.35560938198306551025522462133e-1)
 
-    Stepping left keeps the growing (Bi-direction) error component decaying,
-    so the anchor's relative accuracy survives the transport.  Coefficients
-    obey (k+2)(k+1) a_{k+2} = c a_k + a_{k-1} for y'' = (c + t) y.
+
+def _airy_transport(x: float) -> tuple[float, float]:
+    """(Ai, Ai') on (-8, 8) by Taylor transport from the anchor at +8 or -8.
+
+    For x >= 0 it starts from (Ai, Ai')(8) and steps left: the growing
+    (Bi-direction) error component decays that way, so the anchor's
+    relative accuracy survives.  For x < 0 it starts from (Ai, Ai')(-8) and
+    steps right; there neither solution grows, and the cancelling Taylor
+    terms cost a few tens of ulps of the local amplitude.  Each step is at
+    most 2 long, with 40 coefficients from
+    (k+2)(k+1) a_{k+2} = c a_k + a_{k-1} for y'' = (c + t) y.
     """
-    c = _AIRY_ASYMP
-    y, yp = _airy_asymp_pos(c)
-    while c - x > 1e-12:
-        h = -min(2.0, c - x)
-        a = [y, yp]
-        for k in range(2, 40):
-            a.append((c * a[k - 2] + (a[k - 3] if k >= 3 else 0.0)) / ((k - 1) * k))
-        val = 0.0
-        for k in range(len(a) - 1, -1, -1):
+    if x >= 0.0:
+        c, (y, yp) = _AIRY_ASYMP, _AIRY_ANCHOR_POS
+    else:
+        c, (y, yp) = -_AIRY_ASYMP, _AIRY_ANCHOR_NEG
+    while abs(x - c) > 1e-12:
+        h = max(-2.0, min(2.0, x - c))
+        a = [y, yp, c * y / 2.0]
+        for k in range(3, 40):
+            a.append((c * a[k - 2] + a[k - 3]) / ((k - 1) * k))
+        val = der = 0.0
+        for k in range(39, 0, -1):
             val = val * h + a[k]
-        der = 0.0
-        for k in range(len(a) - 1, 0, -1):
             der = der * h + k * a[k]
-        y, yp = val, der
+        y, yp = val * h + y, der
         c += h
     return y, yp
 
 
 def _airy_pair(x: float) -> tuple[float, float]:
-    if x < _AIRY_SERIES_NEG:
+    if x <= -_AIRY_ASYMP:
         return _airy_asymp_neg(-x, (2.0 / 3.0) * (-x) ** 1.5)
-    if x <= _AIRY_SERIES_POS:
-        return _airy_maclaurin(x)
     if x < _AIRY_ASYMP:
-        return _airy_bridge(x)
+        return _airy_transport(x)
     return _airy_asymp_pos(x)
 
 
 def airy_ai(x: float) -> float:
     """Airy function Ai(x) on the real line.
 
-    Maclaurin series in extended precision on [-8, 4.5], Poincare asymptotics
-    beyond |x| = 8 (DLMF 9.7), and Taylor transport across the positive gap.
-    Absolute accuracy ~1e-12 against the ODE oracle, relative ~1e-10 in the
-    oscillatory region.
+    Poincare asymptotics for |x| >= 8 (DLMF 9.7.5, 9.7.9); inside, Taylor
+    transport from (Ai, Ai')(+8) leftward for x >= 0 and from (Ai, Ai')(-8)
+    rightward for x < 0, all in float64.  Relative error below 5e-16 on
+    [0, 8) and ~3e-15 at x = 8; on the negative axis the error stays below
+    1e-14 of the local amplitude, so it is relative only away from zeros.
     """
     return _airy_pair(float(x))[0]
 
@@ -469,7 +452,7 @@ def _bessel_uniform(n: int, x: float) -> float:
     z = x / n
     zeta = zeta_of_z(z)
     arg = n ** (2.0 / 3.0) * zeta
-    if arg < _AIRY_SERIES_NEG:
+    if arg <= -_AIRY_ASYMP:
         # the Airy phase (2/3)(-arg)^{3/2} is n g(z) exactly; taken from g
         # it skips the round trip through zeta, which costs ~n eps of phase
         ai, aip = _airy_asymp_neg(-arg, n * phase_integral(z))

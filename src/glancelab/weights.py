@@ -53,8 +53,10 @@ class WeightSpec:
     cutoff: str = "exp"
 
     def __post_init__(self):
-        if not (self.rho >= 0.0):
-            raise ValueError("rho must be nonnegative")
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
+        if not (0.0 <= self.rho < math.inf):
+            raise ValueError("rho must be nonnegative and finite")
         if self.cutoff not in _CUTOFFS:
             raise ValueError(f"cutoff must be one of {_CUTOFFS}")
 
@@ -81,18 +83,14 @@ def _check_h(h: float) -> None:
 
 def _ramp_exp(u):
     """Smooth 0->1 ramp on [0, 1] from glued exponentials: C^infinity flat
-    at both ends.  psi(u) = f(u)/(f(u) + f(1-u)), f(t) = exp(-1/t).
+    at both ends.  psi(u) = f(u)/(f(u) + f(1-u)), f(t) = exp(-1/t); the
+    ends give f(0) = exp(-inf) = 0 and so exactly 0 and 1.
     """
     u = np.clip(u, 0.0, 1.0)
-    out = np.empty_like(u)
-    interior = (u > 0.0) & (u < 1.0)
-    out[u <= 0.0] = 0.0
-    out[u >= 1.0] = 1.0
-    ui = u[interior]
-    fa = np.exp(-1.0 / ui)
-    fb = np.exp(-1.0 / (1.0 - ui))
-    out[interior] = fa / (fa + fb)
-    return out
+    with np.errstate(divide="ignore"):
+        fa = np.exp(-1.0 / u)
+        fb = np.exp(-1.0 / (1.0 - u))
+    return fa / (fa + fb)
 
 
 def _ramp_smoothstep(u):
@@ -105,20 +103,16 @@ def cutoff_pair(t, kind: str = "exp"):
     """The partition (chi1(t), chi2(t)): chi1 = 0 for t <= 1, 1 for t >= 2.
 
     chi1 ramps smoothly across [1, 2]; chi2 = 1 - chi1 exactly, so the pair
-    is a partition of unity by construction.
+    is a partition of unity by construction.  A scalar t gives scalars.
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t1 = np.atleast_1d(t)
     if kind == "exp":
-        chi1 = _ramp_exp(t1 - 1.0)
+        chi1 = _ramp_exp(t - 1.0)
     elif kind == "smoothstep":
-        chi1 = _ramp_smoothstep(t1 - 1.0)
+        chi1 = _ramp_smoothstep(t - 1.0)
     else:
         raise ValueError(f"cutoff must be one of {_CUTOFFS}")
-    if scalar:
-        return float(chi1[0]), float(1.0 - chi1[0])
-    return chi1, 1.0 - chi1
+    return chi1[()], (1.0 - chi1)[()]
 
 
 def far_weight(sigma, h: float, spec: WeightSpec):
@@ -127,26 +121,18 @@ def far_weight(sigma, h: float, spec: WeightSpec):
     (evanescent) sigma is safe.
     """
     _check_h(h)
-    sigma = np.asarray(sigma, dtype=float)
-    scalar = sigma.ndim == 0
-    sig = np.atleast_1d(sigma)
-    scale = h ** spec.rho
-    chi1, _ = cutoff_pair(sig / scale, spec.cutoff)
-    out = np.zeros_like(sig)
-    live = chi1 > 0.0
-    out[live] = sig[live] ** spec.s * chi1[live]
-    return float(out[0]) if scalar else out
+    sig = np.asarray(sigma, dtype=float)
+    chi1, _ = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
+    power = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
+    return (power * chi1)[()]
 
 
 def near_weight(sigma, h: float, spec: WeightSpec):
     """h^{s rho} chi2(sigma/h^rho): the frozen part near glancing."""
     _check_h(h)
-    sigma = np.asarray(sigma, dtype=float)
-    scalar = sigma.ndim == 0
-    sig = np.atleast_1d(sigma)
+    sig = np.asarray(sigma, dtype=float)
     _, chi2 = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
-    out = h ** (spec.s * spec.rho) * chi2
-    return float(out[0]) if scalar else out
+    return h ** (spec.s * spec.rho) * chi2
 
 
 def glancing_weight(sigma, h: float, spec: WeightSpec):

@@ -198,6 +198,33 @@ def test_sweep_disk_rejects_flags_that_do_not_apply(tmp_path, capsys, flags,
     assert not os.path.exists(out + ".csv")
 
 
+_QUASIMODE = ["quasimode", "--lam-min", "200", "--lam-max", "300",
+              "--windows", "2", "--trials", "2"]
+_DISK = ["sweep-disk", "--alpha", "0.5", "--n-min", "200", "--n-max", "600",
+         "--points", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _QUASIMODE + ["--radius", "1.5"],        # a circle outside the disk
+    _QUASIMODE + ["--radius", "nan"],
+    _QUASIMODE + ["--s", "nan"],
+    _QUASIMODE + ["--rho", "inf"],
+    _QUASIMODE + ["--trials", "0"],
+    _QUASIMODE + ["--windows", "0"],
+    _DISK + ["--derivative", "--s", "nan"],
+    _DISK + ["--derivative", "--s", "inf"],
+    _DISK + ["--rho1", "0.3", "--rho2", "0.6", "--s", "nan"],
+    ["sweep-sphere", "--alpha", "0.5", "--offset-const", "inf"],
+    ["sweep-sphere", "--alpha", "0.5", "--offset-const", "nan"],
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, argv):
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, *argv, "--out", out)
+    assert code == 1
+    assert err.startswith("glancelab: error:") and "Traceback" not in err
+    assert not os.path.exists(out + ".csv")
+
+
 def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
     out = str(tmp_path / "dv")
     code, _, _ = _run(capsys, "sweep-disk", "--alpha", "0.5", "--derivative",

@@ -94,8 +94,9 @@ class TestScaleTarget:
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(ValueError):
                 ScaleTarget(alpha=bad)
-        with pytest.raises(ValueError):
-            ScaleTarget(alpha=0.5, offset=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ScaleTarget(alpha=0.5, offset=bad)
 
 
 class TestSelection:

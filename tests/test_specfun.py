@@ -21,6 +21,35 @@ J0_ZERO_1 = 2.40482555769577276862
 J100_AT_130 = 0.08084377958789141517
 ZETA_AT_Z2 = -1.01810488856711602008
 
+# (x, Ai(x), Ai'(x)) to 30 digits across the Taylor-transport region (-8, 8),
+# on both sides of x = 0, where the anchor switches from -8 to +8
+AIRY_FROZEN = [
+    (-7.5, 3.21775716380647875267328543680e-1,
+     3.18809506698554596210062906079e-1),
+    (-6.0, -3.29145173629823105231448582529e-1,
+     3.45935487281342894929779434834e-1),
+    (-4.0, -7.02655329492895150990843116318e-2,
+     -7.90628575368581380296454445828e-1),
+    (-3.0, -3.78814293677658074347243916500e-1,
+     3.14583769216598813650787266066e-1),
+    (-0.13, 3.88538426666550466643221813469e-1,
+     -2.55630331389129215084601534649e-1),
+    (0.5, 2.31693606480833489769125254510e-1,
+     -2.24910532664683893135996990329e-1),
+    (2.0, 3.49241304232743791353220807918e-2,
+     -5.30903844336536317039991858787e-2),
+    (3.0, 6.59113935746071914425744840796e-3,
+     -1.19129767059513184737632325930e-2),
+    (4.0, 9.51563851204801873621499968900e-4,
+     -1.95864095020417890013814091841e-3),
+    (4.4, 4.09973586386962156015536714223e-4,
+     -8.81892086491768072474114800491e-4),
+    (6.0, 9.94769436025288957023884766883e-6,
+     -2.47652003970349547541818253870e-5),
+    (7.9, 6.23964009728394047867901474988e-8,
+     -1.77299583294303527438764342581e-7),
+]
+
 # J_n(x) by Miller's recurrence, frozen from glancelab.oracle.bessel_series:
 #   PYTHONPATH=src python -c "from glancelab.oracle import bessel_series; \
 #       print(repr(bessel_series(1000000, 2000000.0)))"
@@ -52,7 +81,12 @@ class TestAiry:
         assert all(b < a for a, b in zip(zs, zs[1:]))
         assert all(abs(specfun.airy_ai(z)) < 1e-11 for z in zs)
 
-    @pytest.mark.parametrize("x", [-8.0, 4.5, 8.0])
+    @pytest.mark.parametrize("x, ai, aip", AIRY_FROZEN)
+    def test_frozen_values(self, x, ai, aip):
+        assert specfun.airy_ai(x) == pytest.approx(ai, rel=1e-12, abs=0.0)
+        assert specfun.airy_ai_prime(x) == pytest.approx(aip, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x", [-8.0, 0.0, 4.5, 8.0])
     def test_region_boundaries_continuous(self, x):
         eps = 1e-7
         lo = specfun.airy_ai(x - eps)

@@ -81,6 +81,19 @@ class TestGlancingWeight:
         assert np.allclose(weights.glancing_weight(sigma, 0.01, spec), 1.0,
                            atol=0.0)
 
+    @pytest.mark.parametrize("cutoff", ["exp", "smoothstep"])
+    def test_array_matches_scalar_calls(self, cutoff):
+        # one call per quasimode window must give each component's weight
+        # bit for bit, including the glued ends and evanescent sigma
+        spec = WeightSpec(s=0.3, rho=2.0 / 3.0, cutoff=cutoff)
+        h = 0.01
+        sigma = np.concatenate([np.linspace(-0.5, 1.0, 301),
+                                [h ** spec.rho, 2.0 * h ** spec.rho]])
+        got = weights.glancing_weight(sigma, h, spec)
+        want = [weights.glancing_weight(x, h, spec) for x in sigma]
+        assert got.tolist() == want
+        assert all(isinstance(w, float) for w in want)
+
     def test_continuous_across_crossover(self):
         spec = WeightSpec(s=0.3, rho=0.5)
         h = 1e-3
@@ -161,3 +174,10 @@ class TestWeightSpecValidation:
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ValueError):
             WeightSpec(s=0.3, rho=0.5, cutoff="hann")
+
+    @pytest.mark.parametrize("s, rho", [(math.nan, 0.5), (math.inf, 0.5),
+                                        (-math.inf, 0.5), (0.3, math.inf),
+                                        (0.3, math.nan)])
+    def test_non_finite_rejected(self, s, rho):
+        with pytest.raises(ValueError):
+            WeightSpec(s=s, rho=rho)
