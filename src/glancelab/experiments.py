@@ -127,6 +127,10 @@ class SweepConfig:
     optimize: str = "restriction"
     offset: float = 4.0
 
+    def __post_init__(self):
+        if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
+            raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
+
     def orders(self) -> list[int]:
         grid = np.geomspace(self.n_lo, self.n_hi, self.points)
         out = sorted({int(round(g)) for g in grid})
@@ -319,13 +323,16 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
 
     The counting dimension of every window is cross-checked against the
     two-term Weyl law (Lambda/2 - 1/4 per unit window); a deviation beyond
-    20% fails loudly since it would mean modes were lost.
+    Lambda^{2/3}, the order of the disk's Weyl remainder, fails loudly since
+    it would mean modes were lost or doubled.
 
     Randomness is deterministic: each (window, trial) pair seeds its own
     generator from (seed, window index, trial index).
     """
     if windows < 1 or trials < 1:
         raise ValueError("need at least one window and one trial")
+    if not (0.0 < lam_lo <= lam_hi < math.inf):
+        raise ValueError("need 0 < lam_lo <= lam_hi < inf")
     spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
@@ -338,7 +345,7 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
         amps = np.repeat(weighted, [2 if m.n >= 1 else 1 for m in found])
         dim = len(amps)
         weyl = lam / 2.0 - 0.25
-        if abs(dim - weyl) > 0.2 * weyl:
+        if abs(dim - weyl) > lam ** (2.0 / 3.0):
             raise specfun.NumericalError(
                 f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
                 f"two-term Weyl predicts {weyl:.1f}; enumeration is broken")

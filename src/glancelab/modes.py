@@ -122,7 +122,7 @@ def disk_mode(n: int, m: int) -> DiskMode:
 def _mode_at_zero(n: int, lam: float) -> DiskMode:
     jm1, jn = specfun.bessel_j_pair(n, lam)
     # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
-    jnp1 = (2.0 * n / lam) * jn - jm1 if n >= 1 else -jm1
+    jnp1 = (2.0 * n / lam) * jn - jm1      # for n = 0, jm1 = -J_1
     if jnp1 == 0.0:
         raise NoModeError(f"degenerate normalization at (n={n}, lam={lam})")
     return DiskMode(n=n, lam=lam, normalization=1.0 / (math.sqrt(math.pi) * abs(jnp1)))
@@ -219,15 +219,10 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
     lam_lo, lam_hi = target.disk_window(n)
     diag = SelectionDiagnostics(ranking=optimize)
 
-    # candidate radial indices from the continuous zero index, +-1 margin
-    m_lo = max(1, math.floor(specfun.bessel_zero_index(n, lam_lo)) - 1)
-    m_hi = math.ceil(specfun.bessel_zero_index(n, lam_hi)) + 1
-
     spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n, 1.0))
-    candidates = []   # (score, m, lam_seed)
-    for m in range(m_lo, m_hi + 1):
-        a_m = specfun.airy_zero(m)
-        lam_seed = n * specfun.z_of_zeta(n ** (-2.0 / 3.0) * a_m) if n >= 1 else 0.0
+    candidates = []   # (score, m)
+    for m in specfun.bessel_zero_candidates(n, lam_lo, lam_hi):
+        lam_seed = specfun.bessel_zero_seed(n, m)
         # seed-level window check with half-spacing slack; exact membership
         # is re-verified after refinement
         if lam_seed < lam_lo - 0.6 * spacing or lam_seed > lam_hi + 0.6 * spacing:
@@ -243,11 +238,15 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
             diag.band_feasible += 1
         if optimize == "first":
             score = -lam_seed   # larger score = smaller eigenvalue
+        elif lam_seed * radius <= n:
+            # at or below the turning point the phase model does not apply:
+            # rank below every oscillatory seed, refinement still decides
+            score = -1.0
         else:
             phi = _phase_model(n, lam_seed, radius)
             score = abs(math.cos(phi)) if optimize == "restriction" \
                 else abs(math.sin(phi))
-        candidates.append((score, m, lam_seed))
+        candidates.append((score, m))
     if band is None:
         diag.band_feasible = diag.candidates
 
@@ -258,35 +257,30 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
 
     candidates.sort(key=lambda c: -c[0])
     best = None     # (quality, mode)
-
-    def refine(chunk):
-        nonlocal best
-        for score, m, lam_seed in chunk:
-            lam = specfun.bessel_zero(n, m)
-            if not (lam_lo <= lam <= lam_hi):
+    for i, (_, m) in enumerate(candidates):
+        # past the ranked few only when they all drifted outside on exact
+        # refinement (narrow window, seeds near the edges)
+        if i == _REFINED and best is not None:
+            break
+        lam = specfun.bessel_zero(n, m)
+        if not (lam_lo <= lam <= lam_hi):
+            continue
+        if band is not None:
+            h = 1.0 / lam
+            sigma = 1.0 - (n / (lam * radius)) ** 2
+            if not (h ** band.rho2 <= sigma <= h ** band.rho1):
                 continue
-            if band is not None:
-                h = 1.0 / lam
-                sigma = 1.0 - (n / (lam * radius)) ** 2
-                if not (h ** band.rho2 <= sigma <= h ** band.rho1):
-                    continue
-            diag.refined += 1
-            mode = _mode_at_zero(n, lam)
-            if optimize == "first":
-                quality = -lam
-            elif optimize == "restriction":
-                quality = abs(specfun.bessel_j(n, lam * radius))
-            else:
-                quality = abs(specfun.bessel_j_prime(n, lam * radius))
-            diag.scores.append((m, quality))
-            if best is None or quality > best[0]:
-                best = (quality, mode)
-
-    refine(candidates[:_REFINED])
-    if best is None:
-        # the ranked few all drifted outside on exact refinement (narrow
-        # window, seeds near the edges): sweep the rest before giving up
-        refine(candidates[_REFINED:])
+        diag.refined += 1
+        mode = _mode_at_zero(n, lam)
+        if optimize == "first":
+            quality = -lam
+        elif optimize == "restriction":
+            quality = abs(specfun.bessel_j(n, lam * radius))
+        else:
+            quality = abs(specfun.bessel_j_prime(n, lam * radius))
+        diag.scores.append((m, quality))
+        if best is None or quality > best[0]:
+            best = (quality, mode)
     if best is None:
         raise NoModeError(
             f"all candidates left the window/band after refinement "
@@ -329,21 +323,12 @@ def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
         raise ValueError("need 0 < lam_lo < lam_hi")
     out = []
     n = 0
-    while True:
-        if n >= 1:
-            # smallest zero of J_n is ~ n + 1.855 n^{1/3}: past the window?
-            if n > lam_hi:
-                break
-            first = n * specfun.z_of_zeta(n ** (-2.0 / 3.0) * specfun.airy_zero(1))
-            if first > lam_hi + 1.0:
-                break
-        lo_idx = specfun.bessel_zero_index(n, lam_lo)
-        hi_idx = specfun.bessel_zero_index(n, lam_hi)
-        if hi_idx >= 0.5:
-            for m in range(max(1, math.floor(lo_idx)),
-                           math.ceil(hi_idx) + 2):
-                lam = specfun.bessel_zero(n, m)
-                if lam_lo <= lam <= lam_hi:
-                    out.append(_mode_at_zero(n, lam))
+    # the first zero has index ~1, and at fixed lam_hi the index falls as n
+    # grows (d/dn = -arccos(n / lam_hi) / pi): the first order below 1/2 ends
+    while specfun.bessel_zero_index(n, lam_hi) >= 0.5:
+        for m in specfun.bessel_zero_candidates(n, lam_lo, lam_hi):
+            lam = specfun.bessel_zero(n, m)
+            if lam_lo <= lam <= lam_hi:
+                out.append(_mode_at_zero(n, lam))
         n += 1
     return out

@@ -8,8 +8,9 @@ functions.
 
 Design notes
 ------------
-``bessel_j`` dispatches between three methods, each used strictly inside the
-region where it was validated against backward-recurrence oracles:
+``bessel_j`` and ``bessel_j_pair`` dispatch through the one test ``_region``
+between three methods, each used strictly inside the region where it was
+validated against backward-recurrence oracles:
 
 - ascending power series (DLMF 10.2.2) where x <= 17 or x^2 <= 4(n+1),
 - forward recurrence seeded by order-0/1 Hankel expansions (DLMF 10.17.3),
@@ -43,6 +44,11 @@ amplitude scale at the turning point; deep in the evanescent region absolute
 accuracy at that scale is what the glancing-weight computations require.
 Orders up to 1e6 are certified: the oracle battery reaches 1e5, and the
 tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
+
+Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
+McMahon for n = 0) and ``bessel_zero_candidates`` (the radial indices that
+may have a zero in an interval, from ``bessel_zero_index``) are the only
+zero seeds and index ranges; :mod:`glancelab.modes` computes none itself.
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -239,22 +245,25 @@ def phase_integral(w: float) -> float:
     This is (2/3)(-zeta)^{3/2} as a function of z = w on the oscillatory
     side.  Stable near w = 1 via the odd series of t - arctan(t).
     """
-    if w < 1.0:
-        if w < 1.0 - 1e-12:
-            raise ValueError("phase integral defined for w >= 1")
-        return 0.0
+    if w < 1.0 - 1e-12:
+        raise ValueError("phase integral defined for w >= 1")
     t2 = (w - 1.0) * (w + 1.0)
-    t = math.sqrt(t2)
-    if t < 0.1:
-        term = t * t2 / 3.0
-        total = term
-        for k in range(1, 24):
-            term *= -t2 * (2 * k + 1) / (2 * k + 3)
-            total += term
-            if abs(term) <= 1e-18 * abs(total):
-                break
-        return total
-    return t - math.atan(t)
+    return _t_minus_atan(math.sqrt(t2), t2) if t2 > 0.0 else 0.0
+
+
+def _t_minus_atan(t: float, t2: float) -> float:
+    """t - arctan(t) given t and t2 = t^2, by the odd series
+    t^3/3 - t^5/5 + ... for t < 0.1, where the difference cancels."""
+    if t >= 0.1:
+        return t - math.atan(t)
+    term = t * t2 / 3.0
+    total = term
+    for k in range(1, 24):
+        term *= -t2 * (2 * k + 1) / (2 * k + 3)
+        total += term
+        if abs(term) <= 1e-18 * abs(total):
+            break
+    return total
 
 
 def zeta_of_z(z: float) -> float:
@@ -296,18 +305,9 @@ def z_of_zeta(zeta: float) -> float:
         return 1.0
     t = (3.0 * w) ** (1.0 / 3.0) if w < 0.5 else w + 0.5 * math.pi
     for _ in range(60):
-        # f(t) = t - atan(t) - w, stable for small t via the series
-        if t < 0.1:
-            t2 = t * t
-            term = t * t2 / 3.0
-            f = term
-            for k in range(1, 24):
-                term *= -t2 * (2 * k + 1) / (2 * k + 3)
-                f += term
-            f -= w
-        else:
-            f = t - math.atan(t) - w
-        fp = t * t / (1.0 + t * t)
+        t2 = t * t
+        f = _t_minus_atan(t, t2) - w
+        fp = t2 / (1.0 + t2)
         d = f / fp
         t -= d
         if abs(d) <= 1e-15 * max(t, 1.0):
@@ -484,28 +484,35 @@ def _bessel_uniform(n: int, x: float) -> float:
                                  + aip / n ** (5.0 / 3.0) * (b0 + b1 / n2))
 
 
+def _region(n: int, x: float) -> str:
+    """Which method serves J_n(x): "series", "recurrence" or "uniform"."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if x < 0.0:
+        raise ValueError("argument must be nonnegative")
+    if x <= 17.0 or x * x <= 4.0 * (n + 1.0):
+        return "series"
+    if n < _N_U and x >= n - 4.0 * n ** (1.0 / 3.0):
+        return "recurrence"
+    return "uniform"
+
+
 def bessel_j(n: int, x: float) -> float:
     """Bessel function J_n(x), n >= 0, uniformly accurate in large order.
 
-    Regions: the ascending series where x <= 17 or x^2 <= 4(n+1); the
-    Hankel-seeded forward recurrence for n < N_U = 200 and
-    x >= n - 4 n^{1/3}; the second-order uniform expansion everywhere else,
-    at and on both sides of the turning point, so that from n = N_U on the
-    cost does not grow with the order.
+    Served by the method ``_region`` picks (see the module notes); from
+    n = N_U on the cost does not grow with the order.
 
     Relative error below 1e-8 measured against max(|J_n(x)|, n^{-1/3});
     validated for orders up to 1e6: by the oracle battery
     (``glancelab selftest``) up to 1e5, and by frozen Miller-recurrence
     values at n = 1e5 and 1e6 in the tests.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
     x = float(x)
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x <= 17.0 or x * x <= 4.0 * (n + 1.0):
+    region = _region(n, x)
+    if region == "series":
         return _bessel_series_ascending(n, x)
-    if n < _N_U and x >= n - 4.0 * n ** (1.0 / 3.0):
+    if region == "recurrence":
         return _bessel_recurrence_pair(n, x)[1]
     return _bessel_uniform(n, x)
 
@@ -513,16 +520,15 @@ def bessel_j(n: int, x: float) -> float:
 def bessel_j_pair(n: int, x: float) -> tuple[float, float]:
     """(J_{n-1}(x), J_n(x)), same regions and accuracy as :func:`bessel_j`.
 
-    Outside the ascending-series region it makes one recurrence pass for
-    n < N_U near and above the turning point, and two uniform evaluations
-    (orders n - 1 and n) for n >= N_U, so its cost too is O(1) in the order.
+    One recurrence pass in the recurrence region, and from N_U on two
+    uniform evaluations (orders n - 1 and n): O(1) in the order.
     """
     x = float(x)
-    if n >= 1 and x > 17.0 and x * x > 4.0 * (n + 1.0):
-        if n >= _N_U:
-            return _bessel_uniform(n - 1, x), _bessel_uniform(n, x)
-        if x >= n - 4.0 * n ** (1.0 / 3.0):
-            return _bessel_recurrence_pair(n, x)
+    region = _region(n, x)
+    if region == "recurrence":
+        return _bessel_recurrence_pair(n, x)
+    if region == "uniform" and n >= _N_U:
+        return _bessel_uniform(n - 1, x), _bessel_uniform(n, x)
     if n == 0:
         return -bessel_j(1, x), bessel_j(0, x)
     return bessel_j(n - 1, x), bessel_j(n, x)
@@ -532,9 +538,7 @@ def bessel_j_prime(n: int, x: float) -> float:
     """d/dx J_n(x) via J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2)."""
     if x == 0.0:
         return 0.5 if n == 1 else 0.0
-    jm1, jn = bessel_j_pair(n, x)
-    if n == 0:
-        return jm1   # already -J_1
+    jm1, jn = bessel_j_pair(n, x)   # for n = 0, jm1 is already -J_1
     return jm1 - (n / x) * jn
 
 
@@ -555,12 +559,22 @@ def bessel_zero_index(n: int, x: float) -> float:
     return n * phase_integral(x / n) / math.pi + 0.25
 
 
-def bessel_zero(n: int, m: int) -> float:
-    """The m-th positive zero of J_n (m >= 1), to ~1e-12 relative.
+def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
+    """Radial indices m whose zero j_{n,m} may lie in [lo, hi].
 
-    Seeds: Airy-zero transplantation j_{n,m} ~ n z(n^{-2/3} a_m) for n >= 1
-    (DLMF 10.21.41 leading term), McMahon for n = 0 (DLMF 10.21.19), then
-    Newton on J_n with the derivative from the recurrence pair.
+    From floor(m(lo)) to ceil(m(hi)) + 1 for the continuous zero index m(x)
+    of :func:`bessel_zero_index`, whose O(1/n) error the margin covers.
+    """
+    return range(max(1, math.floor(bessel_zero_index(n, lo))),
+                 math.ceil(bessel_zero_index(n, hi)) + 2)
+
+
+def bessel_zero_seed(n: int, m: int) -> float:
+    """Asymptotic estimate of the m-th positive zero of J_n (m >= 1).
+
+    Airy-zero transplantation j_{n,m} ~ n z(n^{-2/3} a_m) for n >= 1
+    (DLMF 10.21.41 leading term), McMahon's expansion for n = 0
+    (DLMF 10.21.19).
     """
     if m < 1:
         raise ValueError("zero index starts at 1")
@@ -568,17 +582,24 @@ def bessel_zero(n: int, m: int) -> float:
         raise ValueError("order must be nonnegative")
     if n == 0:
         beta = (m - 0.25) * math.pi
-        lam = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
-    else:
-        a_m = airy_zero(m)
-        lam = n * z_of_zeta(n ** (-2.0 / 3.0) * a_m)
+        return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
+    return n * z_of_zeta(n ** (-2.0 / 3.0) * airy_zero(m))
+
+
+def bessel_zero(n: int, m: int) -> float:
+    """The m-th positive zero of J_n (m >= 1), to ~1e-12 relative.
+
+    Newton on J_n from :func:`bessel_zero_seed`, with the derivative from
+    the recurrence pair.
+    """
+    lam = bessel_zero_seed(n, m)
     # half the local zero spacing bounds the allowed Newton excursion
     spacing = math.pi / math.sqrt(max(lam * lam - n * n, 1.0)) * lam if lam > n \
         else 1.0
     lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
     for _ in range(40):
         jm1, jn = bessel_j_pair(n, lam)
-        deriv = jm1 - (n / lam) * jn if n >= 1 else jm1
+        deriv = jm1 - (n / lam) * jn
         if deriv == 0.0:
             raise NumericalError(f"flat Newton step at zero ({n}, {m})")
         d = jn / deriv

@@ -10,14 +10,14 @@ is exactly glancing, sigma = 1 is normal incidence, sigma < 0 is evanescent.
 Everything here weights trace components as functions of sigma relative to
 the scale h^rho, where h is the inverse frequency.
 
-Two complementary weights split a power law at that scale:
+``glancing_weight`` splits a power law at that scale into two terms,
 
-    far_weight  (sigma, h) = sigma^s * chi1(sigma / h^rho)
-    near_weight (sigma, h) = h^{s rho} * chi2(sigma / h^rho)
+    glancing_weight(sigma, h) = sigma^s * chi1(sigma / h^rho)      (far)
+                              + h^{s rho} * chi2(sigma / h^rho)    (near)
 
-with chi1 + chi2 = 1, chi1 vanishing below 1 and equal to 1 above 2.  Their
-sum ``glancing_weight`` behaves like sigma^s away from glancing and freezes
-at h^{s rho} inside the glancing window; for s = 0 it is identically 1.
+with chi1 + chi2 = 1, chi1 vanishing below 1 and equal to 1 above 2.  It
+behaves like sigma^s away from glancing and freezes at h^{s rho} inside the
+glancing window; for s = 0 it is identically 1.
 
 A ``BandSpec`` instead keeps components with h^{rho2} <= sigma <= h^{rho1}
 sharply (endpoints included), which isolates the dyadic-in-scale shells the
@@ -115,33 +115,19 @@ def cutoff_pair(t, kind: str = "exp"):
     return chi1[()], (1.0 - chi1)[()]
 
 
-def far_weight(sigma, h: float, spec: WeightSpec):
-    """sigma^s chi1(sigma/h^rho): the power-law part, supported in
-    sigma >= h^rho.  sigma^s is only evaluated where chi1 > 0, so negative
-    (evanescent) sigma is safe.
-    """
-    _check_h(h)
-    sig = np.asarray(sigma, dtype=float)
-    chi1, _ = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
-    power = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
-    return (power * chi1)[()]
-
-
-def near_weight(sigma, h: float, spec: WeightSpec):
-    """h^{s rho} chi2(sigma/h^rho): the frozen part near glancing."""
-    _check_h(h)
-    sig = np.asarray(sigma, dtype=float)
-    _, chi2 = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
-    return h ** (spec.s * spec.rho) * chi2
-
-
 def glancing_weight(sigma, h: float, spec: WeightSpec):
-    """The full weight far_weight + near_weight.
+    """The weight sigma^s chi1(sigma/h^rho) + h^{s rho} chi2(sigma/h^rho).
 
     Equal to sigma^s for sigma >= 2 h^rho, to h^{s rho} for sigma <= h^rho,
     and a smooth interpolation between the two in the crossover shell.
+    sigma^s is only evaluated where chi1 > 0, so negative (evanescent)
+    sigma is safe.
     """
-    return far_weight(sigma, h, spec) + near_weight(sigma, h, spec)
+    _check_h(h)
+    sig = np.asarray(sigma, dtype=float)
+    chi1, chi2 = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
+    power = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
+    return (power * chi1 + h ** (spec.s * spec.rho) * chi2)[()]
 
 
 def band_indicator(sigma, h: float, band: BandSpec):

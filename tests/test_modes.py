@@ -213,8 +213,11 @@ class TestFrequencyWindow:
 
     def test_exact_at_quasimode_windows(self):
         # criterion 4's windows; at Lambda = 536.54 and 1439.37 a zero lies
-        # within the phase counter's error of the window edge
-        for lam in np.geomspace(200.0, 2000.0, 8):
+        # within the phase counter's error of the window edge.  The small
+        # windows cover n = 0 and the orders where the index-only stop rule
+        # ends the enumeration close to the first zero.
+        small = [0.5, 1.0, 2.5, 5.0, 6.0, 10.0, 19.75, 37.3, 99.9]
+        for lam in small + list(np.geomspace(200.0, 2000.0, 8)):
             found = modes.modes_in_frequency_window(lam, lam + 1.0)
             slots = sum(2 if m.n >= 1 else 1 for m in found)
             assert slots == oracle.weyl_count(lam + 1.0, lam)

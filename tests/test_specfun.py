@@ -267,6 +267,7 @@ class TestBesselZeros:
         for n, m in [(0, 2), (5, 4), (300, 1), (300, 11), (4000, 3)]:
             lam = specfun.bessel_zero(n, m)
             assert specfun.bessel_zero_index(n, lam) == pytest.approx(m, abs=0.26)
+            assert m in specfun.bessel_zero_candidates(n, lam, lam)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=800),
@@ -277,6 +278,10 @@ class TestBesselZeros:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             specfun.bessel_zero(3, 0)
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_seed(0, 0)
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_seed(-1, 1)
 
 
 class TestLegendreEquator:
