@@ -31,6 +31,7 @@ exactly, keeping selection cheap at orders ~1e5.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -220,12 +221,13 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
     diag = SelectionDiagnostics(ranking=optimize)
 
     spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n, 1.0))
+    # seed-level window check with half-spacing slack; exact membership is
+    # re-verified after refinement
+    seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
     candidates = []   # (score, m)
-    for m in specfun.bessel_zero_candidates(n, lam_lo, lam_hi):
+    for m in specfun.bessel_zero_candidates(n, seed_lo, seed_hi):
         lam_seed = specfun.bessel_zero_seed(n, m)
-        # seed-level window check with half-spacing slack; exact membership
-        # is re-verified after refinement
-        if lam_seed < lam_lo - 0.6 * spacing or lam_seed > lam_hi + 0.6 * spacing:
+        if lam_seed < seed_lo or lam_seed > seed_hi:
             continue
         diag.candidates += 1
         if band is not None:
@@ -322,13 +324,15 @@ def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
     if not (0.0 < lam_lo < lam_hi):
         raise ValueError("need 0 < lam_lo < lam_hi")
     out = []
-    n = 0
-    # the first zero has index ~1, and at fixed lam_hi the index falls as n
-    # grows (d/dn = -arccos(n / lam_hi) / pi): the first order below 1/2 ends
-    while specfun.bessel_zero_index(n, lam_hi) >= 0.5:
-        for m in specfun.bessel_zero_candidates(n, lam_lo, lam_hi):
+    for n in itertools.count():
+        candidates = specfun.bessel_zero_candidates(n, lam_lo, lam_hi)
+        # a range ending at 1 means m(lam_hi) < 1 - E (E = 0.05), below the
+        # index 1 + e (e in [7.1e-6, 0.0155]) of the first zero.  At fixed
+        # lam_hi the index falls as n grows (d/dn = -arccos(n / lam_hi) / pi),
+        # so no later order has a zero in the window either.
+        if candidates.stop <= 1:
+            return out
+        for m in candidates:
             lam = specfun.bessel_zero(n, m)
             if lam_lo <= lam <= lam_hi:
                 out.append(_mode_at_zero(n, lam))
-        n += 1
-    return out

@@ -46,9 +46,11 @@ Orders up to 1e6 are certified: the oracle battery reaches 1e5, and the
 tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 
 Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
-McMahon for n = 0) and ``bessel_zero_candidates`` (the radial indices that
-may have a zero in an interval, from ``bessel_zero_index``) are the only
-zero seeds and index ranges; :mod:`glancelab.modes` computes none itself.
+McMahon for n = 0) and ``bessel_zero_candidates`` are the only zero seeds
+and index ranges; :mod:`glancelab.modes` computes none itself.  The range
+keeps the m with m(lo) - E <= m <= m(hi) + E for the continuous index m(x)
+of ``bessel_zero_index``; the margin E = 0.05 is over three times the
+measured overshoot e = m(j_{n,m}) - m, which lies in [7.1e-6, 0.0155].
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -87,36 +89,25 @@ def _airy_uv_coefficients(kmax: int) -> tuple[tuple[float, float], ...]:
 _AIRY_UV = _airy_uv_coefficients(60)
 
 
-def _airy_u_terms(xi: float):
-    """Return [(u_k / xi^k, v_k / xi^k)] for the Airy asymptotic series,
-    stopping at the smallest term (asymptotic optimal truncation)."""
-    prev = 1.0
-    terms = [(1.0, 1.0)]
-    inv = 1.0 / xi
-    scale = 1.0
-    for uk, vk in _AIRY_UV:
-        scale *= inv
-        t = uk * scale
-        if abs(t) >= prev:
-            break
-        terms.append((t, vk * scale))
-        prev = abs(t)
-        if abs(t) < 1e-18:
-            break
-    return terms
-
-
+# Both series stop at their smallest term (optimal truncation) or below 1e-18.
 def _airy_asymp_pos(x: float) -> tuple[float, float]:
     """(Ai, Ai') for large positive x (DLMF 9.7.5-9.7.6)."""
     xi = (2.0 / 3.0) * x ** 1.5
-    terms = _airy_u_terms(xi)
-    su = 0.0
-    sv = 0.0
-    sign = 1.0
-    for tu, tv in terms:
+    inv = 1.0 / xi
+    su = sv = 1.0       # the k = 0 terms
+    sign = -1.0
+    prev = scale = 1.0
+    for uk, vk in _AIRY_UV:
+        scale *= inv
+        tu = uk * scale
+        if abs(tu) >= prev:
+            break
         su += sign * tu
-        sv += sign * tv
+        sv += sign * (vk * scale)
         sign = -sign
+        prev = abs(tu)
+        if prev < 1e-18:
+            break
     pref = math.exp(-xi) / (2.0 * math.sqrt(math.pi))
     ai = pref * x ** -0.25 * su
     aip = -pref * x ** 0.25 * sv
@@ -126,17 +117,27 @@ def _airy_asymp_pos(x: float) -> tuple[float, float]:
 def _airy_asymp_neg(x: float, xi: float) -> tuple[float, float]:
     """(Ai, Ai') at -x for large positive x (DLMF 9.7.9-9.7.10), given the
     phase xi = (2/3) x^{3/2}."""
-    terms = _airy_u_terms(xi)
-    ce = se = 0.0   # even-index sums (u, v)
+    inv = 1.0 / xi
+    ce = se = 1.0   # even-index sums (u, v), from the k = 0 terms
     co = so = 0.0   # odd-index sums
-    for k, (tu, tv) in enumerate(terms):
-        s = -1.0 if (k // 2) % 2 else 1.0   # (-1)^{floor(k/2)}
-        if k % 2 == 0:
-            ce += s * tu
-            se += s * tv
+    prev = scale = 1.0
+    for k, (uk, vk) in enumerate(_AIRY_UV, 1):
+        scale *= inv
+        tu = uk * scale
+        if abs(tu) >= prev:
+            break
+        prev = abs(tu)
+        tv = vk * scale
+        if k & 2:       # sign (-1)^{floor(k/2)}
+            tu, tv = -tu, -tv
+        if k & 1:
+            co += tu
+            so += tv
         else:
-            co += s * tu
-            so += s * tv
+            ce += tu
+            se += tv
+        if prev < 1e-18:
+            break
     w = xi - 0.25 * math.pi
     cw, sw = math.cos(w), math.sin(w)
     pref = 1.0 / math.sqrt(math.pi)
@@ -220,8 +221,9 @@ def airy_zero(m: int) -> float:
     return _airy_zero(m)
 
 
-# a quasimode window enumeration asks for each m many times; 4096 entries
-# (about a megabyte) cover every index below Lambda ~ 1.3e4
+# seeds of different orders share m: the ten acceptance sweeps hit the cache
+# on 6.3k of 20.9k lookups, the criterion-4 ensemble on 1.7k of 2.3k; 4096
+# entries (about a megabyte) cover every index below Lambda ~ 1.3e4
 @functools.lru_cache(maxsize=4096)
 def _airy_zero(m: int) -> float:
     u = (3.0 * math.pi * (4 * m - 1) / 8.0) ** (2.0 / 3.0)
@@ -559,14 +561,24 @@ def bessel_zero_index(n: int, x: float) -> float:
     return n * phase_integral(x / n) / math.pi + 0.25
 
 
-def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
-    """Radial indices m whose zero j_{n,m} may lie in [lo, hi].
+_INDEX_MARGIN = 0.05
 
-    From floor(m(lo)) to ceil(m(hi)) + 1 for the continuous zero index m(x)
-    of :func:`bessel_zero_index`, whose O(1/n) error the margin covers.
+
+def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
+    """Radial indices m whose zero j_{n,m} can lie in [lo, hi].
+
+    A zero in [lo, hi] has m(lo) <= m + e <= m(hi), where m(x) is the
+    continuous index of :func:`bessel_zero_index` and e = m(j_{n,m}) - m
+    its overshoot.  e > 0, with leading term 5/(48 pi t), t = 3 pi (4m-1)/8,
+    in the Airy regime; measured e lies in [7.1e-6, 0.01548] on n = 0..59,
+    80 and orders up to 1e5 with m = 1..11, 20, 50, 100, 300, 1000, largest
+    at j_{0,1}.  So m runs from ceil(m(lo) - E) to floor(m(hi) + E) with
+    the margin E = _INDEX_MARGIN = 0.05, over three times the largest e.
+    m(x) grows by at most 1/pi per unit of x, so a unit window leaves most
+    orders an empty range.
     """
-    return range(max(1, math.floor(bessel_zero_index(n, lo))),
-                 math.ceil(bessel_zero_index(n, hi)) + 2)
+    return range(max(1, math.ceil(bessel_zero_index(n, lo) - _INDEX_MARGIN)),
+                 math.floor(bessel_zero_index(n, hi) + _INDEX_MARGIN) + 1)
 
 
 def bessel_zero_seed(n: int, m: int) -> float:

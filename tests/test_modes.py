@@ -199,6 +199,22 @@ class TestSphereSelection:
         assert s1 / s2 == pytest.approx(10.0, rel=0.2)
 
 
+def _enumerate_wide(lam_lo, lam_hi):
+    """(n, lam) of every zero in [lam_lo, lam_hi], solving each index from
+    floor(m(lam_lo)) to ceil(m(lam_hi)) + 1 until the index at lam_hi falls
+    below 1/2: the slow reference for the candidate range."""
+    out = []
+    n = 0
+    while specfun.bessel_zero_index(n, lam_hi) >= 0.5:
+        for m in range(max(1, math.floor(specfun.bessel_zero_index(n, lam_lo))),
+                       math.ceil(specfun.bessel_zero_index(n, lam_hi)) + 2):
+            lam = specfun.bessel_zero(n, m)
+            if lam_lo <= lam <= lam_hi:
+                out.append((n, lam))
+        n += 1
+    return out
+
+
 class TestFrequencyWindow:
     def test_small_window_frozen(self):
         # zeros in [5, 6]: j_{2,1} = 5.1356, j_{0,2} = 5.5201
@@ -212,15 +228,41 @@ class TestFrequencyWindow:
         assert slots == oracle.weyl_count(82.5, 80.0)
 
     def test_exact_at_quasimode_windows(self):
-        # criterion 4's windows; at Lambda = 536.54 and 1439.37 a zero lies
-        # within the phase counter's error of the window edge.  The small
-        # windows cover n = 0 and the orders where the index-only stop rule
-        # ends the enumeration close to the first zero.
+        # criterion 4's windows, where zeros fall within 1e-3 of an edge
+        # (j_{99,410} = 1439.3706 just below Lambda = 1439.3713), and small
+        # windows that cover n = 0 and the last orders before the stop rule,
+        # each against the oracle's exact count
         small = [0.5, 1.0, 2.5, 5.0, 6.0, 10.0, 19.75, 37.3, 99.9]
         for lam in small + list(np.geomspace(200.0, 2000.0, 8)):
             found = modes.modes_in_frequency_window(lam, lam + 1.0)
             slots = sum(2 if m.n >= 1 else 1 for m in found)
             assert slots == oracle.weyl_count(lam + 1.0, lam)
+
+    @pytest.mark.parametrize("n,m", [(0, 1), (1, 1), (500, 1), (1000, 218),
+                                     (40, 7)])
+    def test_zero_on_window_edge(self, n, m):
+        # a zero exactly on either edge is kept, and each window holds the
+        # same modes as the slow enumeration over a wide index range
+        j = specfun.bessel_zero(n, m)
+        for lo, hi in ((j - 1.0, j), (j, j + 1.0)):
+            found = [(mode.n, mode.lam)
+                     for mode in modes.modes_in_frequency_window(lo, hi)]
+            assert (n, j) in found
+            assert found == _enumerate_wide(lo, hi)
+
+    def test_solves_few_zeros_per_mode(self, monkeypatch):
+        solve = specfun.bessel_zero
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return solve(n, m)
+
+        monkeypatch.setattr(specfun, "bessel_zero", counted)
+        for lam in (200.0, 536.54, 2000.0):
+            calls.clear()
+            found = modes.modes_in_frequency_window(lam, lam + 1.0)
+            assert len(calls) <= 1.6 * len(found)
 
     def test_all_inside_and_normalized(self):
         found = modes.modes_in_frequency_window(40.0, 41.0)

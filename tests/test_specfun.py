@@ -269,6 +269,14 @@ class TestBesselZeros:
             assert specfun.bessel_zero_index(n, lam) == pytest.approx(m, abs=0.26)
             assert m in specfun.bessel_zero_candidates(n, lam, lam)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 50, 199, 200, 1000, 100000])
+    def test_index_overshoot_within_margin(self, n):
+        # the candidate range rests on 0 < e <= E/3 for the overshoot
+        # e = m(j_{n,m}) - m; m = 1 is the turning-point zero, n = 0 the peak
+        for m in (1, 2, 3, 10, 100):
+            e = specfun.bessel_zero_index(n, specfun.bessel_zero(n, m)) - m
+            assert 0.0 < e <= specfun._INDEX_MARGIN / 3.0
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=800),
            st.integers(min_value=1, max_value=12))
