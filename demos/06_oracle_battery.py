@@ -1,6 +1,6 @@
 """Run the independent cross-checks behind the special-function kernel.
 
-The fast Bessel/Airy/Legendre evaluators are validated against slow
+The fast Bessel/Airy/Legendre evaluators are validated against simple
 methods that share no code with them: Miller backward recurrence with
 exact normalization, power series in extended precision, direct ODE
 integration, saddle-point quadrature, and closed forms.  This is the same

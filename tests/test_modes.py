@@ -127,7 +127,7 @@ class TestSelection:
             a_best = abs(modes.restrict_disk(best, 0.5))
             a_first = abs(modes.restrict_disk(first, 0.5))
             assert a_best >= a_first - 1e-12
-            assert first.lam <= best.lam + 1e-9 or True  # first = smallest lam
+            assert first.lam <= best.lam + 1e-9  # first = smallest lam
             # and "first" really is the smallest eigenvalue in the window
             lo, hi = t.disk_window(n)
             idx_first = specfun.bessel_zero_index(n, first.lam)

@@ -8,7 +8,9 @@ fast paths the oracle exists to check.
 
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -84,6 +86,111 @@ class TestBesselSeries:
         x = 3.7
         assert oracle.bessel_prime_series(0, x) == pytest.approx(
             -oracle.bessel_series(1, x), abs=1e-14)
+
+
+def miller_pass_per_step(n, x, start):
+    """Reference Miller pass that forms each coefficient inside the loop.
+
+    Each step computes ``two_over_x * np.longdouble(k)``, where
+    `oracle._miller_pass` takes the same values from a block product.
+    Returns the normalized J_n(x) and the number of 1e-4000 rescales.
+    """
+    two_over_x = np.longdouble(2.0) / np.longdouble(x)
+    b_hi = np.longdouble(0.0)
+    b = np.longdouble(1.0)
+    even_sum = np.longdouble(0.0)
+    b_n = np.longdouble(0.0)
+    big = np.longdouble(10.0) ** 4000
+    small = np.longdouble(10.0) ** -4000
+    rescales = 0
+    k = start
+    while k >= 1:
+        if k == n:
+            b_n = b
+        if (k & 1) == 0:
+            even_sum += b
+        b_lo = two_over_x * np.longdouble(k) * b - b_hi
+        b_hi = b
+        b = b_lo
+        if abs(b) > big:
+            b *= small
+            b_hi *= small
+            even_sum *= small
+            b_n *= small
+            rescales += 1
+        k -= 1
+    if n == 0:
+        b_n = b
+    return float(b_n / (b + 2.0 * even_sum)), rescales
+
+
+class TestMillerPass:
+    @pytest.mark.parametrize("n,x,start", [
+        (6000, 6050.0, 9000),   # start and n in different 4096-step blocks
+        (0, 40.0, 5000),        # n = 0 is read off after the loop
+        (4096, 4100.0, 8192),   # n is the first index of the second block
+        (4097, 4100.0, 8192),   # n is the last index of the first block
+        (700, 1000.0, 4096),    # start exactly one block long
+    ])
+    def test_bit_identical_to_per_step_loop(self, n, x, start):
+        want, _ = miller_pass_per_step(n, x, start)
+        assert oracle._miller_pass(n, x, start) == want
+
+    def test_bit_identical_through_rescales(self):
+        # from 5000 down to x = 3 the trial solution grows past 1e4000
+        want, rescales = miller_pass_per_step(7, 3.0, 5000)
+        assert rescales >= 1
+        assert oracle._miller_pass(7, 3.0, 5000) == want
+
+
+def _count_miller_work(monkeypatch):
+    """Record (passes, steps) for every `bessel_series` call from now on."""
+    calls = []
+    miller_pass = oracle._miller_pass
+    bessel_series = oracle.bessel_series
+
+    def counting_pass(n, x, start):
+        calls[-1][0] += 1
+        calls[-1][1] += start   # a pass from `start` makes `start` steps
+        return miller_pass(n, x, start)
+
+    def counting_series(n, x):
+        calls.append([0, 0])
+        return bessel_series(n, x)
+
+    monkeypatch.setattr(oracle, "_miller_pass", counting_pass)
+    monkeypatch.setattr(oracle, "bessel_series", counting_series)
+    return calls
+
+
+class TestMillerWork:
+    @pytest.mark.parametrize("n,x", [(100000, 100400.0), (20000, 20600.0)])
+    def test_large_order_takes_two_passes(self, monkeypatch, n, x):
+        calls = _count_miller_work(monkeypatch)
+        oracle.bessel_series(n, x)
+        (passes, steps), = calls
+        assert passes == 2
+        # two passes from m + step and m + 2 step cost 2m + 3 step, which is
+        # 2.051 m at m = 20600; three passes from m + 20, 1.5 m and 2.25 m
+        # would cost 4.77 m
+        assert steps <= 2.1 * max(n, x)
+
+    def test_every_battery_call_takes_two_passes(self, monkeypatch):
+        calls = _count_miller_work(monkeypatch)
+        assert oracle.run_all().all_passed
+        assert len(calls) > 100
+        assert {passes for passes, _ in calls} == {2}
+
+
+class TestStartRule:
+    @pytest.mark.parametrize("n,x", [
+        (0, 1e4), (1, 1e-3), (0, 1e-6), (5000, 10.0), (100000, 99000.0),
+        (100000, 101000.0), (3, 250.0), (50000, 50000.0)])
+    def test_against_scipy(self, n, x):
+        # scipy's jv (Amos) shares no code with Miller's recurrence
+        got = oracle.bessel_series(n, x)
+        want = float(scipy.special.jv(n, x))
+        assert abs(got - want) / max(abs(want), (n + 1.0) ** (-1.0 / 3.0)) <= 1e-12
 
 
 class TestLegendreRecurrence:

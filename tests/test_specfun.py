@@ -53,8 +53,8 @@ AIRY_FROZEN = [
 # J_n(x) by Miller's recurrence, frozen from glancelab.oracle.bessel_series:
 #   PYTHONPATH=src python -c "from glancelab.oracle import bessel_series; \
 #       print(repr(bessel_series(1000000, 2000000.0)))"
-# (about 10 s per value at n = 1e6 on one core); they certify bessel_j past
-# the orders the oracle battery reaches
+# (1.2 s at (1e6, 1.0004e6) and 1.8 s at (1e6, 2e6) on one core of a shared
+# 2-vCPU box); they certify bessel_j past the orders the oracle battery reaches
 MILLER_FROZEN = [
     (100000, 200000.0, -0.0010964176196624307),
     (1000000, 1000400.0, 0.004241171477590452),
