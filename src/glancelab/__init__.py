@@ -14,8 +14,8 @@ hypersurface.  It provides:
   (`glancelab.weights`);
 - scaling experiments that measure growth exponents of restricted norms and
   quasimode ensembles (`glancelab.experiments`);
-- independent slow-but-sure cross-checks used to validate the fast paths
-  (`glancelab.oracle`, imported on demand since it loads scipy);
+- independent cross-checks used to validate the fast paths
+  (`glancelab.oracle`, imported on demand by `glancelab selftest`);
 - deterministic CSV/SVG output and a command line front end
   (`glancelab.io`, `glancelab.svgplot`, `glancelab.cli`).
 """

@@ -338,7 +338,7 @@ def _run_plot(vals: dict) -> int:
 
 
 def _run_selftest(vals: dict) -> int:
-    from . import oracle     # loads scipy, which no other command needs
+    from . import oracle     # no other command needs it
     try:
         report = oracle.run_all()
     except oracle.OracleError as exc:

@@ -12,13 +12,13 @@ rather than tautology:
                             Legendre functions by three-term upward recurrence
                             (DLMF 14.10.3), seeded in log-Gamma space.
 - :func:`disk_quadrature_norm`
-                            the radial L2 norm of a disk mode by adaptive
-                            quadrature, against the closed form
+                            the radial L2 norm of a disk mode by panel
+                            Gauss-Legendre quadrature, against the closed form
                             int_0^1 J_n(lam r)^2 r dr = J_{n+1}(lam)^2 / 2
                             valid at a zero of J_n (DLMF 10.22.37).
 - :func:`olver_ode_check`   the turning-point change of variables used by the
-                            uniform Bessel asymptotic, re-solved as an ODE with
-                            a high-order Runge-Kutta integrator.
+                            uniform Bessel asymptotic, re-solved as an ODE by
+                            Gragg-Bulirsch-Stoer extrapolation.
 - :func:`airy_ode_check`    Ai on the real line by integrating y'' = x y from
                             origin values, against the series/asymptotic code.
 - :func:`weyl_count`        Dirichlet eigenvalue counts of the unit disk by
@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 
 class OracleError(Exception):
@@ -209,6 +208,121 @@ def legendre_recurrence(l: int, m: int) -> float:
 
 
 # ----------------------------------------------------------------------
+# Quadrature and ODE integration
+# ----------------------------------------------------------------------
+
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], exact to rounding.
+
+    numpy's `leggauss` weights are off by up to 7e-14 relative at order 20,
+    so its nodes are polished by Newton steps on P_order in extended
+    precision, and the weights recomputed there as
+    2 / ((1 - x^2) P_order'(x)^2)  (DLMF 3.5.19).
+    """
+    x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
+    for _ in range(3):
+        p_lo, p = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p_lo, p = p, ((2 * k - 1) * x * p - (k - 1) * p_lo) / k
+        dp = order * (x * p - p_lo) / (x * x - 1)
+        x = x - p / dp
+    return x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
+
+
+_GL_NODES, _GL_WEIGHTS = _legendre_rule(20)
+
+
+def _gauss_legendre(f, a: float, b: float) -> float:
+    """int_a^b f(s) ds by 20-point Gauss-Legendre on 1, 2, 4, ... 64 panels.
+
+    `f` maps an array of nodes to an array of values.  The panel count
+    doubles until two successive sums agree to 1e-14 relative; if 64
+    panels still disagree with 32, raises OracleError.
+    """
+    prev = None
+    for panels in (1, 2, 4, 8, 16, 32, 64):
+        half = 0.5 * (b - a) / panels
+        mids = a + half * (2.0 * np.arange(panels) + 1.0)
+        nodes = (mids[:, None] + half * _GL_NODES).ravel()
+        val = math.fsum(np.tile(half * _GL_WEIGHTS, panels) * f(nodes))
+        if prev is not None and abs(val - prev) <= 1e-14 * abs(val):
+            return val
+        prev = val
+    raise OracleError(f"Gauss-Legendre on [{a}, {b}] not converged at "
+                      f"64 panels: {val}")
+
+
+# substep counts of Gragg's modified midpoint rule, one per extrapolation row
+_GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
+
+
+def _gbs_step(f, t, y, h):
+    """One Gragg-Bulirsch-Stoer step of size h from (t, y).
+
+    Returns (y(t + h), rows used) once the last two extrapolants of a row
+    agree to 2e-15 relative to the largest component plus 1e-17 absolute,
+    or (None, rows used) if no row does.
+    """
+    prev_row = []
+    for k, n in enumerate(_GBS_SUBSTEPS):
+        sub = h / n
+        y_lo, y_hi = y, y + sub * f(t, y)
+        for i in range(1, n):
+            y_lo, y_hi = y_hi, y_lo + 2.0 * sub * f(t + i * sub, y_hi)
+        row = [0.5 * (y_lo + y_hi + sub * f(t + h, y_hi))]
+        # Aitken-Neville: the midpoint error is a series in sub^2
+        for j in range(1, k + 1):
+            ratio = (n / _GBS_SUBSTEPS[k - j]) ** 2
+            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (ratio - 1.0))
+        if k and np.max(np.abs(row[k] - row[k - 1])) <= \
+                2e-15 * np.max(np.abs(row[k])) + 1e-17:
+            return row[k], k + 1
+        prev_row = row
+    return None, len(_GBS_SUBSTEPS)
+
+
+def _ode_solve(f, t0: float, y0, t_out) -> np.ndarray:
+    """Solve y' = f(t, y), y(t0) = y0 at each point of `t_out`.
+
+    Gragg-Bulirsch-Stoer extrapolation (Bulirsch & Stoer, Numer. Math. 8,
+    1966): each step runs the modified midpoint rule on 2, 4, ... 20
+    substeps and extrapolates in h^2, and is accepted once the last two
+    extrapolants agree (see `_gbs_step`).  A step that misses is halved;
+    one that converges by the fifth row doubles the next.  Steps land exactly on each point of `t_out`,
+    which must run monotonically away from t0.  A step below 1e-12 raises
+    OracleError.
+
+    Returns
+    -------
+    ndarray
+        Row i is y(t_out[i]).
+    """
+    t = t0
+    y = np.asarray(y0, dtype=float)
+    h = t_out[-1] - t0
+    out = []
+    # a trial step too long for the solution may overflow; the extrapolants
+    # then differ by nan, which fails the agreement test, and h is halved
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in t_out:
+            while t != target:
+                last = abs(target - t) <= abs(h)
+                step = target - t if last else h
+                y_new, rows = _gbs_step(f, t, y, step)
+                if y_new is None:
+                    h = 0.5 * step
+                    if abs(h) < 1e-12:
+                        raise OracleError(f"ODE step below 1e-12 at t = {t}")
+                    continue
+                if rows <= 5 and not last:
+                    h *= 2.0
+                t = target if last else t + step
+                y = y_new
+            out.append(y)
+    return np.array(out)
+
+
+# ----------------------------------------------------------------------
 # Disk-mode normalization by quadrature
 # ----------------------------------------------------------------------
 
@@ -218,17 +332,15 @@ def disk_quadrature_norm(n: int, lam: float) -> tuple[float, float]:
     Returns
     -------
     (quadrature, closed_form) : tuple of float
-        quadrature  = int_0^1 J_n(lam r)^2 r dr  by adaptive quadrature,
+        quadrature  = int_0^1 J_n(lam r)^2 r dr  by panel Gauss-Legendre,
         closed_form = J_{n+1}(lam)^2 / 2, exact when J_n(lam) = 0
         (DLMF 10.22.37 with nu = n).
 
     The caller is responsible for passing lam at (or near) a zero of J_n;
     otherwise the closed form does not apply.
     """
-    val, err = quad(lambda r: bessel_series(n, lam * r) ** 2 * r, 0.0, 1.0,
-                    limit=300, epsabs=1e-13, epsrel=1e-12)
-    if err > 1e-8:
-        raise OracleError(f"quadrature error estimate too large: {err}")
+    j_n = np.vectorize(bessel_series, otypes=[float])
+    val = _gauss_legendre(lambda r: j_n(n, lam * r) ** 2 * r, 0.0, 1.0)
     closed = 0.5 * bessel_series(n + 1, lam) ** 2
     return val, closed
 
@@ -249,8 +361,8 @@ def olver_ode_check(zeta_lo: float = -6.0, n_samples: int = 25):
     regular except at the turning point zeta = 0, where
     z = 1 + 2^{-1/3}(-zeta) + (3/10) 2^{-2/3} zeta^2 + ...
 
-    Integrates from near the turning point down to `zeta_lo` with an 8th
-    order Runge-Kutta method and returns sample pairs.
+    Integrates from near the turning point down to `zeta_lo` by
+    Gragg-Bulirsch-Stoer extrapolation and returns sample pairs.
 
     Returns
     -------
@@ -261,16 +373,11 @@ def olver_ode_check(zeta_lo: float = -6.0, n_samples: int = 25):
     c = 2.0 ** (-1.0 / 3.0)
     z_start = 1.0 + c * z0 + 0.3 * c * c * z0 * z0
 
-    def rhs(zeta, y):
-        z = y[0]
-        return [-math.sqrt(-zeta) * z / math.sqrt(z * z - 1.0)]
+    def rhs(zeta, z):
+        return -math.sqrt(-zeta) * z / np.sqrt(z * z - 1.0)
 
     zetas = np.linspace(-z0, zeta_lo, n_samples)
-    sol = solve_ivp(rhs, (-z0, zeta_lo), [z_start], t_eval=zetas,
-                    method="DOP853", rtol=1e-12, atol=1e-12)
-    if not sol.success:
-        raise OracleError(f"turning-point ODE failed: {sol.message}")
-    return zetas, sol.y[0]
+    return zetas, _ode_solve(rhs, -z0, [z_start], zetas)[:, 0]
 
 
 # Origin values of Ai, frozen from the Gamma-function expressions
@@ -296,7 +403,7 @@ def airy_ode_check(x_lo: float = -14.0, x_hi: float = 2.0, n_samples: int = 41):
         Sample grid and Ai(x) on it.
     """
     def rhs(x, y):
-        return [y[1], x * y[0]]
+        return np.array([y[1], x * y[0]])
 
     xs = np.linspace(x_lo, x_hi, n_samples)
     out = np.empty_like(xs)
@@ -304,18 +411,10 @@ def airy_ode_check(x_lo: float = -14.0, x_hi: float = 2.0, n_samples: int = 41):
     right = xs[xs > 0.0]
     y0 = [AIRY_AT_ZERO, AIRY_PRIME_AT_ZERO]
     if left.size:
-        sol = solve_ivp(rhs, (0.0, float(left[0])), y0, t_eval=left[::-1],
-                        method="DOP853", rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise OracleError(f"Airy ODE (left) failed: {sol.message}")
-        out[: left.size] = sol.y[0][::-1]
+        out[: left.size] = _ode_solve(rhs, 0.0, y0, left[::-1])[::-1, 0]
     out[xs == 0.0] = AIRY_AT_ZERO
     if right.size:
-        sol = solve_ivp(rhs, (0.0, float(right[-1])), y0, t_eval=right,
-                        method="DOP853", rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise OracleError(f"Airy ODE (right) failed: {sol.message}")
-        out[xs.size - right.size:] = sol.y[0]
+        out[xs.size - right.size:] = _ode_solve(rhs, 0.0, y0, right)[:, 0]
     return xs, out
 
 
@@ -337,12 +436,10 @@ def airy_positive_integral(x: float) -> float:
     sx = math.sqrt(x)
 
     def f(s):
-        return math.exp(-sx * s * s) * math.cos(s ** 3 / 3.0)
+        return np.exp(-sx * s * s) * np.cos(s ** 3 / 3.0)
 
     cutoff = 2.0 + 7.0 / x ** 0.25   # e^{-sqrt(x) s^2} < 1e-21 beyond this
-    val, err = quad(f, 0.0, cutoff, limit=200, epsabs=0.0, epsrel=1e-12)
-    if err > 1e-10 * abs(val):
-        raise OracleError(f"Airy integral not converged at x={x}: err {err}")
+    val = _gauss_legendre(f, 0.0, cutoff)
     return math.exp(-(2.0 / 3.0) * x * sx) * val / math.pi
 
 

@@ -306,18 +306,31 @@ def test_selftest_json(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy serves only the oracle, which `selftest` imports on demand
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports glancelab from source."""
     src = os.path.dirname(os.path.dirname(io.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, glancelab.cli; print('scipy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=120)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency: no command may import it
+    proc = _run_fresh("import sys, glancelab.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_selftest_runs_without_scipy():
+    # a None entry in sys.modules makes every `import scipy...` fail
+    proc = _run_fresh("import sys; sys.modules['scipy'] = None; "
+                      "import glancelab.cli; "
+                      "sys.exit(glancelab.cli.main(['selftest']))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
 
 
 def test_unwritable_output_path(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 Expected values here come from closed forms evaluated inline (double
 factorials, Gamma-function expressions, integral representations via
-scipy.integrate) or from frozen high-precision constants -- never from the
-fast paths the oracle exists to check.
+scipy.integrate), from scipy.special, or from frozen high-precision
+constants -- never from the fast paths the oracle exists to check.  The
+oracle itself runs without scipy.
 """
 
 import math
@@ -233,17 +234,71 @@ class TestAiryODE:
     def test_first_airy_zero(self):
         xs, ais = oracle.airy_ode_check(x_lo=AIRY_ZERO_1, x_hi=0.0, n_samples=2)
         assert xs[0] == AIRY_ZERO_1
-        assert abs(ais[0]) < 1e-11
+        assert abs(ais[0]) < 1e-13
+
+    def test_frozen_values_on_default_grid(self):
+        # Ai by mpmath at 40 digits, at the float grid points themselves
+        # (xs[28] is -2.799999999999999, not -2.8)
+        frozen = {0: -0.2659834827840777983848, 16: 0.2782502348801975242921,
+                  28: -0.2950975929992081194923, 40: 0.03492413042327437913532}
+        xs, ais = oracle.airy_ode_check()
+        assert [xs[i] for i in frozen] == [-14.0, -7.6, -2.799999999999999, 2.0]
+        for i, want in frozen.items():
+            assert abs(ais[i] - want) <= 1e-12 * max(abs(want), 1e-6)
 
 
 class TestTurningPointODE:
     def test_anchor_z_equals_two(self):
         zetas, zs = oracle.olver_ode_check(zeta_lo=ZETA_AT_Z2, n_samples=3)
-        assert zs[-1] == pytest.approx(2.0, abs=1e-9)
+        assert zs[-1] == pytest.approx(2.0, abs=1e-13)
+
+    def test_frozen_values_on_default_grid(self):
+        # z solving sqrt(z^2-1) - arccos(1/z) = (2/3)(-zeta)^{3/2}, by mpmath
+        # at 40 digits at the float grid points
+        frozen = {12: 4.933280712861822287229, 24: 11.32457477290620927433}
+        zetas, zs = oracle.olver_ode_check()
+        assert [zetas[i] for i in frozen] == [-3.0000500000000003, -6.0]
+        for i, want in frozen.items():
+            assert abs(zs[i] - want) <= 1e-13 * want
 
     def test_monotone_increasing_z(self):
         zetas, zs = oracle.olver_ode_check(zeta_lo=-8.0, n_samples=30)
         assert all(b > a for a, b in zip(zs, zs[1:]))
+
+
+class TestODESolve:
+    def test_harmonic_oscillator(self):
+        # y'' = -y with y(0) = 0, y'(0) = 1 is sin
+        ts = np.arange(1.0, 11.0)
+        ys = oracle._ode_solve(lambda t, y: np.array([y[1], -y[0]]), 0.0,
+                               [0.0, 1.0], ts)
+        assert np.max(np.abs(ys[:, 0] - np.sin(ts))) <= 1e-13
+
+    def test_blow_up_raises(self):
+        # y' = y^2, y(0) = 1 is 1/(1 - t), which has no value at t = 1.5
+        with pytest.raises(oracle.OracleError):
+            oracle._ode_solve(lambda t, y: y * y, 0.0, [1.0], [1.5])
+
+
+class TestGaussLegendre:
+    def test_sine(self):
+        assert oracle._gauss_legendre(np.sin, 0.0, math.pi) == pytest.approx(
+            2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("degree", [10, 20, 39])
+    def test_exact_through_degree_39(self, degree):
+        # a 20-point panel integrates degree 39 exactly, so this checks that
+        # the weights are right to rounding (with numpy's leggauss weights
+        # the error here is 4e-15 to 8e-15)
+        got = oracle._gauss_legendre(lambda s: s ** degree, 0.0, 1.0)
+        assert abs(got * (degree + 1) - 1.0) <= 1e-15
+
+    def test_kink_inside_every_panel_raises(self):
+        # 1/3 is never a panel edge, so the kink of sqrt|s - 1/3| keeps the
+        # error near h^{3/2}: no two panel counts agree to 1e-14
+        with pytest.raises(oracle.OracleError):
+            oracle._gauss_legendre(lambda s: np.sqrt(np.abs(s - 1.0 / 3.0)),
+                                   0.0, 1.0)
 
 
 class TestWeylCount:
