@@ -25,8 +25,9 @@ the scaling experiments measure.  `optimize="first"` takes the smallest
 eigenvalue instead; its measured amplitude inherits the arcsine-distributed
 phase factor and fits of sweeps built from it have essentially no power-law
 signal (r^2 < 0.2 across the acceptance grids).  Candidate ranking uses the
-analytic phase/envelope model; only the top few candidates are evaluated
-exactly, keeping selection cheap at orders ~1e5.
+analytic phase/envelope model, on the seeds of every candidate of the order
+in one array pass; only the top few candidates are evaluated exactly,
+keeping selection cheap at orders ~1e5.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import specfun
 
@@ -166,11 +169,12 @@ _OPTIMIZE = ("first", "restriction", "normal_derivative")
 _REFINED = 3
 
 
-def _phase_model(n: int, lam: float, radius: float) -> float:
-    """Asymptotic phase of J_n(lam * radius) above the turning point:
-    Phi = n g(w) - pi/4, w = lam radius / n; |J_n| ~ envelope * |cos Phi|.
+def _phase_model(n: int, lam: np.ndarray, radius: float) -> np.ndarray:
+    """Asymptotic phase of J_n(lam * radius) above the turning point, for an
+    array of lam: Phi = n g(w) - pi/4, w = lam radius / n;
+    |J_n| ~ envelope * |cos Phi|.
     """
-    return n * specfun.phase_integral(lam * radius / n) - 0.25 * math.pi
+    return n * specfun.phase_integrals(lam * radius / n) - 0.25 * math.pi
 
 
 @dataclass
@@ -224,42 +228,40 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
     # seed-level window check with half-spacing slack; exact membership is
     # re-verified after refinement
     seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
-    candidates = []   # (score, m)
-    for m in specfun.bessel_zero_candidates(n, seed_lo, seed_hi):
-        lam_seed = specfun.bessel_zero_seed(n, m)
-        if lam_seed < seed_lo or lam_seed > seed_hi:
-            continue
-        diag.candidates += 1
-        if band is not None:
-            # seed-level screen with a hair of slack; refinement re-checks
-            h = 1.0 / lam_seed
-            sigma = 1.0 - (n / (lam_seed * radius)) ** 2
-            if not (h ** band.rho2 * (1.0 - 1e-6) <= sigma
-                    <= h ** band.rho1 * (1.0 + 1e-6)):
-                continue
-            diag.band_feasible += 1
-        if optimize == "first":
-            score = -lam_seed   # larger score = smaller eigenvalue
-        elif lam_seed * radius <= n:
-            # at or below the turning point the phase model does not apply:
-            # rank below every oscillatory seed, refinement still decides
-            score = -1.0
-        else:
-            phi = _phase_model(n, lam_seed, radius)
-            score = abs(math.cos(phi)) if optimize == "restriction" \
-                else abs(math.sin(phi))
-        candidates.append((score, m))
-    if band is None:
-        diag.band_feasible = diag.candidates
+    indices = specfun.bessel_zero_candidates(n, seed_lo, seed_hi)
+    ms = np.arange(indices.start, indices.stop)
+    lam_seed = specfun.bessel_zero_seeds(n, ms)
+    inside = (seed_lo <= lam_seed) & (lam_seed <= seed_hi)
+    ms, lam_seed = ms[inside], lam_seed[inside]
+    diag.candidates = diag.band_feasible = ms.size
+    if band is not None:
+        # seed-level screen with a hair of slack; refinement re-checks
+        h = 1.0 / lam_seed
+        sigma = 1.0 - (n / (lam_seed * radius)) ** 2
+        feasible = ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
+                    & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
+        ms, lam_seed = ms[feasible], lam_seed[feasible]
+        diag.band_feasible = ms.size
 
-    if not candidates:
+    if not ms.size:
         raise NoModeError(
             f"no {'band-feasible ' if band is not None else ''}eigenvalue in "
             f"window [{lam_lo:.3f}, {lam_hi:.3f}] for n={n}")
 
-    candidates.sort(key=lambda c: -c[0])
+    if optimize == "first":
+        score = -lam_seed   # larger score = smaller eigenvalue
+    else:
+        # at or below the turning point the phase model does not apply:
+        # rank below every oscillatory seed, refinement still decides
+        score = np.full(ms.size, -1.0)
+        osc = lam_seed * radius > n
+        phi = _phase_model(n, lam_seed[osc], radius)
+        score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
+                            else np.sin(phi))
+    ranked = ms[np.argsort(-score, kind="stable")].tolist()
+
     best = None     # (quality, mode)
-    for i, (_, m) in enumerate(candidates):
+    for i, m in enumerate(ranked):
         # past the ranked few only when they all drifted outside on exact
         # refinement (narrow window, seeds near the edges)
         if i == _REFINED and best is not None:

@@ -287,10 +287,14 @@ def _ode_solve(f, t0: float, y0, t_out) -> np.ndarray:
     Gragg-Bulirsch-Stoer extrapolation (Bulirsch & Stoer, Numer. Math. 8,
     1966): each step runs the modified midpoint rule on 2, 4, ... 20
     substeps and extrapolates in h^2, and is accepted once the last two
-    extrapolants agree (see `_gbs_step`).  A step that misses is halved;
-    one that converges by the fifth row doubles the next.  Steps land exactly on each point of `t_out`,
-    which must run monotonically away from t0.  A step below 1e-12 raises
-    OracleError.
+    extrapolants agree (see `_gbs_step`).  The first trial step is 1/L,
+    the time scale of the linearised equation, with L = |df/dy| estimated
+    by one difference quotient at (t0, y0).  Near the turning point, where
+    `olver_ode_check` starts, L ~ 1/(2 |t0|) = 5e3, far too stiff for a
+    first step of the 0.25 grid spacing.  A step that misses is halved;
+    one that converges by the fifth row doubles the next.  Steps land
+    exactly on each point of `t_out`, which must run monotonically away
+    from t0.  A step below 1e-12 raises OracleError.
 
     Returns
     -------
@@ -299,7 +303,10 @@ def _ode_solve(f, t0: float, y0, t_out) -> np.ndarray:
     """
     t = t0
     y = np.asarray(y0, dtype=float)
-    h = t_out[-1] - t0
+    dy = 1e-7 * np.maximum(np.abs(y), 1e-7)
+    lip = np.max(np.abs(f(t0, y + dy) - f(t0, y))) / np.max(dy)
+    span = t_out[-1] - t0
+    h = math.copysign(min(abs(span), 1.0 / max(lip, 1e-300)), span)
     out = []
     # a trial step too long for the solution may overflow; the extrapolants
     # then differ by nan, which fails the agreement test, and h is halved

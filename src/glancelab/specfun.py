@@ -25,9 +25,9 @@ validated against backward-recurrence oracles:
   The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
   |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
-The Airy factors (``airy_ai``, ``airy_ai_prime``, ``airy_zero`` and the
-uniform expansion) use two methods keyed on the one constant
-_AIRY_ASYMP = 8, all in float64:
+The Airy factors (``airy_ai``, ``airy_ai_prime``, the Newton of
+``airy_zero`` below m = 10 and the uniform expansion) use two methods keyed
+on the one constant _AIRY_ASYMP = 8, all in float64:
 
 - |x| >= 8: the Poincare asymptotic series (DLMF 9.7.5-6, 9.7.9-10),
   truncated at their smallest term; relative error ~3e-15 at |x| = 8,
@@ -46,11 +46,18 @@ Orders up to 1e6 are certified: the oracle battery reaches 1e5, and the
 tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 
 Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
-McMahon for n = 0) and ``bessel_zero_candidates`` are the only zero seeds
-and index ranges; :mod:`glancelab.modes` computes none itself.  The range
-keeps the m with m(lo) - E <= m <= m(hi) + E for the continuous index m(x)
-of ``bessel_zero_index``; the margin E = 0.05 is over three times the
-measured overshoot e = m(j_{n,m}) - m, which lies in [7.1e-6, 0.0155].
+McMahon for n = 0), its array form ``bessel_zero_seeds`` (every index of
+one order n >= 1 in one numpy pass, within a few ulp of the scalar seed)
+and ``bessel_zero_candidates`` are the only zero seeds and index ranges;
+:mod:`glancelab.modes` computes none itself.  One index goes through the
+scalar seed (``bessel_zero``, window enumeration), the many candidates of a
+selection window through the array one.  Both take the Airy zero a_m of
+m >= 10 from the closed form of DLMF 9.9.18 (six terms in t^-2,
+t = 3 pi (4m - 1)/8), within 2 ulp of a_m, and the nine below from Newton
+on Ai.  The range keeps the m with m(lo) - E <= m <= m(hi) + E for the
+continuous index m(x) of ``bessel_zero_index``; the margin E = 0.05 is over
+three times the measured overshoot e = m(j_{n,m}) - m, which lies in
+[7.1e-6, 0.0155].
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -212,22 +219,47 @@ def airy_ai_prime(x: float) -> float:
 
 
 def airy_zero(m: int) -> float:
-    """The m-th negative zero a_m of Ai (m >= 1), by Newton from the
-    asymptotic seed a_m ~ -u (1 + 5/(48 u^3)), u = (3 pi (4m-1)/8)^{2/3}
-    (DLMF 9.9.6 truncated).  Results are memoised per m.
+    """The m-th negative zero a_m of Ai (m >= 1).
+
+    From m = 10 on, the closed form of DLMF 9.9.18 (see
+    :func:`_airy_zero_closed`), within 2 ulp of a_m.  Below, Newton on Ai
+    from that closed form; those nine zeros are memoised.
     """
     if m < 1:
         raise ValueError("zero index starts at 1")
-    return _airy_zero(m)
+    if m < _AIRY_ZERO_CLOSED:
+        return _airy_zero_newton(m)
+    return _airy_zero_closed(m)
 
 
-# seeds of different orders share m: the ten acceptance sweeps hit the cache
-# on 6.3k of 20.9k lookups, the criterion-4 ensemble on 1.7k of 2.3k; 4096
-# entries (about a megabyte) cover every index below Lambda ~ 1.3e4
-@functools.lru_cache(maxsize=4096)
-def _airy_zero(m: int) -> float:
-    u = (3.0 * math.pi * (4 * m - 1) / 8.0) ** (2.0 / 3.0)
-    x = -u * (1.0 + 5.0 / (48.0 * u ** 3))
+# The closed form below is within 1.9 ulp of a_m on m = 10 ... 1e6 (against
+# 40-digit values at 167 indices); at m = 9 it is 7 ulp off, at m = 8 25.
+_AIRY_ZERO_CLOSED = 10
+
+
+def _airy_zero_closed(m):
+    """a_m = -T(t), t = 3 pi (4m - 1) / 8, with six terms of DLMF 9.9.18:
+
+        T(t) ~ t^{2/3} (1 + 5/48 t^-2 - 5/36 t^-4 + 77125/82944 t^-6
+                        - 108056875/6967296 t^-8
+                        + 162375596875/334430208 t^-10).
+
+    `m` is an int or an integer array; the same arithmetic serves both.
+    """
+    t = 0.375 * math.pi * (4 * m - 1)
+    x = t * t
+    u = x ** (1.0 / 3.0)
+    # one Newton step on u^3 = t^2 removes the rounding of the exponent 1/3
+    u = u - (u * u * u - x) / (3.0 * u * u)
+    s = 1.0 / x
+    return -u * (1.0 + s * (5.0 / 48.0 + s * (-5.0 / 36.0 + s * (
+        77125.0 / 82944.0 + s * (-108056875.0 / 6967296.0
+                                 + s * (162375596875.0 / 334430208.0))))))
+
+
+@functools.cache
+def _airy_zero_newton(m: int) -> float:
+    x = _airy_zero_closed(m)
     for _ in range(30):
         ai, aip = _airy_pair(x)
         d = ai / aip
@@ -251,6 +283,21 @@ def phase_integral(w: float) -> float:
         raise ValueError("phase integral defined for w >= 1")
     t2 = (w - 1.0) * (w + 1.0)
     return _t_minus_atan(math.sqrt(t2), t2) if t2 > 0.0 else 0.0
+
+
+def phase_integrals(w: np.ndarray) -> np.ndarray:
+    """:func:`phase_integral` of every element of an array of w >= 1.
+
+    Where t = sqrt(w^2 - 1) < 0.1 the element takes the scalar series.
+    """
+    t2 = (w - 1.0) * (w + 1.0)
+    t = np.sqrt(t2)
+    g = t - np.arctan(t)
+    small = t < 0.1
+    if small.any():
+        g[small] = [_t_minus_atan(float(a), float(b))
+                    for a, b in zip(t[small], t2[small])]
+    return g
 
 
 def _t_minus_atan(t: float, t2: float) -> float:
@@ -315,6 +362,39 @@ def z_of_zeta(zeta: float) -> float:
         if abs(d) <= 1e-15 * max(t, 1.0):
             return math.sqrt(1.0 + t * t)
     raise NumericalError(f"z_of_zeta failed at zeta = {zeta}")
+
+
+def _z_of_zeta_array(zeta: np.ndarray) -> np.ndarray:
+    """:func:`z_of_zeta` of every element of an array of zeta < 0.
+
+    The same start and the same Newton stop rule, element by element, in
+    numpy: an element leaves the iteration when it meets the rule.
+    Elements whose start t lies below 0.1, where t - arctan(t) cancels, are
+    solved by :func:`z_of_zeta` itself.
+    """
+    w = (2.0 / 3.0) * (-zeta) ** 1.5
+    t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
+    z = np.empty_like(w)
+    idx = np.arange(w.size)
+    small = t < 0.1
+    if small.any():
+        for i in idx[small]:
+            z[i] = z_of_zeta(float(zeta[i]))
+        idx, t, w = idx[~small], t[~small], w[~small]
+    for _ in range(60):
+        if not idx.size:
+            return z
+        t2 = t * t
+        d = (t - np.arctan(t) - w) / (t2 / (1.0 + t2))
+        t = t - d
+        done = np.abs(d) <= 1e-15 * np.maximum(t, 1.0)
+        if done.all():
+            z[idx] = np.sqrt(1.0 + t * t)
+            return z
+        if done.any():
+            z[idx[done]] = np.sqrt(1.0 + t[done] * t[done])
+            idx, t, w = idx[~done], t[~done], w[~done]
+    raise NumericalError(f"z_of_zeta failed at zeta = {zeta[idx[0]]}")
 
 
 # ----------------------------------------------------------------------
@@ -596,6 +676,28 @@ def bessel_zero_seed(n: int, m: int) -> float:
         beta = (m - 0.25) * math.pi
         return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
     return n * z_of_zeta(n ** (-2.0 / 3.0) * airy_zero(m))
+
+
+def bessel_zero_seeds(n: int, ms) -> np.ndarray:
+    """:func:`bessel_zero_seed` for every index of the integer array `ms`
+    (each >= 1) of one order n >= 1, in one array pass.
+
+    The Airy zeros of m >= 10 come from their closed form in numpy, the few
+    below from the memoised Newton of :func:`airy_zero`; the transplant then
+    runs the Newton of :func:`z_of_zeta` element-wise.  numpy's vectorised
+    pow and arctan round differently from ``math``, so a seed can differ
+    from the scalar one in the last few bits.
+    """
+    if n < 1:
+        raise ValueError("array seeds need order n >= 1")
+    m = np.asarray(ms, dtype=np.int64)
+    if m.size and m.min() < 1:
+        raise ValueError("zero index starts at 1")
+    a = _airy_zero_closed(m)
+    low = m < _AIRY_ZERO_CLOSED
+    if low.any():
+        a[low] = [_airy_zero_newton(int(k)) for k in m[low]]
+    return n * _z_of_zeta_array(n ** (-2.0 / 3.0) * a)
 
 
 def bessel_zero(n: int, m: int) -> float:

@@ -159,7 +159,7 @@ def test_sharpness_sweep_rows_inside_band():
         assert row.h ** band.rho2 <= row.sigma <= row.h ** band.rho1
         assert row.rho1 == 0.3 and row.rho2 == 0.6 and row.s == 0.1
         expect = row.sigma ** 0.1 * row.amplitude * math.sqrt(math.pi)
-        assert row.weighted_norm == pytest.approx(expect, rel=1e-12)
+        assert row.weighted_norm == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_sharpness_sweep_infeasible_orders_skipped():
@@ -188,7 +188,7 @@ def test_normal_band_flat():
     res = ex.normal_band_check(cfg)
     for row in res.rows:
         expect = math.sqrt(row.xi_d) * row.amplitude * math.sqrt(math.pi)
-        assert row.weighted_norm == pytest.approx(expect, rel=1e-12)
+        assert row.weighted_norm == pytest.approx(expect, rel=1e-12, abs=0.0)
     assert abs(res.fit(x="lam").slope) < 0.05
 
 
@@ -201,7 +201,7 @@ def test_normal_derivative_flat_at_quarter():
         # far branch of the weight: pure power sigma^{-s}
         assert row.sigma > 2.0 * row.h ** (2.0 / 3.0)
         expect = row.sigma ** -0.25 * row.amplitude * math.sqrt(math.pi)
-        assert row.weighted_norm == pytest.approx(expect, rel=1e-9)
+        assert row.weighted_norm == pytest.approx(expect, rel=1e-9, abs=0.0)
 
 
 def test_normal_derivative_needs_far_branch():

@@ -17,22 +17,22 @@ J1_AT_J0_ZERO_1 = 0.51914749728946678814
 class TestDiskMode:
     def test_fundamental_frozen(self):
         mode = modes.disk_mode(0, 1)
-        assert mode.lam == pytest.approx(J0_ZERO_1, rel=1e-13)
+        assert mode.lam == pytest.approx(J0_ZERO_1, rel=1e-13, abs=0.0)
         assert mode.normalization == pytest.approx(
-            1.0 / (math.sqrt(math.pi) * J1_AT_J0_ZERO_1), rel=1e-12)
+            1.0 / (math.sqrt(math.pi) * J1_AT_J0_ZERO_1), rel=1e-12, abs=0.0)
 
     def test_unit_norm_against_quadrature(self):
         # 2 pi c^2 int_0^1 J_n(lam r)^2 r dr should be 1
         mode = modes.disk_mode(7, 3)
         integral, _ = oracle.disk_quadrature_norm(mode.n, mode.lam)
         assert 2.0 * math.pi * mode.normalization ** 2 * integral == \
-            pytest.approx(1.0, rel=1e-9)
+            pytest.approx(1.0, rel=1e-9, abs=0.0)
 
     def test_sigma_formula(self):
         mode = modes.disk_mode(10, 2)
         r = 0.5
         assert mode.sigma(r) == pytest.approx(
-            1.0 - (mode.n / (mode.lam * r)) ** 2, rel=1e-15)
+            1.0 - (mode.n / (mode.lam * r)) ** 2, rel=1e-15, abs=0.0)
         assert mode.h == pytest.approx(1.0 / mode.lam)
 
 
@@ -40,7 +40,8 @@ class TestRestriction:
     def test_trace_amplitude(self):
         mode = modes.disk_mode(5, 4)
         assert modes.restrict_disk(mode, 0.5) == pytest.approx(
-            mode.normalization * specfun.bessel_j(5, mode.lam * 0.5), rel=1e-13)
+            mode.normalization * specfun.bessel_j(5, mode.lam * 0.5),
+            rel=1e-13, abs=0.0)
 
     def test_normal_derivative_is_h_scaled(self):
         # h d_r u at r = R equals the stored amplitude times e^{in theta}
@@ -49,7 +50,7 @@ class TestRestriction:
         u = lambda r: mode.normalization * specfun.bessel_j(6, mode.lam * r)
         fd = mode.h * (u(0.5 + eps) - u(0.5 - eps)) / (2 * eps)
         assert modes.restrict_disk_normal_derivative(mode, 0.5) == \
-            pytest.approx(fd, rel=1e-7)
+            pytest.approx(fd, rel=1e-7, abs=0.0)
 
     def test_radius_validated(self):
         mode = modes.disk_mode(0, 1)
@@ -61,7 +62,7 @@ class TestRestriction:
 
     def test_sphere_trace(self):
         assert modes.restrict_sphere(SphereMode(l=3, m=1)) == pytest.approx(
-            specfun.legendre_equator(3, 1), rel=1e-14)
+            specfun.legendre_equator(3, 1), rel=1e-14, abs=0.0)
 
     def test_sphere_odd_parity_trace_vanishes(self):
         assert modes.restrict_sphere(SphereMode(l=4, m=1)) == 0.0
@@ -71,13 +72,14 @@ class TestRestriction:
         # the l2 norm of the amplitudes times sqrt(2 pi R)
         r = 0.5
         assert weights.trace_norm([3.0, 4.0], r) == pytest.approx(
-            5.0 * math.sqrt(math.pi), rel=1e-13)
+            5.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
         m3, m5 = modes.disk_mode(3, 2), modes.disk_mode(5, 2)
         a = np.array([modes.restrict_disk(m3, r), modes.restrict_disk(m5, r)])
         theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         u = a[0] * np.exp(3j * theta) + a[1] * np.exp(5j * theta)
         quad = math.sqrt(2.0 * math.pi * r * np.mean(np.abs(u) ** 2))
-        assert weights.trace_norm(a, r) == pytest.approx(quad, rel=1e-12)
+        assert weights.trace_norm(a, r) == pytest.approx(quad, rel=1e-12,
+                                                         abs=0.0)
 
 
 class TestScaleTarget:
@@ -168,6 +170,65 @@ class TestSelection:
         assert diag.candidates >= diag.band_feasible >= diag.refined >= 1
         assert diag.scores
 
+    # (n, alpha, optimize, band, picked m, candidates, band_feasible,
+    # refined m in ranked order), frozen from the selector that seeded and
+    # ranked one candidate at a time
+    @pytest.mark.parametrize("n,alpha,optimize,band,m,cands,feasible,refined", [
+        (2588, 0.5, "restriction", (0.3, 0.6), 622, 15, 2, [622, 621]),
+        (3000, 0.3, "normal_derivative", None, 1022, 80, 80,
+         [1022, 966, 996]),
+    ])
+    def test_frozen_picks(self, n, alpha, optimize, band, m, cands, feasible,
+                          refined):
+        mode, diag = modes.select_disk_mode_at_scale(
+            n, ScaleTarget(alpha=alpha), optimize=optimize,
+            band=BandSpec(*band) if band else None, with_diagnostics=True)
+        assert mode.lam == specfun.bessel_zero(n, m)
+        assert (diag.candidates, diag.band_feasible) == (cands, feasible)
+        assert [s[0] for s in diag.scores] == refined
+
+    @pytest.mark.parametrize("alpha,optimize,band", [
+        (0.5, "restriction", (0.3, 0.6)),    # the upper edge h^0.3 binds
+        (0.5, "restriction", (0.1, 0.3)),    # the lower edge h^0.3 binds
+        (0.3, "normal_derivative", None),
+        (0.5, "first", None),
+    ])
+    def test_array_screen_matches_scalar_loop(self, alpha, optimize, band):
+        # the seed, window, band and phase screens of one order, redone one
+        # candidate at a time with the scalar seed, as the reference for the
+        # array pass: same counts, and the refined m in ranked order
+        spec = BandSpec(*band) if band else None
+        t = ScaleTarget(alpha=alpha)
+        for n in np.geomspace(1000, 100000, 9).astype(int).tolist():
+            lo, hi = t.disk_window(n)
+            spacing = math.pi * lo / math.sqrt(lo * lo - n * n)
+            slo, shi = lo - 0.6 * spacing, hi + 0.6 * spacing
+            seeds = [(m, specfun.bessel_zero_seed(n, m))
+                     for m in specfun.bessel_zero_candidates(n, slo, shi)]
+            inside = [(m, s) for m, s in seeds if slo <= s <= shi]
+            if spec is not None:
+                inside = [(m, s) for m, s in inside
+                          if (1 / s) ** spec.rho2 * (1 - 1e-6)
+                          <= 1 - (n / (0.5 * s)) ** 2
+                          <= (1 / s) ** spec.rho1 * (1 + 1e-6)]
+            if optimize == "first":
+                ranked = [m for m, _ in sorted(inside, key=lambda c: c[1])]
+            else:
+                trig = math.cos if optimize == "restriction" else math.sin
+                ranked = sorted((m for m, _ in inside), key=lambda m: -abs(
+                    trig(n * specfun.phase_integral(0.5 * dict(inside)[m] / n)
+                         - 0.25 * math.pi)))
+            try:
+                _, diag = modes.select_disk_mode_at_scale(
+                    n, t, optimize=optimize, band=spec, with_diagnostics=True)
+            except NoModeError:
+                assert not inside
+                continue
+            assert diag.candidates == sum(slo <= s <= shi for _, s in seeds)
+            assert diag.band_feasible == len(inside)
+            if diag.refined == len(diag.scores) == min(3, len(ranked)):
+                assert [s[0] for s in diag.scores] == ranked[:diag.refined]
+
     def test_invalid_inputs(self):
         t = ScaleTarget(alpha=0.5)
         with pytest.raises(ValueError):
@@ -196,7 +257,7 @@ class TestSphereSelection:
         s1 = modes.sphere_mode_at_scale(1000, t).sigma()
         s2 = modes.sphere_mode_at_scale(100000, t).sigma()
         # sigma ~ 2 offset l^{-1/2}: two decades in l gives one in sigma
-        assert s1 / s2 == pytest.approx(10.0, rel=0.2)
+        assert s1 / s2 == pytest.approx(10.0, rel=0.2, abs=0.0)
 
 
 def _enumerate_wide(lam_lo, lam_hi):

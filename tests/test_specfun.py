@@ -7,6 +7,7 @@ through identities, interlacing, and round trips.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,19 @@ AIRY_FROZEN = [
      -1.77299583294303527438764342581e-7),
 ]
 
+# (m, a_m) to 30 digits, by mpmath.airyaizero at 40 digits: one index below
+# the closed form's threshold m = 10 and six at or above it, up to the
+# largest index of the benchmark sweeps (26211) and beyond
+AIRY_ZEROS_FROZEN = [
+    (9, -11.9360155632362625170063649029),
+    (10, -12.8287767528657572004067294072),
+    (11, -13.6914890352107179282956967795),
+    (100, -60.455557274116698707316143204),
+    (1000, -281.031519612521552835336363964),
+    (26211, -2480.16392708483257175703276588),
+    (1000000, -28107.8319793795834876064419863),
+]
+
 # J_n(x) by Miller's recurrence, frozen from glancelab.oracle.bessel_series:
 #   PYTHONPATH=src python -c "from glancelab.oracle import bessel_series; \
 #       print(repr(bessel_series(1000000, 2000000.0)))"
@@ -68,13 +82,20 @@ def scaled_error(got, want, n):
 
 class TestAiry:
     def test_origin(self):
-        assert specfun.airy_ai(0.0) == pytest.approx(AI_AT_0, rel=1e-14)
-        assert specfun.airy_ai_prime(0.0) == pytest.approx(AIP_AT_0, rel=1e-14)
+        assert specfun.airy_ai(0.0) == pytest.approx(AI_AT_0, rel=1e-14,
+                                                     abs=0.0)
+        assert specfun.airy_ai_prime(0.0) == pytest.approx(AIP_AT_0, rel=1e-14,
+                                                           abs=0.0)
 
     @pytest.mark.parametrize("m,a", [(1, AIRY_ZERO_1), (2, AIRY_ZERO_2),
                                      (5, AIRY_ZERO_5)])
     def test_zeros_frozen(self, m, a):
-        assert specfun.airy_zero(m) == pytest.approx(a, rel=1e-13)
+        assert specfun.airy_zero(m) == pytest.approx(a, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m,a", AIRY_ZEROS_FROZEN)
+    def test_zeros_frozen_to_two_ulp(self, m, a):
+        # Newton below m = 10, the closed form of DLMF 9.9.18 from there on
+        assert specfun.airy_zero(m) == pytest.approx(a, rel=4.5e-16, abs=0.0)
 
     def test_zero_ordering(self):
         zs = [specfun.airy_zero(m) for m in range(1, 30)]
@@ -112,8 +133,10 @@ class TestAiry:
 
 class TestTurningPointMap:
     def test_anchor(self):
-        assert specfun.z_of_zeta(ZETA_AT_Z2) == pytest.approx(2.0, rel=1e-13)
-        assert specfun.zeta_of_z(2.0) == pytest.approx(ZETA_AT_Z2, rel=1e-13)
+        assert specfun.z_of_zeta(ZETA_AT_Z2) == pytest.approx(2.0, rel=1e-13,
+                                                              abs=0.0)
+        assert specfun.zeta_of_z(2.0) == pytest.approx(ZETA_AT_Z2, rel=1e-13,
+                                                       abs=0.0)
 
     def test_at_turning_point(self):
         assert specfun.z_of_zeta(0.0) == 1.0
@@ -131,18 +154,29 @@ class TestTurningPointMap:
     def test_evanescent_branch_positive(self, z):
         assert specfun.zeta_of_z(z) > 0.0
 
+    def test_array_phase_integral_matches_scalar(self):
+        # both sides of t = sqrt(w^2 - 1) = 0.1, where the scalar series
+        # takes over from t - arctan(t)
+        w = np.array([1.0, 1.0 + 1e-9, 1.001, 1.004, 1.00499, 1.00501, 1.2,
+                      2.0, 37.0])
+        got = specfun.phase_integrals(w)
+        for wi, g in zip(w.tolist(), got):
+            want = specfun.phase_integral(wi)
+            assert abs(g - want) <= 8 * math.ulp(want), wi
+
     def test_slope_at_turning_point(self):
         # dz/dzeta -> -2^{-1/3} as zeta -> 0^-
         d = 1e-6
         slope = (specfun.z_of_zeta(-d) - 1.0) / d
-        assert slope == pytest.approx(2.0 ** (-1.0 / 3.0), rel=1e-4)
+        assert slope == pytest.approx(2.0 ** (-1.0 / 3.0), rel=1e-4, abs=0.0)
 
 
 class TestBesselJ:
     def test_trivial_and_frozen(self):
         assert specfun.bessel_j(0, 0.0) == 1.0
         assert specfun.bessel_j(3, 0.0) == 0.0
-        assert specfun.bessel_j(100, 130.0) == pytest.approx(J100_AT_130, rel=1e-10)
+        assert specfun.bessel_j(100, 130.0) == pytest.approx(J100_AT_130,
+                                                             rel=1e-10, abs=0.0)
         assert abs(specfun.bessel_j(0, J0_ZERO_1)) < 1e-13
 
     def test_rejects_bad_input(self):
@@ -246,7 +280,8 @@ class TestUniformExpansion:
 
 class TestBesselZeros:
     def test_first_zero_frozen(self):
-        assert specfun.bessel_zero(0, 1) == pytest.approx(J0_ZERO_1, rel=1e-13)
+        assert specfun.bessel_zero(0, 1) == pytest.approx(J0_ZERO_1, rel=1e-13,
+                                                          abs=0.0)
 
     def test_residuals_tiny(self):
         for n, m in [(0, 3), (1, 1), (10, 2), (150, 1), (2000, 7), (40, 40)]:
@@ -283,6 +318,27 @@ class TestBesselZeros:
     def test_zeros_exceed_order(self, n, m):
         assert specfun.bessel_zero(n, m) > n
 
+    @pytest.mark.parametrize("n", [1, 2, 200, 1000, 100000, 10000000])
+    def test_array_seeds_match_scalar(self, n):
+        # m < 10 takes the memoised Airy Newton, m >= 10 the closed form;
+        # (1e5, 1) and (1e7, 1..3) start z_of_zeta at t < 0.1, where the
+        # array pass hands the element to the scalar solver.  numpy's
+        # vectorised pow and arctan are not those of math: 4 ulp is the
+        # largest difference seen on 24.6k (n, m) pairs, so allow 8.
+        ms = np.array([1, 2, 3, 9, 10, 11, 57, 1000, max(12, int(0.29 * n)),
+                       int(0.29 * n) + 41, 2290000])
+        got = specfun.bessel_zero_seeds(n, ms)
+        for m, seed in zip(ms.tolist(), got):
+            want = specfun.bessel_zero_seed(n, m)
+            assert abs(seed - want) <= 8 * math.ulp(want), (n, m)
+
+    def test_array_seeds_reject_bad_input(self):
+        assert specfun.bessel_zero_seeds(5, np.arange(1, 1)).size == 0
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_seeds(5, np.array([0, 1]))
+        with pytest.raises(ValueError):
+            specfun.bessel_zero_seeds(0, np.array([1]))
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             specfun.bessel_zero(3, 0)
@@ -295,11 +351,11 @@ class TestBesselZeros:
 class TestLegendreEquator:
     def test_frozen_values(self):
         assert specfun.legendre_equator(2, 0) == pytest.approx(
-            -0.25 * math.sqrt(5.0 / math.pi), rel=1e-14)
+            -0.25 * math.sqrt(5.0 / math.pi), rel=1e-14, abs=0.0)
         assert specfun.legendre_equator(3, 1) == pytest.approx(
-            1.5 * math.sqrt(7.0 / (48.0 * math.pi)), rel=1e-14)
+            1.5 * math.sqrt(7.0 / (48.0 * math.pi)), rel=1e-14, abs=0.0)
         assert specfun.legendre_equator(0, 0) == pytest.approx(
-            math.sqrt(1.0 / (4.0 * math.pi)), rel=1e-14)
+            math.sqrt(1.0 / (4.0 * math.pi)), rel=1e-14, abs=0.0)
 
     def test_odd_parity_zero(self):
         assert specfun.legendre_equator(5, 2) == 0.0

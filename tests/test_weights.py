@@ -61,7 +61,7 @@ class TestGlancingWeight:
         spec = WeightSpec(s=s, rho=rho)
         sigma = 2.0 * h ** rho * 1.0000001
         assert weights.glancing_weight(sigma, h, spec) == pytest.approx(
-            sigma ** s, rel=1e-12)
+            sigma ** s, rel=1e-12, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(h=H, s=st.floats(min_value=0.0, max_value=1.0),
@@ -73,7 +73,7 @@ class TestGlancingWeight:
         spec = WeightSpec(s=s, rho=rho)
         sigma = frac * h ** rho
         assert weights.glancing_weight(sigma, h, spec) == pytest.approx(
-            h ** (s * rho), rel=1e-12)
+            h ** (s * rho), rel=1e-12, abs=0.0)
 
     def test_s_zero_is_identity(self):
         spec = WeightSpec(s=0.0, rho=2.0 / 3.0)
@@ -117,7 +117,7 @@ class TestGlancingWeight:
         spec = WeightSpec(s=0.3, rho=0.5, cutoff="smoothstep")
         h = 1e-3
         assert weights.glancing_weight(3.0 * h ** 0.5, h, spec) == pytest.approx(
-            (3.0 * h ** 0.5) ** 0.3, rel=1e-12)
+            (3.0 * h ** 0.5) ** 0.3, rel=1e-12, abs=0.0)
 
     def test_rejects_bad_h(self):
         spec = WeightSpec(s=0.3, rho=0.5)
@@ -146,13 +146,13 @@ class TestTraceNorm:
     def test_single_component(self):
         r = 0.5
         assert weights.trace_norm([2.0], r) == pytest.approx(
-            2.0 * math.sqrt(2.0 * math.pi * r), rel=1e-14)
+            2.0 * math.sqrt(2.0 * math.pi * r), rel=1e-14, abs=0.0)
 
     def test_complex_components(self):
         r = 0.5
         a = np.array([3 + 4j, 0.0])
         assert weights.trace_norm(a, r) == pytest.approx(
-            5.0 * math.sqrt(math.pi), rel=1e-14)
+            5.0 * math.sqrt(math.pi), rel=1e-14, abs=0.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
