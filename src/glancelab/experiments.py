@@ -333,16 +333,22 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
         raise ValueError("need at least one window and one trial")
     if not (0.0 < lam_lo <= lam_hi < math.inf):
         raise ValueError("need 0 < lam_lo <= lam_hi < inf")
+    if not (0.0 < radius < 1.0):
+        raise ValueError("radius must lie strictly inside the disk")
     spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
     rows = []
     for wi, lam in enumerate(lams):
         found = modes_mod.modes_in_frequency_window(lam, lam + 1.0)
-        amps = np.array([modes_mod.restrict_disk(m, radius) for m in found])
-        sigmas = np.array([m.sigma(radius) for m in found])
+        ns = np.array([m.n for m in found], dtype=np.int64)
+        freqs = np.array([m.lam for m in found])
+        norms = np.array([m.normalization for m in found])
+        # restrict_disk and DiskMode.sigma of every mode, in one array pass
+        amps = norms * specfun.bessel_j(ns, freqs * radius)
+        sigmas = 1.0 - (ns / (freqs * radius)) ** 2
         weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps
-        amps = np.repeat(weighted, [2 if m.n >= 1 else 1 for m in found])
+        amps = np.repeat(weighted, np.where(ns >= 1, 2, 1))
         dim = len(amps)
         weyl = lam / 2.0 - 0.25
         if abs(dim - weyl) > lam ** (2.0 / 3.0):

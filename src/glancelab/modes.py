@@ -32,7 +32,6 @@ keeping selection cheap at orders ~1e5.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -316,25 +315,43 @@ def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:
 # Frequency-window enumeration (for quasimode ensembles)
 # ----------------------------------------------------------------------
 
+# relative distance from a window edge below which membership is decided by
+# the scalar zero; the batched zeros lie within 2 ulp of the scalar ones
+_EDGE = 1e-12
+
+
 def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
     """All disk modes with eigenfrequency in [lam_lo, lam_hi], n >= 0.
 
     Returns one DiskMode per (n, m) pair; angular orders n >= 1 stand for
     the two-dimensional eigenspace spanned by e^{+-i n theta} (callers who
     need multiplicity count such modes twice).  Modes are ordered by (n, lam).
+
+    Every candidate (n, m) of every order comes from
+    :func:`specfun.bessel_zero_candidates_all`, and all of them are solved
+    in one batched Newton (:func:`specfun.bessel_zeros`) and normalized in
+    one array pass.  A zero within 1e-12 relative of an edge, where the
+    batched and the scalar Newton (a few ulp apart) could disagree on
+    membership, is kept or dropped on the value of
+    :func:`specfun.bessel_zero`, so that the window holds exactly the modes
+    of :func:`disk_mode`.
     """
     if not (0.0 < lam_lo < lam_hi):
         raise ValueError("need 0 < lam_lo < lam_hi")
-    out = []
-    for n in itertools.count():
-        candidates = specfun.bessel_zero_candidates(n, lam_lo, lam_hi)
-        # a range ending at 1 means m(lam_hi) < 1 - E (E = 0.05), below the
-        # index 1 + e (e in [7.1e-6, 0.0155]) of the first zero.  At fixed
-        # lam_hi the index falls as n grows (d/dn = -arccos(n / lam_hi) / pi),
-        # so no later order has a zero in the window either.
-        if candidates.stop <= 1:
-            return out
-        for m in candidates:
-            lam = specfun.bessel_zero(n, m)
-            if lam_lo <= lam <= lam_hi:
-                out.append(_mode_at_zero(n, lam))
+    n, m = specfun.bessel_zero_candidates_all(lam_lo, lam_hi)
+    lam = specfun.bessel_zeros(n, m)
+    edge = np.minimum(np.abs(lam - lam_lo), np.abs(lam - lam_hi))
+    for i in np.flatnonzero(edge <= _EDGE * lam):
+        lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
+    inside = (lam_lo <= lam) & (lam <= lam_hi)
+    n, lam = n[inside], lam[inside]
+    jm1, jn = specfun.bessel_j_pair(n, lam)
+    # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
+    jnp1 = (2.0 * n / lam) * jn - jm1      # for n = 0, jm1 = -J_1
+    if not jnp1.all():
+        i = np.flatnonzero(jnp1 == 0.0)[0]
+        raise NoModeError(
+            f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
+    norm = 1.0 / (math.sqrt(math.pi) * np.abs(jnp1))
+    return [DiskMode(n=a, lam=b, normalization=c)
+            for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]

@@ -25,13 +25,21 @@ validated against backward-recurrence oracles:
   The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
   |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
+Both also take arrays of (n, x) and then split them by the same test, as
+masks: numpy passes of the uniform expansion and of its Airy factors, one
+forward-recurrence sweep shared by every element below N_U, and the scalar
+code for the few elements of the series region (x <= 17 among them).
+They agree with the scalar functions to 2e-14 of max(|J_n|, n^{-1/3}).
+
 The Airy factors (``airy_ai``, ``airy_ai_prime``, the Newton of
 ``airy_zero`` below m = 10 and the uniform expansion) use two methods keyed
 on the one constant _AIRY_ASYMP = 8, all in float64:
 
 - |x| >= 8: the Poincare asymptotic series (DLMF 9.7.5-6, 9.7.9-10),
-  truncated at their smallest term; relative error ~3e-15 at |x| = 8,
-  falling further out;
+  truncated at their smallest term or after the first term below 1e-18;
+  the number of terms is read off the phase xi before summing, by one rule
+  for floats and arrays; relative error ~3e-15 at |x| = 8, falling further
+  out;
 - |x| < 8: Taylor transport from correctly rounded (Ai, Ai') at +8 for
   x >= 0, stepping left so that the growing Bi-direction error decays, and
   at -8 for x < 0, stepping right where neither solution grows.  Against
@@ -46,18 +54,22 @@ Orders up to 1e6 are certified: the oracle battery reaches 1e5, and the
 tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 
 Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
-McMahon for n = 0), its array form ``bessel_zero_seeds`` (every index of
-one order n >= 1 in one numpy pass, within a few ulp of the scalar seed)
-and ``bessel_zero_candidates`` are the only zero seeds and index ranges;
-:mod:`glancelab.modes` computes none itself.  One index goes through the
-scalar seed (``bessel_zero``, window enumeration), the many candidates of a
-selection window through the array one.  Both take the Airy zero a_m of
-m >= 10 from the closed form of DLMF 9.9.18 (six terms in t^-2,
-t = 3 pi (4m - 1)/8), within 2 ulp of a_m, and the nine below from Newton
-on Ai.  The range keeps the m with m(lo) - E <= m <= m(hi) + E for the
-continuous index m(x) of ``bessel_zero_index``; the margin E = 0.05 is over
-three times the measured overshoot e = m(j_{n,m}) - m, which lies in
-[7.1e-6, 0.0155].
+McMahon for n = 0), its array form ``bessel_zero_seeds`` (any orders and
+indices in one numpy pass, within a few ulp of the scalar seed),
+``bessel_zero_candidates`` (one order) and ``bessel_zero_candidates_all``
+(every order of a window, from one array ``bessel_zero_index`` call) are
+the only zero seeds and index ranges; :mod:`glancelab.modes` computes none
+itself.  Selection ranks the array seeds of one order and refines a few of
+them, one index at a time, with ``bessel_zero``; window enumeration solves
+every candidate of every order in one batched Newton, ``bessel_zeros``, on
+the array Bessel pair, with the bracket and stop rule of ``bessel_zero``.
+The scalar and the array seed take the Airy zero a_m of m >= 10 from the
+closed form of
+DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of a_m,
+and the nine below from Newton on Ai.  The range keeps the m with
+m(lo) - E <= m <= m(hi) + E for the continuous index m(x) of
+``bessel_zero_index``; the margin E = 0.05 is over three times the measured
+overshoot e = m(j_{n,m}) - m, which lies in [7.1e-6, 0.0155].
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -65,6 +77,7 @@ independent checks live in :mod:`glancelab.oracle`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -94,27 +107,61 @@ def _airy_uv_coefficients(kmax: int) -> tuple[tuple[float, float], ...]:
 
 
 _AIRY_UV = _airy_uv_coefficients(60)
+# the signed coefficients of the two series: (-1)^k (u_k, v_k) on the
+# positive axis, (k odd, (-1)^{floor(k/2)} u_k, (-1)^{floor(k/2)} v_k) on
+# the negative one
+_AIRY_UV_POS = tuple((-uk, -vk) if k & 1 else (uk, vk)
+                     for k, (uk, vk) in enumerate(_AIRY_UV, 1))
+_AIRY_UV_NEG = tuple((k & 1, -uk, -vk) if k & 2 else (k & 1, uk, vk)
+                     for k, (uk, vk) in enumerate(_AIRY_UV, 1))
 
 
-# Both series stop at their smallest term (optimal truncation) or below 1e-18.
+def _airy_thresholds() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Where the terms u_k xi^-k of the asymptotic series stop falling and
+    where they drop below 1e-18 (v_k is within a factor 1.4 of u_k).
+
+    Term k is smaller than term k - 1 while xi exceeds the ratio
+    u_k / u_{k-1} (the first tuple; increasing, ~k/2), and below 1e-18 once
+    xi exceeds (1e18 u_k)^{1/k}.  That bound falls up to k = 39, where it is
+    19.3, and grows after; the second tuple holds its negatives up to there,
+    so that both tuples ascend.
+    """
+    us = [1.0] + [uk for uk, _ in _AIRY_UV]
+    ratio = tuple(b / a for a, b in zip(us, us[1:]))
+    tiny = [-(1e18 * uk) ** (1.0 / k) for k, uk in enumerate(us[1:], 1)]
+    return ratio, tuple(tiny[:tiny.index(max(tiny)) + 1])
+
+
+_AIRY_RATIO, _AIRY_TINY = _airy_thresholds()
+
+
+def _airy_terms(xi):
+    """How many terms k = 1..K the asymptotic series keep at phase xi: up to
+    the smallest term (optimal truncation), or up to the first term below
+    1e-18, whichever comes first.  `xi` is a float or an array.
+    """
+    if isinstance(xi, np.ndarray):
+        return np.minimum(np.searchsorted(_AIRY_RATIO, xi),
+                          np.searchsorted(_AIRY_TINY, -xi, side="right") + 1)
+    # k is the first term below 1e-18 (40 if none up to k = 39, which
+    # leaves xi <= 19.3 < the ratio at 40); the terms fall at least that
+    # far when the ratio at k is below xi, else they stop falling first
+    k = bisect.bisect_right(_AIRY_TINY, -xi) + 1
+    if _AIRY_RATIO[k - 1] < xi:
+        return k
+    return bisect.bisect_left(_AIRY_RATIO, xi)
+
+
 def _airy_asymp_pos(x: float) -> tuple[float, float]:
     """(Ai, Ai') for large positive x (DLMF 9.7.5-9.7.6)."""
     xi = (2.0 / 3.0) * x ** 1.5
     inv = 1.0 / xi
     su = sv = 1.0       # the k = 0 terms
-    sign = -1.0
-    prev = scale = 1.0
-    for uk, vk in _AIRY_UV:
+    scale = 1.0
+    for uk, vk in _AIRY_UV_POS[:_airy_terms(xi)]:
         scale *= inv
-        tu = uk * scale
-        if abs(tu) >= prev:
-            break
-        su += sign * tu
-        sv += sign * (vk * scale)
-        sign = -sign
-        prev = abs(tu)
-        if prev < 1e-18:
-            break
+        su += uk * scale
+        sv += vk * scale
     pref = math.exp(-xi) / (2.0 * math.sqrt(math.pi))
     ai = pref * x ** -0.25 * su
     aip = -pref * x ** 0.25 * sv
@@ -127,30 +174,54 @@ def _airy_asymp_neg(x: float, xi: float) -> tuple[float, float]:
     inv = 1.0 / xi
     ce = se = 1.0   # even-index sums (u, v), from the k = 0 terms
     co = so = 0.0   # odd-index sums
-    prev = scale = 1.0
-    for k, (uk, vk) in enumerate(_AIRY_UV, 1):
+    scale = 1.0
+    for odd, uk, vk in _AIRY_UV_NEG[:_airy_terms(xi)]:
         scale *= inv
-        tu = uk * scale
-        if abs(tu) >= prev:
-            break
-        prev = abs(tu)
-        tv = vk * scale
-        if k & 2:       # sign (-1)^{floor(k/2)}
-            tu, tv = -tu, -tv
-        if k & 1:
-            co += tu
-            so += tv
+        if odd:
+            co += uk * scale
+            so += vk * scale
         else:
-            ce += tu
-            se += tv
-        if prev < 1e-18:
-            break
+            ce += uk * scale
+            se += vk * scale
     w = xi - 0.25 * math.pi
     cw, sw = math.cos(w), math.sin(w)
     pref = 1.0 / math.sqrt(math.pi)
     ai = pref * x ** -0.25 * (cw * ce + sw * co)
     aip = pref * x ** 0.25 * (sw * se - cw * so)
     return ai, aip
+
+
+@functools.cache
+def _airy_asymp_signed(neg: bool) -> np.ndarray:
+    """Rows k = 0..60 of the coefficients that :func:`_airy_asymps` sums
+    against xi^-k: (su, sv) on the positive axis, and on the negative one
+    the even-k and odd-k sums in the columns (ce, se, co, so)."""
+    if not neg:
+        return np.array(((1.0, 1.0),) + _AIRY_UV_POS)
+    return np.array([(1.0, 1.0, 0.0, 0.0)] + [
+        (0.0, 0.0, uk, vk) if odd else (uk, vk, 0.0, 0.0)
+        for odd, uk, vk in _AIRY_UV_NEG])
+
+
+def _airy_asymps(x: np.ndarray, xi: np.ndarray, neg: bool):
+    """(Ai, Ai') at x (neg False) or at -x (neg True) for an array of
+    x >= 8 with phases xi = (2/3) x^{3/2}: the series of
+    :func:`_airy_asymp_pos` and :func:`_airy_asymp_neg`, each element
+    truncated by the same rule, summed as one matrix product."""
+    terms = _airy_terms(xi)
+    k = np.arange(terms.max() + 1)
+    powers = (1.0 / xi)[:, None] ** k
+    powers[k > terms[:, None]] = 0.0
+    sums = powers @ _airy_asymp_signed(neg)[:k.size]
+    lo, hi = x ** -0.25, x ** 0.25
+    if not neg:
+        pref = np.exp(-xi) / (2.0 * math.sqrt(math.pi))
+        return pref * lo * sums[:, 0], -pref * hi * sums[:, 1]
+    ce, se, co, so = sums.T
+    w = xi - 0.25 * math.pi
+    cw, sw = np.cos(w), np.sin(w)
+    pref = 1.0 / math.sqrt(math.pi)
+    return pref * lo * (cw * ce + sw * co), pref * hi * (sw * se - cw * so)
 
 
 # The asymptotic series serve |x| >= _AIRY_ASYMP; inside, Taylor transport
@@ -199,6 +270,65 @@ def _airy_pair(x: float) -> tuple[float, float]:
     if x < _AIRY_ASYMP:
         return _airy_transport(x)
     return _airy_asymp_pos(x)
+
+
+@functools.cache
+def _airy_taylor(c: float) -> np.ndarray:
+    """The Taylor step of :func:`_airy_transport` from c as a matrix: row k
+    holds the coefficients of h^k in (y(c+h), y'(c+h)) as linear forms in
+    (y(c), y'(c)), columns (y from y, y from y', y' from y, y' from y')."""
+    al, be = [1.0, 0.0, c / 2.0], [0.0, 1.0, 0.0]
+    for k in range(3, 40):
+        al.append((c * al[k - 2] + al[k - 3]) / ((k - 1) * k))
+        be.append((c * be[k - 2] + be[k - 3]) / ((k - 1) * k))
+    k = np.arange(1, 40)
+    out = np.zeros((40, 4))
+    out[:, 0], out[:, 1] = al, be
+    out[:-1, 2], out[:-1, 3] = k * al[1:], k * be[1:]
+    return out
+
+
+def _airy_transports(x: np.ndarray):
+    """:func:`_airy_transport` of every element of an array in (-8, 8).
+
+    The elements of one side start at the same anchor and step by 2
+    together, so each step is one Taylor matrix (:func:`_airy_taylor`)
+    applied at every element's own step length h; an element that has
+    arrived steps by h = 0, which leaves it unchanged.
+    """
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    for side, c, (y0, yp0) in ((x >= 0.0, _AIRY_ASYMP, _AIRY_ANCHOR_POS),
+                               (x < 0.0, -_AIRY_ASYMP, _AIRY_ANCHOR_NEG)):
+        xs = x[side]
+        y, yp = np.full_like(xs, y0), np.full_like(xs, yp0)
+        at = np.full_like(xs, c)
+        step = -2.0 if c > 0.0 else 2.0
+        while True:
+            gap = xs - at
+            h = np.where(np.abs(gap) > 1e-12, np.clip(gap, -2.0, 2.0), 0.0)
+            if not h.any():
+                break
+            q = (h[:, None] ** np.arange(40)) @ _airy_taylor(c)
+            y, yp = q[:, 0] * y + q[:, 1] * yp, q[:, 2] * y + q[:, 3] * yp
+            at += h
+            c += step
+        ai[side], aip[side] = y, yp
+    return ai, aip
+
+
+def _airy_pairs(x: np.ndarray):
+    """(Ai, Ai') of every element of an array, by the methods of
+    :func:`_airy_pair`."""
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    neg, pos = x <= -_AIRY_ASYMP, x >= _AIRY_ASYMP
+    mid = ~(neg | pos)
+    for sel, flip in ((neg, True), (pos, False)):
+        if sel.any():
+            a = np.abs(x[sel])
+            ai[sel], aip[sel] = _airy_asymps(a, (2.0 / 3.0) * a ** 1.5, flip)
+    if mid.any():
+        ai[mid], aip[mid] = _airy_transports(x[mid])
+    return ai, aip
 
 
 def airy_ai(x: float) -> float:
@@ -273,6 +403,14 @@ def _airy_zero_newton(m: int) -> float:
 # Turning-point variable of the uniform Bessel asymptotic
 # ----------------------------------------------------------------------
 
+def _maclaurin(coeffs: tuple[float, ...], t):
+    """Horner sum of coeffs[0] + coeffs[1] t + ...; t a float or an array."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
+
+
 def phase_integral(w: float) -> float:
     """g(w) = sqrt(w^2 - 1) - arccos(1/w) for w >= 1 (DLMF 10.20.3 scaled).
 
@@ -286,33 +424,34 @@ def phase_integral(w: float) -> float:
 
 
 def phase_integrals(w: np.ndarray) -> np.ndarray:
-    """:func:`phase_integral` of every element of an array of w >= 1.
-
-    Where t = sqrt(w^2 - 1) < 0.1 the element takes the scalar series.
-    """
+    """:func:`phase_integral` of every element of an array of w >= 1."""
     t2 = (w - 1.0) * (w + 1.0)
-    t = np.sqrt(t2)
-    g = t - np.arctan(t)
-    small = t < 0.1
-    if small.any():
-        g[small] = [_t_minus_atan(float(a), float(b))
-                    for a, b in zip(t[small], t2[small])]
-    return g
+    return _t_minus_atans(np.sqrt(t2), t2)
+
+
+# t^3/3 - t^5/5 + ... and t^3/3 + t^5/5 + ... as t t^2 P(t^2): the nine odd
+# terms up to t^19 leave an error below 1.4e-19 relative for t < 0.1
+_ATAN_TAIL = tuple((-1.0) ** j / (2 * j + 3) for j in range(9))
+_ATANH_TAIL = tuple(1.0 / (2 * j + 3) for j in range(9))
 
 
 def _t_minus_atan(t: float, t2: float) -> float:
-    """t - arctan(t) given t and t2 = t^2, by the odd series
-    t^3/3 - t^5/5 + ... for t < 0.1, where the difference cancels."""
+    """t - arctan(t) given t and t2 = t^2; below t = 0.1, where the
+    difference cancels, by its odd series."""
     if t >= 0.1:
         return t - math.atan(t)
-    term = t * t2 / 3.0
-    total = term
-    for k in range(1, 24):
-        term *= -t2 * (2 * k + 1) / (2 * k + 3)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total
+    return t * t2 * _maclaurin(_ATAN_TAIL, t2)
+
+
+def _t_minus_atans(t: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """:func:`_t_minus_atan` of every element of arrays (t, t2), by the same
+    Horner sum below t = 0.1."""
+    g = t - np.arctan(t)
+    small = t < 0.1
+    if small.any():
+        ts, t2s = t[small], t2[small]
+        g[small] = ts * t2s * _maclaurin(_ATAN_TAIL, t2s)
+    return g
 
 
 def zeta_of_z(z: float) -> float:
@@ -326,19 +465,26 @@ def zeta_of_z(z: float) -> float:
     if z >= 1.0:
         w = phase_integral(z)
         return -(1.5 * w) ** (2.0 / 3.0)
-    s = math.sqrt((1.0 - z) * (1.0 + z))
-    if s < 0.1:
-        # log((1+s)/z) - s = artanh(s) - s = s^3/3 + s^5/5 + ...
-        term = s ** 3 / 3.0
-        w = term
-        for k in range(1, 24):
-            term *= s * s * (2 * k + 1) / (2 * k + 3)
-            w += term
-            if term <= 1e-18 * w:
-                break
-    else:
-        w = math.log((1.0 + s) / z) - s
+    s2 = (1.0 - z) * (1.0 + z)
+    s = math.sqrt(s2)
+    # log((1+s)/z) - s = artanh(s) - s, by its odd series where it cancels
+    w = s * s2 * _maclaurin(_ATANH_TAIL, s2) if s < 0.1 \
+        else math.log((1.0 + s) / z) - s
     return (1.5 * w) ** (2.0 / 3.0)
+
+
+def _zetas_of_z(z: np.ndarray) -> np.ndarray:
+    """:func:`zeta_of_z` of every element of an array of z > 0."""
+    t2 = (z - 1.0) * (z + 1.0)      # z^2 - 1; -s^2 on the evanescent side
+    t = np.sqrt(np.abs(t2))
+    osc = t2 >= 0.0
+    w = np.where(osc, t - np.arctan(t), np.log((1.0 + t) / z) - t)
+    small = t < 0.1
+    if small.any():
+        ts, t2s = t[small], t2[small]
+        w[small] = np.where(t2s >= 0.0, ts * t2s * _maclaurin(_ATAN_TAIL, t2s),
+                            -ts * t2s * _maclaurin(_ATANH_TAIL, -t2s))
+    return np.where(osc, -1.0, 1.0) * (1.5 * w) ** (2.0 / 3.0)
 
 
 def z_of_zeta(zeta: float) -> float:
@@ -369,23 +515,21 @@ def _z_of_zeta_array(zeta: np.ndarray) -> np.ndarray:
 
     The same start and the same Newton stop rule, element by element, in
     numpy: an element leaves the iteration when it meets the rule.
-    Elements whose start t lies below 0.1, where t - arctan(t) cancels, are
-    solved by :func:`z_of_zeta` itself.
     """
     w = (2.0 / 3.0) * (-zeta) ** 1.5
     t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
+    # both starts lie below the root of the convex t - arctan(t) = w, so the
+    # first step overshoots and the rest fall to the root: an element that
+    # starts at t >= 0.1 never needs the series
+    small = (t < 0.1).any()
     z = np.empty_like(w)
     idx = np.arange(w.size)
-    small = t < 0.1
-    if small.any():
-        for i in idx[small]:
-            z[i] = z_of_zeta(float(zeta[i]))
-        idx, t, w = idx[~small], t[~small], w[~small]
     for _ in range(60):
         if not idx.size:
             return z
         t2 = t * t
-        d = (t - np.arctan(t) - w) / (t2 / (1.0 + t2))
+        g = _t_minus_atans(t, t2) if small else t - np.arctan(t)
+        d = (g - w) / (t2 / (1.0 + t2))
         t = t - d
         done = np.abs(d) <= 1e-15 * np.maximum(t, 1.0)
         if done.all():
@@ -470,6 +614,58 @@ def _bessel_recurrence_pair(n: int, x: float) -> tuple[float, float]:
     return j_prev, j
 
 
+def _bessel_hankels(x: np.ndarray) -> np.ndarray:
+    """:func:`_bessel_hankel` of orders 0 and 1 (the two rows) at every
+    element of an array, each series of :func:`_hankel_pq` cut where the
+    scalar one is."""
+    nu = np.array([[0.0], [1.0]])
+    mu = 4.0 * nu * nu
+    x = np.broadcast_to(x, (2, x.size))
+    p = np.ones_like(x)
+    q_ = (mu - 1.0) / (8.0 * x)
+    tp = np.ones_like(x)
+    prev = np.ones_like(x)
+    on = np.ones(x.shape, dtype=bool)
+    sign = -1.0
+    for k in range(1, 40):
+        tp = tp * (mu - (4 * k - 3) ** 2) * (mu - (4 * k - 1) ** 2) \
+            / ((2 * k - 1) * 2 * k * 64.0 * x * x)
+        on &= np.abs(tp) < prev
+        if not on.any():
+            break
+        p += np.where(on, sign * tp, 0.0)
+        q_ += np.where(on, sign * tp * (mu - (4 * k + 1) ** 2)
+                       / ((2 * k + 1) * 8.0 * x), 0.0)
+        prev = np.abs(tp)
+        on &= prev >= 1e-19
+        sign = -sign
+    w = x - 0.5 * nu * math.pi - 0.25 * math.pi
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(w) - q_ * np.sin(w))
+
+
+def _bessel_recurrence_pairs(n: np.ndarray, x: np.ndarray):
+    """:func:`_bessel_recurrence_pair` of every element of arrays (n, x).
+
+    One forward sweep over k serves all elements: row k of the sweep holds
+    J_k of every element, and each element reads (J_{n-1}, J_n) from the
+    rows of its own n.  Past its own order an element keeps recurring; there
+    the sweep grows like Y_k, below 1e187 for x > 17 and k < N_U.
+    """
+    top = max(int(n.max()), 1)
+    rows = np.empty((top + 1, n.size))
+    rows[:2] = _bessel_hankels(x)
+    # lists of row views: the sweep is two ufunc calls per order
+    j = list(rows)
+    two_k_over_x = list(np.outer(np.arange(top), 2.0 / x))
+    for k in range(1, top):
+        np.multiply(two_k_over_x[k], j[k], out=j[k + 1])
+        np.subtract(j[k + 1], j[k - 1], out=j[k + 1])
+    cols = np.arange(n.size)
+    # for n = 0 the pair is (J_{-1}, J_0) = (-J_1, J_0)
+    jm1 = np.where(n == 0, -rows[1], rows[np.maximum(n - 1, 0), cols])
+    return jm1, rows[n, cols]
+
+
 # Orders at and above which the O(n) forward recurrence is never used.  From
 # here on the truncation error of the uniform expansion is below 3e-13 of
 # the scaled J; at n = 150 it is 9e-13, at n = 100 4e-12 (near z = 1.02 to
@@ -507,11 +703,22 @@ _B1_SERIES = (-0.0014928295321342917205, -0.0013940630797773654917,
               -0.000017066235326534381065, -0.000015505462076725412276)
 
 
-def _maclaurin(coeffs: tuple[float, ...], t: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
+def _debye_terms(q, zeta, rz):
+    """(B_0, A_1, B_1) of :func:`_bessel_uniform` off the strip, from
+    p^2 = q, zeta and zeta^{-1/2} p = rz; floats or arrays alike."""
+    iz2 = 1.0 / (zeta * zeta)
+    u1 = (3.0 - 5.0 * q) / 24.0          # U_1(p) / p
+    u2 = q * (81.0 - q * (462.0 - 385.0 * q)) / 1152.0
+    u3 = q * (30375.0 - q * (369603.0 - q * (765765.0 - 425425.0 * q))) \
+        / 414720.0                       # U_3(p) / p
+    # (3/2) u_1 = 5/48, (3/2) v_1 = -7/48, (9/4) u_2 = 385/4608,
+    # (9/4) v_2 = -455/4608, (27/8) u_3 = 85085/663552
+    b0 = -rz * u1 - 5.0 / 48.0 * iz2
+    a1 = u2 - 7.0 / 48.0 * rz * u1 / zeta - 455.0 / 4608.0 * iz2 / zeta
+    b1 = (-rz * u3 - 5.0 / 48.0 * iz2 * u2
+          - 385.0 / 4608.0 * rz * u1 * iz2 / zeta
+          - 85085.0 / 663552.0 * iz2 * iz2 / zeta)
+    return b0, a1, b1
 
 
 def _bessel_uniform(n: int, x: float) -> float:
@@ -548,22 +755,43 @@ def _bessel_uniform(n: int, x: float) -> float:
     else:
         q = 1.0 / ((1.0 - z) * (1.0 + z))   # p^2
         r = math.sqrt(zeta * q)
-        rz = r / zeta                        # zeta^{-1/2} p
-        iz2 = 1.0 / (zeta * zeta)
-        u1 = (3.0 - 5.0 * q) / 24.0          # U_1(p) / p
-        u2 = q * (81.0 - q * (462.0 - 385.0 * q)) / 1152.0
-        u3 = q * (30375.0 - q * (369603.0 - q * (765765.0 - 425425.0 * q))) \
-            / 414720.0                       # U_3(p) / p
-        # (3/2) u_1 = 5/48, (3/2) v_1 = -7/48, (9/4) u_2 = 385/4608,
-        # (9/4) v_2 = -455/4608, (27/8) u_3 = 85085/663552
-        b0 = -rz * u1 - 5.0 / 48.0 * iz2
-        a1 = u2 - 7.0 / 48.0 * rz * u1 / zeta - 455.0 / 4608.0 * iz2 / zeta
-        b1 = (-rz * u3 - 5.0 / 48.0 * iz2 * u2
-              - 385.0 / 4608.0 * rz * u1 * iz2 / zeta
-              - 85085.0 / 663552.0 * iz2 * iz2 / zeta)
+        b0, a1, b1 = _debye_terms(q, zeta, r / zeta)
     n2 = float(n) * n
     return math.sqrt(2.0 * r) * (ai / n ** (1.0 / 3.0) * (1.0 + a1 / n2)
                                  + aip / n ** (5.0 / 3.0) * (b0 + b1 / n2))
+
+
+def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_bessel_uniform` of every element of arrays (n >= 1, x)."""
+    n = n.astype(float)
+    z = x / n
+    zeta = _zetas_of_z(z)
+    arg = n ** (2.0 / 3.0) * zeta
+    ai, aip = np.empty_like(z), np.empty_like(z)
+    far = arg <= -_AIRY_ASYMP
+    if far.any():
+        # the Airy phase taken from g, as in the scalar expansion
+        ai[far], aip[far] = _airy_asymps(-arg[far], n[far] * phase_integrals(
+            z[far]), neg=True)
+    if not far.all():
+        ai[~far], aip[~far] = _airy_pairs(arg[~far])
+    r, b0, a1, b1 = (np.empty_like(z) for _ in range(4))
+    strip = np.abs(arg) < _UNIFORM_STRIP
+    if strip.any():
+        zs = zeta[strip]
+        r[strip] = _maclaurin(_R_SERIES, zs)
+        b0[strip] = _maclaurin(_B0_SERIES, zs)
+        a1[strip] = _maclaurin(_A1_SERIES, zs)
+        b1[strip] = _maclaurin(_B1_SERIES, zs)
+    out = ~strip
+    if out.any():
+        zo, ze = z[out], zeta[out]
+        q = 1.0 / ((1.0 - zo) * (1.0 + zo))
+        r[out] = np.sqrt(ze * q)
+        b0[out], a1[out], b1[out] = _debye_terms(q, ze, r[out] / ze)
+    n2 = n * n
+    return np.sqrt(2.0 * r) * (ai / n ** (1.0 / 3.0) * (1.0 + a1 / n2)
+                               + aip / n ** (5.0 / 3.0) * (b0 + b1 / n2))
 
 
 def _region(n: int, x: float) -> str:
@@ -579,17 +807,48 @@ def _region(n: int, x: float) -> str:
     return "uniform"
 
 
-def bessel_j(n: int, x: float) -> float:
+def _regions(n: np.ndarray, x: np.ndarray):
+    """:func:`_region` of every element of arrays (n, x), as the masks
+    (series, recurrence); the uniform region is the rest."""
+    if n.size and (n.min() < 0 or x.min() < 0.0):
+        raise ValueError("order and argument must be nonnegative")
+    series = (x <= 17.0) | (x * x <= 4.0 * (n + 1.0))
+    recurrence = ~series & (n < _N_U) & (x >= n - 4.0 * n ** (1.0 / 3.0))
+    return series, recurrence
+
+
+def _as_arrays(n, x):
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    return n.astype(np.int64).ravel(), x.ravel(), n.shape
+
+
+def bessel_j(n, x):
     """Bessel function J_n(x), n >= 0, uniformly accurate in large order.
 
     Served by the method ``_region`` picks (see the module notes); from
-    n = N_U on the cost does not grow with the order.
+    n = N_U on the cost does not grow with the order.  Given arrays (n and x
+    broadcast together), it returns the array of values, each by the method
+    of its region: numpy passes for the uniform expansion and one recurrence
+    sweep for the recurrence region, the scalar code for the series.
 
     Relative error below 1e-8 measured against max(|J_n(x)|, n^{-1/3});
     validated for orders up to 1e6: by the oracle battery
     (``glancelab selftest``) up to 1e5, and by frozen Miller-recurrence
     values at n = 1e5 and 1e6 in the tests.
     """
+    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
+        n, x, shape = _as_arrays(n, x)
+        series, recurrence = _regions(n, x)
+        out = np.empty_like(x)
+        if recurrence.any():
+            out[recurrence] = _bessel_recurrence_pairs(n[recurrence],
+                                                       x[recurrence])[1]
+        uniform = ~(series | recurrence)
+        if uniform.any():
+            out[uniform] = _bessel_uniforms(n[uniform], x[uniform])
+        for i in np.flatnonzero(series):
+            out[i] = _bessel_series_ascending(int(n[i]), float(x[i]))
+        return out.reshape(shape)
     x = float(x)
     region = _region(n, x)
     if region == "series":
@@ -599,12 +858,30 @@ def bessel_j(n: int, x: float) -> float:
     return _bessel_uniform(n, x)
 
 
-def bessel_j_pair(n: int, x: float) -> tuple[float, float]:
+def bessel_j_pair(n, x):
     """(J_{n-1}(x), J_n(x)), same regions and accuracy as :func:`bessel_j`.
 
     One recurrence pass in the recurrence region, and from N_U on two
-    uniform evaluations (orders n - 1 and n): O(1) in the order.
+    uniform evaluations (orders n - 1 and n): O(1) in the order.  Arrays in
+    give a pair of arrays; elements outside those two cases (the series
+    region, and the uniform one below N_U) take the scalar code.
     """
+    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
+        n, x, shape = _as_arrays(n, x)
+        series, recurrence = _regions(n, x)
+        jm1, jn = np.empty_like(x), np.empty_like(x)
+        if recurrence.any():
+            jm1[recurrence], jn[recurrence] = _bessel_recurrence_pairs(
+                n[recurrence], x[recurrence])
+        uniform = ~(series | recurrence) & (n >= _N_U)
+        if uniform.any():
+            nu, xu = n[uniform], x[uniform]
+            both = _bessel_uniforms(np.concatenate([nu - 1, nu]),
+                                    np.concatenate([xu, xu]))
+            jm1[uniform], jn[uniform] = both[:nu.size], both[nu.size:]
+        for i in np.flatnonzero(~(recurrence | uniform)):
+            jm1[i], jn[i] = bessel_j_pair(int(n[i]), float(x[i]))
+        return jm1.reshape(shape), jn.reshape(shape)
     x = float(x)
     region = _region(n, x)
     if region == "recurrence":
@@ -628,12 +905,19 @@ def bessel_j_prime(n: int, x: float) -> float:
 # Zeros of Bessel J
 # ----------------------------------------------------------------------
 
-def bessel_zero_index(n: int, x: float) -> float:
+def bessel_zero_index(n, x):
     """Continuous zero index: the m-th positive zero of J_n has index ~m.
 
     m(x) = n g(x/n)/pi + 1/4 for n >= 1 (x above the turning point),
     x/pi + 1/4 for n = 0.  Accurate to O(1/n) resp. O(1/x), monotone in x.
+    Given arrays (n and x broadcast together), the array of indices.
     """
+    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
+        n, x = np.broadcast_arrays(n, np.asarray(x, dtype=float))
+        w = np.maximum(x / np.maximum(n, 1), 1.0)
+        return np.where(n == 0, x / math.pi + 0.25,
+                        np.where(x <= n, 0.0,
+                                 n * phase_integrals(w) / math.pi + 0.25))
     if n == 0:
         return x / math.pi + 0.25
     if x <= n:
@@ -661,6 +945,23 @@ def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
                  math.floor(bessel_zero_index(n, hi) + _INDEX_MARGIN) + 1)
 
 
+def bessel_zero_candidates_all(lo: float, hi: float):
+    """(n, m) arrays of every zero j_{n,m}, over all orders n >= 0, that can
+    lie in [lo, hi]: the ranges of :func:`bessel_zero_candidates`, ordered
+    by (n, m), from one array call of :func:`bessel_zero_index`.
+
+    m(hi) vanishes for n >= hi, so the orders end at floor(hi).
+    """
+    n = np.arange(math.floor(hi) + 1)
+    index = bessel_zero_index(n, np.array([[lo], [hi]]))
+    first = np.maximum(1, np.ceil(index[0] - _INDEX_MARGIN)).astype(np.int64)
+    count = np.maximum(
+        np.floor(index[1] + _INDEX_MARGIN).astype(np.int64) + 1 - first, 0)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                count)
+    return np.repeat(n, count), np.repeat(first, count) + offset
+
+
 def bessel_zero_seed(n: int, m: int) -> float:
     """Asymptotic estimate of the m-th positive zero of J_n (m >= 1).
 
@@ -673,26 +974,45 @@ def bessel_zero_seed(n: int, m: int) -> float:
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n == 0:
-        beta = (m - 0.25) * math.pi
-        return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
+        return _mcmahon(m)
     return n * z_of_zeta(n ** (-2.0 / 3.0) * airy_zero(m))
 
 
-def bessel_zero_seeds(n: int, ms) -> np.ndarray:
-    """:func:`bessel_zero_seed` for every index of the integer array `ms`
-    (each >= 1) of one order n >= 1, in one array pass.
+def bessel_zero_seeds(n, ms) -> np.ndarray:
+    """:func:`bessel_zero_seed` for every element of the integer array `ms`
+    (each m >= 1) with the order n >= 0, one integer or an integer array of
+    the same shape, in one array pass.
 
-    The Airy zeros of m >= 10 come from their closed form in numpy, the few
-    below from the memoised Newton of :func:`airy_zero`; the transplant then
-    runs the Newton of :func:`z_of_zeta` element-wise.  numpy's vectorised
-    pow and arctan round differently from ``math``, so a seed can differ
-    from the scalar one in the last few bits.
+    McMahon's expansion for n = 0.  For n >= 1 the Airy zeros of m >= 10
+    come from their closed form in numpy, the few below from the memoised
+    Newton of :func:`airy_zero`; the transplant then runs the Newton of
+    :func:`z_of_zeta` element-wise.  numpy's vectorised pow and arctan round
+    differently from ``math``, so a seed can differ from the scalar one in
+    the last few bits.
     """
-    if n < 1:
-        raise ValueError("array seeds need order n >= 1")
     m = np.asarray(ms, dtype=np.int64)
     if m.size and m.min() < 1:
         raise ValueError("zero index starts at 1")
+    if isinstance(n, np.ndarray):
+        if n.size and n.min() < 0:
+            raise ValueError("order must be nonnegative")
+        seeds = _transplanted_zeros(np.maximum(n, 1), m)
+        zero = n == 0
+        return np.where(zero, _mcmahon(m), seeds) if zero.any() else seeds
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    return _mcmahon(m) if n == 0 else _transplanted_zeros(n, m)
+
+
+def _mcmahon(m):
+    """McMahon's expansion of j_{0,m} (DLMF 10.21.19), for an int or an
+    integer array."""
+    beta = (m - 0.25) * math.pi
+    return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
+
+
+def _transplanted_zeros(n, m: np.ndarray) -> np.ndarray:
+    """n z(n^{-2/3} a_m) for the orders n >= 1 and the index array m."""
     a = _airy_zero_closed(m)
     low = m < _AIRY_ZERO_CLOSED
     if low.any():
@@ -724,6 +1044,48 @@ def bessel_zero(n: int, m: int) -> float:
             return lam_new
         lam = lam_new
     raise NumericalError(f"Bessel zero ({n}, {m}) did not converge")
+
+
+def bessel_zeros(n, m) -> np.ndarray:
+    """:func:`bessel_zero` of every element of the integer arrays (n, m),
+    broadcast together, in one Newton iteration over all of them.
+
+    The seeds of :func:`bessel_zero_seeds`, then the bracket and the stop
+    rule of :func:`bessel_zero` element by element: an element leaves the
+    iteration when its step falls to 1e-13 relative.  numpy's vectorised
+    transcendental functions can round differently with the array length,
+    so a zero can move by an ulp with the other elements of the batch.
+    """
+    n, m = np.broadcast_arrays(np.asarray(n, dtype=np.int64),
+                               np.asarray(m, dtype=np.int64))
+    n, ms = n.ravel(), m.ravel()
+    lam = bessel_zero_seeds(n, ms)
+    spacing = np.where(lam > n, math.pi / np.sqrt(
+        np.maximum(lam * lam - n * n, 1.0)) * lam, 1.0)
+    lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
+    out = np.empty_like(lam)
+    idx = np.arange(lam.size)
+    for _ in range(40):
+        if not idx.size:
+            return out.reshape(m.shape)
+        jm1, jn = bessel_j_pair(n, lam)
+        deriv = jm1 - (n / lam) * jn
+        if not deriv.all():
+            j = np.flatnonzero(deriv == 0.0)[0]
+            raise NumericalError(
+                f"flat Newton step at zero ({n[j]}, {ms[idx[j]]})")
+        d = jn / deriv
+        lam_new = lam - d
+        outside = ~((lo <= lam_new) & (lam_new <= hi))
+        lam_new = np.where(outside, 0.5 * (lam + np.where(d < 0, hi, lo)),
+                           lam_new)
+        done = np.abs(lam_new - lam) <= 1e-13 * lam
+        out[idx[done]] = lam_new[done]
+        left = ~done
+        idx, n, lam = idx[left], n[left], lam_new[left]
+        lo, hi = lo[left], hi[left]
+    raise NumericalError(
+        f"Bessel zero ({n[0]}, {ms[idx[0]]}) did not converge")
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ quasimodes under the glancing weight stay uniformly bounded in frequency.
 
 import json
 import time
+from pathlib import Path
 
 from glancelab import experiments as ex
 from glancelab import oracle
@@ -147,7 +148,7 @@ def test_criterion_8_byte_determinism(tmp_path, capsys):
         assert main(args + ["--out", out]) == 0
         paths.append(out + ".csv")
     capsys.readouterr()
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     same_seed = blobs[0] == blobs[1]
     _line(8, same_seed, f"same-seed reruns identical: {same_seed} "
                         f"({len(blobs[0])} bytes)")

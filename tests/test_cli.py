@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_plot_writes_svg_with_input_hash(tmp_path, capsys):
                            "--x", "n", "--y", "weighted_norm",
                            "--y", "amplitude", "--out", fig)
     assert code == 0
-    svg = open(fig + ".svg").read()
+    svg = Path(fig + ".svg").read_text()
     assert svg.count("<circle ") == 10          # 5 points x 2 series
     doc = io.read_manifest(fig + ".manifest.json")
     assert doc["input_hash"] == io.hash_file(out + ".csv")
@@ -156,7 +157,7 @@ def test_quasimode_deterministic_bytes(tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert _run(capsys, *args, "--out", a)[0] == 0
         assert _run(capsys, *args, "--out", b)[0] == 0
-        assert open(a + ".csv", "rb").read() == open(b + ".csv", "rb").read()
+        assert Path(a + ".csv").read_bytes() == Path(b + ".csv").read_bytes()
 
 
 def test_normal_band_subcommand(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_format_value_integers():
 def test_written_files_use_lf_only(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_sweep_csv(path, _small_sweep())
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
 
@@ -63,7 +64,7 @@ def test_identical_results_identical_bytes(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     io.write_sweep_csv(a, res)
     io.write_sweep_csv(b, res)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_quasimode_csv_round_trip(tmp_path):

@@ -6,6 +6,7 @@ through identities, interlacing, and round trips.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,44 @@ class TestAiry:
         second = (specfun.airy_ai(x + h) - 2.0 * ai + specfun.airy_ai(x - h)) / h**2
         assert second == pytest.approx(x * ai, abs=5e-5)
 
+    def test_truncation_rule_is_smallest_term_or_tiny(self):
+        # _airy_terms, read off two threshold tuples, against the rule term
+        # by term: keep u_k xi^-k while it falls, stop after it drops
+        # below 1e-18; xi >= 15.08 is |x| >= 8
+        def by_terms(xi):
+            prev, kept = 1.0, 0
+            for k, (uk, _) in enumerate(specfun._AIRY_UV, 1):
+                term = uk / xi ** k
+                if term >= prev:
+                    break
+                kept, prev = k, term
+                if term < 1e-18:
+                    break
+            return kept
+
+        xis = np.geomspace(15.08, 1e9, 4001)
+        want = [by_terms(xi) for xi in xis.tolist()]
+        assert specfun._airy_terms(xis).tolist() == want
+        assert [specfun._airy_terms(xi) for xi in xis.tolist()] == want
+
+    def test_array_pairs_match_scalar(self):
+        # all three methods: asymptotic on either side, transport inside
+        # (stepping from both anchors, ending on and between the 2-grid)
+        x = np.concatenate([np.linspace(-30.0, 30.0, 601),
+                            [-8.0, -7.999, -2.0, -1e-13, 0.0, 4.0, 7.999, 8.0]])
+        ai, aip = specfun._airy_pairs(x)
+        for xi, a, b in zip(x.tolist(), ai, aip):
+            want_a, want_b = specfun._airy_pair(xi)
+            # relative on the positive axis; against the amplitude
+            # |x|^{-1/4} (Ai) and |x|^{1/4} (Ai') on the oscillatory one,
+            # where transport cancels to 1e-14 and, further out, the error
+            # of exp(-xi) and of the phase grows with xi ~ |x|^{3/2}
+            scale = (abs(want_a), abs(want_b)) if xi >= 0.0 else (
+                max(1.0, -xi) ** -0.25, max(1.0, -xi) ** 0.25)
+            tol = max(1e-14, 2e-15 * abs(xi) ** 1.5)
+            assert abs(a - want_a) <= tol * scale[0], xi
+            assert abs(b - want_b) <= tol * scale[1], xi
+
     def test_prime_matches_difference_quotient(self):
         for x in (-6.3, -1.0, 0.7, 3.0, 5.2, 9.0):
             h = 1e-6
@@ -163,6 +202,30 @@ class TestTurningPointMap:
         for wi, g in zip(w.tolist(), got):
             want = specfun.phase_integral(wi)
             assert abs(g - want) <= 8 * math.ulp(want), wi
+
+    def test_odd_tails_against_long_series(self):
+        # t - arctan(t) and artanh(t) - t below t = 0.1, where they take the
+        # nine-term polynomial, against 30 terms in exact rational arithmetic
+        def long_series(t, sign):
+            f = Fraction(t)
+            term, total = f ** 3, Fraction(0)
+            for j in range(30):
+                total += sign ** j * term / (2 * j + 3)
+                term *= f * f
+            return total
+
+        t = np.concatenate([np.linspace(0.0, 0.1, 401)[1:-1],
+                            np.geomspace(1e-8, 0.0999999, 100)])
+        arr = specfun._t_minus_atans(t, t * t)
+        for ti, a in zip(t.tolist(), arr):
+            want = long_series(ti, -1)
+            got = specfun._t_minus_atan(ti, ti * ti)
+            assert got == a
+            assert abs(Fraction(got) - want) <= 5e-16 * want, ti
+            got = ti * ti * ti * specfun._maclaurin(specfun._ATANH_TAIL,
+                                                    ti * ti)
+            assert abs(Fraction(got) - long_series(ti, 1)) \
+                <= 5e-16 * long_series(ti, 1), ti
 
     def test_slope_at_turning_point(self):
         # dz/dzeta -> -2^{-1/3} as zeta -> 0^-
@@ -213,6 +276,65 @@ class TestBesselJ:
             assert jm1 == pytest.approx(ref, abs=1e-10 * max(abs(ref), scale))
             assert jn == pytest.approx(specfun.bessel_j(n, x),
                                        abs=1e-10 * max(abs(jn), scale))
+
+    def test_arrays_match_scalar_in_every_region(self):
+        # (n, x) in each region of _region, and inside the uniform one on
+        # both sides of the turning point, in the strip |n^{2/3} zeta| < 1
+        # and in the transport band |n^{2/3} zeta| < 8, against the scalar
+        # functions at the scale of the accuracy contract
+        cases = {
+            "series": [(0, 5.0), (3, 16.9), (100, 17.0), (1000, 60.0), (2, 0.0)],
+            "recurrence": [(0, 17.5), (1, 30.0), (5, 500.0), (50, 41.0),
+                           (150, 150.5), (199, 180.0), (199, 3000.0)],
+            "uniform below N_U": [(60, 30.0), (199, 140.0)],
+        }
+        for n in (200, 1000, 100000, 1000000):
+            scale = n ** (2.0 / 3.0)
+            cases.setdefault("evanescent", []).append((n, 0.5 * n))
+            cases.setdefault("oscillatory", []).append((n, 2.0 * n))
+            for arg in (-0.9, 0.0, 0.6):
+                z = (specfun.z_of_zeta(arg / scale) if arg <= 0.0
+                     else 1.0 - 2.0 ** (-1.0 / 3.0) * arg / scale)
+                cases.setdefault("strip", []).append((n, n * z))
+            for arg in (-7.5, -3.0, 2.5, 6.5):
+                z = (specfun.z_of_zeta(arg / scale) if arg <= 0.0
+                     else 1.0 - 2.0 ** (-1.0 / 3.0) * arg / scale)
+                cases.setdefault("band", []).append((n, n * z))
+        for name, pts in cases.items():
+            n = np.array([p[0] for p in pts])
+            x = np.array([p[1] for p in pts])
+            j = specfun.bessel_j(n, x)
+            jm1, jn = specfun.bessel_j_pair(n, x)
+            for i, (ni, xi) in enumerate(pts):
+                region = specfun._region(ni, xi)
+                arg = (ni ** (2.0 / 3.0) * specfun.zeta_of_z(xi / ni)
+                       if region == "uniform" else None)
+                assert region == {"series": "series",
+                                  "recurrence": "recurrence"}.get(
+                                      name, "uniform"), (name, ni, xi)
+                if name == "strip":
+                    assert abs(arg) < specfun._UNIFORM_STRIP
+                elif name == "band":
+                    assert specfun._UNIFORM_STRIP <= abs(arg) < 8.0
+                elif name in ("evanescent", "oscillatory"):
+                    assert abs(arg) >= 8.0
+                want = specfun.bessel_j(ni, xi)
+                want_pair = specfun.bessel_j_pair(ni, xi)
+                amp = max(abs(want), (ni + 1.0) ** (-1.0 / 3.0))
+                assert abs(j[i] - want) <= 2e-14 * amp, (name, ni, xi)
+                assert abs(jn[i] - want_pair[1]) <= 2e-14 * amp
+                assert abs(jm1[i] - want_pair[0]) <= 2e-14 * amp
+        # shapes broadcast, and a scalar order against an array of x
+        grid = specfun.bessel_j(np.array([[3], [250]]), np.linspace(20, 400, 5))
+        assert grid.shape == (2, 5)
+        assert grid[1, 2] == pytest.approx(specfun.bessel_j(250, 210.0),
+                                           rel=1e-14, abs=0.0)
+
+    def test_array_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            specfun.bessel_j(np.array([-2, 3]), 1.0)
+        with pytest.raises(ValueError):
+            specfun.bessel_j_pair(np.array([2]), np.array([-1.0]))
 
     def test_prime_matches_difference_quotient(self):
         for n, x in [(0, 5.0), (12, 9.0), (700, 730.0), (80, 50.0)]:
@@ -321,8 +443,8 @@ class TestBesselZeros:
     @pytest.mark.parametrize("n", [1, 2, 200, 1000, 100000, 10000000])
     def test_array_seeds_match_scalar(self, n):
         # m < 10 takes the memoised Airy Newton, m >= 10 the closed form;
-        # (1e5, 1) and (1e7, 1..3) start z_of_zeta at t < 0.1, where the
-        # array pass hands the element to the scalar solver.  numpy's
+        # (1e5, 1) and (1e7, 1..3) start z_of_zeta at t < 0.1, where both
+        # solvers take the odd polynomial of t - arctan(t).  numpy's
         # vectorised pow and arctan are not those of math: 4 ulp is the
         # largest difference seen on 24.6k (n, m) pairs, so allow 8.
         ms = np.array([1, 2, 3, 9, 10, 11, 57, 1000, max(12, int(0.29 * n)),
@@ -337,7 +459,36 @@ class TestBesselZeros:
         with pytest.raises(ValueError):
             specfun.bessel_zero_seeds(5, np.array([0, 1]))
         with pytest.raises(ValueError):
-            specfun.bessel_zero_seeds(0, np.array([1]))
+            specfun.bessel_zero_seeds(np.array([3, -1]), 1)
+
+    def test_array_seeds_over_orders(self):
+        # an (n, m) array, McMahon at n = 0, as the scalar seed
+        n = np.array([0, 0, 0, 1, 7, 7, 300, 5000])
+        m = np.array([1, 2, 40, 1, 3, 12, 1, 77])
+        for ni, mi, seed in zip(n.tolist(), m.tolist(),
+                                specfun.bessel_zero_seeds(n, m)):
+            want = specfun.bessel_zero_seed(ni, mi)
+            assert abs(seed - want) <= 8 * math.ulp(want), (ni, mi)
+
+    def test_batched_zeros_match_scalar(self):
+        # every element takes bessel_zero's bracket and stop rule; the
+        # results differ only by the rounding of the array Bessel pair
+        n = np.array([0, 0, 1, 3, 57, 150, 199, 200, 201, 1000, 2000, 40])
+        m = np.array([1, 9, 1, 4, 2, 1, 30, 1, 7, 218, 1, 40])
+        got = specfun.bessel_zeros(n, m)
+        for ni, mi, lam in zip(n.tolist(), m.tolist(), got):
+            want = specfun.bessel_zero(ni, mi)
+            assert abs(lam - want) <= 4e-15 * want, (ni, mi)
+        assert specfun.bessel_zeros(n[:0], m[:0]).size == 0
+        assert specfun.bessel_zeros(5, np.array([[1, 2], [3, 4]])).shape == (2, 2)
+
+    @pytest.mark.parametrize("lo", [0.2, 5.0, 19.75, 536.54, 2000.0])
+    def test_candidates_of_all_orders(self, lo):
+        # the per-order ranges of bessel_zero_candidates, in (n, m) order
+        n, m = specfun.bessel_zero_candidates_all(lo, lo + 1.0)
+        want = [(k, j) for k in range(int(lo) + 3)
+                for j in specfun.bessel_zero_candidates(k, lo, lo + 1.0)]
+        assert list(zip(n.tolist(), m.tolist())) == want
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):

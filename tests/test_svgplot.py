@@ -1,5 +1,7 @@
 """Tests for the SVG log-log renderer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,5 +85,5 @@ def test_write_svg_lf(tmp_path):
     x, y = _power_law()
     path = str(tmp_path / "p.svg")
     svgplot.write_svg(path, svgplot.render_log_log(x, [("a", y)]))
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r" not in raw and raw.endswith(b"</svg>\n")
