@@ -232,13 +232,14 @@ def _write_outputs(out_prefix: str, name: str, result, vals: dict,
     csv_path = out_prefix + ".csv"
     if isinstance(result, experiments.QuasimodeResult):
         io.write_quasimode_csv(csv_path, result)
-        rows, skipped = len(result.rows), 0
+        skipped = []
     else:
         io.write_sweep_csv(csv_path, result)
-        rows, skipped = len(result.rows), len(result.skipped)
+        skipped = result.skipped
     io.write_manifest(io.manifest_path(csv_path), name,
                       {k: v for k, v in vals.items() if k != "out"},
-                      rows=rows, skipped=skipped, seed=seed, cutoff=cutoff)
+                      rows=len(result.rows), skipped=skipped, seed=seed,
+                      cutoff=cutoff)
     return csv_path
 
 

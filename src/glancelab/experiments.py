@@ -171,40 +171,65 @@ class SweepResult:
                             drop_low=drop_low)
 
 
+def _disk_traces(config: SweepConfig, orders: list[int], quantity: str,
+                 band: BandSpec | None):
+    """Per order, (lam, n, radius, trace amplitude) of the selected mode,
+    or the NoModeError that skips the order: one selector call, then one
+    array call for every amplitude."""
+    if not (0.0 < config.radius < 1.0):
+        raise ValueError("radius must lie strictly inside the disk")
+    optimize = config.optimize
+    if quantity == "normal_derivative" and optimize == "restriction":
+        optimize = "normal_derivative"
+    picks = [mode for mode, _ in modes_mod.select_disk_modes(
+        orders, config.target(), radius=config.radius,
+        optimize=optimize, band=band)]
+    found = [mode for mode in picks if not isinstance(mode, NoModeError)]
+    n = np.array([mode.n for mode in found], dtype=np.int64)
+    x = np.array([mode.lam for mode in found]) * config.radius
+    if quantity == "normal_derivative":
+        # restrict_disk_normal_derivative: c J_n'(x) = c (J_{n-1} - (n/x) J_n)
+        jm1, jn = specfun.bessel_j_pair(n, x)
+        j = jm1 - (n / x) * jn
+    else:
+        j = specfun.bessel_j(n, x)      # restrict_disk: c J_n(x)
+    amps = iter((np.array([mode.normalization for mode in found]) * j)
+                .tolist())
+    return [mode if isinstance(mode, NoModeError)
+            else (mode.lam, mode.n, config.radius, next(amps))
+            for mode in picks]
+
+
+def _sphere_trace(l: int, target: ScaleTarget):
+    """(lam, m, 1, equator amplitude) of the selected harmonic of degree l,
+    or the NoModeError that skips it."""
+    try:
+        mode = modes_mod.sphere_mode_at_scale(l, target)
+    except NoModeError as exc:
+        return exc
+    return mode.lam, mode.m, 1.0, modes_mod.restrict_sphere(mode)
+
+
 def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            band: BandSpec | None = None,
            weight: WeightSpec | None = None) -> SweepResult:
     """Shared sweep driver; `quantity` picks the measured norm."""
-    target = config.target()
     result = SweepResult(config=config, quantity=quantity)
     rho1 = band.rho1 if band is not None else (weight.rho if weight else 0.0)
     rho2 = band.rho2 if band is not None else 0.0
 
-    for n in config.orders():
-        try:
-            if config.kind == "disk":
-                optimize = config.optimize
-                if quantity == "normal_derivative" and optimize == "restriction":
-                    optimize = "normal_derivative"
-                mode = modes_mod.select_disk_mode_at_scale(
-                    n, target, radius=config.radius, optimize=optimize,
-                    band=band)
-                if quantity == "normal_derivative":
-                    amp = modes_mod.restrict_disk_normal_derivative(
-                        mode, config.radius)
-                else:
-                    amp = modes_mod.restrict_disk(mode, config.radius)
-                k, radius = mode.n, config.radius
-            elif config.kind == "sphere":
-                mode = modes_mod.sphere_mode_at_scale(n, target)
-                amp = modes_mod.restrict_sphere(mode)
-                k, radius = mode.m, 1.0
-            else:
-                raise ValueError(f"unknown sweep kind {config.kind!r}")
-        except NoModeError as exc:
-            result.skipped.append((n, str(exc)))
+    orders = config.orders()
+    if config.kind == "disk":
+        traces = _disk_traces(config, orders, quantity, band)
+    elif config.kind == "sphere":
+        traces = [_sphere_trace(n, config.target()) for n in orders]
+    else:
+        raise ValueError(f"unknown sweep kind {config.kind!r}")
+    for n, trace in zip(orders, traces):
+        if isinstance(trace, NoModeError):
+            result.skipped.append((n, str(trace)))
             continue
-        lam = mode.lam
+        lam, k, radius, amp = trace
         h = 1.0 / lam
         # t * t, not t ** 2: float ** goes through libm pow, which can miss
         # the correctly rounded product by an ulp and change the CSV bytes
@@ -326,6 +351,9 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     Lambda^{2/3}, the order of the disk's Weyl remainder, fails loudly since
     it would mean modes were lost or doubled.
 
+    A window that holds no mode (any below the lowest eigenvalue
+    j_{0,1} = 2.405, and some of the first few above it) raises NoModeError.
+
     Randomness is deterministic: each (window, trial) pair seeds its own
     generator from (seed, window index, trial index).
     """
@@ -341,6 +369,10 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     rows = []
     for wi, lam in enumerate(lams):
         found = modes_mod.modes_in_frequency_window(lam, lam + 1.0)
+        if not found:
+            # the norms and their spread are undefined without a mode
+            raise NoModeError(
+                f"window [{lam:.2f}, {lam + 1:.2f}] holds no mode")
         ns = np.array([m.n for m in found], dtype=np.int64)
         freqs = np.array([m.lam for m in found])
         norms = np.array([m.normalization for m in found])

@@ -102,7 +102,7 @@ def read_table(path: str) -> Table:
 
 
 def write_manifest(path: str, command: str, config: dict, rows: int,
-                   skipped: int = 0, seed=None, cutoff: str = "exp",
+                   skipped=(), seed=None, cutoff: str = "exp",
                    input_hash: str | None = None) -> None:
     """Run metadata written next to a table, as JSON.
 
@@ -111,6 +111,9 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
     (the timestamp lives only in this file, never in the table).
     `input_hash` ties the record to its content: for table-consuming
     commands it hashes the input CSV, for sweeps the resolved config.
+    `skipped` holds the (order, reason) pairs of a sweep's skipped rows;
+    the record keeps their count as "skipped" and the pairs as
+    "skipped_orders".
     """
     from . import __version__
     config = {k: config[k] for k in sorted(config)}
@@ -124,7 +127,8 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
         "seed": seed,
         "cutoff_shape": cutoff,
         "rows": rows,
-        "skipped": skipped,
+        "skipped": len(skipped),
+        "skipped_orders": [[n, reason] for n, reason in skipped],
         "input_hash": input_hash,
         "written": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }

@@ -11,7 +11,7 @@ glancing distance
 
 of the mode's tangential wavenumber k at the hypersurface of radius R.
 
-``select_disk_mode_at_scale`` picks, for a given angular order n, an
+``select_disk_modes`` picks, for every angular order n of a sweep, an
 eigenfrequency inside the window
 
     lam in [2n + M n^{1-alpha}, 2n + (M+1) n^{1-alpha}]      (R = 1/2)
@@ -25,9 +25,10 @@ the scaling experiments measure.  `optimize="first"` takes the smallest
 eigenvalue instead; its measured amplitude inherits the arcsine-distributed
 phase factor and fits of sweeps built from it have essentially no power-law
 signal (r^2 < 0.2 across the acceptance grids).  Candidate ranking uses the
-analytic phase/envelope model, on the seeds of every candidate of the order
-in one array pass; only the top few candidates are evaluated exactly,
-keeping selection cheap at orders ~1e5.
+analytic phase/envelope model on the seeds of every candidate of every
+order, in one array pass; only the top few candidates of each order are
+solved exactly, all orders in one batched Newton, keeping selection cheap
+at orders ~1e5.  ``select_disk_mode_at_scale`` is its one-order case.
 """
 
 from __future__ import annotations
@@ -168,9 +169,10 @@ _OPTIMIZE = ("first", "restriction", "normal_derivative")
 _REFINED = 3
 
 
-def _phase_model(n: int, lam: np.ndarray, radius: float) -> np.ndarray:
+def _phase_model(n, lam: np.ndarray, radius: float) -> np.ndarray:
     """Asymptotic phase of J_n(lam * radius) above the turning point, for an
-    array of lam: Phi = n g(w) - pi/4, w = lam radius / n;
+    array of lam and an order or an array of orders like it:
+    Phi = n g(w) - pi/4, w = lam radius / n;
     |J_n| ~ envelope * |cos Phi|.
     """
     return n * specfun.phase_integrals(lam * radius / n) - 0.25 * math.pi
@@ -190,6 +192,9 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
                               optimize: str = "first", band=None,
                               with_diagnostics: bool = False):
     """Pick a disk eigenmode whose frequency lies in the target window.
+
+    The one-order case of :func:`select_disk_modes`, which describes the
+    candidates, the screens, the ranking and the refinement.
 
     Parameters
     ----------
@@ -216,81 +221,138 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
     NoModeError
         If the window contains no zero, or none passes the band filter.
     """
-    if n < 1:
-        raise NoModeError("selection needs angular order n >= 1")
+    [(mode, diag)] = select_disk_modes([n], target, radius=radius,
+                                       optimize=optimize, band=band)
+    if isinstance(mode, NoModeError):
+        raise mode
+    return (mode, diag) if with_diagnostics else mode
+
+
+def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
+                      optimize: str = "first", band=None):
+    """:func:`select_disk_mode_at_scale` for every angular order of
+    `orders`, in a fixed number of array passes over all of them.
+
+    Returns one (mode, diagnostics) pair per order, in the given order; the
+    mode is a DiskMode, or the NoModeError that says why the order has none.
+
+    Per order, the candidates m are the indices whose seed lies within 0.6
+    zero spacings of the window (and, with a band, whose seed sigma lies in
+    it, with a hair of slack).  They are ranked by the phase model, or by
+    the seed for "first"; the top `_REFINED` of each order are solved
+    exactly, and the admissible one of best exact quality wins, the
+    first-ranked on a tie.  An order whose ranked few all leave the window
+    or the band on refinement has all its other candidates refined.  Each
+    stage is one array call over every order: the candidate ranges, the
+    seeds, the ranking, the Newton (once more for such orders), the
+    qualities and the normalization.
+    """
     if optimize not in _OPTIMIZE:
         raise ValueError(f"optimize must be one of {_OPTIMIZE}")
-    lam_lo, lam_hi = target.disk_window(n)
-    diag = SelectionDiagnostics(ranking=optimize)
+    out = [(NoModeError("selection needs angular order n >= 1"),
+            SelectionDiagnostics(ranking=optimize)) for _ in orders]
+    live = [i for i, n in enumerate(orders) if n >= 1]
+    if not live:
+        return out
+    ns = np.array([orders[i] for i in live], dtype=np.int64)
+    windows = [target.disk_window(int(n)) for n in ns.tolist()]
+    lam_lo, lam_hi = np.array(windows).T
 
-    spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n, 1.0))
+    spacing = math.pi * lam_lo / np.sqrt(np.maximum(lam_lo * lam_lo - ns * ns,
+                                                    1.0))
     # seed-level window check with half-spacing slack; exact membership is
     # re-verified after refinement
     seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
-    indices = specfun.bessel_zero_candidates(n, seed_lo, seed_hi)
-    ms = np.arange(indices.start, indices.stop)
-    lam_seed = specfun.bessel_zero_seeds(n, ms)
-    inside = (seed_lo <= lam_seed) & (lam_seed <= seed_hi)
-    ms, lam_seed = ms[inside], lam_seed[inside]
-    diag.candidates = diag.band_feasible = ms.size
+    k, m = specfun.bessel_zero_candidate_ranges(ns, seed_lo, seed_hi)
+    lam_seed = specfun.bessel_zero_seeds(ns[k], m)
+    keep = (seed_lo[k] <= lam_seed) & (lam_seed <= seed_hi[k])
+    candidates = np.bincount(k[keep], minlength=ns.size)
     if band is not None:
         # seed-level screen with a hair of slack; refinement re-checks
         h = 1.0 / lam_seed
-        sigma = 1.0 - (n / (lam_seed * radius)) ** 2
-        feasible = ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
-                    & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
-        ms, lam_seed = ms[feasible], lam_seed[feasible]
-        diag.band_feasible = ms.size
-
-    if not ms.size:
-        raise NoModeError(
-            f"no {'band-feasible ' if band is not None else ''}eigenvalue in "
-            f"window [{lam_lo:.3f}, {lam_hi:.3f}] for n={n}")
+        sigma = 1.0 - (ns[k] / (lam_seed * radius)) ** 2
+        keep &= ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
+                 & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
+    k, m, lam_seed = k[keep], m[keep], lam_seed[keep]
+    feasible = np.bincount(k, minlength=ns.size)
 
     if optimize == "first":
         score = -lam_seed   # larger score = smaller eigenvalue
     else:
         # at or below the turning point the phase model does not apply:
         # rank below every oscillatory seed, refinement still decides
-        score = np.full(ms.size, -1.0)
-        osc = lam_seed * radius > n
-        phi = _phase_model(n, lam_seed[osc], radius)
+        score = np.full(m.size, -1.0)
+        osc = lam_seed * radius > ns[k]
+        phi = _phase_model(ns[k][osc], lam_seed[osc], radius)
         score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
                             else np.sin(phi))
-    ranked = ms[np.argsort(-score, kind="stable")].tolist()
+    ranked = np.lexsort((-score, k))
+    k, m = k[ranked], m[ranked]
+    rank = np.arange(m.size) - (np.cumsum(feasible) - feasible)[k]
 
-    best = None     # (quality, mode)
-    for i, m in enumerate(ranked):
-        # past the ranked few only when they all drifted outside on exact
-        # refinement (narrow window, seeds near the edges)
-        if i == _REFINED and best is not None:
-            break
-        lam = specfun.bessel_zero(n, m)
-        if not (lam_lo <= lam <= lam_hi):
-            continue
+    def refine(sel):
+        """(positions, lam, quality) of the admissible zeros among the
+        candidates at positions sel."""
+        sel = np.flatnonzero(sel)
+        lam = specfun.bessel_zeros(ns[k[sel]], m[sel])
+        ok = (lam_lo[k[sel]] <= lam) & (lam <= lam_hi[k[sel]])
         if band is not None:
             h = 1.0 / lam
-            sigma = 1.0 - (n / (lam * radius)) ** 2
-            if not (h ** band.rho2 <= sigma <= h ** band.rho1):
-                continue
-        diag.refined += 1
-        mode = _mode_at_zero(n, lam)
+            sigma = 1.0 - (ns[k[sel]] / (lam * radius)) ** 2
+            ok &= (h ** band.rho2 <= sigma) & (sigma <= h ** band.rho1)
+        sel, lam = sel[ok], lam[ok]
         if optimize == "first":
-            quality = -lam
-        elif optimize == "restriction":
-            quality = abs(specfun.bessel_j(n, lam * radius))
+            return sel, lam, -lam
+        n, x = ns[k[sel]], lam * radius
+        jm1, jn = specfun.bessel_j_pair(n, x)
+        return sel, lam, np.abs(jn if optimize == "restriction"
+                                else jm1 - (n / x) * jn)
+
+    sel, lam, quality = refine(rank < _REFINED)
+    # past the ranked few only when they all drifted outside on exact
+    # refinement (narrow window, seeds near the edges)
+    found = np.zeros(ns.size, dtype=bool)
+    found[k[sel]] = True
+    again = ~found[k] & (rank >= _REFINED)
+    if again.any():
+        # appended after the first round: each order's candidates still
+        # come in ranked order, since these orders had none admitted there
+        sel, lam, quality = (np.concatenate(pair) for pair in
+                             zip((sel, lam, quality), refine(again)))
+
+    diags = [SelectionDiagnostics(candidates=int(c), band_feasible=int(f),
+                                  ranking=optimize)
+             for c, f in zip(candidates.tolist(), feasible.tolist())]
+    best = {}   # order position -> (quality, lam), the first-ranked on a tie
+    for j, mj, q, z in zip(k[sel].tolist(), m[sel].tolist(), quality.tolist(),
+                           lam.tolist()):
+        diags[j].refined += 1
+        diags[j].scores.append((mj, q))
+        if j not in best or q > best[j][0]:
+            best[j] = (q, z)
+
+    picked = sorted(best)
+    n, lam = ns[picked], np.array([best[j][1] for j in picked])
+    jm1, jn = specfun.bessel_j_pair(n, lam)
+    # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
+    jnp1 = dict(zip(picked, ((2.0 * n / lam) * jn - jm1).tolist()))
+    for j, (n, (lo, hi)) in enumerate(zip(ns.tolist(), windows)):
+        if not feasible[j]:
+            mode = NoModeError(
+                f"no {'band-feasible ' if band is not None else ''}eigenvalue "
+                f"in window [{lo:.3f}, {hi:.3f}] for n={n}")
+        elif j not in best:
+            mode = NoModeError(
+                f"all candidates left the window/band after refinement "
+                f"for n={n} (window [{lo:.3f}, {hi:.3f}])")
+        elif jnp1[j] == 0.0:
+            mode = NoModeError(
+                f"degenerate normalization at (n={n}, lam={best[j][1]})")
         else:
-            quality = abs(specfun.bessel_j_prime(n, lam * radius))
-        diag.scores.append((m, quality))
-        if best is None or quality > best[0]:
-            best = (quality, mode)
-    if best is None:
-        raise NoModeError(
-            f"all candidates left the window/band after refinement "
-            f"for n={n} (window [{lam_lo:.3f}, {lam_hi:.3f}])")
-    if with_diagnostics:
-        return best[1], diag
-    return best[1]
+            mode = DiskMode(n=n, lam=best[j][1], normalization=1.0 / (
+                math.sqrt(math.pi) * abs(jnp1[j])))
+        out[live[j]] = (mode, diags[j])
+    return out
 
 
 def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:

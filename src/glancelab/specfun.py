@@ -56,17 +56,18 @@ tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
 McMahon for n = 0), its array form ``bessel_zero_seeds`` (any orders and
 indices in one numpy pass, within a few ulp of the scalar seed),
-``bessel_zero_candidates`` (one order) and ``bessel_zero_candidates_all``
-(every order of a window, from one array ``bessel_zero_index`` call) are
-the only zero seeds and index ranges; :mod:`glancelab.modes` computes none
-itself.  Selection ranks the array seeds of one order and refines a few of
-them, one index at a time, with ``bessel_zero``; window enumeration solves
-every candidate of every order in one batched Newton, ``bessel_zeros``, on
-the array Bessel pair, with the bracket and stop rule of ``bessel_zero``.
-The scalar and the array seed take the Airy zero a_m of m >= 10 from the
-closed form of
-DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of a_m,
-and the nine below from Newton on Ai.  The range keeps the m with
+``bessel_zero_candidates`` (one order), ``bessel_zero_candidate_ranges``
+(any orders, each with its own window, from one array
+``bessel_zero_index`` call) and ``bessel_zero_candidates_all`` (every
+order of one window) are the only zero seeds and index ranges;
+:mod:`glancelab.modes` computes none itself.  Selection (the top few
+ranked candidates of every order of a sweep) and window enumeration (every
+candidate of every order) each solve their zeros in one batched Newton,
+``bessel_zeros``, on the array Bessel pair, with the bracket and stop rule
+of the scalar ``bessel_zero``.  The scalar and the array seed take the Airy
+zero a_m of m >= 10 from the closed form of DLMF 9.9.18 (six terms in
+t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of a_m, and the nine below from
+Newton on Ai.  The range keeps the m with
 m(lo) - E <= m <= m(hi) + E for the continuous index m(x) of
 ``bessel_zero_index``; the margin E = 0.05 is over three times the measured
 overshoot e = m(j_{n,m}) - m, which lies in [7.1e-6, 0.0155].
@@ -948,18 +949,33 @@ def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
 def bessel_zero_candidates_all(lo: float, hi: float):
     """(n, m) arrays of every zero j_{n,m}, over all orders n >= 0, that can
     lie in [lo, hi]: the ranges of :func:`bessel_zero_candidates`, ordered
-    by (n, m), from one array call of :func:`bessel_zero_index`.
+    by (n, m), from :func:`bessel_zero_candidate_ranges`.
 
     m(hi) vanishes for n >= hi, so the orders end at floor(hi).
     """
-    n = np.arange(math.floor(hi) + 1)
-    index = bessel_zero_index(n, np.array([[lo], [hi]]))
+    # the orders are 0, 1, ..., so each position is its own order
+    return bessel_zero_candidate_ranges(np.arange(math.floor(hi) + 1), lo, hi)
+
+
+def bessel_zero_candidate_ranges(n, lo, hi):
+    """The ranges of :func:`bessel_zero_candidates` of every order of the
+    integer array n, from one array call of :func:`bessel_zero_index`.
+
+    lo and hi are numbers or arrays like n (one window per order).  Returns
+    the arrays (k, m), ordered by (k, m): the position k in n of each
+    candidate's order, and its radial index m.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float), n)[:2]
+    index = bessel_zero_index(n, np.stack([lo, hi]))
     first = np.maximum(1, np.ceil(index[0] - _INDEX_MARGIN)).astype(np.int64)
     count = np.maximum(
         np.floor(index[1] + _INDEX_MARGIN).astype(np.int64) + 1 - first, 0)
     offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
                                                 count)
-    return np.repeat(n, count), np.repeat(first, count) + offset
+    return (np.repeat(np.arange(n.size), count),
+            np.repeat(first, count) + offset)
 
 
 def bessel_zero_seed(n: int, m: int) -> float:

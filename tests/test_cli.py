@@ -65,6 +65,47 @@ def test_sweep_sphere_runs(tmp_path, capsys):
     assert all(table["amplitude"] > 0)
 
 
+def test_manifest_lists_skipped_orders(tmp_path, capsys):
+    # at n = 1000 the whole window sits above the band ceiling h^0.3
+    out = str(tmp_path / "band")
+    code, stdout, _ = _run(capsys, "sweep-disk", "--alpha", "0.5",
+                           "--rho1", "0.3", "--rho2", "0.6",
+                           "--n-min", "1000", "--n-max", "20000",
+                           "--points", "6", "--out", out)
+    assert code == 0
+    doc = io.read_manifest(out + ".manifest.json")
+    assert doc["skipped"] == len(doc["skipped_orders"]) >= 1
+    assert f"{doc['skipped']} skipped" in stdout
+    table = io.read_table(out + ".csv")
+    orders = {int(n) for n in table["n"]}
+    for n, reason in doc["skipped_orders"]:
+        assert n not in orders
+        assert reason.startswith("no band-feasible eigenvalue in window")
+        assert reason.endswith(f"for n={n}")
+    assert len(orders) + doc["skipped"] == 6
+    # the skips live in the manifest only: the CSV holds the rows
+    from glancelab import experiments as ex
+    from glancelab.weights import BandSpec
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=20000,
+                         points=6)
+    res = ex.sharpness_sweep(cfg, s=0.0, band=BandSpec(0.3, 0.6))
+    assert [list(p) for p in res.skipped] == doc["skipped_orders"]
+    assert Path(out + ".csv").read_text() == io.sweep_to_csv_text(res)
+
+
+def test_quasimode_empty_window_is_numerical_error(tmp_path, capsys):
+    # windows below the lowest eigenvalue j_{0,1} = 2.405 hold no mode
+    out = str(tmp_path / "qm")
+    code, stdout, err = _run(capsys, "quasimode", "--lam-min", "1.1",
+                             "--lam-max", "1.3", "--windows", "2",
+                             "--trials", "2", "--out", out)
+    assert code == 2 and stdout == ""
+    assert err == ("glancelab: numerical failure: window [1.10, 2.10] "
+                   "holds no mode\n")
+    assert not os.path.exists(out + ".csv")
+    assert not os.path.exists(out + ".manifest.json")
+
+
 def test_band_flags_must_pair(capsys, tmp_path):
     code, _, err = _run(capsys, "sweep-disk", "--alpha", "0.5",
                         "--rho1", "0.3", "--out", str(tmp_path / "x"))

@@ -235,6 +235,16 @@ def test_quasimode_windows_bounded_and_weyl_consistent():
     assert res.spread < 3.0
 
 
+def test_quasimode_empty_window_raises():
+    # [2.5, 3.5] lies between j_{0,1} = 2.405 and j_{1,1} = 3.832; the first
+    # window, [2, 3], holds j_{0,1}
+    with pytest.raises(ex.NoModeError, match=r"window \[2\.50, 3\.50\] "
+                       r"holds no mode"):
+        ex.quasimode_boundedness(lam_lo=2.0, lam_hi=2.5, windows=2, trials=2)
+    with pytest.raises(ex.NoModeError, match=r"\[1\.10, 2\.10\]"):
+        ex.quasimode_boundedness(lam_lo=1.1, lam_hi=1.3, windows=2, trials=2)
+
+
 def test_quasimode_deterministic():
     kw = dict(lam_lo=60.0, lam_hi=90.0, windows=2, trials=4, seed=123)
     a = ex.quasimode_boundedness(**kw)

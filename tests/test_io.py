@@ -97,11 +97,13 @@ def test_read_table_rejects_bad_input(tmp_path):
 def test_manifest_contents(tmp_path):
     path = str(tmp_path / "run.manifest.json")
     io.write_manifest(path, "sweep-disk", {"alpha": 0.5, "points": 4},
-                      rows=4, skipped=1, seed=None, cutoff="exp")
+                      rows=4, skipped=[(7, "no eigenvalue in window")],
+                      seed=None, cutoff="exp")
     doc = io.read_manifest(path)
     assert doc["command"] == "sweep-disk"
     assert doc["config"] == {"alpha": 0.5, "points": 4}
     assert doc["rows"] == 4 and doc["skipped"] == 1
+    assert doc["skipped_orders"] == [[7, "no eigenvalue in window"]]
     assert doc["cutoff_shape"] == "exp"
     assert doc["input_hash"].startswith("sha256:")
     assert "written" in doc and "version" in doc
