@@ -356,6 +356,14 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
 
     Randomness is deterministic: each (window, trial) pair seeds its own
     generator from (seed, window index, trial index).
+
+    The modes of consecutive windows are enumerated together, in one pass
+    of :func:`modes.modes_in_frequency_windows`, and their traces taken in
+    one array call: as many windows as fit under _BATCH_ORDERS orders
+    sum(floor(Lambda + 1) + 1), which bounds the memory of a batch (the
+    default ensemble is one batch, and a window above the cap is a batch of
+    its own).  The checks and the draws then run window by window, in
+    window order.
     """
     if windows < 1 or trials < 1:
         raise ValueError("need at least one window and one trial")
@@ -367,37 +375,65 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
     rows = []
-    for wi, lam in enumerate(lams):
-        found = modes_mod.modes_in_frequency_window(lam, lam + 1.0)
-        if not found:
-            # the norms and their spread are undefined without a mode
-            raise NoModeError(
-                f"window [{lam:.2f}, {lam + 1:.2f}] holds no mode")
-        ns = np.array([m.n for m in found], dtype=np.int64)
-        freqs = np.array([m.lam for m in found])
-        norms = np.array([m.normalization for m in found])
-        # restrict_disk and DiskMode.sigma of every mode, in one array pass
-        amps = norms * specfun.bessel_j(ns, freqs * radius)
-        sigmas = 1.0 - (ns / (freqs * radius)) ** 2
-        weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps
-        amps = np.repeat(weighted, np.where(ns >= 1, 2, 1))
-        dim = len(amps)
-        weyl = lam / 2.0 - 0.25
-        if abs(dim - weyl) > lam ** (2.0 / 3.0):
-            raise specfun.NumericalError(
-                f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
-                f"two-term Weyl predicts {weyl:.1f}; enumeration is broken")
-        best = 0.0
-        total = 0.0
-        for t in range(trials):
-            rng = np.random.default_rng([seed, wi, t])
-            c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            c /= np.linalg.norm(c)
-            nr = trace_norm(c * amps, radius)
-            best = max(best, nr)
-            total += nr
-        rows.append(QuasimodeRow(lam=float(lam), dim=dim, weyl_estimate=weyl,
-                                 max_norm=best, mean_norm=total / trials))
+    for group in _window_groups(lams):
+        found = modes_mod.modes_in_frequency_windows(lams[group],
+                                                     lams[group] + 1.0)
+        every = [m for window in found for m in window]
+        n_all = np.array([m.n for m in every], dtype=np.int64)
+        freqs = np.array([m.lam for m in every])
+        norms = np.array([m.normalization for m in every])
+        # restrict_disk and DiskMode.sigma of every mode of the group, in one
+        # array pass
+        amp_all = norms * specfun.bessel_j(n_all, freqs * radius)
+        sigma_all = 1.0 - (n_all / (freqs * radius)) ** 2
+        ends = np.cumsum([len(window) for window in found]).tolist()
+        for wi, a, b in zip(range(windows)[group], [0] + ends, ends):
+            lam = lams[wi]
+            if a == b:
+                # the norms and their spread are undefined without a mode
+                raise NoModeError(
+                    f"window [{lam:.2f}, {lam + 1:.2f}] holds no mode")
+            ns = n_all[a:b]
+            weighted = glancing_weight(sigma_all[a:b], 1.0 / lam,
+                                       spec) * amp_all[a:b]
+            amps = np.repeat(weighted, np.where(ns >= 1, 2, 1))
+            dim = len(amps)
+            weyl = lam / 2.0 - 0.25
+            if abs(dim - weyl) > lam ** (2.0 / 3.0):
+                raise specfun.NumericalError(
+                    f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
+                    f"two-term Weyl predicts {weyl:.1f}; enumeration is "
+                    f"broken")
+            best = 0.0
+            total = 0.0
+            for t in range(trials):
+                rng = np.random.default_rng([seed, wi, t])
+                c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                c /= np.linalg.norm(c)
+                nr = trace_norm(c * amps, radius)
+                best = max(best, nr)
+                total += nr
+            rows.append(QuasimodeRow(lam=float(lam), dim=dim,
+                                     weyl_estimate=weyl, max_norm=best,
+                                     mean_norm=total / trials))
 
     return QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed,
                            radius=radius)
+
+
+# the most orders, sum(floor(Lambda + 1) + 1), that one enumeration batches:
+# the default ensemble (Lambda = 200 ... 2000, 8 windows, 6.6k orders) is
+# one batch, a window at Lambda = 2e4 one of its own
+_BATCH_ORDERS = 8000
+
+
+def _window_groups(lams) -> list[slice]:
+    """Consecutive runs of the windows [lams[i], lams[i] + 1], each under
+    _BATCH_ORDERS orders or a single window."""
+    groups, start, total = [], 0, 0
+    for i, orders in enumerate((np.floor(lams + 1.0) + 1.0).tolist()):
+        if i > start and total + orders > _BATCH_ORDERS:
+            groups.append(slice(start, i))
+            start, total = i, 0
+        total += orders
+    return groups + [slice(start, len(lams))]

@@ -29,6 +29,13 @@ analytic phase/envelope model on the seeds of every candidate of every
 order, in one array pass; only the top few candidates of each order are
 solved exactly, all orders in one batched Newton, keeping selection cheap
 at orders ~1e5.  ``select_disk_mode_at_scale`` is its one-order case.
+
+``modes_in_frequency_windows`` enumerates every mode of every window of a
+quasimode ensemble in the same way: one pass over the candidates of all
+windows together, of which ``modes_in_frequency_window`` is the one-window
+case.  Its arrays grow with the windows it is given, so its callers bound
+the batch (``experiments.quasimode_boundedness`` by a fixed cap on the
+orders of the windows batched together).
 """
 
 from __future__ import annotations
@@ -389,24 +396,53 @@ def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
     the two-dimensional eigenspace spanned by e^{+-i n theta} (callers who
     need multiplicity count such modes twice).  Modes are ordered by (n, lam).
 
-    Every candidate (n, m) of every order comes from
-    :func:`specfun.bessel_zero_candidates_all`, and all of them are solved
-    in one batched Newton (:func:`specfun.bessel_zeros`) and normalized in
-    one array pass.  A zero within 1e-12 relative of an edge, where the
-    batched and the scalar Newton (a few ulp apart) could disagree on
-    membership, is kept or dropped on the value of
-    :func:`specfun.bessel_zero`, so that the window holds exactly the modes
-    of :func:`disk_mode`.
+    The one-window case of :func:`modes_in_frequency_windows`, which solves
+    every candidate in one pass.
     """
-    if not (0.0 < lam_lo < lam_hi):
-        raise ValueError("need 0 < lam_lo < lam_hi")
-    n, m = specfun.bessel_zero_candidates_all(lam_lo, lam_hi)
+    return modes_in_frequency_windows([lam_lo], [lam_hi])[0]
+
+
+def modes_in_frequency_windows(lam_lo, lam_hi) -> list[list[DiskMode]]:
+    """:func:`modes_in_frequency_window` of every window [lam_lo[i],
+    lam_hi[i]] of two sequences of edges, in one pass over all of them.
+
+    Every candidate (n, m) of every order n <= floor(lam_hi[i]) of every
+    window comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
+    each order against its own window; all of them are solved in one batched
+    Newton (:func:`specfun.bessel_zeros`) and the modes inside normalized in
+    one array pass.  A zero within 1e-12 relative of an edge of its window,
+    where the batched and the scalar Newton (a few ulp apart) could disagree
+    on membership, is kept or dropped on the value of
+    :func:`specfun.bessel_zero`, so that each window holds exactly the modes
+    of :func:`disk_mode`.  Windows may overlap; a zero in several is a mode
+    of each.
+
+    The arrays grow with the candidates of all windows together (one order
+    n of a window holds about (lam_hi - lam_lo)/pi of them), so callers
+    batch as many windows as their memory allows.
+    """
+    lam_lo, lam_hi = (np.asarray(v, dtype=float).ravel()
+                      for v in np.broadcast_arrays(lam_lo, lam_hi))
+    bad = ~((0.0 < lam_lo) & (lam_lo < lam_hi) & (lam_hi < math.inf))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"need 0 < lam_lo < lam_hi < inf, got window "
+                         f"[{lam_lo[i]}, {lam_hi[i]}]")
+    # m(lam_hi) vanishes for n >= lam_hi, so the orders of a window end at
+    # floor(lam_hi); `win` is the window of each order
+    count = np.floor(lam_hi).astype(np.int64) + 1
+    win = np.repeat(np.arange(lam_lo.size), count)
+    orders = np.arange(win.size) - np.repeat(np.cumsum(count) - count, count)
+    k, m = specfun.bessel_zero_candidate_ranges(orders, lam_lo[win],
+                                                lam_hi[win])
+    n, win = orders[k], win[k]
+    lo, hi = lam_lo[win], lam_hi[win]
     lam = specfun.bessel_zeros(n, m)
-    edge = np.minimum(np.abs(lam - lam_lo), np.abs(lam - lam_hi))
+    edge = np.minimum(np.abs(lam - lo), np.abs(lam - hi))
     for i in np.flatnonzero(edge <= _EDGE * lam):
         lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
-    inside = (lam_lo <= lam) & (lam <= lam_hi)
-    n, lam = n[inside], lam[inside]
+    inside = (lo <= lam) & (lam <= hi)
+    n, lam, win = n[inside], lam[inside], win[inside]
     jm1, jn = specfun.bessel_j_pair(n, lam)
     # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
     jnp1 = (2.0 * n / lam) * jn - jm1      # for n = 0, jm1 = -J_1
@@ -415,5 +451,8 @@ def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
         raise NoModeError(
             f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
     norm = 1.0 / (math.sqrt(math.pi) * np.abs(jnp1))
-    return [DiskMode(n=a, lam=b, normalization=c)
-            for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
+    found = [DiskMode(n=a, lam=b, normalization=c)
+             for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
+    # the modes come ordered by (window, n, lam)
+    ends = np.cumsum(np.bincount(win, minlength=lam_lo.size)).tolist()
+    return [found[a:b] for a, b in zip([0] + ends, ends)]

@@ -29,7 +29,12 @@ Both also take arrays of (n, x) and then split them by the same test, as
 masks: numpy passes of the uniform expansion and of its Airy factors, one
 forward-recurrence sweep shared by every element below N_U, and the scalar
 code for the few elements of the series region (x <= 17 among them).
-They agree with the scalar functions to 2e-14 of max(|J_n|, n^{-1/3}).
+They agree with the scalar functions to 2e-14 of max(|J_n|, n^{-1/3}),
+save where numpy's arctan and math.atan round apart in the phase n g(x/n)
+above the turning point, at (x/n)^2 - 1 >= 0.04 (a quarter of a percent
+of the arguments up to x = 2.2 n): the phase then differs by about n ulp,
+which measured up to 4e-14 of that scale at n = 1e3, 2e-13 at 1e4,
+1.6e-12 at 1e5 and 7e-12 at 1e6.
 
 The Airy factors (``airy_ai``, ``airy_ai_prime``, the Newton of
 ``airy_zero`` below m = 10 and the uniform expansion) use two methods keyed
@@ -56,18 +61,17 @@ tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
 McMahon for n = 0), its array form ``bessel_zero_seeds`` (any orders and
 indices in one numpy pass, within a few ulp of the scalar seed),
-``bessel_zero_candidates`` (one order), ``bessel_zero_candidate_ranges``
+``bessel_zero_candidates`` (one order) and ``bessel_zero_candidate_ranges``
 (any orders, each with its own window, from one array
-``bessel_zero_index`` call) and ``bessel_zero_candidates_all`` (every
-order of one window) are the only zero seeds and index ranges;
+``bessel_zero_index`` call) are the only zero seeds and index ranges;
 :mod:`glancelab.modes` computes none itself.  Selection (the top few
 ranked candidates of every order of a sweep) and window enumeration (every
-candidate of every order) each solve their zeros in one batched Newton,
-``bessel_zeros``, on the array Bessel pair, with the bracket and stop rule
-of the scalar ``bessel_zero``.  The scalar and the array seed take the Airy
-zero a_m of m >= 10 from the closed form of DLMF 9.9.18 (six terms in
-t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of a_m, and the nine below from
-Newton on Ai.  The range keeps the m with
+candidate of every order of every window of an ensemble) each solve their
+zeros in one batched Newton, ``bessel_zeros``, on the array Bessel pair,
+with the bracket and stop rule of the scalar ``bessel_zero``.  The scalar
+and the array seed take the Airy zero a_m of m >= 10 from the closed form
+of DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of
+a_m, and the nine below from Newton on Ai.  The range keeps the m with
 m(lo) - E <= m <= m(hi) + E for the continuous index m(x) of
 ``bessel_zero_index``; the margin E = 0.05 is over three times the measured
 overshoot e = m(j_{n,m}) - m, which lies in [7.1e-6, 0.0155].
@@ -405,10 +409,12 @@ def _airy_zero_newton(m: int) -> float:
 # ----------------------------------------------------------------------
 
 def _maclaurin(coeffs: tuple[float, ...], t):
-    """Horner sum of coeffs[0] + coeffs[1] t + ...; t a float or an array."""
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * t + c
+    """Horner sum of coeffs[0] + coeffs[1] t + ... (two or more terms); t a
+    float or an array, which it leaves as it is."""
+    total = coeffs[-1] * t + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        total *= t
+        total += c
     return total
 
 
@@ -430,25 +436,33 @@ def phase_integrals(w: np.ndarray) -> np.ndarray:
     return _t_minus_atans(np.sqrt(t2), t2)
 
 
-# t^3/3 - t^5/5 + ... and t^3/3 + t^5/5 + ... as t t^2 P(t^2): the nine odd
-# terms up to t^19 leave an error below 1.4e-19 relative for t < 0.1
-_ATAN_TAIL = tuple((-1.0) ** j / (2 * j + 3) for j in range(9))
-_ATANH_TAIL = tuple(1.0 / (2 * j + 3) for j in range(9))
+# t - arctan t and artanh t - t cancel for small t: a rounding of the
+# arctan or log term is amplified by about 3/t^2 (300 at t = 0.1), and
+# the phase n g(w) of the uniform expansion multiplies it by the order.
+# Below _TAIL_SERIES they are summed as t t^2 P(t^2) from their odd series
+# t^3/3 -+ t^5/5 + ...: the 12 odd terms up to t^25 leave an error below
+# 2e-18 relative for t < 0.2, and the array and the scalar sums agree bit
+# for bit.  Above it the amplification is below 75, and numpy's arctan
+# rounds as math.atan does for all but 0.4 % of the arguments on [0.2, 0.5)
+# and 0.1 % above (1.4 % on [0.1, 0.2), which the series serves).
+_TAIL_SERIES = 0.2
+_ATAN_TAIL = tuple((-1.0) ** j / (2 * j + 3) for j in range(12))
+_ATANH_TAIL = tuple(1.0 / (2 * j + 3) for j in range(12))
 
 
 def _t_minus_atan(t: float, t2: float) -> float:
-    """t - arctan(t) given t and t2 = t^2; below t = 0.1, where the
-    difference cancels, by its odd series."""
-    if t >= 0.1:
+    """t - arctan(t) given t and t2 = t^2; below t = _TAIL_SERIES, where
+    the difference cancels, by its odd series."""
+    if t >= _TAIL_SERIES:
         return t - math.atan(t)
     return t * t2 * _maclaurin(_ATAN_TAIL, t2)
 
 
 def _t_minus_atans(t: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """:func:`_t_minus_atan` of every element of arrays (t, t2), by the same
-    Horner sum below t = 0.1."""
+    Horner sum below t = _TAIL_SERIES."""
     g = t - np.arctan(t)
-    small = t < 0.1
+    small = t < _TAIL_SERIES
     if small.any():
         ts, t2s = t[small], t2[small]
         g[small] = ts * t2s * _maclaurin(_ATAN_TAIL, t2s)
@@ -469,23 +483,26 @@ def zeta_of_z(z: float) -> float:
     s2 = (1.0 - z) * (1.0 + z)
     s = math.sqrt(s2)
     # log((1+s)/z) - s = artanh(s) - s, by its odd series where it cancels
-    w = s * s2 * _maclaurin(_ATANH_TAIL, s2) if s < 0.1 \
+    w = s * s2 * _maclaurin(_ATANH_TAIL, s2) if s < _TAIL_SERIES \
         else math.log((1.0 + s) / z) - s
     return (1.5 * w) ** (2.0 / 3.0)
 
 
-def _zetas_of_z(z: np.ndarray) -> np.ndarray:
-    """:func:`zeta_of_z` of every element of an array of z > 0."""
+def _zetas_of_z(z: np.ndarray):
+    """:func:`zeta_of_z` of every element of an array of z > 0, with the
+    w = (2/3)|zeta|^{3/2} it raises to the power 2/3; on the oscillatory
+    side w is the :func:`phase_integrals` of z, bit for bit."""
     t2 = (z - 1.0) * (z + 1.0)      # z^2 - 1; -s^2 on the evanescent side
     t = np.sqrt(np.abs(t2))
     osc = t2 >= 0.0
     w = np.where(osc, t - np.arctan(t), np.log((1.0 + t) / z) - t)
-    small = t < 0.1
-    if small.any():
-        ts, t2s = t[small], t2[small]
-        w[small] = np.where(t2s >= 0.0, ts * t2s * _maclaurin(_ATAN_TAIL, t2s),
-                            -ts * t2s * _maclaurin(_ATANH_TAIL, -t2s))
-    return np.where(osc, -1.0, 1.0) * (1.5 * w) ** (2.0 / 3.0)
+    for side, tail, sign in ((osc, _ATAN_TAIL, 1.0),
+                             (~osc, _ATANH_TAIL, -1.0)):
+        small = side & (t < _TAIL_SERIES)
+        if small.any():
+            ts, s2 = t[small], sign * t2[small]
+            w[small] = ts * s2 * _maclaurin(tail, s2)
+    return np.where(osc, -1.0, 1.0) * (1.5 * w) ** (2.0 / 3.0), w
 
 
 def z_of_zeta(zeta: float) -> float:
@@ -521,8 +538,8 @@ def _z_of_zeta_array(zeta: np.ndarray) -> np.ndarray:
     t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
     # both starts lie below the root of the convex t - arctan(t) = w, so the
     # first step overshoots and the rest fall to the root: an element that
-    # starts at t >= 0.1 never needs the series
-    small = (t < 0.1).any()
+    # starts at t >= _TAIL_SERIES never needs the series
+    small = (t < _TAIL_SERIES).any()
     z = np.empty_like(w)
     idx = np.arange(w.size)
     for _ in range(60):
@@ -647,24 +664,37 @@ def _bessel_hankels(x: np.ndarray) -> np.ndarray:
 def _bessel_recurrence_pairs(n: np.ndarray, x: np.ndarray):
     """:func:`_bessel_recurrence_pair` of every element of arrays (n, x).
 
-    One forward sweep over k serves all elements: row k of the sweep holds
-    J_k of every element, and each element reads (J_{n-1}, J_n) from the
-    rows of its own n.  Past its own order an element keeps recurring; there
-    the sweep grows like Y_k, below 1e187 for x > 17 and k < N_U.
+    One forward sweep over k serves all elements, with the arithmetic of
+    the scalar loop.  The elements are sorted by descending order, so that
+    those still recurring at step k are a prefix, and each leaves the sweep
+    at its own n.  Two rows hold the sweep, J_k in row k % 2: the step to
+    J_{k+1} overwrites J_{k-1} in place, and an element that has left keeps
+    its (J_{n-1}, J_n) in rows ((n - 1) % 2, n % 2).
     """
-    top = max(int(n.max()), 1)
-    rows = np.empty((top + 1, n.size))
-    rows[:2] = _bessel_hankels(x)
-    # lists of row views: the sweep is two ufunc calls per order
-    j = list(rows)
-    two_k_over_x = list(np.outer(np.arange(top), 2.0 / x))
-    for k in range(1, top):
-        np.multiply(two_k_over_x[k], j[k], out=j[k + 1])
-        np.subtract(j[k + 1], j[k - 1], out=j[k + 1])
-    cols = np.arange(n.size)
+    order = np.argsort(-n, kind="stable")
+    ns = n[order]
+    rows = _bessel_hankels(x)[:, order]
+    two_over_x = 2.0 / x[order]
+    # live[k]: how many elements still need J_{k+1} at step k
+    live = np.searchsorted(-ns, -np.arange(1, ns[0] + 1), side="right")
+    scratch = np.empty_like(two_over_x)
+    c = 0
+    for k, size in enumerate(live.tolist()[1:], 1):
+        if size != c:   # the elements of order k have left
+            c = size
+            t, f = scratch[:c], two_over_x[:c]
+            even, odd = rows[0, :c], rows[1, :c]
+        j, j_prev = (even, odd) if k % 2 == 0 else (odd, even)
+        # J_{k+1} = (k (2/x)) J_k - J_{k-1}, written over J_{k-1}
+        np.multiply(float(k), f, t)
+        np.multiply(t, j, t)
+        np.subtract(t, j_prev, j_prev)
+    cols = np.arange(ns.size)
+    jm1, jn = np.empty_like(two_over_x), np.empty_like(two_over_x)
     # for n = 0 the pair is (J_{-1}, J_0) = (-J_1, J_0)
-    jm1 = np.where(n == 0, -rows[1], rows[np.maximum(n - 1, 0), cols])
-    return jm1, rows[n, cols]
+    jm1[order] = np.where(ns == 0, -rows[1], rows[(ns + 1) % 2, cols])
+    jn[order] = rows[ns % 2, cols]
+    return jm1, jn
 
 
 # Orders at and above which the O(n) forward recurrence is never used.  From
@@ -766,14 +796,14 @@ def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`_bessel_uniform` of every element of arrays (n >= 1, x)."""
     n = n.astype(float)
     z = x / n
-    zeta = _zetas_of_z(z)
+    zeta, g = _zetas_of_z(z)
     arg = n ** (2.0 / 3.0) * zeta
     ai, aip = np.empty_like(z), np.empty_like(z)
     far = arg <= -_AIRY_ASYMP
     if far.any():
         # the Airy phase taken from g, as in the scalar expansion
-        ai[far], aip[far] = _airy_asymps(-arg[far], n[far] * phase_integrals(
-            z[far]), neg=True)
+        ai[far], aip[far] = _airy_asymps(-arg[far], n[far] * g[far],
+                                         neg=True)
     if not far.all():
         ai[~far], aip[~far] = _airy_pairs(arg[~far])
     r, b0, a1, b1 = (np.empty_like(z) for _ in range(4))
@@ -944,17 +974,6 @@ def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
     """
     return range(max(1, math.ceil(bessel_zero_index(n, lo) - _INDEX_MARGIN)),
                  math.floor(bessel_zero_index(n, hi) + _INDEX_MARGIN) + 1)
-
-
-def bessel_zero_candidates_all(lo: float, hi: float):
-    """(n, m) arrays of every zero j_{n,m}, over all orders n >= 0, that can
-    lie in [lo, hi]: the ranges of :func:`bessel_zero_candidates`, ordered
-    by (n, m), from :func:`bessel_zero_candidate_ranges`.
-
-    m(hi) vanishes for n >= hi, so the orders end at floor(hi).
-    """
-    # the orders are 0, 1, ..., so each position is its own order
-    return bessel_zero_candidate_ranges(np.arange(math.floor(hi) + 1), lo, hi)
 
 
 def bessel_zero_candidate_ranges(n, lo, hi):

@@ -1,6 +1,7 @@
 """Tests for the scaling experiments and the exponent fitter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glancelab import experiments as ex
-from glancelab import specfun
-from glancelab.weights import BandSpec
+from glancelab import io, modes, specfun
+from glancelab.weights import BandSpec, WeightSpec, glancing_weight, trace_norm
 
 
 # ----------------------------------------------------------------------
@@ -261,3 +262,76 @@ def test_quasimode_seed_changes_draws():
     assert [r.max_norm for r in a.rows] != [r.max_norm for r in b.rows]
     # the mode content (dimension) is seed-independent
     assert [r.dim for r in a.rows] == [r.dim for r in b.rows]
+
+
+def _quasimode_one_window_at_a_time(lam_lo=200.0, lam_hi=2000.0, windows=8,
+                                    trials=20, seed=2025, s=0.3,
+                                    rho=2.0 / 3.0, radius=0.5):
+    """The per-window loop that the batched ensemble replaced: one window
+    enumeration and one trace call per window; the reference for
+    quasimode_boundedness."""
+    spec = WeightSpec(s=s, rho=rho, cutoff="exp")
+    rows = []
+    for wi, lam in enumerate(np.geomspace(lam_lo, lam_hi, windows)):
+        found = modes.modes_in_frequency_window(lam, lam + 1.0)
+        ns = np.array([m.n for m in found], dtype=np.int64)
+        freqs = np.array([m.lam for m in found])
+        norms = np.array([m.normalization for m in found])
+        amps = norms * specfun.bessel_j(ns, freqs * radius)
+        sigmas = 1.0 - (ns / (freqs * radius)) ** 2
+        weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps
+        amps = np.repeat(weighted, np.where(ns >= 1, 2, 1))
+        dim = len(amps)
+        best = total = 0.0
+        for t in range(trials):
+            rng = np.random.default_rng([seed, wi, t])
+            c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            c /= np.linalg.norm(c)
+            nr = trace_norm(c * amps, radius)
+            best = max(best, nr)
+            total += nr
+        rows.append(ex.QuasimodeRow(lam=float(lam), dim=dim,
+                                    weyl_estimate=lam / 2.0 - 0.25,
+                                    max_norm=best, mean_norm=total / trials))
+    return ex.QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed,
+                              radius=radius)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2025])
+def test_quasimode_matches_one_window_at_a_time(seed):
+    # criterion 4's ensemble: the same CSV text, to the last digit
+    assert io.quasimode_to_csv_text(ex.quasimode_boundedness(seed=seed)) \
+        == io.quasimode_to_csv_text(_quasimode_one_window_at_a_time(seed=seed))
+
+
+def test_quasimode_groups_of_one_window(monkeypatch):
+    # the default ensemble is one batch; with a cap below every window each
+    # window is its own batch, and the output does not change
+    lams = np.geomspace(200.0, 2000.0, 8)
+    assert ex._window_groups(lams) == [slice(0, 8)]
+    kw = dict(lam_lo=60.0, lam_hi=2000.0, windows=5, trials=3, seed=4)
+    text = io.quasimode_to_csv_text(ex.quasimode_boundedness(**kw))
+    monkeypatch.setattr(ex, "_BATCH_ORDERS", 1)
+    assert ex._window_groups(lams) == [slice(i, i + 1) for i in range(8)]
+    assert io.quasimode_to_csv_text(ex.quasimode_boundedness(**kw)) == text
+
+
+def test_quasimode_window_groups_stay_under_the_cap():
+    # consecutive runs under the cap; a window above it is a run of its own
+    lams = np.array([3000.0, 3000.0, 5000.0, 9000.0, 100.0, 100.0])
+    assert ex._BATCH_ORDERS == 8000
+    assert ex._window_groups(lams) == [slice(0, 2), slice(2, 3), slice(3, 4),
+                                       slice(4, 6)]
+
+
+def test_quasimode_memory_stays_bounded():
+    # 120 windows on [200, 2000]: batched in groups under the cap the
+    # traced peak is 3.2 MiB, batched all at once 27.5 MiB
+    tracemalloc.start()
+    try:
+        ex.quasimode_boundedness(lam_lo=200.0, lam_hi=2000.0, windows=120,
+                                 trials=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -194,18 +194,18 @@ class TestTurningPointMap:
         assert specfun.zeta_of_z(z) > 0.0
 
     def test_array_phase_integral_matches_scalar(self):
-        # both sides of t = sqrt(w^2 - 1) = 0.1, where the scalar series
-        # takes over from t - arctan(t)
-        w = np.array([1.0, 1.0 + 1e-9, 1.001, 1.004, 1.00499, 1.00501, 1.2,
-                      2.0, 37.0])
+        # both sides of t = sqrt(w^2 - 1) = 0.1 and of t = 0.2 (w = 1.0198039),
+        # where the series takes over from t - arctan(t)
+        w = np.array([1.0, 1.0 + 1e-9, 1.001, 1.004, 1.00499, 1.00501,
+                      1.0198038, 1.0198040, 1.2, 2.0, 37.0])
         got = specfun.phase_integrals(w)
         for wi, g in zip(w.tolist(), got):
             want = specfun.phase_integral(wi)
             assert abs(g - want) <= 8 * math.ulp(want), wi
 
     def test_odd_tails_against_long_series(self):
-        # t - arctan(t) and artanh(t) - t below t = 0.1, where they take the
-        # nine-term polynomial, against 30 terms in exact rational arithmetic
+        # t - arctan(t) and artanh(t) - t below t = 0.2, where they take the
+        # 12-term polynomial, against 30 terms in exact rational arithmetic
         def long_series(t, sign):
             f = Fraction(t)
             term, total = f ** 3, Fraction(0)
@@ -214,8 +214,9 @@ class TestTurningPointMap:
                 term *= f * f
             return total
 
-        t = np.concatenate([np.linspace(0.0, 0.1, 401)[1:-1],
-                            np.geomspace(1e-8, 0.0999999, 100)])
+        assert specfun._TAIL_SERIES == 0.2
+        t = np.concatenate([np.linspace(0.0, 0.2, 401)[1:-1],
+                            np.geomspace(1e-8, 0.1999999, 100)])
         arr = specfun._t_minus_atans(t, t * t)
         for ti, a in zip(t.tolist(), arr):
             want = long_series(ti, -1)
@@ -288,6 +289,11 @@ class TestBesselJ:
                            (150, 150.5), (199, 180.0), (199, 3000.0)],
             "uniform below N_U": [(60, 30.0), (199, 140.0)],
         }
+        # J_{n-1} of the derivative sweep's pick at n = 81855 (alpha 0.5),
+        # t = sqrt((x/n)^2 - 1) = 0.132: before t - arctan t took its series
+        # there, one ulp of arctan moved the phase n g by 2e-12
+        cases["oscillatory"] = [(81855, x) for x in
+                                np.linspace(82564.0, 82565.0, 21).tolist()]
         for n in (200, 1000, 100000, 1000000):
             scale = n ** (2.0 / 3.0)
             cases.setdefault("evanescent", []).append((n, 0.5 * n))
@@ -329,6 +335,38 @@ class TestBesselJ:
         assert grid.shape == (2, 5)
         assert grid[1, 2] == pytest.approx(specfun.bessel_j(250, 210.0),
                                            rel=1e-14, abs=0.0)
+
+    def test_recurrence_sweep_matches_all_rows(self):
+        # the two-row sweep, each element leaving at its own order, against
+        # the sweep that kept every row J_0 ... J_top of every element:
+        # the same products k (2/x) J_k - J_{k-1}, so the same bits
+        def all_rows(n, x):
+            top = max(int(n.max()), 1)
+            rows = np.empty((top + 1, n.size))
+            rows[:2] = specfun._bessel_hankels(x)
+            j = list(rows)
+            two_k_over_x = list(np.outer(np.arange(top), 2.0 / x))
+            for k in range(1, top):
+                np.multiply(two_k_over_x[k], j[k], out=j[k + 1])
+                np.subtract(j[k + 1], j[k - 1], out=j[k + 1])
+            cols = np.arange(n.size)
+            jm1 = np.where(n == 0, -rows[1], rows[np.maximum(n - 1, 0), cols])
+            return jm1, rows[n, cols]
+
+        rng = np.random.default_rng(13)
+        for size in (1, 2, 3, 70, 600):
+            n = rng.integers(0, specfun._N_U, size)
+            n[:3] = [0, 1, specfun._N_U - 1][:size]
+            x = rng.uniform(17.5, 3000.0, size)
+            for got, want in zip(specfun._bessel_recurrence_pairs(n, x),
+                                 all_rows(n, x)):
+                assert np.array_equal(got, want), size
+        for n in ([0], [1], [0, 1, 0], [5, 5, 5]):
+            n = np.array(n)
+            x = np.full(n.size, 40.0)
+            for got, want in zip(specfun._bessel_recurrence_pairs(n, x),
+                                 all_rows(n, x)):
+                assert np.array_equal(got, want), n
 
     def test_array_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -484,8 +522,10 @@ class TestBesselZeros:
 
     @pytest.mark.parametrize("lo", [0.2, 5.0, 19.75, 536.54, 2000.0])
     def test_candidates_of_all_orders(self, lo):
-        # the per-order ranges of bessel_zero_candidates, in (n, m) order
-        n, m = specfun.bessel_zero_candidates_all(lo, lo + 1.0)
+        # the per-order ranges of bessel_zero_candidates, in (n, m) order,
+        # over the orders 0 ... floor(hi) of one window
+        n, m = specfun.bessel_zero_candidate_ranges(
+            np.arange(math.floor(lo + 1.0) + 1), lo, lo + 1.0)
         want = [(k, j) for k in range(int(lo) + 3)
                 for j in specfun.bessel_zero_candidates(k, lo, lo + 1.0)]
         assert list(zip(n.tolist(), m.tolist())) == want
