@@ -18,10 +18,20 @@ restriction theory predicts:
 Rows whose window contains no admissible eigenvalue are skipped and logged,
 not fabricated; skipping happens routinely for narrow windows and for
 band-constrained sweeps at small order.
+
+The selected disk modes and their traces are memoized per process, keyed
+on (SweepConfig, derivative trace or not, band), the last _TRACE_CACHE = 16
+keys kept: the saturation experiments hold one family of modes fixed and
+change only the measured quantity, so the weight powers s of criterion 3,
+the sqrt(xi_d) reweighting of criterion 5 and the powers s of criterion 6
+read the traces that one selection made.  Module constants such as
+`modes._REFINED` are not part of the key; code that patches one must call
+`_disk_traces.cache_clear()`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,10 +68,12 @@ def fit_exponent(x, y, drop_low: float = 0.25) -> FitResult:
         assumed ordered with the pre-asymptotic end first; `drop_low` drops
         that leading fraction before fitting.
     drop_low : float
-        Fraction of leading rows to discard (default 1/4).
+        Fraction of leading rows to discard (default 1/4), in [0, 1).
 
     Raises
     ------
+    ValueError
+        `drop_low` outside [0, 1) (nan included).
     FitError
         Non-finite data, fewer than 3 usable points, non-positive data, or
         a fit that claims a trend the data cannot support: r^2 < 0.8 with a
@@ -69,6 +81,8 @@ def fit_exponent(x, y, drop_low: float = 0.25) -> FitResult:
         scatter is *not* an error: a slope consistent with 0 is a legitimate
         measurement of a bounded quantity, whatever its r^2.
     """
+    if not (0.0 <= drop_low < 1.0):
+        raise ValueError(f"drop_low must lie in [0, 1), got {drop_low}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -171,23 +185,40 @@ class SweepResult:
                             drop_low=drop_low)
 
 
-def _disk_traces(config: SweepConfig, orders: list[int], quantity: str,
-                 band: BandSpec | None):
-    """Per order, (lam, n, radius, trace amplitude) of the selected mode,
-    or the NoModeError that skips the order: one selector call, then one
-    array call for every amplitude."""
+# the ten sweeps of criteria 1, 3, 5 and 6 on one grid need four entries
+_TRACE_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_TRACE_CACHE)
+def _disk_traces(config: SweepConfig, derivative: bool,
+                 band: BandSpec | None) -> tuple:
+    """Per order of `config`, (lam, n, radius, trace amplitude) of the
+    selected mode, or the NoModeError that skips the order: one selector
+    call, then one array call for every amplitude.  The trace is
+    c J_n'(lam r) when `derivative` is true, else c J_n(lam r), which the
+    amplitude, band and sqrt(xi_d) quantities all read.
+
+    Memoized per process on (config, derivative, band), the last
+    _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
+    quantity share one selection: the powers s of criteria 3 and 6, and
+    criterion 5's sqrt(xi_d) reweighting of criterion 1's modes.  The tuple
+    is immutable and its NoModeErrors are only read.  Exceptions are not
+    cached, so a bad radius raises on every call.  Module constants such as
+    `modes._REFINED` are not in the key: code that patches one must call
+    `_disk_traces.cache_clear()`.
+    """
     if not (0.0 < config.radius < 1.0):
         raise ValueError("radius must lie strictly inside the disk")
     optimize = config.optimize
-    if quantity == "normal_derivative" and optimize == "restriction":
+    if derivative and optimize == "restriction":
         optimize = "normal_derivative"
     picks = [mode for mode, _ in modes_mod.select_disk_modes(
-        orders, config.target(), radius=config.radius,
+        config.orders(), config.target(), radius=config.radius,
         optimize=optimize, band=band)]
     found = [mode for mode in picks if not isinstance(mode, NoModeError)]
     n = np.array([mode.n for mode in found], dtype=np.int64)
     x = np.array([mode.lam for mode in found]) * config.radius
-    if quantity == "normal_derivative":
+    if derivative:
         # restrict_disk_normal_derivative: c J_n'(x) = c (J_{n-1} - (n/x) J_n)
         jm1, jn = specfun.bessel_j_pair(n, x)
         j = jm1 - (n / x) * jn
@@ -195,9 +226,9 @@ def _disk_traces(config: SweepConfig, orders: list[int], quantity: str,
         j = specfun.bessel_j(n, x)      # restrict_disk: c J_n(x)
     amps = iter((np.array([mode.normalization for mode in found]) * j)
                 .tolist())
-    return [mode if isinstance(mode, NoModeError)
-            else (mode.lam, mode.n, config.radius, next(amps))
-            for mode in picks]
+    return tuple(mode if isinstance(mode, NoModeError)
+                 else (mode.lam, mode.n, config.radius, next(amps))
+                 for mode in picks)
 
 
 def _sphere_trace(l: int, target: ScaleTarget):
@@ -220,7 +251,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
 
     orders = config.orders()
     if config.kind == "disk":
-        traces = _disk_traces(config, orders, quantity, band)
+        traces = _disk_traces(config, quantity == "normal_derivative", band)
     elif config.kind == "sphere":
         traces = [_sphere_trace(n, config.target()) for n in orders]
     else:

@@ -88,6 +88,7 @@ def test_manifest_lists_skipped_orders(tmp_path, capsys):
     from glancelab.weights import BandSpec
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=20000,
                          points=6)
+    ex._disk_traces.cache_clear()   # select again, not read the CLI's picks
     res = ex.sharpness_sweep(cfg, s=0.0, band=BandSpec(0.3, 0.6))
     assert [list(p) for p in res.skipped] == doc["skipped_orders"]
     assert Path(out + ".csv").read_text() == io.sweep_to_csv_text(res)
@@ -163,6 +164,25 @@ def test_fit_rejects_nan_cell(tmp_path, capsys):
                              "--y", "y", "--drop-low", "0")
     assert code == 2 and "finite" in err
     assert "NaN" not in stdout
+
+
+@pytest.mark.parametrize("drop", ["-0.5", "-1", "1", "1.5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["fit", "plot"])
+def test_drop_low_outside_unit_interval_is_config_error(tmp_path, capsys,
+                                                        command, drop):
+    # unchecked, -0.5 would fit the last 12 of the 24 rows and -1 every row
+    csv = tmp_path / "t.csv"
+    csv.write_text("n,amplitude\n" + "".join(f"{n},{n ** 0.125!r}\n"
+                                             for n in range(100, 2500, 100)))
+    out = str(tmp_path / "fig")
+    argv = [command, "--in", str(csv), "--x", "n", "--y", "amplitude",
+            "--drop-low", drop]
+    code, stdout, err = _run(capsys, *argv,
+                             *(["--out", out] if command == "plot" else []))
+    assert code == 1 and stdout == ""
+    assert err == (f"glancelab: error: drop_low must lie in [0, 1), "
+                   f"got {float(drop)}\n")
+    assert not os.path.exists(out + ".svg")
 
 
 def test_plot_writes_svg_with_input_hash(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the scaling experiments and the exponent fitter."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -73,6 +74,16 @@ def test_fit_validation_errors():
     for bad in (math.nan, math.inf):
         with pytest.raises(ex.FitError, match="finite"):
             ex.fit_exponent([1, 2, 3, 4], [1, bad, 3, 4], drop_low=0.0)
+
+
+@pytest.mark.parametrize("drop_low", [-0.5, -1.0, 1.0, 1.5, math.nan,
+                                      math.inf])
+def test_fit_rejects_drop_low_outside_unit_interval(drop_low):
+    # unchecked, a negative fraction would keep the last rows (-0.5) or all
+    # of them (-1), and nan would fail inside math.floor
+    x = np.geomspace(1.0, 1e3, 24)
+    with pytest.raises(ValueError, match=r"drop_low must lie in \[0, 1\)"):
+        ex.fit_exponent(x, x ** 0.5, drop_low=drop_low)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +231,101 @@ def test_normal_derivative_uses_derivative_trace():
                                            optimize="normal_derivative")
     amp = mode.normalization * specfun.bessel_j_prime(mode.n, mode.lam * 0.5)
     assert row.amplitude == pytest.approx(abs(amp))
+
+
+# ----------------------------------------------------------------------
+# the per-process memo of disk traces
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_traces():
+    """An empty disk-trace cache, emptied again afterwards."""
+    ex._disk_traces.cache_clear()
+    yield ex._disk_traces.cache_info
+    ex._disk_traces.cache_clear()
+
+
+def _criteria_sweeps():
+    """(label, run) of the ten sweeps of criteria 1, 3, 5 and 6 on a small
+    grid: four distinct selections, as in the acceptance gate."""
+    grid = dict(n_lo=1000, n_hi=20000, points=6)
+    cfg = {a: ex.SweepConfig(kind="disk", alpha=a, **grid) for a in (0.3, 0.5)}
+    band = BandSpec(0.3, 0.6)
+    return (
+        [(f"amplitude-a{a}", lambda a=a: ex.amplitude_sweep(cfg[a]))
+         for a in (0.3, 0.5)]
+        + [(f"band-s{s}",
+            lambda s=s: ex.sharpness_sweep(cfg[0.5], s=s, band=band))
+           for s in (0.0, 0.1, 0.25, 0.4)]
+        + [(f"normal-a{a}", lambda a=a: ex.normal_band_check(cfg[a]))
+           for a in (0.3, 0.5)]
+        + [(f"derivative-s{s}",
+            lambda s=s: ex.normal_derivative_sweep(cfg[0.5], s=s))
+           for s in (0.25, 0.4)])
+
+
+@pytest.mark.parametrize("order", [range(10), [9, 5, 2, 7, 0, 3, 8, 1, 6, 4]])
+def test_shared_traces_give_the_same_sweeps(fresh_traces, order):
+    sweeps = _criteria_sweeps()
+    got = {}
+    for i in order:
+        label, run = sweeps[i]
+        res = run()
+        got[label] = (io.sweep_to_csv_text(res), res.skipped)
+    info = fresh_traces()
+    assert (info.misses, info.hits, info.currsize) == (4, 6, 4)
+    for label, run in sweeps:
+        ex._disk_traces.cache_clear()
+        res = run()
+        assert (io.sweep_to_csv_text(res), res.skipped) == got[label], label
+
+
+def test_every_key_field_misses(fresh_traces):
+    base = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
+                          points=2)
+    first = ex._disk_traces(base, False, None)
+    assert isinstance(first, tuple) and len(first) == 2
+    assert ex._disk_traces(base, False, None) is first
+    assert fresh_traces().hits == 1
+    keys = [(dataclasses.replace(base, **change), False, None)
+            for change in (dict(n_hi=700), dict(points=3), dict(alpha=0.4),
+                           dict(offset=3.0), dict(radius=0.4),
+                           dict(optimize="first"))]
+    keys += [(base, False, BandSpec(0.1, 0.9)), (base, True, None)]
+    for k, key in enumerate(keys, start=2):
+        ex._disk_traces(*key)
+        assert (fresh_traces().misses, fresh_traces().hits) == (k, 1), key
+
+
+def test_errors_are_not_cached(fresh_traces):
+    bad_radius = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=300,
+                                points=1, radius=1.5)
+    bad_optimize = dataclasses.replace(bad_radius, radius=0.5,
+                                       optimize="largest")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="radius"):
+            ex.amplitude_sweep(bad_radius)
+        with pytest.raises(ValueError, match="optimize"):
+            ex.amplitude_sweep(bad_optimize)
+    info = fresh_traces()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 0)
+
+
+def test_mutating_a_result_leaves_later_sweeps_alone(fresh_traces):
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=20000,
+                         points=6)
+    band = BandSpec(0.3, 0.6)
+    first = ex.sharpness_sweep(cfg, s=0.0, band=band)
+    text, skipped = io.sweep_to_csv_text(first), list(first.skipped)
+    assert first.rows and skipped
+    first.rows.pop()
+    first.rows[0] = dataclasses.replace(first.rows[0], lam=1.0)
+    first.skipped.clear()
+    first.skipped.append((1, "changed"))
+    second = ex.sharpness_sweep(cfg, s=0.0, band=band)
+    assert fresh_traces().hits == 1
+    assert io.sweep_to_csv_text(second) == text
+    assert second.skipped == skipped
 
 
 # ----------------------------------------------------------------------
