@@ -346,10 +346,10 @@ def _run_selftest(vals: dict) -> int:
         print(f"glancelab: oracle failure: {exc}", file=sys.stderr)
         return _EXIT_ORACLE
     doc = {
-        "all_passed": bool(report.all_passed),
-        "elapsed_seconds": round(float(report.elapsed), 3),
-        "checks": [{"name": c.name, "passed": bool(c.passed),
-                    "worst": float(c.worst), "detail": c.detail}
+        "all_passed": report.all_passed,
+        "elapsed_seconds": round(report.elapsed, 3),
+        "checks": [{"name": c.name, "passed": c.passed,
+                    "worst": c.worst, "detail": c.detail}
                    for c in report.checks],
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -218,12 +218,8 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     found = [mode for mode in picks if not isinstance(mode, NoModeError)]
     n = np.array([mode.n for mode in found], dtype=np.int64)
     x = np.array([mode.lam for mode in found]) * config.radius
-    if derivative:
-        # restrict_disk_normal_derivative: c J_n'(x) = c (J_{n-1} - (n/x) J_n)
-        jm1, jn = specfun.bessel_j_pair(n, x)
-        j = jm1 - (n / x) * jn
-    else:
-        j = specfun.bessel_j(n, x)      # restrict_disk: c J_n(x)
+    # restrict_disk_normal_derivative: c J_n'(x); restrict_disk: c J_n(x)
+    j = (specfun.bessel_j_prime if derivative else specfun.bessel_j)(n, x)
     amps = iter((np.array([mode.normalization for mode in found]) * j)
                 .tolist())
     return tuple(mode if isinstance(mode, NoModeError)

@@ -121,22 +121,25 @@ class SphereMode:
 # ----------------------------------------------------------------------
 
 def disk_mode(n: int, m: int) -> DiskMode:
-    """The disk eigenmode with angular order n and m-th radial eigenvalue.
-
-    The L2(disk) normalization is c = 1/(sqrt(pi) |J_{n+1}(lam)|), from
-    int_0^1 J_n(lam r)^2 r dr = J_{n+1}(lam)^2 / 2 at a zero of J_n.
-    """
+    """The disk eigenmode with angular order n and m-th radial eigenvalue,
+    normalized by :func:`_normalizations`."""
     lam = specfun.bessel_zero(n, m)
-    return _mode_at_zero(n, lam)
+    [norm] = _normalizations(np.array([n]), np.array([lam]))
+    if not norm:
+        raise NoModeError(f"degenerate normalization at (n={n}, lam={lam})")
+    return DiskMode(n=n, lam=lam, normalization=norm)
 
 
-def _mode_at_zero(n: int, lam: float) -> DiskMode:
+def _normalizations(n: np.ndarray, lam: np.ndarray) -> list[float]:
+    """The L2(disk) normalizations c = 1/(sqrt(pi) |J_{n+1}(lam)|) of the
+    modes at the zeros lam of J_n (arrays alike), from
+    int_0^1 J_n(lam r)^2 r dr = J_{n+1}(lam)^2 / 2 at a zero of J_n; 0.0
+    where J_{n+1}(lam) vanishes, which leaves no mode."""
     jm1, jn = specfun.bessel_j_pair(n, lam)
     # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
-    jnp1 = (2.0 * n / lam) * jn - jm1      # for n = 0, jm1 = -J_1
-    if jnp1 == 0.0:
-        raise NoModeError(f"degenerate normalization at (n={n}, lam={lam})")
-    return DiskMode(n=n, lam=lam, normalization=1.0 / (math.sqrt(math.pi) * abs(jnp1)))
+    jnp1 = np.abs((2.0 * n / lam) * jn - jm1)      # for n = 0, jm1 = -J_1
+    return np.divide(1.0, math.sqrt(math.pi) * jnp1, out=np.zeros_like(jnp1),
+                     where=jnp1 != 0.0).tolist()
 
 
 def restrict_disk(mode: DiskMode, radius: float) -> float:
@@ -182,7 +185,7 @@ def _phase_model(n, lam: np.ndarray, radius: float) -> np.ndarray:
     Phi = n g(w) - pi/4, w = lam radius / n;
     |J_n| ~ envelope * |cos Phi|.
     """
-    return n * specfun.phase_integrals(lam * radius / n) - 0.25 * math.pi
+    return n * specfun.phase_integral(lam * radius / n) - 0.25 * math.pi
 
 
 @dataclass
@@ -271,7 +274,7 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     # re-verified after refinement
     seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
     k, m = specfun.bessel_zero_candidate_ranges(ns, seed_lo, seed_hi)
-    lam_seed = specfun.bessel_zero_seeds(ns[k], m)
+    lam_seed = specfun.bessel_zero_seed(ns[k], m)
     keep = (seed_lo[k] <= lam_seed) & (lam_seed <= seed_hi[k])
     candidates = np.bincount(k[keep], minlength=ns.size)
     if band is not None:
@@ -301,7 +304,7 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
         """(positions, lam, quality) of the admissible zeros among the
         candidates at positions sel."""
         sel = np.flatnonzero(sel)
-        lam = specfun.bessel_zeros(ns[k[sel]], m[sel])
+        lam = specfun.bessel_zero(ns[k[sel]], m[sel])
         ok = (lam_lo[k[sel]] <= lam) & (lam <= lam_hi[k[sel]])
         if band is not None:
             h = 1.0 / lam
@@ -310,10 +313,9 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
         sel, lam = sel[ok], lam[ok]
         if optimize == "first":
             return sel, lam, -lam
-        n, x = ns[k[sel]], lam * radius
-        jm1, jn = specfun.bessel_j_pair(n, x)
-        return sel, lam, np.abs(jn if optimize == "restriction"
-                                else jm1 - (n / x) * jn)
+        trace = (specfun.bessel_j if optimize == "restriction"
+                 else specfun.bessel_j_prime)
+        return sel, lam, np.abs(trace(ns[k[sel]], lam * radius))
 
     sel, lam, quality = refine(rank < _REFINED)
     # past the ranked few only when they all drifted outside on exact
@@ -339,10 +341,8 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
             best[j] = (q, z)
 
     picked = sorted(best)
-    n, lam = ns[picked], np.array([best[j][1] for j in picked])
-    jm1, jn = specfun.bessel_j_pair(n, lam)
-    # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
-    jnp1 = dict(zip(picked, ((2.0 * n / lam) * jn - jm1).tolist()))
+    norm = dict(zip(picked, _normalizations(
+        ns[picked], np.array([best[j][1] for j in picked]))))
     for j, (n, (lo, hi)) in enumerate(zip(ns.tolist(), windows)):
         if not feasible[j]:
             mode = NoModeError(
@@ -352,12 +352,11 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
             mode = NoModeError(
                 f"all candidates left the window/band after refinement "
                 f"for n={n} (window [{lo:.3f}, {hi:.3f}])")
-        elif jnp1[j] == 0.0:
+        elif not norm[j]:
             mode = NoModeError(
                 f"degenerate normalization at (n={n}, lam={best[j][1]})")
         else:
-            mode = DiskMode(n=n, lam=best[j][1], normalization=1.0 / (
-                math.sqrt(math.pi) * abs(jnp1[j])))
+            mode = DiskMode(n=n, lam=best[j][1], normalization=norm[j])
         out[live[j]] = (mode, diags[j])
     return out
 
@@ -385,7 +384,8 @@ def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:
 # ----------------------------------------------------------------------
 
 # relative distance from a window edge below which membership is decided by
-# the scalar zero; the batched zeros lie within 2 ulp of the scalar ones
+# the zero solved alone, as disk_mode solves it: a zero solved in a batch
+# can lie an ulp or two from that one
 _EDGE = 1e-12
 
 
@@ -409,13 +409,14 @@ def modes_in_frequency_windows(lam_lo, lam_hi) -> list[list[DiskMode]]:
     Every candidate (n, m) of every order n <= floor(lam_hi[i]) of every
     window comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
     each order against its own window; all of them are solved in one batched
-    Newton (:func:`specfun.bessel_zeros`) and the modes inside normalized in
+    Newton (:func:`specfun.bessel_zero`) and the modes inside normalized in
     one array pass.  A zero within 1e-12 relative of an edge of its window,
-    where the batched and the scalar Newton (a few ulp apart) could disagree
-    on membership, is kept or dropped on the value of
-    :func:`specfun.bessel_zero`, so that each window holds exactly the modes
-    of :func:`disk_mode`.  Windows may overlap; a zero in several is a mode
-    of each.
+    where its value in the batch and its value solved alone (a few ulp
+    apart) could disagree on membership, is solved again alone, by the
+    one-element case of the same Newton, and kept or dropped on that value:
+    it is the eigenvalue :func:`disk_mode` returns, so each window holds
+    exactly the modes of :func:`disk_mode`.  Windows may overlap; a zero in
+    several is a mode of each.
 
     The arrays grow with the candidates of all windows together (one order
     n of a window holds about (lam_hi - lam_lo)/pi of them), so callers
@@ -437,22 +438,19 @@ def modes_in_frequency_windows(lam_lo, lam_hi) -> list[list[DiskMode]]:
                                                 lam_hi[win])
     n, win = orders[k], win[k]
     lo, hi = lam_lo[win], lam_hi[win]
-    lam = specfun.bessel_zeros(n, m)
+    lam = specfun.bessel_zero(n, m)
     edge = np.minimum(np.abs(lam - lo), np.abs(lam - hi))
     for i in np.flatnonzero(edge <= _EDGE * lam):
         lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
     inside = (lo <= lam) & (lam <= hi)
     n, lam, win = n[inside], lam[inside], win[inside]
-    jm1, jn = specfun.bessel_j_pair(n, lam)
-    # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
-    jnp1 = (2.0 * n / lam) * jn - jm1      # for n = 0, jm1 = -J_1
-    if not jnp1.all():
-        i = np.flatnonzero(jnp1 == 0.0)[0]
+    norm = _normalizations(n, lam)
+    if not all(norm):
+        i = norm.index(0.0)
         raise NoModeError(
             f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
-    norm = 1.0 / (math.sqrt(math.pi) * np.abs(jnp1))
     found = [DiskMode(n=a, lam=b, normalization=c)
-             for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
+             for a, b, c in zip(n.tolist(), lam.tolist(), norm)]
     # the modes come ordered by (window, n, lam)
     ends = np.cumsum(np.bincount(win, minlength=lam_lo.size)).tolist()
     return [found[a:b] for a, b in zip([0] + ends, ends)]

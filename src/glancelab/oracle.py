@@ -571,6 +571,11 @@ def _check(name, pairs, tol, detail=""):
     return CheckResult(name, worst <= 1.0, worst, detail)
 
 
+def _worst(got: np.ndarray, want: np.ndarray, scale: np.ndarray) -> float:
+    """The largest |got - want| / scale over arrays of results."""
+    return float(np.max(np.abs(got - want) / scale))
+
+
 def run_all() -> OracleReport:
     """Run every oracle check, cross-validating the fast specfun paths.
 
@@ -607,12 +612,10 @@ def run_all() -> OracleReport:
              (1000, 2000.0), (2000, 4000.0), (1000, 1000.0), (200, 201.0),
              # large orders near the turning point
              (20000, 20060.0), (20000, 20600.0), (100000, 100400.0)]
-    worst = 0.0
-    for n, x in cases:
-        want = bessel_series(n, x)
-        got = specfun.bessel_j(n, x)
-        scale = max(abs(want), (n + 1.0) ** (-1.0 / 3.0))
-        worst = max(worst, abs(got - want) / scale)
+    n, x = (np.array(col) for col in zip(*cases))
+    want = np.array([bessel_series(*case) for case in cases])
+    scale = np.maximum(np.abs(want), (n + 1.0) ** (-1.0 / 3.0))
+    worst = _worst(specfun.bessel_j(n, x), want, scale)
     rep.checks.append(CheckResult("specfun.bessel_j vs Miller recurrence",
                                   worst <= 1e-8, worst / 1e-8,
                                   f"{len(cases)} orders up to "
@@ -621,11 +624,11 @@ def run_all() -> OracleReport:
     # -- zero residuals -----------------------------------------------------
     zero_cases = [(0, 1), (0, 7), (5, 3), (40, 1), (300, 2), (1000, 4),
                   (1000, 218)]
-    worst = 0.0
-    for n, m in zero_cases:
-        lam = specfun.bessel_zero(n, m)
-        resid = abs(bessel_series(n, lam)) / max(abs(bessel_prime_series(n, lam)), 1e-30)
-        worst = max(worst, resid)
+    n, m = (np.array(col) for col in zip(*zero_cases))
+    worst = max(abs(bessel_series(k, lam))
+                / max(abs(bessel_prime_series(k, lam)), 1e-30)
+                for k, lam in zip(n.tolist(),
+                                  specfun.bessel_zero(n, m).tolist()))
     rep.checks.append(CheckResult("specfun.bessel_zero residuals",
                                   worst <= 1e-9, worst / 1e-9,
                                   f"{len(zero_cases)} zeros"))
@@ -633,43 +636,33 @@ def run_all() -> OracleReport:
     # -- zero-seed consistency: the Airy-transplant seed for the first zero
     # carries an O(1/n) error, so its decay exponent certifies the uniform
     # asymptotics far beyond the orders the direct oracles can reach
-    ns = np.array([100.0, 200.0, 400.0, 800.0])
-    errs = []
-    for n in ns.astype(int):
-        seed = n * specfun.z_of_zeta(n ** (-2.0 / 3.0) * specfun.airy_zero(1))
-        errs.append(abs(specfun.bessel_zero(n, 1) - seed))
+    ns = np.array([100, 200, 400, 800])
+    seeds = ns * specfun.z_of_zeta(ns ** (-2.0 / 3.0) * specfun.airy_zero(1))
+    errs = np.abs(specfun.bessel_zero(ns, 1) - seeds)
     lx = np.log(ns) - np.log(ns).mean()
     slope = float(lx @ (np.log(errs) - np.mean(np.log(errs)))) / float(lx @ lx)
     rep.checks.append(CheckResult("bessel_zero seed error decay",
                                   slope <= -0.8, 0.8 / max(-slope, 1e-12),
                                   f"log-log slope {slope:.3f} on n in "
-                                  f"[{int(ns[0])}, {int(ns[-1])}]"))
+                                  f"[{ns[0]}, {ns[-1]}]"))
 
     # -- Airy: ODE transport left of the growth barrier, contour integral right
     xs, want = airy_ode_check()
-    worst = 0.0
-    for x, w in zip(xs, want):
-        got = specfun.airy_ai(x)
-        worst = max(worst, abs(got - w) / max(abs(w), 1e-6))
+    worst = _worst(specfun.airy_ai(xs), want, np.maximum(np.abs(want), 1e-6))
     rep.checks.append(CheckResult("specfun.airy_ai vs Airy ODE",
                                   worst <= 1e-8, worst / 1e-8,
                                   f"grid [{xs[0]:.0f}, {xs[-1]:.0f}]"))
-    worst = 0.0
-    for x in (1.0, 1.5, 3.0, 4.2, 4.6, 5.5, 6.5, 7.9, 8.5, 9.5, 12.0):
-        w = airy_positive_integral(x)
-        worst = max(worst, abs(specfun.airy_ai(x) - w) / abs(w))
+    xs = np.array([1.0, 1.5, 3.0, 4.2, 4.6, 5.5, 6.5, 7.9, 8.5, 9.5, 12.0])
+    want = np.array([airy_positive_integral(x) for x in xs.tolist()])
+    worst = _worst(specfun.airy_ai(xs), want, np.abs(want))
     rep.checks.append(CheckResult("specfun.airy_ai vs contour integral",
                                   worst <= 1e-8, worst / 1e-8,
                                   "positive axis through the transport region"))
 
-    # -- turning-point map by ODE -------------------------------------------
+    # -- turning-point map by ODE, and the frozen anchor z(zeta) = 2 ---------
     zetas, zs = olver_ode_check()
-    worst = 0.0
-    for zeta, z in zip(zetas, zs):
-        got = specfun.z_of_zeta(zeta)
-        worst = max(worst, abs(got - z) / abs(z))
-    anchor = abs(specfun.z_of_zeta(-1.01810488856711602) - 2.0) / 2.0
-    worst = max(worst, anchor)
+    zetas, zs = np.append(zetas, -1.01810488856711602), np.append(zs, 2.0)
+    worst = _worst(specfun.z_of_zeta(zetas), zs, np.abs(zs))
     rep.checks.append(CheckResult("specfun.z_of_zeta vs turning-point ODE",
                                   worst <= 1e-9, worst / 1e-9,
                                   "incl. frozen anchor z(zeta)=2"))
@@ -688,10 +681,10 @@ def run_all() -> OracleReport:
 
     # -- disk normalization by quadrature ------------------------------------
     quad_cases = [(0, 1), (4, 3), (25, 2)]
+    n, m = (np.array(col) for col in zip(*quad_cases))
     worst = 0.0
-    for n, m in quad_cases:
-        lam = specfun.bessel_zero(n, m)
-        got, closed = disk_quadrature_norm(n, lam)
+    for k, lam in zip(n.tolist(), specfun.bessel_zero(n, m).tolist()):
+        got, closed = disk_quadrature_norm(k, lam)
         worst = max(worst, abs(got - closed) / closed)
     rep.checks.append(CheckResult("disk norm: quadrature vs closed form",
                                   worst <= 1e-9, worst / 1e-9,

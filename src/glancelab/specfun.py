@@ -8,13 +8,21 @@ functions.
 
 Design notes
 ------------
-``bessel_j`` and ``bessel_j_pair`` dispatch through the one test ``_region``
-between three methods, each used strictly inside the region where it was
-validated against backward-recurrence oracles:
+Each function has one implementation, in numpy, over the elements of its
+arguments: they are scalars or arrays that broadcast together.  Scalars in
+give a Python float out (a tuple of two for ``bessel_j_pair``); arrays in
+give an array of the broadcast shape.  Only ``airy_zero`` (one index) and
+``legendre_equator`` (one degree and order) take scalars alone.
+
+``bessel_j`` and ``bessel_j_pair`` split their elements by the one test
+``_regions``, as masks, between three methods, each used strictly inside the
+region where it was validated against backward-recurrence oracles:
 
 - ascending power series (DLMF 10.2.2) where x <= 17 or x^2 <= 4(n+1),
+  element by element in long double;
 - forward recurrence seeded by order-0/1 Hankel expansions (DLMF 10.17.3),
-  only for orders n < N_U = 200 and x >= n - 4 n^{1/3}; it costs O(n),
+  only for orders n < N_U = 200 and x >= n - 4 n^{1/3}; one sweep over the
+  orders serves every element, so it costs O(n);
 - everywhere else Olver's uniform Airy expansion with the second-order terms
   A_1, B_0, B_1 (DLMF 10.20.4, 10.20.10-11 with the Debye polynomials of
   10.41.10), on both sides of and at the turning point.  It costs O(1) in
@@ -25,30 +33,18 @@ validated against backward-recurrence oracles:
   The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
   |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
-Both also take arrays of (n, x) and then split them by the same test, as
-masks: numpy passes of the uniform expansion and of its Airy factors, one
-forward-recurrence sweep shared by every element below N_U, and the scalar
-code for the few elements of the series region (x <= 17 among them).
-They agree with the scalar functions to 2e-14 of max(|J_n|, n^{-1/3}),
-save where numpy's arctan and math.atan round apart in the phase n g(x/n)
-above the turning point, at (x/n)^2 - 1 >= 0.04 (a quarter of a percent
-of the arguments up to x = 2.2 n): the phase then differs by about n ulp,
-which measured up to 4e-14 of that scale at n = 1e3, 2e-13 at 1e4,
-1.6e-12 at 1e5 and 7e-12 at 1e6.
-
 The Airy factors (``airy_ai``, ``airy_ai_prime``, the Newton of
 ``airy_zero`` below m = 10 and the uniform expansion) use two methods keyed
 on the one constant _AIRY_ASYMP = 8, all in float64:
 
 - |x| >= 8: the Poincare asymptotic series (DLMF 9.7.5-6, 9.7.9-10),
   truncated at their smallest term or after the first term below 1e-18;
-  the number of terms is read off the phase xi before summing, by one rule
-  for floats and arrays; relative error ~3e-15 at |x| = 8, falling further
-  out;
+  the number of terms is read off the phase xi before summing; relative
+  error ~3e-15 at |x| = 8, falling further out;
 - |x| < 8: Taylor transport from correctly rounded (Ai, Ai') at +8 for
   x >= 0, stepping left so that the growing Bi-direction error decays, and
   at -8 for x < 0, stepping right where neither solution grows.  Against
-  30-digit values the error is below 5e-16 relative on [0, 8) and below
+  30-digit values the error is below 1.3e-15 relative on [0, 8) and below
   1e-14 of the local amplitude (Ai^2 + Bi^2)^{1/2} on (-8, 0).
 
 Accuracy target, validated by the oracle battery: relative error below 1e-8
@@ -59,22 +55,16 @@ Orders up to 1e6 are certified: the oracle battery reaches 1e5, and the
 tests compare with frozen Miller-recurrence values at n = 1e5 and 1e6.
 
 Zeros of J_n: ``bessel_zero_seed`` (Airy-zero transplantation for n >= 1,
-McMahon for n = 0), its array form ``bessel_zero_seeds`` (any orders and
-indices in one numpy pass, within a few ulp of the scalar seed),
-``bessel_zero_candidates`` (one order) and ``bessel_zero_candidate_ranges``
-(any orders, each with its own window, from one array
+McMahon for n = 0) and ``bessel_zero_candidate_ranges`` (the indices whose
+zero can lie in a window, for any orders each with its own window, from one
 ``bessel_zero_index`` call) are the only zero seeds and index ranges;
-:mod:`glancelab.modes` computes none itself.  Selection (the top few
+:mod:`glancelab.modes` computes none itself.  ``bessel_zero`` solves every
+zero it is given in one Newton on ``bessel_j_pair``; selection (the top few
 ranked candidates of every order of a sweep) and window enumeration (every
-candidate of every order of every window of an ensemble) each solve their
-zeros in one batched Newton, ``bessel_zeros``, on the array Bessel pair,
-with the bracket and stop rule of the scalar ``bessel_zero``.  The scalar
-and the array seed take the Airy zero a_m of m >= 10 from the closed form
-of DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of
-a_m, and the nine below from Newton on Ai.  The range keeps the m with
-m(lo) - E <= m <= m(hi) + E for the continuous index m(x) of
-``bessel_zero_index``; the margin E = 0.05 is over three times the measured
-overshoot e = m(j_{n,m}) - m, which lies in [7.1e-6, 0.0155].
+candidate of every order of every window of an ensemble) each make one call.
+The seed takes the Airy zero a_m of m >= 10 from the closed form of
+DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of a_m,
+and the nine below from Newton on Ai.
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -82,7 +72,6 @@ independent checks live in :mod:`glancelab.oracle`.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -91,6 +80,26 @@ import numpy as np
 
 class NumericalError(Exception):
     """An iteration failed to converge or left its domain of validity."""
+
+
+def _flat(x):
+    """The elements of a scalar or array as a 1-d float array, and its
+    shape."""
+    x = np.asarray(x, dtype=float)
+    return x.ravel(), x.shape
+
+
+def _as_arrays(n, x, dtype=float):
+    """Integer orders n and arguments x broadcast together: both as 1-d
+    arrays, and their shape."""
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=dtype))
+    return n.astype(np.int64).ravel(), x.ravel(), n.shape
+
+
+def _shaped(values: np.ndarray, shape):
+    """1-d results as a Python float for scalar arguments (shape ()), else
+    as an array of the arguments' shape."""
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -140,60 +149,13 @@ def _airy_thresholds() -> tuple[tuple[float, ...], tuple[float, ...]]:
 _AIRY_RATIO, _AIRY_TINY = _airy_thresholds()
 
 
-def _airy_terms(xi):
-    """How many terms k = 1..K the asymptotic series keep at phase xi: up to
-    the smallest term (optimal truncation), or up to the first term below
-    1e-18, whichever comes first.  `xi` is a float or an array.
+def _airy_terms(xi: np.ndarray) -> np.ndarray:
+    """How many terms k = 1..K the asymptotic series keep at each phase of
+    the array xi: up to the smallest term (optimal truncation), or up to
+    the first term below 1e-18, whichever comes first.
     """
-    if isinstance(xi, np.ndarray):
-        return np.minimum(np.searchsorted(_AIRY_RATIO, xi),
-                          np.searchsorted(_AIRY_TINY, -xi, side="right") + 1)
-    # k is the first term below 1e-18 (40 if none up to k = 39, which
-    # leaves xi <= 19.3 < the ratio at 40); the terms fall at least that
-    # far when the ratio at k is below xi, else they stop falling first
-    k = bisect.bisect_right(_AIRY_TINY, -xi) + 1
-    if _AIRY_RATIO[k - 1] < xi:
-        return k
-    return bisect.bisect_left(_AIRY_RATIO, xi)
-
-
-def _airy_asymp_pos(x: float) -> tuple[float, float]:
-    """(Ai, Ai') for large positive x (DLMF 9.7.5-9.7.6)."""
-    xi = (2.0 / 3.0) * x ** 1.5
-    inv = 1.0 / xi
-    su = sv = 1.0       # the k = 0 terms
-    scale = 1.0
-    for uk, vk in _AIRY_UV_POS[:_airy_terms(xi)]:
-        scale *= inv
-        su += uk * scale
-        sv += vk * scale
-    pref = math.exp(-xi) / (2.0 * math.sqrt(math.pi))
-    ai = pref * x ** -0.25 * su
-    aip = -pref * x ** 0.25 * sv
-    return ai, aip
-
-
-def _airy_asymp_neg(x: float, xi: float) -> tuple[float, float]:
-    """(Ai, Ai') at -x for large positive x (DLMF 9.7.9-9.7.10), given the
-    phase xi = (2/3) x^{3/2}."""
-    inv = 1.0 / xi
-    ce = se = 1.0   # even-index sums (u, v), from the k = 0 terms
-    co = so = 0.0   # odd-index sums
-    scale = 1.0
-    for odd, uk, vk in _AIRY_UV_NEG[:_airy_terms(xi)]:
-        scale *= inv
-        if odd:
-            co += uk * scale
-            so += vk * scale
-        else:
-            ce += uk * scale
-            se += vk * scale
-    w = xi - 0.25 * math.pi
-    cw, sw = math.cos(w), math.sin(w)
-    pref = 1.0 / math.sqrt(math.pi)
-    ai = pref * x ** -0.25 * (cw * ce + sw * co)
-    aip = pref * x ** 0.25 * (sw * se - cw * so)
-    return ai, aip
+    return np.minimum(np.searchsorted(_AIRY_RATIO, xi),
+                      np.searchsorted(_AIRY_TINY, -xi, side="right") + 1)
 
 
 @functools.cache
@@ -209,10 +171,10 @@ def _airy_asymp_signed(neg: bool) -> np.ndarray:
 
 
 def _airy_asymps(x: np.ndarray, xi: np.ndarray, neg: bool):
-    """(Ai, Ai') at x (neg False) or at -x (neg True) for an array of
-    x >= 8 with phases xi = (2/3) x^{3/2}: the series of
-    :func:`_airy_asymp_pos` and :func:`_airy_asymp_neg`, each element
-    truncated by the same rule, summed as one matrix product."""
+    """(Ai, Ai') at x (neg False, DLMF 9.7.5-6) or at -x (neg True,
+    DLMF 9.7.9-10) for an array of x >= 8 with phases xi = (2/3) x^{3/2},
+    each element's series truncated by :func:`_airy_terms`, all summed as
+    one matrix product."""
     terms = _airy_terms(xi)
     k = np.arange(terms.max() + 1)
     powers = (1.0 / xi)[:, None] ** k
@@ -240,48 +202,12 @@ _AIRY_ANCHOR_NEG = (-5.27050503563862026220826757939e-2,
                     9.35560938198306551025522462133e-1)
 
 
-def _airy_transport(x: float) -> tuple[float, float]:
-    """(Ai, Ai') on (-8, 8) by Taylor transport from the anchor at +8 or -8.
-
-    For x >= 0 it starts from (Ai, Ai')(8) and steps left: the growing
-    (Bi-direction) error component decays that way, so the anchor's
-    relative accuracy survives.  For x < 0 it starts from (Ai, Ai')(-8) and
-    steps right; there neither solution grows, and the cancelling Taylor
-    terms cost a few tens of ulps of the local amplitude.  Each step is at
-    most 2 long, with 40 coefficients from
-    (k+2)(k+1) a_{k+2} = c a_k + a_{k-1} for y'' = (c + t) y.
-    """
-    if x >= 0.0:
-        c, (y, yp) = _AIRY_ASYMP, _AIRY_ANCHOR_POS
-    else:
-        c, (y, yp) = -_AIRY_ASYMP, _AIRY_ANCHOR_NEG
-    while abs(x - c) > 1e-12:
-        h = max(-2.0, min(2.0, x - c))
-        a = [y, yp, c * y / 2.0]
-        for k in range(3, 40):
-            a.append((c * a[k - 2] + a[k - 3]) / ((k - 1) * k))
-        val = der = 0.0
-        for k in range(39, 0, -1):
-            val = val * h + a[k]
-            der = der * h + k * a[k]
-        y, yp = val * h + y, der
-        c += h
-    return y, yp
-
-
-def _airy_pair(x: float) -> tuple[float, float]:
-    if x <= -_AIRY_ASYMP:
-        return _airy_asymp_neg(-x, (2.0 / 3.0) * (-x) ** 1.5)
-    if x < _AIRY_ASYMP:
-        return _airy_transport(x)
-    return _airy_asymp_pos(x)
-
-
 @functools.cache
 def _airy_taylor(c: float) -> np.ndarray:
-    """The Taylor step of :func:`_airy_transport` from c as a matrix: row k
+    """The Taylor step of :func:`_airy_transports` from c as a matrix: row k
     holds the coefficients of h^k in (y(c+h), y'(c+h)) as linear forms in
-    (y(c), y'(c)), columns (y from y, y from y', y' from y, y' from y')."""
+    (y(c), y'(c)), columns (y from y, y from y', y' from y, y' from y'),
+    from (k+2)(k+1) a_{k+2} = c a_k + a_{k-1} for y'' = (c + t) y."""
     al, be = [1.0, 0.0, c / 2.0], [0.0, 1.0, 0.0]
     for k in range(3, 40):
         al.append((c * al[k - 2] + al[k - 3]) / ((k - 1) * k))
@@ -294,12 +220,18 @@ def _airy_taylor(c: float) -> np.ndarray:
 
 
 def _airy_transports(x: np.ndarray):
-    """:func:`_airy_transport` of every element of an array in (-8, 8).
+    """(Ai, Ai') of every element of an array in (-8, 8) by Taylor
+    transport from the anchor at +8 or -8.
 
-    The elements of one side start at the same anchor and step by 2
-    together, so each step is one Taylor matrix (:func:`_airy_taylor`)
-    applied at every element's own step length h; an element that has
-    arrived steps by h = 0, which leaves it unchanged.
+    For x >= 0 it starts from (Ai, Ai')(8) and steps left: the growing
+    (Bi-direction) error component decays that way, so the anchor's
+    relative accuracy survives.  For x < 0 it starts from (Ai, Ai')(-8) and
+    steps right; there neither solution grows, and the cancelling Taylor
+    terms cost a few tens of ulps of the local amplitude.  The elements of
+    one side step by at most 2 together, so each step is one Taylor matrix
+    (:func:`_airy_taylor`, 40 coefficients) applied at every element's own
+    step length h; an element that has arrived steps by h = 0, which leaves
+    it unchanged.
     """
     ai, aip = np.empty_like(x), np.empty_like(x)
     for side, c, (y0, yp0) in ((x >= 0.0, _AIRY_ASYMP, _AIRY_ANCHOR_POS),
@@ -321,9 +253,9 @@ def _airy_transports(x: np.ndarray):
     return ai, aip
 
 
-def _airy_pairs(x: np.ndarray):
-    """(Ai, Ai') of every element of an array, by the methods of
-    :func:`_airy_pair`."""
+def _airy_pair(x: np.ndarray):
+    """(Ai, Ai') of every element of a 1-d array: the asymptotic series for
+    |x| >= 8, Taylor transport inside."""
     ai, aip = np.empty_like(x), np.empty_like(x)
     neg, pos = x <= -_AIRY_ASYMP, x >= _AIRY_ASYMP
     mid = ~(neg | pos)
@@ -336,21 +268,23 @@ def _airy_pairs(x: np.ndarray):
     return ai, aip
 
 
-def airy_ai(x: float) -> float:
+def airy_ai(x):
     """Airy function Ai(x) on the real line.
 
     Poincare asymptotics for |x| >= 8 (DLMF 9.7.5, 9.7.9); inside, Taylor
     transport from (Ai, Ai')(+8) leftward for x >= 0 and from (Ai, Ai')(-8)
-    rightward for x < 0, all in float64.  Relative error below 5e-16 on
+    rightward for x < 0, all in float64.  Relative error below 1.3e-15 on
     [0, 8) and ~3e-15 at x = 8; on the negative axis the error stays below
     1e-14 of the local amplitude, so it is relative only away from zeros.
     """
-    return _airy_pair(float(x))[0]
+    x, shape = _flat(x)
+    return _shaped(_airy_pair(x)[0], shape)
 
 
-def airy_ai_prime(x: float) -> float:
+def airy_ai_prime(x):
     """Derivative Ai'(x); same method regions as :func:`airy_ai`."""
-    return _airy_pair(float(x))[1]
+    x, shape = _flat(x)
+    return _shaped(_airy_pair(x)[1], shape)
 
 
 def airy_zero(m: int) -> float:
@@ -396,8 +330,8 @@ def _airy_zero_closed(m):
 def _airy_zero_newton(m: int) -> float:
     x = _airy_zero_closed(m)
     for _ in range(30):
-        ai, aip = _airy_pair(x)
-        d = ai / aip
+        ai, aip = _airy_pair(np.array([x]))
+        d = float(ai[0] / aip[0])
         x -= d
         if abs(d) < 1e-14 * abs(x):
             return x
@@ -418,22 +352,17 @@ def _maclaurin(coeffs: tuple[float, ...], t):
     return total
 
 
-def phase_integral(w: float) -> float:
+def phase_integral(w):
     """g(w) = sqrt(w^2 - 1) - arccos(1/w) for w >= 1 (DLMF 10.20.3 scaled).
 
     This is (2/3)(-zeta)^{3/2} as a function of z = w on the oscillatory
     side.  Stable near w = 1 via the odd series of t - arctan(t).
     """
-    if w < 1.0 - 1e-12:
+    w, shape = _flat(w)
+    if (w < 1.0 - 1e-12).any():
         raise ValueError("phase integral defined for w >= 1")
-    t2 = (w - 1.0) * (w + 1.0)
-    return _t_minus_atan(math.sqrt(t2), t2) if t2 > 0.0 else 0.0
-
-
-def phase_integrals(w: np.ndarray) -> np.ndarray:
-    """:func:`phase_integral` of every element of an array of w >= 1."""
-    t2 = (w - 1.0) * (w + 1.0)
-    return _t_minus_atans(np.sqrt(t2), t2)
+    t2 = np.maximum((w - 1.0) * (w + 1.0), 0.0)
+    return _shaped(_t_minus_atans(np.sqrt(t2), t2), shape)
 
 
 # t - arctan t and artanh t - t cancel for small t: a rounding of the
@@ -441,26 +370,15 @@ def phase_integrals(w: np.ndarray) -> np.ndarray:
 # the phase n g(w) of the uniform expansion multiplies it by the order.
 # Below _TAIL_SERIES they are summed as t t^2 P(t^2) from their odd series
 # t^3/3 -+ t^5/5 + ...: the 12 odd terms up to t^25 leave an error below
-# 2e-18 relative for t < 0.2, and the array and the scalar sums agree bit
-# for bit.  Above it the amplification is below 75, and numpy's arctan
-# rounds as math.atan does for all but 0.4 % of the arguments on [0.2, 0.5)
-# and 0.1 % above (1.4 % on [0.1, 0.2), which the series serves).
+# 2e-18 relative for t < 0.2.  Above it the amplification is below 75.
 _TAIL_SERIES = 0.2
 _ATAN_TAIL = tuple((-1.0) ** j / (2 * j + 3) for j in range(12))
 _ATANH_TAIL = tuple(1.0 / (2 * j + 3) for j in range(12))
 
 
-def _t_minus_atan(t: float, t2: float) -> float:
-    """t - arctan(t) given t and t2 = t^2; below t = _TAIL_SERIES, where
-    the difference cancels, by its odd series."""
-    if t >= _TAIL_SERIES:
-        return t - math.atan(t)
-    return t * t2 * _maclaurin(_ATAN_TAIL, t2)
-
-
 def _t_minus_atans(t: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """:func:`_t_minus_atan` of every element of arrays (t, t2), by the same
-    Horner sum below t = _TAIL_SERIES."""
+    """t - arctan(t) of every element of arrays (t, t2 = t^2); below
+    t = _TAIL_SERIES, where the difference cancels, by its odd series."""
     g = t - np.arctan(t)
     small = t < _TAIL_SERIES
     if small.any():
@@ -469,32 +387,26 @@ def _t_minus_atans(t: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return g
 
 
-def zeta_of_z(z: float) -> float:
+def zeta_of_z(z):
     """The uniform-asymptotic variable zeta(z) for z > 0 (DLMF 10.20.2-3).
 
     (2/3)(-zeta)^{3/2} = sqrt(z^2-1) - arccos(1/z)          for z >= 1,
     (2/3) zeta^{3/2}   = log((1 + sqrt(1-z^2))/z) - sqrt(1-z^2)  for z <= 1.
     """
-    if z <= 0.0:
+    z, shape = _flat(z)
+    if (z <= 0.0).any():
         raise ValueError("zeta_of_z needs z > 0")
-    if z >= 1.0:
-        w = phase_integral(z)
-        return -(1.5 * w) ** (2.0 / 3.0)
-    s2 = (1.0 - z) * (1.0 + z)
-    s = math.sqrt(s2)
-    # log((1+s)/z) - s = artanh(s) - s, by its odd series where it cancels
-    w = s * s2 * _maclaurin(_ATANH_TAIL, s2) if s < _TAIL_SERIES \
-        else math.log((1.0 + s) / z) - s
-    return (1.5 * w) ** (2.0 / 3.0)
+    return _shaped(_zeta_and_phase(z)[0], shape)
 
 
-def _zetas_of_z(z: np.ndarray):
-    """:func:`zeta_of_z` of every element of an array of z > 0, with the
+def _zeta_and_phase(z: np.ndarray):
+    """zeta(z) of every element of an array of z > 0, with the
     w = (2/3)|zeta|^{3/2} it raises to the power 2/3; on the oscillatory
-    side w is the :func:`phase_integrals` of z, bit for bit."""
+    side w is the :func:`phase_integral` of z, bit for bit."""
     t2 = (z - 1.0) * (z + 1.0)      # z^2 - 1; -s^2 on the evanescent side
     t = np.sqrt(np.abs(t2))
     osc = t2 >= 0.0
+    # log((1+s)/z) - s = artanh(s) - s, by its odd series where it cancels
     w = np.where(osc, t - np.arctan(t), np.log((1.0 + t) / z) - t)
     for side, tail, sign in ((osc, _ATAN_TAIL, 1.0),
                              (~osc, _ATANH_TAIL, -1.0)):
@@ -505,57 +417,36 @@ def _zetas_of_z(z: np.ndarray):
     return np.where(osc, -1.0, 1.0) * (1.5 * w) ** (2.0 / 3.0), w
 
 
-def z_of_zeta(zeta: float) -> float:
+def z_of_zeta(zeta):
     """Inverse of :func:`zeta_of_z` on the oscillatory side (zeta <= 0).
 
     Solves t - arctan(t) = (2/3)(-zeta)^{3/2} by Newton in t = sqrt(z^2-1),
-    where the equation is monotone with derivative t^2/(1+t^2).
+    where the equation is monotone with derivative t^2/(1+t^2); an element
+    leaves the iteration when its step falls to 1e-15 of max(t, 1).
     """
-    if zeta > 0.0:
+    zeta, shape = _flat(zeta)
+    if (zeta > 0.0).any():
         raise ValueError("z_of_zeta implemented for zeta <= 0")
     w = (2.0 / 3.0) * (-zeta) ** 1.5
-    if w == 0.0:
-        return 1.0
-    t = (3.0 * w) ** (1.0 / 3.0) if w < 0.5 else w + 0.5 * math.pi
-    for _ in range(60):
-        t2 = t * t
-        f = _t_minus_atan(t, t2) - w
-        fp = t2 / (1.0 + t2)
-        d = f / fp
-        t -= d
-        if abs(d) <= 1e-15 * max(t, 1.0):
-            return math.sqrt(1.0 + t * t)
-    raise NumericalError(f"z_of_zeta failed at zeta = {zeta}")
-
-
-def _z_of_zeta_array(zeta: np.ndarray) -> np.ndarray:
-    """:func:`z_of_zeta` of every element of an array of zeta < 0.
-
-    The same start and the same Newton stop rule, element by element, in
-    numpy: an element leaves the iteration when it meets the rule.
-    """
-    w = (2.0 / 3.0) * (-zeta) ** 1.5
+    z = np.ones_like(w)             # z(0) = 1, the turning point
+    idx = np.flatnonzero(w != 0.0)
+    w = w[idx]
     t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
     # both starts lie below the root of the convex t - arctan(t) = w, so the
     # first step overshoots and the rest fall to the root: an element that
     # starts at t >= _TAIL_SERIES never needs the series
     small = (t < _TAIL_SERIES).any()
-    z = np.empty_like(w)
-    idx = np.arange(w.size)
     for _ in range(60):
         if not idx.size:
-            return z
+            return _shaped(z, shape)
         t2 = t * t
         g = _t_minus_atans(t, t2) if small else t - np.arctan(t)
         d = (g - w) / (t2 / (1.0 + t2))
         t = t - d
         done = np.abs(d) <= 1e-15 * np.maximum(t, 1.0)
-        if done.all():
-            z[idx] = np.sqrt(1.0 + t * t)
-            return z
-        if done.any():
-            z[idx[done]] = np.sqrt(1.0 + t[done] * t[done])
-            idx, t, w = idx[~done], t[~done], w[~done]
+        z[idx[done]] = np.sqrt(1.0 + t[done] * t[done])
+        left = ~done
+        idx, t, w = idx[left], t[left], w[left]
     raise NumericalError(f"z_of_zeta failed at zeta = {zeta[idx[0]]}")
 
 
@@ -584,58 +475,11 @@ def _bessel_series_ascending(n: int, x: float) -> float:
     return float(total) * math.exp(log_pref)
 
 
-def _hankel_pq(nu: int, x: float) -> tuple[float, float]:
-    """P and Q of the Hankel expansion for nu in {0, 1} (DLMF 10.17.3)."""
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q_ = (mu - 1.0) / (8.0 * x)
-    tp = 1.0      # |a_{2k}| x^{-2k}, currently k = 0
-    prev = 1.0
-    k = 1
-    sign = -1.0
-    while k < 40:
-        tp = tp * (mu - (4 * k - 3) ** 2) * (mu - (4 * k - 1) ** 2) \
-            / ((2 * k - 1) * 2 * k * 64.0 * x * x)
-        if abs(tp) >= prev:   # asymptotic series started to diverge
-            break
-        p += sign * tp
-        q_ += sign * tp * (mu - (4 * k + 1) ** 2) / ((2 * k + 1) * 8.0 * x)
-        prev = abs(tp)
-        if prev < 1e-19:
-            break
-        sign = -sign
-        k += 1
-    return p, q_
-
-
-def _bessel_hankel(nu: int, x: float) -> float:
-    """J_nu(x) for nu in {0, 1} and x >= 17 (DLMF 10.17.3), ~2e-15 accurate."""
-    p, q = _hankel_pq(nu, x)
-    w = x - 0.5 * nu * math.pi - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
-
-
-def _bessel_recurrence_pair(n: int, x: float) -> tuple[float, float]:
-    """(J_{n-1}, J_n) by forward recurrence from Hankel-seeded J_0, J_1.
-
-    Forward recurrence is well conditioned while the order stays below the
-    turning point; the dispatcher only calls this for x >= n - 4 n^{1/3}.
-    """
-    j_prev = _bessel_hankel(0, x)
-    if n == 0:
-        # caller wants (J_{-1}, J_0) = (-J_1, J_0)
-        return -_bessel_hankel(1, x), j_prev
-    j = _bessel_hankel(1, x)
-    two_over_x = 2.0 / x
-    for k in range(1, n):
-        j_prev, j = j, two_over_x * k * j - j_prev
-    return j_prev, j
-
-
 def _bessel_hankels(x: np.ndarray) -> np.ndarray:
-    """:func:`_bessel_hankel` of orders 0 and 1 (the two rows) at every
-    element of an array, each series of :func:`_hankel_pq` cut where the
-    scalar one is."""
+    """J_0 and J_1 (the two rows) at every element of an array of x >= 17
+    by the Hankel expansion P cos w - Q sin w (DLMF 10.17.3), ~2e-15
+    accurate; each element's series stops where its terms start to grow or
+    fall below 1e-19."""
     nu = np.array([[0.0], [1.0]])
     mu = 4.0 * nu * nu
     x = np.broadcast_to(x, (2, x.size))
@@ -662,14 +506,17 @@ def _bessel_hankels(x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_recurrence_pairs(n: np.ndarray, x: np.ndarray):
-    """:func:`_bessel_recurrence_pair` of every element of arrays (n, x).
+    """(J_{n-1}, J_n) of every element of arrays (n, x) by forward
+    recurrence from Hankel-seeded J_0, J_1.
 
-    One forward sweep over k serves all elements, with the arithmetic of
-    the scalar loop.  The elements are sorted by descending order, so that
-    those still recurring at step k are a prefix, and each leaves the sweep
-    at its own n.  Two rows hold the sweep, J_k in row k % 2: the step to
-    J_{k+1} overwrites J_{k-1} in place, and an element that has left keeps
-    its (J_{n-1}, J_n) in rows ((n - 1) % 2, n % 2).
+    Forward recurrence is well conditioned while the order stays below the
+    turning point; the dispatcher only uses it for x >= n - 4 n^{1/3}.
+    One forward sweep over k serves all elements.  The elements are sorted
+    by descending order, so that those still recurring at step k are a
+    prefix, and each leaves the sweep at its own n.  Two rows hold the
+    sweep, J_k in row k % 2: the step to J_{k+1} overwrites J_{k-1} in
+    place, and an element that has left keeps its (J_{n-1}, J_n) in rows
+    ((n - 1) % 2, n % 2).
     """
     order = np.argsort(-n, kind="stable")
     ns = n[order]
@@ -713,7 +560,7 @@ _UNIFORM_STRIP = 1.0
 
 # Maclaurin coefficients in zeta (ascending powers) of r = (zeta/(1-z^2))^{1/2}
 # and of B_0, A_1, B_1.  Derived offline in 120-digit arithmetic from the
-# closed forms in _bessel_uniform, by interpolation at Chebyshev nodes in
+# closed forms in _debye_terms, by interpolation at Chebyshev nodes in
 # |zeta| <= 0.2 (a second node set on |zeta| <= 0.3 agrees to 1e-42);
 # r(0) = 2^{-1/3}, B_0(0) = 2^{1/3}/70, A_1(0) = -1/225.
 _R_SERIES = (0.79370052598409973738, 0.25198420997897463295,
@@ -735,8 +582,8 @@ _B1_SERIES = (-0.0014928295321342917205, -0.0013940630797773654917,
 
 
 def _debye_terms(q, zeta, rz):
-    """(B_0, A_1, B_1) of :func:`_bessel_uniform` off the strip, from
-    p^2 = q, zeta and zeta^{-1/2} p = rz; floats or arrays alike."""
+    """(B_0, A_1, B_1) of :func:`_bessel_uniforms` off the strip, from
+    p^2 = q, zeta and zeta^{-1/2} p = rz."""
     iz2 = 1.0 / (zeta * zeta)
     u1 = (3.0 - 5.0 * q) / 24.0          # U_1(p) / p
     u2 = q * (81.0 - q * (462.0 - 385.0 * q)) / 1152.0
@@ -752,8 +599,9 @@ def _debye_terms(q, zeta, rz):
     return b0, a1, b1
 
 
-def _bessel_uniform(n: int, x: float) -> float:
-    """Olver's uniform expansion to second order (DLMF 10.20.4):
+def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Olver's uniform expansion to second order (DLMF 10.20.4) at every
+    element of arrays (n >= 1, x):
 
         J_n(n z) ~ (4 zeta / (1 - z^2))^{1/4}
             (Ai(n^{2/3} zeta) / n^{1/3} (1 + A_1 / n^2)
@@ -769,43 +617,19 @@ def _bessel_uniform(n: int, x: float) -> float:
     |n^{2/3} zeta| < _UNIFORM_STRIP, where those closed forms cancel, the
     Maclaurin series in zeta take over.
     """
-    z = x / n
-    zeta = zeta_of_z(z)
-    arg = n ** (2.0 / 3.0) * zeta
-    if arg <= -_AIRY_ASYMP:
-        # the Airy phase (2/3)(-arg)^{3/2} is n g(z) exactly; taken from g
-        # it skips the round trip through zeta, which costs ~n eps of phase
-        ai, aip = _airy_asymp_neg(-arg, n * phase_integral(z))
-    else:
-        ai, aip = _airy_pair(arg)
-    if abs(arg) < _UNIFORM_STRIP:
-        r = _maclaurin(_R_SERIES, zeta)
-        b0 = _maclaurin(_B0_SERIES, zeta)
-        a1 = _maclaurin(_A1_SERIES, zeta)
-        b1 = _maclaurin(_B1_SERIES, zeta)
-    else:
-        q = 1.0 / ((1.0 - z) * (1.0 + z))   # p^2
-        r = math.sqrt(zeta * q)
-        b0, a1, b1 = _debye_terms(q, zeta, r / zeta)
-    n2 = float(n) * n
-    return math.sqrt(2.0 * r) * (ai / n ** (1.0 / 3.0) * (1.0 + a1 / n2)
-                                 + aip / n ** (5.0 / 3.0) * (b0 + b1 / n2))
-
-
-def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`_bessel_uniform` of every element of arrays (n >= 1, x)."""
     n = n.astype(float)
     z = x / n
-    zeta, g = _zetas_of_z(z)
+    zeta, g = _zeta_and_phase(z)
     arg = n ** (2.0 / 3.0) * zeta
     ai, aip = np.empty_like(z), np.empty_like(z)
     far = arg <= -_AIRY_ASYMP
     if far.any():
-        # the Airy phase taken from g, as in the scalar expansion
+        # the Airy phase (2/3)(-arg)^{3/2} is n g(z) exactly; taken from g
+        # it skips the round trip through zeta, which costs ~n eps of phase
         ai[far], aip[far] = _airy_asymps(-arg[far], n[far] * g[far],
                                          neg=True)
     if not far.all():
-        ai[~far], aip[~far] = _airy_pairs(arg[~far])
+        ai[~far], aip[~far] = _airy_pair(arg[~far])
     r, b0, a1, b1 = (np.empty_like(z) for _ in range(4))
     strip = np.abs(arg) < _UNIFORM_STRIP
     if strip.any():
@@ -825,22 +649,9 @@ def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
                                + aip / n ** (5.0 / 3.0) * (b0 + b1 / n2))
 
 
-def _region(n: int, x: float) -> str:
-    """Which method serves J_n(x): "series", "recurrence" or "uniform"."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x <= 17.0 or x * x <= 4.0 * (n + 1.0):
-        return "series"
-    if n < _N_U and x >= n - 4.0 * n ** (1.0 / 3.0):
-        return "recurrence"
-    return "uniform"
-
-
 def _regions(n: np.ndarray, x: np.ndarray):
-    """:func:`_region` of every element of arrays (n, x), as the masks
-    (series, recurrence); the uniform region is the rest."""
+    """Which method serves J_n(x) at every element of arrays (n, x), as the
+    masks (series, recurrence); the uniform expansion serves the rest."""
     if n.size and (n.min() < 0 or x.min() < 0.0):
         raise ValueError("order and argument must be nonnegative")
     series = (x <= 17.0) | (x * x <= 4.0 * (n + 1.0))
@@ -848,88 +659,73 @@ def _regions(n: np.ndarray, x: np.ndarray):
     return series, recurrence
 
 
-def _as_arrays(n, x):
-    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
-    return n.astype(np.int64).ravel(), x.ravel(), n.shape
-
-
 def bessel_j(n, x):
     """Bessel function J_n(x), n >= 0, uniformly accurate in large order.
 
-    Served by the method ``_region`` picks (see the module notes); from
-    n = N_U on the cost does not grow with the order.  Given arrays (n and x
-    broadcast together), it returns the array of values, each by the method
-    of its region: numpy passes for the uniform expansion and one recurrence
-    sweep for the recurrence region, the scalar code for the series.
+    Each element is served by the method of its region (see the module
+    notes): numpy passes for the uniform expansion, one recurrence sweep
+    for the recurrence region, and the series element by element.  From
+    n = N_U on the cost does not grow with the order.
 
     Relative error below 1e-8 measured against max(|J_n(x)|, n^{-1/3});
     validated for orders up to 1e6: by the oracle battery
     (``glancelab selftest``) up to 1e5, and by frozen Miller-recurrence
     values at n = 1e5 and 1e6 in the tests.
     """
-    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
-        n, x, shape = _as_arrays(n, x)
-        series, recurrence = _regions(n, x)
-        out = np.empty_like(x)
-        if recurrence.any():
-            out[recurrence] = _bessel_recurrence_pairs(n[recurrence],
-                                                       x[recurrence])[1]
-        uniform = ~(series | recurrence)
-        if uniform.any():
-            out[uniform] = _bessel_uniforms(n[uniform], x[uniform])
-        for i in np.flatnonzero(series):
-            out[i] = _bessel_series_ascending(int(n[i]), float(x[i]))
-        return out.reshape(shape)
-    x = float(x)
-    region = _region(n, x)
-    if region == "series":
-        return _bessel_series_ascending(n, x)
-    if region == "recurrence":
-        return _bessel_recurrence_pair(n, x)[1]
-    return _bessel_uniform(n, x)
+    n, x, shape = _as_arrays(n, x)
+    series, recurrence = _regions(n, x)
+    out = np.empty_like(x)
+    if recurrence.any():
+        out[recurrence] = _bessel_recurrence_pairs(n[recurrence],
+                                                   x[recurrence])[1]
+    uniform = ~(series | recurrence)
+    if uniform.any():
+        out[uniform] = _bessel_uniforms(n[uniform], x[uniform])
+    for i in np.flatnonzero(series):
+        out[i] = _bessel_series_ascending(int(n[i]), float(x[i]))
+    return _shaped(out, shape)
 
 
 def bessel_j_pair(n, x):
-    """(J_{n-1}(x), J_n(x)), same regions and accuracy as :func:`bessel_j`.
+    """(J_{n-1}(x), J_n(x)), same regions and accuracy as :func:`bessel_j`;
+    for n = 0 the pair is (J_{-1}, J_0) = (-J_1, J_0).
 
     One recurrence pass in the recurrence region, and from N_U on two
-    uniform evaluations (orders n - 1 and n): O(1) in the order.  Arrays in
-    give a pair of arrays; elements outside those two cases (the series
-    region, and the uniform one below N_U) take the scalar code.
+    uniform evaluations (orders n - 1 and n): O(1) in the order.  Elements
+    in the series region, and in the uniform one below N_U, take
+    :func:`bessel_j` at orders |n - 1| and n.
     """
-    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
-        n, x, shape = _as_arrays(n, x)
-        series, recurrence = _regions(n, x)
-        jm1, jn = np.empty_like(x), np.empty_like(x)
-        if recurrence.any():
-            jm1[recurrence], jn[recurrence] = _bessel_recurrence_pairs(
-                n[recurrence], x[recurrence])
-        uniform = ~(series | recurrence) & (n >= _N_U)
-        if uniform.any():
-            nu, xu = n[uniform], x[uniform]
-            both = _bessel_uniforms(np.concatenate([nu - 1, nu]),
-                                    np.concatenate([xu, xu]))
-            jm1[uniform], jn[uniform] = both[:nu.size], both[nu.size:]
-        for i in np.flatnonzero(~(recurrence | uniform)):
-            jm1[i], jn[i] = bessel_j_pair(int(n[i]), float(x[i]))
-        return jm1.reshape(shape), jn.reshape(shape)
-    x = float(x)
-    region = _region(n, x)
-    if region == "recurrence":
-        return _bessel_recurrence_pair(n, x)
-    if region == "uniform" and n >= _N_U:
-        return _bessel_uniform(n - 1, x), _bessel_uniform(n, x)
-    if n == 0:
-        return -bessel_j(1, x), bessel_j(0, x)
-    return bessel_j(n - 1, x), bessel_j(n, x)
+    n, x, shape = _as_arrays(n, x)
+    series, recurrence = _regions(n, x)
+    jm1, jn = np.empty_like(x), np.empty_like(x)
+    if recurrence.any():
+        jm1[recurrence], jn[recurrence] = _bessel_recurrence_pairs(
+            n[recurrence], x[recurrence])
+    uniform = ~(series | recurrence) & (n >= _N_U)
+    if uniform.any():
+        nu, xu = n[uniform], x[uniform]
+        both = _bessel_uniforms(np.concatenate([nu - 1, nu]),
+                                np.concatenate([xu, xu]))
+        jm1[uniform], jn[uniform] = both[:nu.size], both[nu.size:]
+    rest = ~(recurrence | uniform)
+    if rest.any():
+        nr, xr = n[rest], x[rest]
+        both = bessel_j(np.concatenate([np.abs(nr - 1), nr]),
+                        np.concatenate([xr, xr]))
+        jm1[rest] = np.where(nr == 0, -both[:nr.size], both[:nr.size])
+        jn[rest] = both[nr.size:]
+    return _shaped(jm1, shape), _shaped(jn, shape)
 
 
-def bessel_j_prime(n: int, x: float) -> float:
-    """d/dx J_n(x) via J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2)."""
-    if x == 0.0:
-        return 0.5 if n == 1 else 0.0
+def bessel_j_prime(n, x):
+    """d/dx J_n(x) via J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2); at x = 0
+    the limit, 1/2 for n = 1 and 0 otherwise."""
+    n, x, shape = _as_arrays(n, x)
     jm1, jn = bessel_j_pair(n, x)   # for n = 0, jm1 is already -J_1
-    return jm1 - (n / x) * jn
+    origin = x == 0.0
+    deriv = jm1 - (n / np.where(origin, 1.0, x)) * jn
+    return _shaped(np.where(origin, np.where(n == 1, 0.5, 0.0), deriv),
+                   shape)
 
 
 # ----------------------------------------------------------------------
@@ -941,26 +737,26 @@ def bessel_zero_index(n, x):
 
     m(x) = n g(x/n)/pi + 1/4 for n >= 1 (x above the turning point),
     x/pi + 1/4 for n = 0.  Accurate to O(1/n) resp. O(1/x), monotone in x.
-    Given arrays (n and x broadcast together), the array of indices.
     """
-    if isinstance(n, np.ndarray) or isinstance(x, np.ndarray):
-        n, x = np.broadcast_arrays(n, np.asarray(x, dtype=float))
-        w = np.maximum(x / np.maximum(n, 1), 1.0)
-        return np.where(n == 0, x / math.pi + 0.25,
-                        np.where(x <= n, 0.0,
-                                 n * phase_integrals(w) / math.pi + 0.25))
-    if n == 0:
-        return x / math.pi + 0.25
-    if x <= n:
-        return 0.0
-    return n * phase_integral(x / n) / math.pi + 0.25
+    n, x, shape = _as_arrays(n, x)
+    w = np.maximum(x / np.maximum(n, 1), 1.0)
+    return _shaped(np.where(n == 0, x / math.pi + 0.25,
+                            np.where(x <= n, 0.0,
+                                     n * phase_integral(w) / math.pi + 0.25)),
+                   shape)
 
 
 _INDEX_MARGIN = 0.05
 
 
-def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
-    """Radial indices m whose zero j_{n,m} can lie in [lo, hi].
+def bessel_zero_candidate_ranges(n, lo, hi):
+    """The radial indices m whose zero j_{n,m} can lie in [lo, hi], for
+    every order of the integer array n, from one array call of
+    :func:`bessel_zero_index`.
+
+    lo and hi are numbers or arrays like n (one window per order).  Returns
+    the arrays (k, m), ordered by (k, m): the position k in n of each
+    candidate's order, and its radial index m.
 
     A zero in [lo, hi] has m(lo) <= m + e <= m(hi), where m(x) is the
     continuous index of :func:`bessel_zero_index` and e = m(j_{n,m}) - m
@@ -971,18 +767,6 @@ def bessel_zero_candidates(n: int, lo: float, hi: float) -> range:
     the margin E = _INDEX_MARGIN = 0.05, over three times the largest e.
     m(x) grows by at most 1/pi per unit of x, so a unit window leaves most
     orders an empty range.
-    """
-    return range(max(1, math.ceil(bessel_zero_index(n, lo) - _INDEX_MARGIN)),
-                 math.floor(bessel_zero_index(n, hi) + _INDEX_MARGIN) + 1)
-
-
-def bessel_zero_candidate_ranges(n, lo, hi):
-    """The ranges of :func:`bessel_zero_candidates` of every order of the
-    integer array n, from one array call of :func:`bessel_zero_index`.
-
-    lo and hi are numbers or arrays like n (one window per order).  Returns
-    the arrays (k, m), ordered by (k, m): the position k in n of each
-    candidate's order, and its radial index m.
     """
     n = np.asarray(n, dtype=np.int64)
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
@@ -997,46 +781,24 @@ def bessel_zero_candidate_ranges(n, lo, hi):
             np.repeat(first, count) + offset)
 
 
-def bessel_zero_seed(n: int, m: int) -> float:
+def bessel_zero_seed(n, m):
     """Asymptotic estimate of the m-th positive zero of J_n (m >= 1).
 
     Airy-zero transplantation j_{n,m} ~ n z(n^{-2/3} a_m) for n >= 1
     (DLMF 10.21.41 leading term), McMahon's expansion for n = 0
-    (DLMF 10.21.19).
+    (DLMF 10.21.19).  The Airy zeros of m >= 10 come from their closed
+    form, the few below from the memoised Newton of :func:`airy_zero`.
     """
-    if m < 1:
-        raise ValueError("zero index starts at 1")
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n == 0:
-        return _mcmahon(m)
-    return n * z_of_zeta(n ** (-2.0 / 3.0) * airy_zero(m))
-
-
-def bessel_zero_seeds(n, ms) -> np.ndarray:
-    """:func:`bessel_zero_seed` for every element of the integer array `ms`
-    (each m >= 1) with the order n >= 0, one integer or an integer array of
-    the same shape, in one array pass.
-
-    McMahon's expansion for n = 0.  For n >= 1 the Airy zeros of m >= 10
-    come from their closed form in numpy, the few below from the memoised
-    Newton of :func:`airy_zero`; the transplant then runs the Newton of
-    :func:`z_of_zeta` element-wise.  numpy's vectorised pow and arctan round
-    differently from ``math``, so a seed can differ from the scalar one in
-    the last few bits.
-    """
-    m = np.asarray(ms, dtype=np.int64)
+    n, m, shape = _as_arrays(n, m, np.int64)
     if m.size and m.min() < 1:
         raise ValueError("zero index starts at 1")
-    if isinstance(n, np.ndarray):
-        if n.size and n.min() < 0:
-            raise ValueError("order must be nonnegative")
-        seeds = _transplanted_zeros(np.maximum(n, 1), m)
-        zero = n == 0
-        return np.where(zero, _mcmahon(m), seeds) if zero.any() else seeds
-    if n < 0:
+    if n.size and n.min() < 0:
         raise ValueError("order must be nonnegative")
-    return _mcmahon(m) if n == 0 else _transplanted_zeros(n, m)
+    seeds = _transplanted_zeros(np.maximum(n, 1), m)
+    zero = n == 0
+    if zero.any():
+        seeds = np.where(zero, _mcmahon(m), seeds)
+    return _shaped(seeds, shape)
 
 
 def _mcmahon(m):
@@ -1046,55 +808,29 @@ def _mcmahon(m):
     return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
 
 
-def _transplanted_zeros(n, m: np.ndarray) -> np.ndarray:
+def _transplanted_zeros(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """n z(n^{-2/3} a_m) for the orders n >= 1 and the index array m."""
     a = _airy_zero_closed(m)
     low = m < _AIRY_ZERO_CLOSED
     if low.any():
         a[low] = [_airy_zero_newton(int(k)) for k in m[low]]
-    return n * _z_of_zeta_array(n ** (-2.0 / 3.0) * a)
+    return n * z_of_zeta(n ** (-2.0 / 3.0) * a)
 
 
-def bessel_zero(n: int, m: int) -> float:
+def bessel_zero(n, m):
     """The m-th positive zero of J_n (m >= 1), to ~1e-12 relative.
 
     Newton on J_n from :func:`bessel_zero_seed`, with the derivative from
-    the recurrence pair.
+    the pair of :func:`bessel_j_pair`, over every element of (n, m) at
+    once; each element keeps its own bracket of 0.75 local zero spacings
+    around its seed, and leaves the iteration when its step falls to 1e-13
+    relative.  numpy's vectorised transcendental functions can round
+    differently with the array length, so a zero can move by an ulp with
+    the other elements of the batch.
     """
-    lam = bessel_zero_seed(n, m)
+    n, ms, shape = _as_arrays(n, m, np.int64)
+    lam = bessel_zero_seed(n, ms)
     # half the local zero spacing bounds the allowed Newton excursion
-    spacing = math.pi / math.sqrt(max(lam * lam - n * n, 1.0)) * lam if lam > n \
-        else 1.0
-    lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
-    for _ in range(40):
-        jm1, jn = bessel_j_pair(n, lam)
-        deriv = jm1 - (n / lam) * jn
-        if deriv == 0.0:
-            raise NumericalError(f"flat Newton step at zero ({n}, {m})")
-        d = jn / deriv
-        lam_new = lam - d
-        if not (lo <= lam_new <= hi):
-            lam_new = 0.5 * (lam + (hi if d < 0 else lo))
-        if abs(lam_new - lam) <= 1e-13 * lam:
-            return lam_new
-        lam = lam_new
-    raise NumericalError(f"Bessel zero ({n}, {m}) did not converge")
-
-
-def bessel_zeros(n, m) -> np.ndarray:
-    """:func:`bessel_zero` of every element of the integer arrays (n, m),
-    broadcast together, in one Newton iteration over all of them.
-
-    The seeds of :func:`bessel_zero_seeds`, then the bracket and the stop
-    rule of :func:`bessel_zero` element by element: an element leaves the
-    iteration when its step falls to 1e-13 relative.  numpy's vectorised
-    transcendental functions can round differently with the array length,
-    so a zero can move by an ulp with the other elements of the batch.
-    """
-    n, m = np.broadcast_arrays(np.asarray(n, dtype=np.int64),
-                               np.asarray(m, dtype=np.int64))
-    n, ms = n.ravel(), m.ravel()
-    lam = bessel_zero_seeds(n, ms)
     spacing = np.where(lam > n, math.pi / np.sqrt(
         np.maximum(lam * lam - n * n, 1.0)) * lam, 1.0)
     lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
@@ -1102,7 +838,7 @@ def bessel_zeros(n, m) -> np.ndarray:
     idx = np.arange(lam.size)
     for _ in range(40):
         if not idx.size:
-            return out.reshape(m.shape)
+            return _shaped(out, shape)
         jm1, jn = bessel_j_pair(n, lam)
         deriv = jm1 - (n / lam) * jn
         if not deriv.all():

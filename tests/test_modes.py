@@ -115,9 +115,8 @@ class TestSelection:
             mode = modes.select_disk_mode_at_scale(n, t, optimize="restriction")
         except NoModeError:
             m = max(1, round(specfun.bessel_zero_index(n, lo)))
-            zeros = [specfun.bessel_zero(n, mm)
-                     for mm in range(max(1, m - 2), m + 4)]
-            assert not any(lo <= z <= hi for z in zeros)
+            zeros = specfun.bessel_zero(n, np.arange(max(1, m - 2), m + 4))
+            assert not ((lo <= zeros) & (zeros <= hi)).any()
             return
         assert lo <= mode.lam <= hi
         assert mode.n == n
@@ -196,16 +195,18 @@ class TestSelection:
     ])
     def test_array_screen_matches_scalar_loop(self, alpha, optimize, band):
         # the seed, window, band and phase screens of one order, redone one
-        # candidate at a time with the scalar seed, as the reference for the
-        # array pass: same counts, and the refined m in ranked order
+        # candidate at a time on the seeds of the order's candidates, as the
+        # reference for the array pass: same counts, and the refined m in
+        # ranked order
         spec = BandSpec(*band) if band else None
         t = ScaleTarget(alpha=alpha)
         for n in np.geomspace(1000, 100000, 9).astype(int).tolist():
             lo, hi = t.disk_window(n)
             spacing = math.pi * lo / math.sqrt(lo * lo - n * n)
             slo, shi = lo - 0.6 * spacing, hi + 0.6 * spacing
-            seeds = [(m, specfun.bessel_zero_seed(n, m))
-                     for m in specfun.bessel_zero_candidates(n, slo, shi)]
+            ms = specfun.bessel_zero_candidate_ranges([n], slo, shi)[1]
+            seeds = list(zip(ms.tolist(),
+                             specfun.bessel_zero_seed(n, ms).tolist()))
             inside = [(m, s) for m, s in seeds if slo <= s <= shi]
             if spec is not None:
                 inside = [(m, s) for m, s in inside
@@ -216,9 +217,11 @@ class TestSelection:
                 ranked = [m for m, _ in sorted(inside, key=lambda c: c[1])]
             else:
                 trig = math.cos if optimize == "restriction" else math.sin
+                g = specfun.phase_integral(
+                    np.array([0.5 * s / n for _, s in inside]))
+                phase = dict(zip((m for m, _ in inside), g.tolist()))
                 ranked = sorted((m for m, _ in inside), key=lambda m: -abs(
-                    trig(n * specfun.phase_integral(0.5 * dict(inside)[m] / n)
-                         - 0.25 * math.pi)))
+                    trig(n * phase[m] - 0.25 * math.pi)))
             try:
                 _, diag = modes.select_disk_mode_at_scale(
                     n, t, optimize=optimize, band=spec, with_diagnostics=True)
@@ -238,72 +241,100 @@ class TestSelection:
             modes.select_disk_mode_at_scale(0, t)
 
 
-def _select_one_by_one(n, target, radius=0.5, optimize="first", band=None):
-    """The selection of one order as it stood before the orders of a sweep
+def _norms(n, lam):
+    """1/(sqrt(pi) |J_{n+1}(lam)|) at zeros lam of J_n, with
+    J_{n+1} = (2n/lam) J_n - J_{n-1}, in one array call."""
+    jm1, jn = specfun.bessel_j_pair(n, lam)
+    return (1.0 / (math.sqrt(math.pi) * np.abs((2.0 * n / lam) * jn - jm1))
+            ).tolist()
+
+
+def _select_one_by_one(orders, target, radius=0.5, optimize="first",
+                       band=None):
+    """The selection of each order as it stood before the orders of a sweep
     were batched: array seeds and ranking of the order's candidates, then
-    the ranked few solved and scored one at a time with the scalar zero and
-    Bessel functions.  The reference for select_disk_modes; also returns
-    whether the refinement went past the ranked few."""
-    lam_lo, lam_hi = target.disk_window(n)
-    diag = modes.SelectionDiagnostics(ranking=optimize)
-    spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n, 1.0))
-    seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
-    indices = specfun.bessel_zero_candidates(n, seed_lo, seed_hi)
-    ms = np.arange(indices.start, indices.stop)
-    lam_seed = specfun.bessel_zero_seeds(n, ms)
-    inside = (seed_lo <= lam_seed) & (lam_seed <= seed_hi)
-    ms, lam_seed = ms[inside], lam_seed[inside]
-    diag.candidates = diag.band_feasible = ms.size
-    if band is not None:
-        h = 1.0 / lam_seed
-        sigma = 1.0 - (n / (lam_seed * radius)) ** 2
-        feasible = ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
-                    & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
-        ms, lam_seed = ms[feasible], lam_seed[feasible]
-        diag.band_feasible = ms.size
-    if not ms.size:
-        raise NoModeError(
-            f"no {'band-feasible ' if band is not None else ''}eigenvalue in "
-            f"window [{lam_lo:.3f}, {lam_hi:.3f}] for n={n}")
-    if optimize == "first":
-        score = -lam_seed
-    else:
-        score = np.full(ms.size, -1.0)
-        osc = lam_seed * radius > n
-        phi = modes._phase_model(n, lam_seed[osc], radius)
-        score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
-                            else np.sin(phi))
-    ranked = ms[np.argsort(-score, kind="stable")].tolist()
-    best, second = None, False
-    for i, m in enumerate(ranked):
-        if i == modes._REFINED:
-            if best is not None:
-                break
-            second = True
-        lam = specfun.bessel_zero(n, m)
-        if not (lam_lo <= lam <= lam_hi):
-            continue
+    the ranked candidates walked one at a time, the first few and, only
+    when none of those is admissible, the rest.  The walk reads every
+    candidate's zero, quality and normalization from one array call each
+    over all candidates of all orders.  The reference for
+    select_disk_modes: per order, (mode, diagnostics, whether the walk went
+    past the ranked few), or the NoModeError with its diagnostics."""
+    ranked_lists, out = [], []
+    for n in orders:
+        lam_lo, lam_hi = target.disk_window(n)
+        diag = modes.SelectionDiagnostics(ranking=optimize)
+        out.append((lam_lo, lam_hi, diag))
+        spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n,
+                                                   1.0))
+        seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
+        ms = specfun.bessel_zero_candidate_ranges([n], seed_lo, seed_hi)[1]
+        lam_seed = specfun.bessel_zero_seed(n, ms)
+        inside = (seed_lo <= lam_seed) & (lam_seed <= seed_hi)
+        ms, lam_seed = ms[inside], lam_seed[inside]
+        diag.candidates = diag.band_feasible = ms.size
         if band is not None:
-            h = 1.0 / lam
-            sigma = 1.0 - (n / (lam * radius)) ** 2
-            if not (h ** band.rho2 <= sigma <= h ** band.rho1):
-                continue
-        diag.refined += 1
-        mode = modes._mode_at_zero(n, lam)
+            h = 1.0 / lam_seed
+            sigma = 1.0 - (n / (lam_seed * radius)) ** 2
+            feasible = ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
+                        & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
+            ms, lam_seed = ms[feasible], lam_seed[feasible]
+            diag.band_feasible = ms.size
         if optimize == "first":
-            quality = -lam
-        elif optimize == "restriction":
-            quality = abs(specfun.bessel_j(n, lam * radius))
+            score = -lam_seed
         else:
-            quality = abs(specfun.bessel_j_prime(n, lam * radius))
-        diag.scores.append((m, quality))
-        if best is None or quality > best[0]:
-            best = (quality, mode)
-    if best is None:
-        raise NoModeError(
-            f"all candidates left the window/band after refinement "
-            f"for n={n} (window [{lam_lo:.3f}, {lam_hi:.3f}])")
-    return best[1], diag, second
+            score = np.full(ms.size, -1.0)
+            osc = lam_seed * radius > n
+            phi = modes._phase_model(n, lam_seed[osc], radius)
+            score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
+                                else np.sin(phi))
+        ranked_lists.append(ms[np.argsort(-score, kind="stable")].tolist())
+
+    n_all = np.repeat(orders, [len(r) for r in ranked_lists])
+    lam_all = specfun.bessel_zero(n_all, np.concatenate(
+        [np.array(r, dtype=np.int64) for r in ranked_lists]))
+    trace = (specfun.bessel_j if optimize == "restriction"
+             else specfun.bessel_j_prime)
+    quality_all = (-lam_all if optimize == "first"
+                   else np.abs(trace(n_all, lam_all * radius))).tolist()
+    norm_all = _norms(n_all, lam_all)
+    lam_all = lam_all.tolist()
+
+    picks, start = [], 0
+    for n, ranked, (lam_lo, lam_hi, diag) in zip(orders, ranked_lists, out):
+        lams = lam_all[start:start + len(ranked)]
+        solved = zip(ranked, lams, quality_all[start:], norm_all[start:])
+        start += len(ranked)
+        if not ranked:
+            picks.append((NoModeError(
+                f"no {'band-feasible ' if band is not None else ''}eigenvalue "
+                f"in window [{lam_lo:.3f}, {lam_hi:.3f}] for n={n}"), diag,
+                False))
+            continue
+        best, second = None, False
+        for i, (m, lam, quality, norm) in enumerate(solved):
+            if i == modes._REFINED:
+                if best is not None:
+                    break
+                second = True
+            if not (lam_lo <= lam <= lam_hi):
+                continue
+            if band is not None:
+                h = 1.0 / lam
+                sigma = 1.0 - (n / (lam * radius)) ** 2
+                if not (h ** band.rho2 <= sigma <= h ** band.rho1):
+                    continue
+            diag.refined += 1
+            diag.scores.append((m, quality))
+            if best is None or quality > best[0]:
+                best = (quality, DiskMode(n=n, lam=lam, normalization=norm))
+        if best is None:
+            picks.append((NoModeError(
+                f"all candidates left the window/band after refinement "
+                f"for n={n} (window [{lam_lo:.3f}, {lam_hi:.3f}])"), diag,
+                second))
+        else:
+            picks.append((best[1], diag, second))
+    return picks
 
 
 # the selections of the ten sweeps of criteria 1, 3, 5 and 6 (the benchmark's
@@ -317,11 +348,11 @@ _SWEEP_SELECTIONS = [(0.3, "restriction", None), (0.5, "restriction", None),
 _GRIDS = [(1000, 100000, 24), (200, 2000, 12)]
 
 # batched against one by one, worst on these grids (with _REFINED = 3 and
-# 1): lam 2.2e-16 relative (the batched and the scalar Newton stop an ulp
-# apart), trace amplitude 4.0e-13 (moving lam by an ulp moves J_{n-1} by up
-# to ~n eps far above the turning point), scores 2.4e-11 (the
-# "normal_derivative" scores at n = 81855 lose a further factor to the
-# cancellation in J_n' = J_{n-1} - (n/x) J_n near the turning point)
+# 1): lam and trace amplitude equal, scores 3.3e-16 relative.  The bounds
+# leave room for a zero that another batch rounds an ulp apart: moving lam
+# by an ulp moves J_{n-1} by up to ~n eps far above the turning point, and
+# the "normal_derivative" scores at n = 81855 lose a further factor to the
+# cancellation in J_n' = J_{n-1} - (n/x) J_n near the turning point
 SELECT_LAM_REL = 1e-15
 SELECT_AMP_REL = 4e-12
 SELECT_SCORE_REL = 1e-10
@@ -339,13 +370,12 @@ def _compare_with_one_by_one(alpha, optimize, band, grid):
                                     band=spec)
     assert len(picks) == len(orders)
     seconds = 0
-    for n, (mode, diag) in zip(orders, picks):
-        try:
-            want, want_diag, second = _select_one_by_one(
-                n, target, optimize=optimize, band=spec)
-        except NoModeError as exc:
+    for n, (mode, diag), (want, want_diag, second) in zip(
+            orders, picks, _select_one_by_one(orders, target,
+                                              optimize=optimize, band=spec)):
+        if isinstance(want, NoModeError):
             assert isinstance(mode, NoModeError), n
-            assert str(mode) == str(exc)
+            assert str(mode) == str(want)
             continue
         seconds += second
         assert mode.n == n
@@ -413,25 +443,28 @@ class TestSphereSelection:
 
 
 def _enumerate_wide(lam_lo, lam_hi):
-    """The modes of every zero in [lam_lo, lam_hi], solving each index by
-    the scalar bessel_zero from floor(m(lam_lo)) to ceil(m(lam_hi)) + 1
-    until the index at lam_hi falls below 1/2: the slow reference for the
-    candidate range and for the batched Newton."""
-    out = []
-    n = 0
-    while specfun.bessel_zero_index(n, lam_hi) >= 0.5:
-        for m in range(max(1, math.floor(specfun.bessel_zero_index(n, lam_lo))),
-                       math.ceil(specfun.bessel_zero_index(n, lam_hi)) + 2):
-            if lam_lo <= specfun.bessel_zero(n, m) <= lam_hi:
-                out.append(modes.disk_mode(n, m))
-        n += 1
-    return out
+    """The modes of every zero in [lam_lo, lam_hi], solving each index from
+    floor(m(lam_lo)) to ceil(m(lam_hi)) + 1 of every order n whose index at
+    lam_hi is at least 1/2, all in one bessel_zero call: the wide
+    reference for the candidate range and for the batched Newton."""
+    orders = np.arange(math.floor(lam_hi) + 2)
+    lo, hi = specfun.bessel_zero_index(orders[:, None], [lam_lo, lam_hi]).T
+    orders, lo, hi = orders[hi >= 0.5], lo[hi >= 0.5], hi[hi >= 0.5]
+    pairs = [(n, m) for n, a, b in zip(orders.tolist(), lo.tolist(),
+                                       hi.tolist())
+             for m in range(max(1, math.floor(a)), math.ceil(b) + 2)]
+    n, m = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    lam = specfun.bessel_zero(n, m)
+    inside = (lam_lo <= lam) & (lam <= lam_hi)
+    n, lam = n[inside], lam[inside]
+    return [DiskMode(n=a, lam=b, normalization=c)
+            for a, b, c in zip(n.tolist(), lam.tolist(), _norms(n, lam))]
 
 
-# the batched zeros and normalizations against the scalar ones: on the 122
-# windows Lambda in geomspace(0.3, 3000, 120), 536.54 and 1439.37 the worst
-# differences are 2.0e-15 and 1.4e-12 relative (a few ulp of lam, moving
-# J_{n-1} along its slope)
+# the zeros and normalizations of a window against the wide reference's: on
+# the 122 windows Lambda in geomspace(0.3, 3000, 120), 536.54 and 1439.37
+# they are equal; the bounds leave room for a zero that another batch
+# rounds a few ulp apart, which moves J_{n-1} along its slope
 LAM_REL = 4e-15
 NORM_REL = 4e-12
 
@@ -463,7 +496,7 @@ class TestFrequencyWindow:
         # criterion 4's windows, where zeros fall within 1e-3 of an edge
         # (j_{99,410} = 1439.3706 just below Lambda = 1439.3713), and small
         # windows that cover n = 0 and the last orders of the order range,
-        # each against the oracle's exact count and the scalar enumeration
+        # each against the oracle's exact count and the wide enumeration
         small = [0.5, 1.0, 2.5, 5.0, 6.0, 10.0, 19.75, 37.3, 99.9]
         for lam in small + list(np.geomspace(200.0, 2000.0, 8)):
             found = modes.modes_in_frequency_window(lam, lam + 1.0)
@@ -472,14 +505,14 @@ class TestFrequencyWindow:
             _assert_matches_wide(found, lam, lam + 1.0)
 
     # (445, 8) and (957, 3): zeros whose batched value is an ulp off the
-    # scalar one, so that without the scalar decision at the edges they
+    # value solved alone, so that without the re-solve at the edges they
     # would drop out of one of their windows
     @pytest.mark.parametrize("n,m", [(0, 1), (1, 1), (500, 1), (1000, 218),
                                      (40, 7), (445, 8), (957, 3)])
     def test_zero_on_window_edge(self, n, m):
-        # a zero exactly on either edge is kept, with the scalar value, and
-        # each window holds the same modes as the slow enumeration over a
-        # wide index range
+        # a zero exactly on either edge is kept, with the value solved
+        # alone, and each window holds the same modes as the enumeration
+        # over a wide index range
         j = specfun.bessel_zero(n, m)
         for lo, hi in ((j - 1.0, j), (j, j + 1.0)):
             found = modes.modes_in_frequency_window(lo, hi)
@@ -487,19 +520,14 @@ class TestFrequencyWindow:
             _assert_matches_wide(found, lo, hi)
 
     def test_solves_few_zeros_per_mode(self, monkeypatch):
-        # the elements of the batched Newton, and any scalar edge re-solve
-        batched, scalar = specfun.bessel_zeros, specfun.bessel_zero
+        # the elements of the batched Newton, and any edge re-solve
+        solve = specfun.bessel_zero
         solved = []
 
-        def counted_batch(n, m):
-            solved.append(np.size(n))
-            return batched(n, m)
-
         def counted(n, m):
-            solved.append(1)
-            return scalar(n, m)
+            solved.append(np.size(n))
+            return solve(n, m)
 
-        monkeypatch.setattr(specfun, "bessel_zeros", counted_batch)
         monkeypatch.setattr(specfun, "bessel_zero", counted)
         for lam in (200.0, 536.54, 2000.0):
             solved.clear()
@@ -521,11 +549,11 @@ class TestFrequencyWindow:
 def _enumerate_one_window(lam_lo, lam_hi):
     """The per-window enumeration that the batched one replaced: every
     candidate of the orders 0 ... floor(lam_hi) of one window, in one
-    batched Newton, with the scalar re-solve at the edges; the reference
-    for :func:`modes.modes_in_frequency_windows`."""
+    batched Newton, with each zero at an edge solved again alone; the
+    reference for :func:`modes.modes_in_frequency_windows`."""
     n, m = specfun.bessel_zero_candidate_ranges(
         np.arange(math.floor(lam_hi) + 1), lam_lo, lam_hi)
-    lam = specfun.bessel_zeros(n, m)
+    lam = specfun.bessel_zero(n, m)
     edge = np.minimum(np.abs(lam - lam_lo), np.abs(lam - lam_hi))
     for i in np.flatnonzero(edge <= modes._EDGE * lam):
         lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
@@ -581,7 +609,7 @@ class TestBatchedWindows:
     @pytest.mark.parametrize("n,m", [(445, 8), (957, 3)])
     def test_edge_zero_in_adjacent_windows(self, n, m):
         # j_{n,m} ends one window and starts the next, within one batch;
-        # both keep it with the scalar value
+        # both keep it with the value solved alone
         j = specfun.bessel_zero(n, m)
         lo, hi = np.array([j - 1.0, j]), np.array([j, j + 1.0])
         batched = modes.modes_in_frequency_windows(lo, hi)

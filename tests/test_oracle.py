@@ -341,3 +341,11 @@ class TestQuadratureNorm:
         assert closed == pytest.approx(0.5 * J1_AT_J0_ZERO_1 ** 2, rel=1e-13,
                                        abs=0.0)
         assert got == pytest.approx(closed, rel=1e-10, abs=0.0)
+
+
+class TestBattery:
+    def test_results_are_python_bool_and_float(self):
+        # `selftest` prints them as JSON, which takes no numpy scalar
+        for check in oracle.run_all().checks:
+            assert (type(check.passed), type(check.worst)) == (bool, float), \
+                check.name

@@ -1,0 +1,43 @@
+"""The shape of the package source itself, read with ``ast``.
+
+Every module-level private function of ``src/glancelab`` must have a caller
+in the package other than its own body: a helper whose callers moved to
+another code path fails here instead of lingering.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "glancelab"
+
+
+def _references(tree: ast.Module):
+    """(name, enclosing module-level definition or None) of every name and
+    attribute the module reads."""
+    for top in tree.body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_private_function_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    private = {(module, node.name) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    assert private
+    readers = {}    # name -> {(module, definition) that reads it}
+    for module, tree in trees.items():
+        for name, owner in _references(tree):
+            readers.setdefault(name, set()).add((module, owner))
+    uncalled = sorted(f"{module}.{name}" for module, name in private
+                      if not readers.get(name, set()) - {(module, name)})
+    assert not uncalled, f"private functions without a caller: {uncalled}"
