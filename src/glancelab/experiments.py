@@ -194,9 +194,9 @@ def _disk_traces(config: SweepConfig, derivative: bool,
                  band: BandSpec | None) -> tuple:
     """Per order of `config`, (lam, n, radius, trace amplitude) of the
     selected mode, or the NoModeError that skips the order: one selector
-    call, then one array call for every amplitude.  The trace is
-    c J_n'(lam r) when `derivative` is true, else c J_n(lam r), which the
-    amplitude, band and sqrt(xi_d) quantities all read.
+    call, then one array call on its columns for every amplitude.  The
+    trace is c J_n'(lam r) when `derivative` is true, else c J_n(lam r),
+    which the amplitude, band and sqrt(xi_d) quantities all read.
 
     Memoized per process on (config, derivative, band), the last
     _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
@@ -212,19 +212,18 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     optimize = config.optimize
     if derivative and optimize == "restriction":
         optimize = "normal_derivative"
-    picks = [mode for mode, _ in modes_mod.select_disk_modes(
+    picked = modes_mod.select_disk_modes(
         config.orders(), config.target(), radius=config.radius,
-        optimize=optimize, band=band)]
-    found = [mode for mode in picks if not isinstance(mode, NoModeError)]
-    n = np.array([mode.n for mode in found], dtype=np.int64)
-    x = np.array([mode.lam for mode in found]) * config.radius
+        optimize=optimize, band=band)
+    found = np.array([error is None for error in picked.error], dtype=bool)
+    n, lam = picked.n[found], picked.lam[found]
     # restrict_disk_normal_derivative: c J_n'(x); restrict_disk: c J_n(x)
-    j = (specfun.bessel_j_prime if derivative else specfun.bessel_j)(n, x)
-    amps = iter((np.array([mode.normalization for mode in found]) * j)
-                .tolist())
-    return tuple(mode if isinstance(mode, NoModeError)
-                 else (mode.lam, mode.n, config.radius, next(amps))
-                 for mode in picks)
+    j = (specfun.bessel_j_prime if derivative else specfun.bessel_j)(
+        n, lam * config.radius)
+    rows = iter(zip(lam.tolist(), n.tolist(), [config.radius] * lam.size,
+                    (picked.normalization[found] * j).tolist()))
+    return tuple(next(rows) if error is None else error
+                 for error in picked.error)
 
 
 def _sphere_trace(l: int, target: ScaleTarget):
@@ -386,11 +385,11 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
 
     The modes of consecutive windows are enumerated together, in one pass
     of :func:`modes.modes_in_frequency_windows`, and their traces taken in
-    one array call: as many windows as fit under _BATCH_ORDERS orders
-    sum(floor(Lambda + 1) + 1), which bounds the memory of a batch (the
-    default ensemble is one batch, and a window above the cap is a batch of
-    its own).  The checks and the draws then run window by window, in
-    window order.
+    one array call on its columns: as many windows as fit under
+    _BATCH_ORDERS orders sum(floor(Lambda + 1) + 1), which bounds the memory
+    of a batch (the default ensemble is one batch, and a window above the
+    cap is a batch of its own).  The checks and the draws then run window
+    by window, in window order.
     """
     if windows < 1 or trials < 1:
         raise ValueError("need at least one window and one trial")
@@ -403,17 +402,15 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
 
     rows = []
     for group in _window_groups(lams):
-        found = modes_mod.modes_in_frequency_windows(lams[group],
-                                                     lams[group] + 1.0)
-        every = [m for window in found for m in window]
-        n_all = np.array([m.n for m in every], dtype=np.int64)
-        freqs = np.array([m.lam for m in every])
-        norms = np.array([m.normalization for m in every])
-        # restrict_disk and DiskMode.sigma of every mode of the group, in one
-        # array pass
+        edges = lams[group]
+        win, n_all, freqs, norms = modes_mod.modes_in_frequency_windows(
+            edges, edges + 1.0)
+        # the trace amplitude c J_n(lam r) and the glancing distance
+        # 1 - (n / (lam r))^2 of every mode of the group, in one array pass
         amp_all = norms * specfun.bessel_j(n_all, freqs * radius)
         sigma_all = 1.0 - (n_all / (freqs * radius)) ** 2
-        ends = np.cumsum([len(window) for window in found]).tolist()
+        # the modes come ordered by window
+        ends = np.cumsum(np.bincount(win, minlength=edges.size)).tolist()
         for wi, a, b in zip(range(windows)[group], [0] + ends, ends):
             lam = lams[wi]
             if a == b:

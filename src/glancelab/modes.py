@@ -36,12 +36,16 @@ windows together, of which ``modes_in_frequency_window`` is the one-window
 case.  Its arrays grow with the windows it is given, so its callers bound
 the batch (``experiments.quasimode_boundedness`` by a fixed cap on the
 orders of the windows batched together).
+
+Both batched functions return their modes as columns of n, lam and
+normalization; ``DiskMode`` is the one-mode view of the other functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,13 +128,13 @@ def disk_mode(n: int, m: int) -> DiskMode:
     """The disk eigenmode with angular order n and m-th radial eigenvalue,
     normalized by :func:`_normalizations`."""
     lam = specfun.bessel_zero(n, m)
-    [norm] = _normalizations(np.array([n]), np.array([lam]))
+    norm = float(_normalizations(np.array([n]), np.array([lam]))[0])
     if not norm:
         raise NoModeError(f"degenerate normalization at (n={n}, lam={lam})")
     return DiskMode(n=n, lam=lam, normalization=norm)
 
 
-def _normalizations(n: np.ndarray, lam: np.ndarray) -> list[float]:
+def _normalizations(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The L2(disk) normalizations c = 1/(sqrt(pi) |J_{n+1}(lam)|) of the
     modes at the zeros lam of J_n (arrays alike), from
     int_0^1 J_n(lam r)^2 r dr = J_{n+1}(lam)^2 / 2 at a zero of J_n; 0.0
@@ -139,7 +143,7 @@ def _normalizations(n: np.ndarray, lam: np.ndarray) -> list[float]:
     # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
     jnp1 = np.abs((2.0 * n / lam) * jn - jm1)      # for n = 0, jm1 = -J_1
     return np.divide(1.0, math.sqrt(math.pi) * jnp1, out=np.zeros_like(jnp1),
-                     where=jnp1 != 0.0).tolist()
+                     where=jnp1 != 0.0)
 
 
 def restrict_disk(mode: DiskMode, radius: float) -> float:
@@ -188,19 +192,23 @@ def _phase_model(n, lam: np.ndarray, radius: float) -> np.ndarray:
     return n * specfun.phase_integral(lam * radius / n) - 0.25 * math.pi
 
 
-@dataclass
-class SelectionDiagnostics:
-    """What the selector looked at (returned alongside the mode)."""
-    candidates: int = 0
-    band_feasible: int = 0
-    refined: int = 0
-    ranking: str = "first"
-    scores: list = field(default_factory=list)
+class DiskSelection(NamedTuple):
+    """What :func:`select_disk_modes` picked, one entry per order: read lam
+    and normalization where error is None.  The refined_* columns hold the
+    admissible candidates solved exactly, each order's in ranked order."""
+    n: np.ndarray                   # the orders, int64
+    lam: np.ndarray
+    normalization: np.ndarray
+    error: tuple                    # None, or why the order has no mode
+    candidates: np.ndarray          # seeds in the window
+    band_feasible: np.ndarray       # of those, seeds in the band
+    refined_k: np.ndarray           # position in n of the candidate's order
+    refined_m: np.ndarray           # its radial index
+    refined_quality: np.ndarray     # |trace| (-lam for "first"), exact
 
 
 def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
-                              optimize: str = "first", band=None,
-                              with_diagnostics: bool = False):
+                              optimize: str = "first", band=None) -> DiskMode:
     """Pick a disk eigenmode whose frequency lies in the target window.
 
     The one-order case of :func:`select_disk_modes`, which describes the
@@ -223,28 +231,30 @@ def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
     band : BandSpec or None
         If given, only zeros whose sigma at `radius` lies in the sharp band
         (with h = 1/lam) are admissible.
-    with_diagnostics : bool
-        Also return a SelectionDiagnostics.
 
     Raises
     ------
+    ValueError
+        If n is not an integer, or `optimize` is unknown.
     NoModeError
         If the window contains no zero, or none passes the band filter.
     """
-    [(mode, diag)] = select_disk_modes([n], target, radius=radius,
-                                       optimize=optimize, band=band)
-    if isinstance(mode, NoModeError):
-        raise mode
-    return (mode, diag) if with_diagnostics else mode
+    picked = select_disk_modes([n], target, radius=radius,
+                               optimize=optimize, band=band)
+    if picked.error[0] is not None:
+        raise picked.error[0]
+    return DiskMode(n=int(picked.n[0]), lam=float(picked.lam[0]),
+                    normalization=float(picked.normalization[0]))
 
 
 def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
-                      optimize: str = "first", band=None):
+                      optimize: str = "first", band=None) -> DiskSelection:
     """:func:`select_disk_mode_at_scale` for every angular order of
     `orders`, in a fixed number of array passes over all of them.
 
-    Returns one (mode, diagnostics) pair per order, in the given order; the
-    mode is a DiskMode, or the NoModeError that says why the order has none.
+    Returns one :class:`DiskSelection`: the picked mode of each order as
+    columns, or the NoModeError that says why the order has none, with the
+    counts and refined candidates behind each pick.
 
     Per order, the candidates m are the indices whose seed lies within 0.6
     zero spacings of the window (and, with a band, whose seed sigma lies in
@@ -255,18 +265,15 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     or the band on refinement has all its other candidates refined.  Each
     stage is one array call over every order: the candidate ranges, the
     seeds, the ranking, the Newton (once more for such orders), the
-    qualities and the normalization.
+    qualities, the pick and the normalization.
     """
     if optimize not in _OPTIMIZE:
         raise ValueError(f"optimize must be one of {_OPTIMIZE}")
-    out = [(NoModeError("selection needs angular order n >= 1"),
-            SelectionDiagnostics(ranking=optimize)) for _ in orders]
-    live = [i for i, n in enumerate(orders) if n >= 1]
-    if not live:
-        return out
-    ns = np.array([orders[i] for i in live], dtype=np.int64)
-    windows = [target.disk_window(int(n)) for n in ns.tolist()]
-    lam_lo, lam_hi = np.array(windows).T
+    orders = specfun._integers(orders, "order").ravel()
+    # an order below 1 keeps no candidate (its windows are those of n = 1)
+    ns = np.maximum(orders, 1)
+    lam_lo, lam_hi = np.array([target.disk_window(n) for n in ns.tolist()],
+                              dtype=float).reshape(-1, 2).T
 
     spacing = math.pi * lam_lo / np.sqrt(np.maximum(lam_lo * lam_lo - ns * ns,
                                                     1.0))
@@ -275,7 +282,8 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing
     k, m = specfun.bessel_zero_candidate_ranges(ns, seed_lo, seed_hi)
     lam_seed = specfun.bessel_zero_seed(ns[k], m)
-    keep = (seed_lo[k] <= lam_seed) & (lam_seed <= seed_hi[k])
+    keep = ((seed_lo[k] <= lam_seed) & (lam_seed <= seed_hi[k])
+            & (orders[k] >= 1))
     candidates = np.bincount(k[keep], minlength=ns.size)
     if band is not None:
         # seed-level screen with a hair of slack; refinement re-checks
@@ -320,45 +328,40 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     sel, lam, quality = refine(rank < _REFINED)
     # past the ranked few only when they all drifted outside on exact
     # refinement (narrow window, seeds near the edges)
-    found = np.zeros(ns.size, dtype=bool)
-    found[k[sel]] = True
-    again = ~found[k] & (rank >= _REFINED)
+    again = ~np.isin(k, k[sel]) & (rank >= _REFINED)
     if again.any():
         # appended after the first round: each order's candidates still
         # come in ranked order, since these orders had none admitted there
         sel, lam, quality = (np.concatenate(pair) for pair in
                              zip((sel, lam, quality), refine(again)))
 
-    diags = [SelectionDiagnostics(candidates=int(c), band_feasible=int(f),
-                                  ranking=optimize)
-             for c, f in zip(candidates.tolist(), feasible.tolist())]
-    best = {}   # order position -> (quality, lam), the first-ranked on a tie
-    for j, mj, q, z in zip(k[sel].tolist(), m[sel].tolist(), quality.tolist(),
-                           lam.tolist()):
-        diags[j].refined += 1
-        diags[j].scores.append((mj, q))
-        if j not in best or q > best[j][0]:
-            best[j] = (q, z)
+    # per order the best exact quality; the sort is stable, so on a tie the
+    # first-ranked candidate comes first
+    best = np.lexsort((-quality, k[sel]))
+    picked, first = np.unique(k[sel][best], return_index=True)
+    best = best[first]
+    norm = _normalizations(ns[picked], lam[best])
 
-    picked = sorted(best)
-    norm = dict(zip(picked, _normalizations(
-        ns[picked], np.array([best[j][1] for j in picked]))))
-    for j, (n, (lo, hi)) in enumerate(zip(ns.tolist(), windows)):
-        if not feasible[j]:
-            mode = NoModeError(
-                f"no {'band-feasible ' if band is not None else ''}eigenvalue "
-                f"in window [{lo:.3f}, {hi:.3f}] for n={n}")
-        elif j not in best:
-            mode = NoModeError(
-                f"all candidates left the window/band after refinement "
-                f"for n={n} (window [{lo:.3f}, {hi:.3f}])")
-        elif not norm[j]:
-            mode = NoModeError(
-                f"degenerate normalization at (n={n}, lam={best[j][1]})")
+    out_lam, out_norm = (np.full(ns.size, math.nan) for _ in range(2))
+    out_lam[picked], out_norm[picked] = lam[best], norm
+    errors = [None] * ns.size
+    for j in np.flatnonzero(~(out_norm > 0.0)).tolist():
+        n, lo, hi = int(orders[j]), float(lam_lo[j]), float(lam_hi[j])
+        if n < 1:
+            error = "selection needs angular order n >= 1"
+        elif not feasible[j]:
+            error = (f"no {'band-feasible ' if band is not None else ''}"
+                     f"eigenvalue in window [{lo:.3f}, {hi:.3f}] for n={n}")
+        elif j not in picked:
+            error = (f"all candidates left the window/band after refinement "
+                     f"for n={n} (window [{lo:.3f}, {hi:.3f}])")
         else:
-            mode = DiskMode(n=n, lam=best[j][1], normalization=norm[j])
-        out[live[j]] = (mode, diags[j])
-    return out
+            error = f"degenerate normalization at (n={n}, lam={out_lam[j]})"
+        errors[j] = NoModeError(error)
+    return DiskSelection(
+        n=orders, lam=out_lam, normalization=out_norm, error=tuple(errors),
+        candidates=candidates, band_feasible=feasible, refined_k=k[sel],
+        refined_m=m[sel], refined_quality=quality)
 
 
 def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:
@@ -369,6 +372,7 @@ def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:
     equator amplitude of the result grows like l^{alpha/4} with no phase
     factor, so no further optimization is needed on the sphere side.
     """
+    specfun._integers(l, "degree")
     m_lo, m_hi = target.sphere_order_window(l)
     m = math.floor(m_hi)
     if (l + m) % 2 == 1:
@@ -397,14 +401,20 @@ def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
     need multiplicity count such modes twice).  Modes are ordered by (n, lam).
 
     The one-window case of :func:`modes_in_frequency_windows`, which solves
-    every candidate in one pass.
+    every candidate in one pass and returns the modes as columns.
     """
-    return modes_in_frequency_windows([lam_lo], [lam_hi])[0]
+    _, n, lam, norm = modes_in_frequency_windows([lam_lo], [lam_hi])
+    return [DiskMode(n=a, lam=b, normalization=c)
+            for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
 
 
-def modes_in_frequency_windows(lam_lo, lam_hi) -> list[list[DiskMode]]:
+def modes_in_frequency_windows(lam_lo, lam_hi):
     """:func:`modes_in_frequency_window` of every window [lam_lo[i],
     lam_hi[i]] of two sequences of edges, in one pass over all of them.
+
+    Returns the modes of all windows as the columns (window, n, lam,
+    normalization), ordered by (window, n, lam), where window is the index
+    i of the mode's window; np.bincount(window) counts the modes per window.
 
     Every candidate (n, m) of every order n <= floor(lam_hi[i]) of every
     window comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
@@ -443,14 +453,11 @@ def modes_in_frequency_windows(lam_lo, lam_hi) -> list[list[DiskMode]]:
     for i in np.flatnonzero(edge <= _EDGE * lam):
         lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
     inside = (lo <= lam) & (lam <= hi)
-    n, lam, win = n[inside], lam[inside], win[inside]
+    win, n, lam = win[inside], n[inside], lam[inside]
     norm = _normalizations(n, lam)
-    if not all(norm):
-        i = norm.index(0.0)
+    degenerate = np.flatnonzero(norm == 0.0)
+    if degenerate.size:
+        i = degenerate[0]
         raise NoModeError(
             f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
-    found = [DiskMode(n=a, lam=b, normalization=c)
-             for a, b, c in zip(n.tolist(), lam.tolist(), norm)]
-    # the modes come ordered by (window, n, lam)
-    ends = np.cumsum(np.bincount(win, minlength=lam_lo.size)).tolist()
-    return [found[a:b] for a, b in zip([0] + ends, ends)]
+    return win, n, lam, norm

@@ -12,7 +12,9 @@ Each function has one implementation, in numpy, over the elements of its
 arguments: they are scalars or arrays that broadcast together.  Scalars in
 give a Python float out (a tuple of two for ``bessel_j_pair``); arrays in
 give an array of the broadcast shape.  Only ``airy_zero`` (one index) and
-``legendre_equator`` (one degree and order) take scalars alone.
+``legendre_equator`` (one degree and order) take scalars alone.  Orders,
+degrees and zero indices are integers: a non-integral or non-finite one
+raises ValueError rather than being truncated.
 
 ``bessel_j`` and ``bessel_j_pair`` split their elements by the one test
 ``_regions``, as masks, between three methods, each used strictly inside the
@@ -89,11 +91,24 @@ def _flat(x):
     return x.ravel(), x.shape
 
 
+def _integers(v, what: str) -> np.ndarray:
+    """v as an int64 array; ValueError unless every element is a finite
+    integer (integer arrays pass unchecked)."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "biu" and not (
+            np.isfinite(v) & (v == np.floor(v))).all():
+        raise ValueError(f"{what} must be a finite integer, got {v}")
+    return v.astype(np.int64)
+
+
 def _as_arrays(n, x, dtype=float):
     """Integer orders n and arguments x broadcast together: both as 1-d
-    arrays, and their shape."""
-    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=dtype))
-    return n.astype(np.int64).ravel(), x.ravel(), n.shape
+    arrays, and their shape.  With dtype int64, x holds zero indices, which
+    are checked like the orders."""
+    x = (_integers(x, "zero index") if dtype is np.int64
+         else np.asarray(x, dtype=float))
+    n, x = np.broadcast_arrays(np.asarray(n), x)
+    return _integers(n, "order").ravel(), x.ravel(), n.shape
 
 
 def _shaped(values: np.ndarray, shape):
@@ -294,6 +309,7 @@ def airy_zero(m: int) -> float:
     :func:`_airy_zero_closed`), within 2 ulp of a_m.  Below, Newton on Ai
     from that closed form; those nine zeros are memoised.
     """
+    _integers(m, "zero index")
     if m < 1:
         raise ValueError("zero index starts at 1")
     if m < _AIRY_ZERO_CLOSED:
@@ -768,7 +784,7 @@ def bessel_zero_candidate_ranges(n, lo, hi):
     m(x) grows by at most 1/pi per unit of x, so a unit window leaves most
     orders an empty range.
     """
-    n = np.asarray(n, dtype=np.int64)
+    n = _integers(n, "order")
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float), n)[:2]
     index = bessel_zero_index(n, np.stack([lo, hi]))
@@ -875,6 +891,8 @@ def legendre_equator(l: int, m: int) -> float:
     equals Y_l^m(pi/2, 0).  Evaluated in log-Gamma space; valid to l ~ 1e6
     within ~1e-10.
     """
+    _integers(l, "degree")
+    _integers(m, "order")
     if m < 0 or l < m:
         raise ValueError("need 0 <= m <= l")
     if (l + m) % 2 == 1:

@@ -328,6 +328,21 @@ def test_mutating_a_result_leaves_later_sweeps_alone(fresh_traces):
     assert second.skipped == skipped
 
 
+def test_batched_paths_build_no_disk_mode(monkeypatch, fresh_traces):
+    # the quasimode ensemble and the disk sweeps read the columns of the
+    # batched enumeration and selection; DiskMode is the one-mode view only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batched path built a DiskMode")
+
+    monkeypatch.setattr(modes, "DiskMode", refuse)
+    res = ex.quasimode_boundedness(windows=2, trials=2)
+    assert [r.dim > 0 for r in res.rows] == [True, True]
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=20000,
+                         points=6)
+    assert ex.sharpness_sweep(cfg, s=0.1, band=BandSpec(0.3, 0.6)).rows
+    assert fresh_traces().misses == 1
+
+
 # ----------------------------------------------------------------------
 # quasimodes
 # ----------------------------------------------------------------------

@@ -165,10 +165,11 @@ class TestSelection:
 
     def test_diagnostics(self):
         t = ScaleTarget(alpha=0.5)
-        mode, diag = modes.select_disk_mode_at_scale(
-            500, t, optimize="restriction", with_diagnostics=True)
-        assert diag.candidates >= diag.band_feasible >= diag.refined >= 1
-        assert diag.scores
+        got = modes.select_disk_modes([500], t, optimize="restriction")
+        assert got.candidates[0] >= got.band_feasible[0] \
+            >= got.refined_m.size >= 1
+        assert (got.refined_k == 0).all()
+        assert got.refined_quality.size == got.refined_m.size
 
     # (n, alpha, optimize, band, picked m, candidates, band_feasible,
     # refined m in ranked order), frozen from the selector that seeded and
@@ -180,12 +181,13 @@ class TestSelection:
     ])
     def test_frozen_picks(self, n, alpha, optimize, band, m, cands, feasible,
                           refined):
-        mode, diag = modes.select_disk_mode_at_scale(
-            n, ScaleTarget(alpha=alpha), optimize=optimize,
-            band=BandSpec(*band) if band else None, with_diagnostics=True)
-        assert mode.lam == specfun.bessel_zero(n, m)
-        assert (diag.candidates, diag.band_feasible) == (cands, feasible)
-        assert [s[0] for s in diag.scores] == refined
+        got = modes.select_disk_modes(
+            [n], ScaleTarget(alpha=alpha), optimize=optimize,
+            band=BandSpec(*band) if band else None)
+        assert got.error == (None,)
+        assert got.lam[0] == specfun.bessel_zero(n, m)
+        assert (got.candidates[0], got.band_feasible[0]) == (cands, feasible)
+        assert got.refined_m.tolist() == refined
 
     @pytest.mark.parametrize("alpha,optimize,band", [
         (0.5, "restriction", (0.3, 0.6)),    # the upper edge h^0.3 binds
@@ -222,16 +224,16 @@ class TestSelection:
                 phase = dict(zip((m for m, _ in inside), g.tolist()))
                 ranked = sorted((m for m, _ in inside), key=lambda m: -abs(
                     trig(n * phase[m] - 0.25 * math.pi)))
-            try:
-                _, diag = modes.select_disk_mode_at_scale(
-                    n, t, optimize=optimize, band=spec, with_diagnostics=True)
-            except NoModeError:
+            got = modes.select_disk_modes([n], t, optimize=optimize,
+                                          band=spec)
+            if got.error[0] is not None:
                 assert not inside
                 continue
-            assert diag.candidates == sum(slo <= s <= shi for _, s in seeds)
-            assert diag.band_feasible == len(inside)
-            if diag.refined == len(diag.scores) == min(3, len(ranked)):
-                assert [s[0] for s in diag.scores] == ranked[:diag.refined]
+            assert got.candidates[0] == sum(slo <= s <= shi for _, s in seeds)
+            assert got.band_feasible[0] == len(inside)
+            refined = got.refined_m.tolist()
+            if len(refined) == min(3, len(ranked)):
+                assert refined == ranked[:len(refined)]
 
     def test_invalid_inputs(self):
         t = ScaleTarget(alpha=0.5)
@@ -257,12 +259,13 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
     when none of those is admissible, the rest.  The walk reads every
     candidate's zero, quality and normalization from one array call each
     over all candidates of all orders.  The reference for
-    select_disk_modes: per order, (mode, diagnostics, whether the walk went
-    past the ranked few), or the NoModeError with its diagnostics."""
+    select_disk_modes: per order, (mode or NoModeError, candidates,
+    band-feasible, the refined (m, quality) in ranked order, whether the
+    walk went past the ranked few)."""
     ranked_lists, out = [], []
     for n in orders:
         lam_lo, lam_hi = target.disk_window(n)
-        diag = modes.SelectionDiagnostics(ranking=optimize)
+        diag = {"scores": []}
         out.append((lam_lo, lam_hi, diag))
         spacing = math.pi * lam_lo / math.sqrt(max(lam_lo * lam_lo - n * n,
                                                    1.0))
@@ -271,14 +274,14 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
         lam_seed = specfun.bessel_zero_seed(n, ms)
         inside = (seed_lo <= lam_seed) & (lam_seed <= seed_hi)
         ms, lam_seed = ms[inside], lam_seed[inside]
-        diag.candidates = diag.band_feasible = ms.size
+        diag["candidates"] = diag["band_feasible"] = ms.size
         if band is not None:
             h = 1.0 / lam_seed
             sigma = 1.0 - (n / (lam_seed * radius)) ** 2
             feasible = ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
                         & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
             ms, lam_seed = ms[feasible], lam_seed[feasible]
-            diag.band_feasible = ms.size
+            diag["band_feasible"] = ms.size
         if optimize == "first":
             score = -lam_seed
         else:
@@ -304,10 +307,11 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
         lams = lam_all[start:start + len(ranked)]
         solved = zip(ranked, lams, quality_all[start:], norm_all[start:])
         start += len(ranked)
+        counts = (diag["candidates"], diag["band_feasible"], diag["scores"])
         if not ranked:
             picks.append((NoModeError(
                 f"no {'band-feasible ' if band is not None else ''}eigenvalue "
-                f"in window [{lam_lo:.3f}, {lam_hi:.3f}] for n={n}"), diag,
+                f"in window [{lam_lo:.3f}, {lam_hi:.3f}] for n={n}"), *counts,
                 False))
             continue
         best, second = None, False
@@ -323,17 +327,16 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
                 sigma = 1.0 - (n / (lam * radius)) ** 2
                 if not (h ** band.rho2 <= sigma <= h ** band.rho1):
                     continue
-            diag.refined += 1
-            diag.scores.append((m, quality))
+            diag["scores"].append((m, quality))
             if best is None or quality > best[0]:
                 best = (quality, DiskMode(n=n, lam=lam, normalization=norm))
         if best is None:
             picks.append((NoModeError(
                 f"all candidates left the window/band after refinement "
-                f"for n={n} (window [{lam_lo:.3f}, {lam_hi:.3f}])"), diag,
+                f"for n={n} (window [{lam_lo:.3f}, {lam_hi:.3f}])"), *counts,
                 second))
         else:
-            picks.append((best[1], diag, second))
+            picks.append((best[1], *counts, second))
     return picks
 
 
@@ -366,28 +369,32 @@ def _compare_with_one_by_one(alpha, optimize, band, grid):
     spec = BandSpec(*band) if band else None
     orders = SweepConfig(kind="disk", alpha=alpha, n_lo=grid[0],
                          n_hi=grid[1], points=grid[2]).orders()
-    picks = modes.select_disk_modes(orders, target, optimize=optimize,
-                                    band=spec)
-    assert len(picks) == len(orders)
+    got = modes.select_disk_modes(orders, target, optimize=optimize,
+                                  band=spec)
+    assert got.n.tolist() == orders
+    assert len(got.error) == len(orders)
     seconds = 0
-    for n, (mode, diag), (want, want_diag, second) in zip(
-            orders, picks, _select_one_by_one(orders, target,
-                                              optimize=optimize, band=spec)):
+    for j, (n, (want, candidates, feasible, scores, second)) in enumerate(
+            zip(orders, _select_one_by_one(orders, target, optimize=optimize,
+                                           band=spec))):
         if isinstance(want, NoModeError):
-            assert isinstance(mode, NoModeError), n
-            assert str(mode) == str(want)
+            assert isinstance(got.error[j], NoModeError), n
+            assert str(got.error[j]) == str(want)
             continue
         seconds += second
-        assert mode.n == n
+        assert got.error[j] is None, n
+        mode = DiskMode(n=n, lam=float(got.lam[j]),
+                        normalization=float(got.normalization[j]))
         assert abs(mode.lam - want.lam) <= SELECT_LAM_REL * want.lam, n
         got_amp = modes.restrict_disk(mode, 0.5)
         want_amp = modes.restrict_disk(want, 0.5)
         assert abs(got_amp - want_amp) <= SELECT_AMP_REL * abs(want_amp), n
-        assert (diag.candidates, diag.band_feasible, diag.refined,
-                diag.ranking) == (want_diag.candidates, want_diag.band_feasible,
-                                  want_diag.refined, want_diag.ranking)
-        assert [m for m, _ in diag.scores] == [m for m, _ in want_diag.scores]
-        for (_, got_q), (_, want_q) in zip(diag.scores, want_diag.scores):
+        assert (got.candidates[j], got.band_feasible[j]) == (candidates,
+                                                             feasible), n
+        mine = got.refined_k == j
+        assert got.refined_m[mine].tolist() == [m for m, _ in scores], n
+        for got_q, (_, want_q) in zip(got.refined_quality[mine].tolist(),
+                                      scores):
             assert abs(got_q - want_q) <= SELECT_SCORE_REL * abs(want_q), n
     return seconds
 
@@ -409,12 +416,18 @@ class TestBatchedSelection:
 
     def test_orders_below_one_and_bad_optimize(self):
         t = ScaleTarget(alpha=0.5)
-        picks = modes.select_disk_modes([0, 500], t, optimize="restriction")
-        assert isinstance(picks[0][0], NoModeError)
-        assert str(picks[0][0]) == "selection needs angular order n >= 1"
-        assert picks[1][0] == modes.select_disk_mode_at_scale(
-            500, t, optimize="restriction")
-        assert modes.select_disk_modes([], t) == []
+        got = modes.select_disk_modes([0, 500], t, optimize="restriction")
+        assert isinstance(got.error[0], NoModeError)
+        assert str(got.error[0]) == "selection needs angular order n >= 1"
+        assert got.error[1] is None
+        assert (got.candidates[0], got.band_feasible[0]) == (0, 0)
+        assert set(got.refined_k.tolist()) == {1}
+        assert DiskMode(n=500, lam=float(got.lam[1]),
+                        normalization=float(got.normalization[1])) == \
+            modes.select_disk_mode_at_scale(500, t, optimize="restriction")
+        empty = modes.select_disk_modes([], t)
+        assert empty.n.size == empty.refined_m.size == 0
+        assert empty.error == ()
         with pytest.raises(ValueError):
             modes.select_disk_modes([500], t, optimize="loudest")
 
@@ -574,14 +587,29 @@ BATCH_LAM_REL = 4.5e-16
 BATCH_NORM_REL = 4e-15
 
 
+def _windows(batched):
+    """The columns of modes_in_frequency_windows split by window, as one
+    list of (n, lam, normalization) per window index up to the last."""
+    win, n, lam, norm = batched
+    assert len(win) == len(n) == len(lam) == len(norm)
+    # ordered by (window, n, lam)
+    assert np.lexsort((lam, n, win)).tolist() == list(range(len(win)))
+    found = [[] for _ in range(win.max() + 1 if len(win) else 0)]
+    for mode in zip(win.tolist(), n.tolist(), lam.tolist(), norm.tolist()):
+        found[mode[0]].append(mode[1:])
+    return found
+
+
 def _assert_matches_one_by_one(batched, lo, hi):
-    assert len(batched) == len(lo)
-    for found, a, b in zip(batched, lo, hi):
+    found = _windows(batched)
+    assert len(found) <= len(lo)
+    found += [[]] * (len(lo) - len(found))
+    for modes_of, a, b in zip(found, lo, hi):
         want = _enumerate_one_window(a, b)
-        assert [m.n for m in found] == [w.n for w in want], (a, b)
-        for got, w in zip(found, want):
-            assert abs(got.lam - w.lam) <= BATCH_LAM_REL * w.lam, (a, w)
-            assert abs(got.normalization - w.normalization) \
+        assert [n for n, _, _ in modes_of] == [w.n for w in want], (a, b)
+        for (_, lam, norm), w in zip(modes_of, want):
+            assert abs(lam - w.lam) <= BATCH_LAM_REL * w.lam, (a, w)
+            assert abs(norm - w.normalization) \
                 <= BATCH_NORM_REL * w.normalization, (a, w)
 
 
@@ -593,7 +621,7 @@ class TestBatchedWindows:
         lo = np.concatenate([np.geomspace(0.3, 3000.0, 120),
                              [536.54, 1439.37]])
         batched = modes.modes_in_frequency_windows(lo, lo + 1.0)
-        assert sum(len(found) for found in batched) == 10552
+        assert len(batched[0]) == 10552
         _assert_matches_one_by_one(batched, lo, lo + 1.0)
 
     def test_overlapping_windows(self):
@@ -601,8 +629,8 @@ class TestBatchedWindows:
         lo = 100.0 + 0.3 * np.arange(10)
         batched = modes.modes_in_frequency_windows(lo, lo + 1.0)
         _assert_matches_one_by_one(batched, lo, lo + 1.0)
-        first, second = ({(m.n, m.lam) for m in found}
-                         for found in batched[:2])
+        first, second = ({(n, lam) for n, lam, _ in found}
+                         for found in _windows(batched)[:2])
         assert first & second
         assert all(lo[1] <= lam <= lo[0] + 1.0 for _, lam in first & second)
 
@@ -613,18 +641,21 @@ class TestBatchedWindows:
         j = specfun.bessel_zero(n, m)
         lo, hi = np.array([j - 1.0, j]), np.array([j, j + 1.0])
         batched = modes.modes_in_frequency_windows(lo, hi)
-        for found in batched:
-            assert (n, j) in [(mode.n, mode.lam) for mode in found]
+        for found in _windows(batched):
+            assert (n, j) in [(k, lam) for k, lam, _ in found]
         _assert_matches_one_by_one(batched, lo, hi)
 
     def test_one_window_case_and_bad_windows(self):
-        assert modes.modes_in_frequency_window(5.0, 6.0) == \
-            modes.modes_in_frequency_windows([5.0], [6.0])[0]
-        assert modes.modes_in_frequency_windows([], []) == []
+        one = modes.modes_in_frequency_window(5.0, 6.0)
+        assert [(m.n, m.lam, m.normalization) for m in one] == \
+            _windows(modes.modes_in_frequency_windows([5.0], [6.0]))[0]
+        assert all(len(column) == 0 for column in
+                   modes.modes_in_frequency_windows([], []))
         # an empty window among full ones keeps its place
-        batched = modes.modes_in_frequency_windows([5.0, 2.5, 40.0],
-                                                   [6.0, 3.5, 41.0])
-        assert [len(found) > 0 for found in batched] == [True, False, True]
+        win = modes.modes_in_frequency_windows([5.0, 2.5, 40.0],
+                                               [6.0, 3.5, 41.0])[0]
+        assert (np.bincount(win, minlength=3) > 0).tolist() == \
+            [True, False, True]
         for lo, hi in (([5.0, 6.0], [6.0, 5.0]), ([0.0], [1.0]),
                        ([1.0], [math.inf]), ([math.nan], [2.0])):
             with pytest.raises(ValueError, match=r"need 0 < lam_lo"):

@@ -3,22 +3,21 @@
 Frozen reference values were computed to 30 significant digits with an
 arbitrary-precision library and hard-coded here.  The region-by-region
 checks compare with independent references: Miller's recurrence
-(:func:`glancelab.oracle.bessel_series`), ``scipy.special.airy``, exact
-rational series, and 50-digit ``decimal`` arithmetic.  Everything else is
-checked through identities, interlacing, and round trips.
+(:func:`glancelab.oracle.bessel_series`), ``scipy.special.airy``, and
+50-digit ``decimal`` arithmetic.  Everything else is checked through
+identities, interlacing, and round trips.
 """
 
 import inspect
 import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from glancelab import oracle, specfun
+from glancelab import modes, oracle, specfun
 
 AI_AT_0 = 0.35502805388781723926
 AIP_AT_0 = -0.25881940379280679841
@@ -276,26 +275,29 @@ class TestTurningPointMap:
 
     def test_odd_tails_against_long_series(self):
         # t - arctan(t) and artanh(t) - t below t = 0.2, where they take the
-        # 12-term polynomial, against 30 terms in exact rational arithmetic
+        # 12-term polynomial, against 30 terms summed in 50-digit decimal
+        # arithmetic from the exact float t (the 31st term is below 1e-42
+        # of the sum)
         def long_series(t, sign):
-            f = Fraction(t)
-            term, total = f ** 3, Fraction(0)
-            for j in range(30):
-                total += sign ** j * term / (2 * j + 3)
-                term *= f * f
-            return total
+            with localcontext() as ctx:
+                ctx.prec = 50
+                d = Decimal(t)
+                term, total = d ** 3, Decimal(0)
+                for j in range(30):
+                    total += sign ** j * term / (2 * j + 3)
+                    term *= d * d
+                return total
 
         assert specfun._TAIL_SERIES == 0.2
         t = np.concatenate([np.linspace(0.0, 0.2, 401)[1:-1],
                             np.geomspace(1e-8, 0.1999999, 100)])
-        arr = specfun._t_minus_atans(t, t * t)
-        for ti, got in zip(t.tolist(), arr.tolist()):
-            want = long_series(ti, -1)
-            assert abs(Fraction(got) - want) <= 5e-16 * want, ti
-            got = ti * ti * ti * specfun._maclaurin(specfun._ATANH_TAIL,
-                                                    ti * ti)
-            assert abs(Fraction(got) - long_series(ti, 1)) \
-                <= 5e-16 * long_series(ti, 1), ti
+        tails = {-1: specfun._t_minus_atans(t, t * t),
+                 1: t * t * t * specfun._maclaurin(specfun._ATANH_TAIL, t * t)}
+        for sign, got in tails.items():
+            for ti, g in zip(t.tolist(), got.tolist()):
+                want = long_series(ti, sign)
+                assert float(abs(Decimal(g) - want)) <= 5e-16 * float(want), \
+                    (sign, ti)
 
     def test_slope_at_turning_point(self):
         # dz/dzeta -> -2^{-1/3} as zeta -> 0^-
@@ -624,6 +626,37 @@ class TestBesselZeros:
             specfun.bessel_zero_seed(0, 0)
         with pytest.raises(ValueError):
             specfun.bessel_zero_seed(-1, 1)
+
+
+# orders, degrees and zero indices that are not finite integers, which a
+# cast to int64 used to truncate (bessel_j(2.5, 3.0) returned J_2(3))
+@pytest.mark.parametrize("fn,args", [
+    (specfun.bessel_j, (2.5, 3.0)),
+    (specfun.bessel_j_pair, (np.array([3.0, math.nan]), 3.0)),
+    (specfun.bessel_zero_index, (math.inf, 3.0)),
+    (specfun.bessel_zero, (2.5, 1)),
+    (specfun.bessel_zero, (2, 1.5)),
+    (specfun.bessel_zero_seed, (2, math.inf)),
+    (specfun.bessel_zero_candidate_ranges, ([2.5], 1.0, 9.0)),
+    (specfun.airy_zero, (1.5,)),
+    (specfun.legendre_equator, (3.5, 1)),
+    (specfun.legendre_equator, (4, 1.5)),
+    (modes.disk_mode, (2.5, 1)),
+    (modes.select_disk_mode_at_scale, (500.5, modes.ScaleTarget(alpha=0.5))),
+    (modes.select_disk_modes, ([500, 700.5], modes.ScaleTarget(alpha=0.5))),
+    (modes.sphere_mode_at_scale, (100.5, modes.ScaleTarget(alpha=0.5))),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_integral_orders_and_indices_raise(fn, args):
+    with pytest.raises(ValueError, match="must be a finite integer"):
+        fn(*args)
+
+
+def test_integral_floats_are_orders():
+    assert specfun.bessel_j(2.0, 3.0) == specfun.bessel_j(2, 3.0)
+    assert specfun.bessel_zero(np.array([2.0]), 1.0)[0] == \
+        specfun.bessel_zero(2, 1)
+    assert specfun.legendre_equator(4.0, 2.0) == \
+        specfun.legendre_equator(4, 2)
 
 
 class TestLegendreEquator:
