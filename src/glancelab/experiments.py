@@ -126,10 +126,13 @@ class SweepConfig:
     kind : "disk" or "sphere".
     alpha : glancing-scale exponent, sigma ~ n^{-alpha}.
     n_lo, n_hi, points : geometric grid of angular orders / degrees.
-    radius : restriction circle radius (disk; the sphere equator is fixed).
+    radius : restriction circle radius (disk only: the sphere's equator is
+        fixed, and a sphere config must keep the default).
     optimize : candidate rule passed to the disk selector; the measured
         growth tracks the extremal mode, so sweeps default to maximizing
         the restricted quantity rather than taking the lowest eigenvalue.
+        Disk only: a sphere degree has one candidate, and a sphere config
+        must keep the default.
     offset : window offset M of the ScaleTarget.
     """
     kind: str
@@ -142,6 +145,13 @@ class SweepConfig:
     offset: float = 4.0
 
     def __post_init__(self):
+        if self.kind not in ("disk", "sphere"):
+            raise ValueError(f"unknown sweep kind {self.kind!r}")
+        if self.kind == "sphere" and (self.radius, self.optimize) != (
+                SweepConfig.radius, SweepConfig.optimize):
+            raise ValueError("a sphere sweep restricts to the equator and "
+                             "has one mode per degree: radius and optimize "
+                             "apply to the disk only")
         if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
             raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
 
@@ -247,10 +257,8 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     orders = config.orders()
     if config.kind == "disk":
         traces = _disk_traces(config, quantity == "normal_derivative", band)
-    elif config.kind == "sphere":
-        traces = [_sphere_trace(n, config.target()) for n in orders]
     else:
-        raise ValueError(f"unknown sweep kind {config.kind!r}")
+        traces = [_sphere_trace(n, config.target()) for n in orders]
     for n, trace in zip(orders, traces):
         if isinstance(trace, NoModeError):
             result.skipped.append((n, str(trace)))
@@ -319,7 +327,10 @@ def normal_derivative_sweep(config: SweepConfig, s: float,
     """h-scaled normal-derivative traces weighted by the glancing weight
     with power -s: expected exponent in h is alpha (1/4 - s), flat at
     s = 1/4.  The weight's far branch sigma^{-s} is the active one for
-    every selected mode (sigma sits well above h^rho when rho > alpha)."""
+    every selected mode (sigma sits well above h^rho when rho > alpha).
+    Disk only: the sphere sweeps take equator values, not derivatives."""
+    if config.kind != "disk":
+        raise ValueError("the normal-derivative sweep needs a disk config")
     if not (rho > config.alpha):
         raise ValueError("need rho > alpha so modes sit in the far branch")
     weight = WeightSpec(s=-s, rho=rho, cutoff=cutoff)

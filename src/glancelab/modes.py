@@ -387,12 +387,6 @@ def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:
 # Frequency-window enumeration (for quasimode ensembles)
 # ----------------------------------------------------------------------
 
-# relative distance from a window edge below which membership is decided by
-# the zero solved alone, as disk_mode solves it: a zero solved in a batch
-# can lie an ulp or two from that one
-_EDGE = 1e-12
-
-
 def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
     """All disk modes with eigenfrequency in [lam_lo, lam_hi], n >= 0.
 
@@ -420,13 +414,10 @@ def modes_in_frequency_windows(lam_lo, lam_hi):
     window comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
     each order against its own window; all of them are solved in one batched
     Newton (:func:`specfun.bessel_zero`) and the modes inside normalized in
-    one array pass.  A zero within 1e-12 relative of an edge of its window,
-    where its value in the batch and its value solved alone (a few ulp
-    apart) could disagree on membership, is solved again alone, by the
-    one-element case of the same Newton, and kept or dropped on that value:
-    it is the eigenvalue :func:`disk_mode` returns, so each window holds
-    exactly the modes of :func:`disk_mode`.  Windows may overlap; a zero in
-    several is a mode of each.
+    one array pass.  Each zero is bit for bit the eigenvalue
+    :func:`disk_mode` returns, whatever else the batch holds, so each window
+    holds exactly the modes of :func:`disk_mode`, a zero on an edge
+    included.  Windows may overlap; a zero in several is a mode of each.
 
     The arrays grow with the candidates of all windows together (one order
     n of a window holds about (lam_hi - lam_lo)/pi of them), so callers
@@ -447,12 +438,8 @@ def modes_in_frequency_windows(lam_lo, lam_hi):
     k, m = specfun.bessel_zero_candidate_ranges(orders, lam_lo[win],
                                                 lam_hi[win])
     n, win = orders[k], win[k]
-    lo, hi = lam_lo[win], lam_hi[win]
     lam = specfun.bessel_zero(n, m)
-    edge = np.minimum(np.abs(lam - lo), np.abs(lam - hi))
-    for i in np.flatnonzero(edge <= _EDGE * lam):
-        lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
-    inside = (lo <= lam) & (lam <= hi)
+    inside = (lam_lo[win] <= lam) & (lam <= lam_hi[win])
     win, n, lam = win[inside], n[inside], lam[inside]
     norm = _normalizations(n, lam)
     degenerate = np.flatnonzero(norm == 0.0)

@@ -16,6 +16,12 @@ give an array of the broadcast shape.  Only ``airy_zero`` (one index) and
 degrees and zero indices are integers: a non-integral or non-finite one
 raises ValueError rather than being truncated.
 
+Every element is computed from its own arguments alone: series are Horner
+sums, never matrix products, whose BLAS kernels order their sums by the
+shapes of the operands.  So an element has the same bits in any array call
+as alone, with any BLAS build, and no output downstream depends on how its
+callers batch; ``tests/test_structure.py`` keeps matrix products out.
+
 ``bessel_j`` and ``bessel_j_pair`` split their elements by the one test
 ``_regions``, as masks, between three methods, each used strictly inside the
 region where it was validated against backward-recurrence oracles:
@@ -136,13 +142,6 @@ def _airy_uv_coefficients(kmax: int) -> tuple[tuple[float, float], ...]:
 
 
 _AIRY_UV = _airy_uv_coefficients(60)
-# the signed coefficients of the two series: (-1)^k (u_k, v_k) on the
-# positive axis, (k odd, (-1)^{floor(k/2)} u_k, (-1)^{floor(k/2)} v_k) on
-# the negative one
-_AIRY_UV_POS = tuple((-uk, -vk) if k & 1 else (uk, vk)
-                     for k, (uk, vk) in enumerate(_AIRY_UV, 1))
-_AIRY_UV_NEG = tuple((k & 1, -uk, -vk) if k & 2 else (k & 1, uk, vk)
-                     for k, (uk, vk) in enumerate(_AIRY_UV, 1))
 
 
 def _airy_thresholds() -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -176,30 +175,41 @@ def _airy_terms(xi: np.ndarray) -> np.ndarray:
 @functools.cache
 def _airy_asymp_signed(neg: bool) -> np.ndarray:
     """Rows k = 0..60 of the coefficients that :func:`_airy_asymps` sums
-    against xi^-k: (su, sv) on the positive axis, and on the negative one
-    the even-k and odd-k sums in the columns (ce, se, co, so)."""
+    against xi^-k: (-1)^k (u_k, v_k) on the positive axis; on the negative
+    one (-1)^{floor(k/2)} (u_k, v_k), in the columns (ce, se) of the even-k
+    sums and (co, so) of the odd-k sums; each row a column vector."""
+    k = np.arange(len(_AIRY_UV) + 1)[:, None]
+    uv = np.array(((1.0, 1.0),) + _AIRY_UV)
     if not neg:
-        return np.array(((1.0, 1.0),) + _AIRY_UV_POS)
-    return np.array([(1.0, 1.0, 0.0, 0.0)] + [
-        (0.0, 0.0, uk, vk) if odd else (uk, vk, 0.0, 0.0)
-        for odd, uk, vk in _AIRY_UV_NEG])
+        return np.where(k & 1, -uv, uv)[:, :, None]
+    uv = np.where(k & 2, -uv, uv)
+    return np.hstack([np.where(k & 1, 0.0, uv),
+                      np.where(k & 1, uv, 0.0)])[:, :, None]
 
 
 def _airy_asymps(x: np.ndarray, xi: np.ndarray, neg: bool):
     """(Ai, Ai') at x (neg False, DLMF 9.7.5-6) or at -x (neg True,
     DLMF 9.7.9-10) for an array of x >= 8 with phases xi = (2/3) x^{3/2},
-    each element's series truncated by :func:`_airy_terms`, all summed as
-    one matrix product."""
+    each element's series truncated by :func:`_airy_terms` and summed by
+    Horner in 1/xi: sorted by descending term count, the elements still
+    summing at term k are a prefix, and each enters at its own last term."""
     terms = _airy_terms(xi)
-    k = np.arange(terms.max() + 1)
-    powers = (1.0 / xi)[:, None] ** k
-    powers[k > terms[:, None]] = 0.0
-    sums = powers @ _airy_asymp_signed(neg)[:k.size]
+    order = np.argsort(-terms, kind="stable")
+    s = 1.0 / xi[order]
+    rows = _airy_asymp_signed(neg)
+    live = np.searchsorted(-terms[order], -np.arange(terms.max() + 1),
+                           side="right").tolist()
+    total = np.zeros((rows.shape[1], s.size))
+    for k in range(len(live) - 1, -1, -1):
+        t = total[:, :live[k]]
+        t *= s[:live[k]]
+        t += rows[k]
+    sums = total[:, np.argsort(order)]
     lo, hi = x ** -0.25, x ** 0.25
     if not neg:
         pref = np.exp(-xi) / (2.0 * math.sqrt(math.pi))
-        return pref * lo * sums[:, 0], -pref * hi * sums[:, 1]
-    ce, se, co, so = sums.T
+        return pref * lo * sums[0], -pref * hi * sums[1]
+    ce, se, co, so = sums
     w = xi - 0.25 * math.pi
     cw, sw = np.cos(w), np.sin(w)
     pref = 1.0 / math.sqrt(math.pi)
@@ -219,9 +229,9 @@ _AIRY_ANCHOR_NEG = (-5.27050503563862026220826757939e-2,
 
 @functools.cache
 def _airy_taylor(c: float) -> np.ndarray:
-    """The Taylor step of :func:`_airy_transports` from c as a matrix: row k
-    holds the coefficients of h^k in (y(c+h), y'(c+h)) as linear forms in
-    (y(c), y'(c)), columns (y from y, y from y', y' from y, y' from y'),
+    """The Taylor step of :func:`_airy_transports` from c: row k of the
+    (40, 4, 1) array holds the coefficients of h^k in (y(c+h), y'(c+h)) as
+    linear forms in (y(c), y'(c)): y from y, y from y', y' from y, y' from y',
     from (k+2)(k+1) a_{k+2} = c a_k + a_{k-1} for y'' = (c + t) y."""
     al, be = [1.0, 0.0, c / 2.0], [0.0, 1.0, 0.0]
     for k in range(3, 40):
@@ -231,7 +241,7 @@ def _airy_taylor(c: float) -> np.ndarray:
     out = np.zeros((40, 4))
     out[:, 0], out[:, 1] = al, be
     out[:-1, 2], out[:-1, 3] = k * al[1:], k * be[1:]
-    return out
+    return out[:, :, None]
 
 
 def _airy_transports(x: np.ndarray):
@@ -243,28 +253,26 @@ def _airy_transports(x: np.ndarray):
     relative accuracy survives.  For x < 0 it starts from (Ai, Ai')(-8) and
     steps right; there neither solution grows, and the cancelling Taylor
     terms cost a few tens of ulps of the local amplitude.  The elements of
-    one side step by at most 2 together, so each step is one Taylor matrix
-    (:func:`_airy_taylor`, 40 coefficients) applied at every element's own
-    step length h; an element that has arrived steps by h = 0, which leaves
-    it unchanged.
+    one side still stepping stand at the same c and step by 2 (the last
+    step by what is left), each by the Horner sum of :func:`_airy_taylor`
+    at its own step length.  An element leaves once it has arrived.
     """
     ai, aip = np.empty_like(x), np.empty_like(x)
     for side, c, (y0, yp0) in ((x >= 0.0, _AIRY_ASYMP, _AIRY_ANCHOR_POS),
                                (x < 0.0, -_AIRY_ASYMP, _AIRY_ANCHOR_NEG)):
-        xs = x[side]
-        y, yp = np.full_like(xs, y0), np.full_like(xs, yp0)
-        at = np.full_like(xs, c)
+        idx = np.flatnonzero(side)
+        ai[idx], aip[idx] = y0, yp0
         step = -2.0 if c > 0.0 else 2.0
         while True:
-            gap = xs - at
-            h = np.where(np.abs(gap) > 1e-12, np.clip(gap, -2.0, 2.0), 0.0)
-            if not h.any():
+            idx = idx[np.abs(x[idx] - c) > 1e-12]
+            if not idx.size:
                 break
-            q = (h[:, None] ** np.arange(40)) @ _airy_taylor(c)
-            y, yp = q[:, 0] * y + q[:, 1] * yp, q[:, 2] * y + q[:, 3] * yp
-            at += h
+            gap = x[idx] - c
+            q = _maclaurin(_airy_taylor(c), np.clip(gap, -2.0, 2.0))
+            y, yp = ai[idx], aip[idx]
+            ai[idx], aip[idx] = q[0] * y + q[1] * yp, q[2] * y + q[3] * yp
+            idx = idx[np.abs(gap) > 2.0]
             c += step
-        ai[side], aip[side] = y, yp
     return ai, aip
 
 
@@ -358,9 +366,9 @@ def _airy_zero_newton(m: int) -> float:
 # Turning-point variable of the uniform Bessel asymptotic
 # ----------------------------------------------------------------------
 
-def _maclaurin(coeffs: tuple[float, ...], t):
-    """Horner sum of coeffs[0] + coeffs[1] t + ... (two or more terms); t a
-    float or an array, which it leaves as it is."""
+def _maclaurin(coeffs, t):
+    """Horner sum of coeffs[0] + coeffs[1] t + ... (two or more terms,
+    floats or arrays that broadcast with t); t is left as it is."""
     total = coeffs[-1] * t + coeffs[-2]
     for c in coeffs[-3::-1]:
         total *= t
@@ -448,9 +456,9 @@ def z_of_zeta(zeta):
     idx = np.flatnonzero(w != 0.0)
     w = w[idx]
     t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
-    # both starts lie below the root of the convex t - arctan(t) = w, so the
-    # first step overshoots and the rest fall to the root: an element that
-    # starts at t >= _TAIL_SERIES never needs the series
+    # on the convex t - arctan(t) = w, (3w)^{1/3} starts below the root and
+    # w + pi/2 above it; Newton overshoots from below, then falls to the
+    # root, so an element starting at t >= _TAIL_SERIES never needs the series
     small = (t < _TAIL_SERIES).any()
     for _ in range(60):
         if not idx.size:
@@ -471,8 +479,9 @@ def z_of_zeta(zeta):
 # ----------------------------------------------------------------------
 
 def _bessel_series_ascending(n: int, x: float) -> float:
-    """Ascending series with log-space prefactor (DLMF 10.2.2)."""
-    if x == 0.0:
+    """Ascending series with log-space prefactor (DLMF 10.2.2); at x = 0,
+    and where x / 2 underflows, the limit: 1 for n = 0, else 0."""
+    if x / 2.0 == 0.0:
         return 1.0 if n == 0 else 0.0
     xl = np.longdouble(x)
     q = -xl * xl / 4.0
@@ -734,11 +743,12 @@ def bessel_j_pair(n, x):
 
 
 def bessel_j_prime(n, x):
-    """d/dx J_n(x) via J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2); at x = 0
-    the limit, 1/2 for n = 1 and 0 otherwise."""
+    """d/dx J_n(x) via J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2); where
+    x <= 1e-300 n, x = 0 included, the limit at 0: 1/2 for n = 1, else 0
+    (within x/4 there, where n/x could overflow and J_n underflow)."""
     n, x, shape = _as_arrays(n, x)
     jm1, jn = bessel_j_pair(n, x)   # for n = 0, jm1 is already -J_1
-    origin = x == 0.0
+    origin = x <= n * 1e-300
     deriv = jm1 - (n / np.where(origin, 1.0, x)) * jn
     return _shaped(np.where(origin, np.where(n == 1, 0.5, 0.0), deriv),
                    shape)
@@ -840,9 +850,8 @@ def bessel_zero(n, m):
     the pair of :func:`bessel_j_pair`, over every element of (n, m) at
     once; each element keeps its own bracket of 0.75 local zero spacings
     around its seed, and leaves the iteration when its step falls to 1e-13
-    relative.  numpy's vectorised transcendental functions can round
-    differently with the array length, so a zero can move by an ulp with
-    the other elements of the batch.
+    relative.  Each element's iterates depend on that element alone, so a
+    zero solved in a batch is bit for bit the zero solved alone.
     """
     n, ms, shape = _as_arrays(n, m, np.int64)
     lam = bessel_zero_seed(n, ms)
@@ -879,6 +888,9 @@ def bessel_zero(n, m):
 # Associated Legendre at the equator
 # ----------------------------------------------------------------------
 
+_LEGENDRE_MAX = 10 ** 6
+
+
 def legendre_equator(l: int, m: int) -> float:
     """Equator value of the orthonormal spherical-harmonic colatitude factor.
 
@@ -888,13 +900,14 @@ def legendre_equator(l: int, m: int) -> float:
             sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) (l+m-1)!!/(l-m)!!
 
     for l + m even, 0 for l + m odd; Condon-Shortley phase included, so this
-    equals Y_l^m(pi/2, 0).  Evaluated in log-Gamma space; valid to l ~ 1e6
-    within ~1e-10.
+    equals Y_l^m(pi/2, 0).  Evaluated in log-Gamma space, whose differences
+    lose about l eps: 1.7e-9 relative at l = 1e6, 5e-8 at 1e7, past the 1e-8
+    target, so degrees above _LEGENDRE_MAX = 1e6 raise ValueError.
     """
     _integers(l, "degree")
     _integers(m, "order")
-    if m < 0 or l < m:
-        raise ValueError("need 0 <= m <= l")
+    if not 0 <= m <= l <= _LEGENDRE_MAX:
+        raise ValueError(f"need 0 <= m <= l <= {_LEGENDRE_MAX}: l={l}, m={m}")
     if (l + m) % 2 == 1:
         return 0.0
     a, b = l + m - 1, l - m          # a odd (or -1 when l = m = 0), b even

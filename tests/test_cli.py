@@ -296,6 +296,9 @@ _DISK = ["sweep-disk", "--alpha", "0.5", "--n-min", "200", "--n-max", "600",
     ["sweep-sphere", "--alpha", "0.5", "--n-min", "-5"],
     ["quasimode", "--lam-min", "300", "--lam-max", "200"],
     ["quasimode", "--lam-max", "inf"],
+    # degrees past the range where the sphere's equator values hold 1e-8
+    ["sweep-sphere", "--alpha", "0.5", "--n-min", "100000", "--n-max",
+     "100000000", "--points", "5"],
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, argv):
     out = str(tmp_path / "x")

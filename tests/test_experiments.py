@@ -152,9 +152,30 @@ def test_sweep_row_matches_direct_selection():
 
 
 def test_unknown_kind_rejected():
-    cfg = ex.SweepConfig(kind="torus", alpha=0.5, n_lo=10, n_hi=20, points=2)
     with pytest.raises(ValueError, match="kind"):
-        ex.amplitude_sweep(cfg)
+        ex.SweepConfig(kind="torus", alpha=0.5, n_lo=10, n_hi=20, points=2)
+
+
+def test_sphere_config_rejects_a_radius():
+    # the sphere's trace is the equator: a radius would be ignored
+    with pytest.raises(ValueError, match="radius"):
+        ex.SweepConfig(kind="sphere", alpha=0.5, n_lo=200, n_hi=5000,
+                       points=8, radius=0.3)
+
+
+def test_sphere_config_rejects_an_optimize_rule():
+    # a sphere degree has one candidate: the rule would be ignored
+    with pytest.raises(ValueError, match="optimize"):
+        ex.SweepConfig(kind="sphere", alpha=0.5, n_lo=200, n_hi=5000,
+                       points=8, optimize="first")
+
+
+def test_normal_derivative_sweep_rejects_sphere():
+    # a sphere sweep takes equator values: it would measure the amplitude
+    cfg = ex.SweepConfig(kind="sphere", alpha=0.5, n_lo=200, n_hi=5000,
+                         points=8)
+    with pytest.raises(ValueError, match="disk"):
+        ex.normal_derivative_sweep(cfg, s=0.25)
 
 
 # ----------------------------------------------------------------------
@@ -427,14 +448,22 @@ def test_quasimode_matches_one_window_at_a_time(seed):
 
 def test_quasimode_groups_of_one_window(monkeypatch):
     # the default ensemble is one batch; with a cap below every window each
-    # window is its own batch, and the output does not change
+    # window is its own batch, with no cap all windows are one, and the
+    # output does not change by a byte (the 120 windows make 13 batches
+    # under the default cap)
     lams = np.geomspace(200.0, 2000.0, 8)
     assert ex._window_groups(lams) == [slice(0, 8)]
-    kw = dict(lam_lo=60.0, lam_hi=2000.0, windows=5, trials=3, seed=4)
-    text = io.quasimode_to_csv_text(ex.quasimode_boundedness(**kw))
+    for kw in (dict(lam_lo=60.0, lam_hi=2000.0, windows=5, trials=3, seed=4),
+               dict(lam_lo=200.0, lam_hi=2000.0, windows=120, trials=2,
+                    seed=3)):
+        monkeypatch.setattr(ex, "_BATCH_ORDERS", 8000)
+        text = io.quasimode_to_csv_text(ex.quasimode_boundedness(**kw))
+        for cap in (1, math.inf):
+            monkeypatch.setattr(ex, "_BATCH_ORDERS", cap)
+            assert io.quasimode_to_csv_text(
+                ex.quasimode_boundedness(**kw)) == text, (kw, cap)
     monkeypatch.setattr(ex, "_BATCH_ORDERS", 1)
     assert ex._window_groups(lams) == [slice(i, i + 1) for i in range(8)]
-    assert io.quasimode_to_csv_text(ex.quasimode_boundedness(**kw)) == text
 
 
 def test_quasimode_window_groups_stay_under_the_cap():

@@ -350,17 +350,6 @@ _SWEEP_SELECTIONS = [(0.3, "restriction", None), (0.5, "restriction", None),
 # the acceptance grid, and the grid of the cli benchmark's sweep-disk
 _GRIDS = [(1000, 100000, 24), (200, 2000, 12)]
 
-# batched against one by one, worst on these grids (with _REFINED = 3 and
-# 1): lam and trace amplitude equal, scores 3.3e-16 relative.  The bounds
-# leave room for a zero that another batch rounds an ulp apart: moving lam
-# by an ulp moves J_{n-1} by up to ~n eps far above the turning point, and
-# the "normal_derivative" scores at n = 81855 lose a further factor to the
-# cancellation in J_n' = J_{n-1} - (n/x) J_n near the turning point
-SELECT_LAM_REL = 1e-15
-SELECT_AMP_REL = 4e-12
-SELECT_SCORE_REL = 1e-10
-
-
 def _compare_with_one_by_one(alpha, optimize, band, grid):
     """Assert that select_disk_modes picks as the reference does on every
     order of the grid; return how often the reference refined past the
@@ -385,17 +374,13 @@ def _compare_with_one_by_one(alpha, optimize, band, grid):
         assert got.error[j] is None, n
         mode = DiskMode(n=n, lam=float(got.lam[j]),
                         normalization=float(got.normalization[j]))
-        assert abs(mode.lam - want.lam) <= SELECT_LAM_REL * want.lam, n
-        got_amp = modes.restrict_disk(mode, 0.5)
-        want_amp = modes.restrict_disk(want, 0.5)
-        assert abs(got_amp - want_amp) <= SELECT_AMP_REL * abs(want_amp), n
+        # batched and one by one give the same bits
+        assert mode == want, n
         assert (got.candidates[j], got.band_feasible[j]) == (candidates,
                                                              feasible), n
         mine = got.refined_k == j
         assert got.refined_m[mine].tolist() == [m for m, _ in scores], n
-        for got_q, (_, want_q) in zip(got.refined_quality[mine].tolist(),
-                                      scores):
-            assert abs(got_q - want_q) <= SELECT_SCORE_REL * abs(want_q), n
+        assert got.refined_quality[mine].tolist() == [q for _, q in scores], n
     return seconds
 
 
@@ -474,23 +459,10 @@ def _enumerate_wide(lam_lo, lam_hi):
             for a, b, c in zip(n.tolist(), lam.tolist(), _norms(n, lam))]
 
 
-# the zeros and normalizations of a window against the wide reference's: on
-# the 122 windows Lambda in geomspace(0.3, 3000, 120), 536.54 and 1439.37
-# they are equal; the bounds leave room for a zero that another batch
-# rounds a few ulp apart, which moves J_{n-1} along its slope
-LAM_REL = 4e-15
-NORM_REL = 4e-12
-
-
 def _assert_matches_wide(found, lam_lo, lam_hi):
-    # the same (n, m) list in the same order: each order's zeros ascend,
-    # and a mode of another index would be a zero spacing away
-    wide = _enumerate_wide(lam_lo, lam_hi)
-    assert [m.n for m in found] == [w.n for w in wide]
-    for got, want in zip(found, wide):
-        assert abs(got.lam - want.lam) <= LAM_REL * want.lam, want
-        assert abs(got.normalization - want.normalization) \
-            <= NORM_REL * want.normalization, want
+    # the same modes, bit for bit: a zero does not depend on the other
+    # zeros of its batch
+    assert found == _enumerate_wide(lam_lo, lam_hi)
 
 
 class TestFrequencyWindow:
@@ -517,9 +489,9 @@ class TestFrequencyWindow:
             assert slots == oracle.weyl_count(lam + 1.0, lam)
             _assert_matches_wide(found, lam, lam + 1.0)
 
-    # (445, 8) and (957, 3): zeros whose batched value is an ulp off the
-    # value solved alone, so that without the re-solve at the edges they
-    # would drop out of one of their windows
+    # (445, 8) and (957, 3): zeros that a batch once rounded an ulp off the
+    # zero solved alone (when the Airy sums were matrix products), which
+    # dropped them out of one of their windows
     @pytest.mark.parametrize("n,m", [(0, 1), (1, 1), (500, 1), (1000, 218),
                                      (40, 7), (445, 8), (957, 3)])
     def test_zero_on_window_edge(self, n, m):
@@ -533,7 +505,7 @@ class TestFrequencyWindow:
             _assert_matches_wide(found, lo, hi)
 
     def test_solves_few_zeros_per_mode(self, monkeypatch):
-        # the elements of the batched Newton, and any edge re-solve
+        # the elements of the batched Newton
         solve = specfun.bessel_zero
         solved = []
 
@@ -562,14 +534,11 @@ class TestFrequencyWindow:
 def _enumerate_one_window(lam_lo, lam_hi):
     """The per-window enumeration that the batched one replaced: every
     candidate of the orders 0 ... floor(lam_hi) of one window, in one
-    batched Newton, with each zero at an edge solved again alone; the
-    reference for :func:`modes.modes_in_frequency_windows`."""
+    batched Newton; the reference for
+    :func:`modes.modes_in_frequency_windows`."""
     n, m = specfun.bessel_zero_candidate_ranges(
         np.arange(math.floor(lam_hi) + 1), lam_lo, lam_hi)
     lam = specfun.bessel_zero(n, m)
-    edge = np.minimum(np.abs(lam - lam_lo), np.abs(lam - lam_hi))
-    for i in np.flatnonzero(edge <= modes._EDGE * lam):
-        lam[i] = specfun.bessel_zero(int(n[i]), int(m[i]))
     inside = (lam_lo <= lam) & (lam <= lam_hi)
     n, lam = n[inside], lam[inside]
     jm1, jn = specfun.bessel_j_pair(n, lam)
@@ -577,14 +546,6 @@ def _enumerate_one_window(lam_lo, lam_hi):
     norm = 1.0 / (math.sqrt(math.pi) * np.abs(jnp1))
     return [DiskMode(n=a, lam=b, normalization=c)
             for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
-
-
-# the batched windows against one window at a time: numpy's vectorised
-# transcendental functions may round an element differently in another
-# batch, so the same zero can come out an ulp or two apart (measured: equal
-# on the 122 windows below; normalizations within 8.5e-16 relative)
-BATCH_LAM_REL = 4.5e-16
-BATCH_NORM_REL = 4e-15
 
 
 def _windows(batched):
@@ -605,12 +566,9 @@ def _assert_matches_one_by_one(batched, lo, hi):
     assert len(found) <= len(lo)
     found += [[]] * (len(lo) - len(found))
     for modes_of, a, b in zip(found, lo, hi):
-        want = _enumerate_one_window(a, b)
-        assert [n for n, _, _ in modes_of] == [w.n for w in want], (a, b)
-        for (_, lam, norm), w in zip(modes_of, want):
-            assert abs(lam - w.lam) <= BATCH_LAM_REL * w.lam, (a, w)
-            assert abs(norm - w.normalization) \
-                <= BATCH_NORM_REL * w.normalization, (a, w)
+        # the same bits in a batch of many windows as in a batch of one
+        assert [DiskMode(*mode) for mode in modes_of] == \
+            _enumerate_one_window(a, b), (a, b)
 
 
 class TestBatchedWindows:

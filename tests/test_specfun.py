@@ -210,9 +210,8 @@ class TestAiry:
         # positive axis; on the oscillatory one against the amplitude
         # |x|^{-1/4} (Ai) and |x|^{1/4} (Ai').  Worst measured: 2.9e-14
         # against scipy (at x = 26.8, where the rounding of exp(-xi) in
-        # either code is ~xi eps), 6.4e-15 against the frozen values (at
-        # x = -0.13; the matrix products of the transport round a little
-        # differently with the number of elements).
+        # either code is ~xi eps), 4.1e-15 against the frozen values (Ai'
+        # at x = -6).
         def scaled(got, want, x, power):
             amp = np.where(x >= 0.0, np.abs(want),
                            np.maximum(1.0, -x) ** power)
@@ -310,6 +309,8 @@ class TestBesselJ:
     def test_trivial_and_frozen(self):
         assert specfun.bessel_j(0, 0.0) == 1.0
         assert specfun.bessel_j(3, 0.0) == 0.0
+        # the smallest subnormal x, where x / 2 underflows to 0
+        assert specfun.bessel_j_pair(1, 5e-324) == (1.0, 0.0)
         assert specfun.bessel_j(100, 130.0) == pytest.approx(J100_AT_130,
                                                              rel=1e-10, abs=0.0)
         assert abs(specfun.bessel_j(0, J0_ZERO_1)) < 1e-13
@@ -671,6 +672,15 @@ class TestLegendreEquator:
     def test_odd_parity_zero(self):
         assert specfun.legendre_equator(5, 2) == 0.0
 
+    def test_degrees_past_the_certified_range_raise(self):
+        # the log-Gamma differences lose about l eps: 1.7e-9 at l = 1e6,
+        # 5e-8 at 1e7
+        top = specfun._LEGENDRE_MAX
+        assert abs(specfun.legendre_equator(top, top - 2)) > 0.0
+        for l, m in ((top + 1, 1), (top + 2, 0), (10 ** 8, 10 ** 8 // 2)):
+            with pytest.raises(ValueError, match="l <= 1000000"):
+                specfun.legendre_equator(l, m)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=3000))
     def test_magnitude_bounded_by_normalization(self, l):
@@ -701,6 +711,48 @@ NOT_ELEMENTWISE = {"airy_zero", "legendre_equator",
                    "bessel_zero_candidate_ranges"}
 
 
+def _near_turning_point(n, arg):
+    """(n, x) with n^{2/3} zeta(x/n) at arg (to first order when arg > 0):
+    inside the strip |arg| < _UNIFORM_STRIP, in the transport band
+    |arg| < 8 of the Airy factors, or beyond it."""
+    scale = n ** (2.0 / 3.0)
+    z = (specfun.z_of_zeta(arg / scale) if arg <= 0.0
+         else 1.0 - 2.0 ** (-1.0 / 3.0) * arg / scale)
+    return n, n * z
+
+
+# the one-element arguments of every function of SCALAR_CASES for the batch
+# invariance test: a strategy, and elements that every batch holds so that
+# each batch reaches every method (see test_batch_cases_reach_every_method)
+_AIRY_BATCH = (st.tuples(st.floats(-30.0, 30.0)),
+               [(-20.0,), (-3.7,), (2.2,), (12.0,)])
+_BESSEL_BATCH = (
+    st.one_of(
+        st.tuples(st.integers(0, 1000), st.floats(0.0, 17.0)),
+        # the recurrence, and below n - 4 n^{1/3} uniform below N_U
+        st.tuples(st.integers(0, specfun._N_U - 1), st.floats(17.5, 3000.0)),
+        st.builds(_near_turning_point, st.integers(specfun._N_U, 200000),
+                  st.floats(-12.0, 12.0))),
+    [(3, 16.9), (50, 41.0), (60, 30.0), _near_turning_point(1000, 0.3),
+     _near_turning_point(1000, -3.0), _near_turning_point(1000, 2.5),
+     (20000, 40000.0), (1000, 500.0)])
+_ZERO_BATCH = (st.tuples(st.integers(0, 3000), st.integers(1, 60)),
+               [(0, 1), (12, 3), (300, 4), (445, 8), (1000, 218)])
+BATCH_CASES = {
+    "airy_ai": _AIRY_BATCH, "airy_ai_prime": _AIRY_BATCH,
+    "phase_integral": (st.tuples(st.floats(1.0, 100.0)), [(1.0,), (1.3,)]),
+    "zeta_of_z": (st.tuples(st.floats(1e-3, 10.0)), [(0.6,), (1.05,)]),
+    "z_of_zeta": (st.tuples(st.floats(-60.0, 0.0)),
+                  [(0.0,), (-1e-4,), (-2.5,)]),
+    "bessel_j": _BESSEL_BATCH, "bessel_j_pair": _BESSEL_BATCH,
+    "bessel_j_prime": _BESSEL_BATCH,
+    "bessel_zero_index": (st.tuples(st.integers(0, 100000),
+                                    st.floats(0.0, 200000.0)),
+                          [(0, 5.0), (40, 90.0), (40, 30.0)]),
+    "bessel_zero_seed": _ZERO_BATCH, "bessel_zero": _ZERO_BATCH,
+}
+
+
 class TestScalarsAndArrays:
     def test_every_public_function_listed(self):
         public = {name for name, fn in vars(specfun).items()
@@ -718,14 +770,53 @@ class TestScalarsAndArrays:
         else:
             assert type(got) is float
             assert got == float(one[0])
-        # arrays broadcast together: a column against a row; the matrix
-        # products of the Airy transport round a little differently with the
-        # number of elements (measured 1.2e-14 apart at six elements)
+        # arrays broadcast together: a column against a row, each element
+        # with the scalar's bits
         grid = fn(*(np.full(shape, a) for shape, a in
                     zip(((2, 1), (1, 3)) if len(args) == 2 else ((2, 3),),
                         args)))
         for values, value in (zip(grid, got) if name == "bessel_j_pair"
                               else [(grid, got)]):
             assert values.shape == (2, 3)
-            assert values == pytest.approx(np.full((2, 3), value),
-                                           rel=3e-14, abs=0.0)
+            assert (values == value).all()
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_batch_invariant(self, name, data):
+        # every element of a batch has the bits of its one-element call,
+        # whatever else the batch holds
+        fn = getattr(specfun, name)
+        element, always = BATCH_CASES[name]
+        batch = data.draw(st.permutations(
+            always + data.draw(st.lists(element, max_size=12))))
+        together = fn(*(np.array(column) for column in zip(*batch)))
+        if name != "bessel_j_pair":
+            together = (together,)
+        for i, args in enumerate(batch):
+            alone = fn(*args)
+            if name != "bessel_j_pair":
+                alone = (alone,)
+            assert [np.float64(v[i]).tobytes() for v in together] == \
+                [np.float64(v).tobytes() for v in alone], args
+
+    def test_batch_cases_reach_every_method(self):
+        # the elements every batch holds: both Airy methods (asymptotic
+        # series and transport) on both sides, and every Bessel region,
+        # the uniform expansion inside and outside the strip and the
+        # transport band
+        x = np.array(_AIRY_BATCH[1]).ravel()
+        far = np.abs(x) >= specfun._AIRY_ASYMP
+        assert {(bool(f), bool(v > 0)) for f, v in zip(far, x)} == \
+            {(f, p) for f in (False, True) for p in (False, True)}
+        n, x = (np.array(column) for column in zip(*_BESSEL_BATCH[1]))
+        series, recurrence = specfun._regions(n, x)
+        uniform = ~(series | recurrence)
+        arg = np.abs(n ** (2.0 / 3.0) * specfun.zeta_of_z(x / n))
+        reached = {"series": series, "recurrence": recurrence,
+                   "uniform below N_U": uniform & (n < specfun._N_U),
+                   "strip": uniform & (arg < specfun._UNIFORM_STRIP),
+                   "band": uniform & (arg >= specfun._UNIFORM_STRIP)
+                   & (arg < specfun._AIRY_ASYMP),
+                   "asymptotic": uniform & (arg >= specfun._AIRY_ASYMP)}
+        assert all(mask.any() for mask in reached.values()), reached

@@ -2,7 +2,8 @@
 
 Every module-level private function of ``src/glancelab`` must have a caller
 in the package other than its own body: a helper whose callers moved to
-another code path fails here instead of lingering.
+another code path fails here instead of lingering.  ``specfun`` holds no
+matrix product, whose rounding would make an element depend on its batch.
 """
 
 import ast
@@ -41,3 +42,24 @@ def test_every_private_function_has_a_caller():
     uncalled = sorted(f"{module}.{name}" for module, name in private
                       if not readers.get(name, set()) - {(module, name)})
     assert not uncalled, f"private functions without a caller: {uncalled}"
+
+
+# numpy's matrix products, and np.linalg: BLAS blocks and orders their sums
+# by the shapes of the operands, so an element's bits would depend on what
+# else is in its batch
+_PRODUCTS = {"dot", "matmul", "einsum", "vecdot", "tensordot", "inner"}
+
+
+def test_specfun_has_no_matrix_product():
+    tree = ast.parse((SRC / "specfun.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) in _PRODUCTS
+                or getattr(node.func, "id", None) in _PRODUCTS):
+            found.append(ast.unparse(node.func))
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(ast.unparse(node))
+    assert not found, f"matrix products in specfun: {found}"
