@@ -19,21 +19,18 @@ Rows whose window contains no admissible eigenvalue are skipped and logged,
 not fabricated; skipping happens routinely for narrow windows and for
 band-constrained sweeps at small order.
 
-The selected disk modes and their traces are memoized per process, keyed
-on (SweepConfig, derivative trace or not, band), the last _TRACE_CACHE = 16
-keys kept: the saturation experiments hold one family of modes fixed and
-change only the measured quantity, so the weight powers s of criterion 3,
-the sqrt(xi_d) reweighting of criterion 5 and the powers s of criterion 6
-read the traces that one selection made.  Module constants such as
-`modes._REFINED` are not part of the key; code that patches one must call
-`_disk_traces.cache_clear()`.
+Modes and traces travel as columns, one entry per order, from the selector
+to the rows: each measured quantity is one array pass over them, and the
+rows are built once, at the end.  The selected disk modes and their traces
+are memoized per process (see `_disk_traces`), so sweeps that change only
+the measured quantity share one selection.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,8 +181,8 @@ class SweepRow:
 class SweepResult:
     config: SweepConfig
     quantity: str
-    rows: list[SweepRow] = field(default_factory=list)
-    skipped: list[tuple[int, str]] = field(default_factory=list)
+    rows: list[SweepRow]
+    skipped: list[tuple[int, str]]
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
@@ -202,17 +199,17 @@ _TRACE_CACHE = 16
 @functools.lru_cache(maxsize=_TRACE_CACHE)
 def _disk_traces(config: SweepConfig, derivative: bool,
                  band: BandSpec | None) -> tuple:
-    """Per order of `config`, (lam, n, radius, trace amplitude) of the
-    selected mode, or the NoModeError that skips the order: one selector
-    call, then one array call on its columns for every amplitude.  The
-    trace is c J_n'(lam r) when `derivative` is true, else c J_n(lam r),
-    which the amplitude, band and sqrt(xi_d) quantities all read.
+    """The traces of the modes that `config` selects, as :func:`_traces`
+    returns them: one selector call, then one array call on its columns
+    for every amplitude.  The trace is c J_n'(lam r) when `derivative` is
+    true, else c J_n(lam r), which the amplitude, band and sqrt(xi_d)
+    quantities all read.
 
     Memoized per process on (config, derivative, band), the last
     _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
     quantity share one selection: the powers s of criteria 3 and 6, and
-    criterion 5's sqrt(xi_d) reweighting of criterion 1's modes.  The tuple
-    is immutable and its NoModeErrors are only read.  Exceptions are not
+    criterion 5's sqrt(xi_d) reweighting of criterion 1's modes.  The
+    columns are read-only and the skipped pairs a tuple.  Exceptions are not
     cached, so a bad radius raises on every call.  Module constants such as
     `modes._REFINED` are not in the key: code that patches one must call
     `_disk_traces.cache_clear()`.
@@ -227,73 +224,86 @@ def _disk_traces(config: SweepConfig, derivative: bool,
         optimize=optimize, band=band)
     found = np.array([error is None for error in picked.error], dtype=bool)
     n, lam = picked.n[found], picked.lam[found]
-    # restrict_disk_normal_derivative: c J_n'(x); restrict_disk: c J_n(x)
-    j = (specfun.bessel_j_prime if derivative else specfun.bessel_j)(
-        n, lam * config.radius)
-    rows = iter(zip(lam.tolist(), n.tolist(), [config.radius] * lam.size,
-                    (picked.normalization[found] * j).tolist()))
-    return tuple(next(rows) if error is None else error
-                 for error in picked.error)
+    amp = picked.normalization[found] * (
+        specfun.bessel_j_prime if derivative else specfun.bessel_j)(
+            n, lam * config.radius)
+    return _traces(n, n, lam, amp, picked.n, picked.error)
 
 
-def _sphere_trace(l: int, target: ScaleTarget):
-    """(lam, m, 1, equator amplitude) of the selected harmonic of degree l,
-    or the NoModeError that skips it."""
-    try:
-        mode = modes_mod.sphere_mode_at_scale(l, target)
-    except NoModeError as exc:
-        return exc
-    return mode.lam, mode.m, 1.0, modes_mod.restrict_sphere(mode)
+def _sphere_traces(config: SweepConfig) -> tuple:
+    """The equator traces of the harmonics that `config` selects, as
+    :func:`_traces` returns them: one selector call, then one
+    :func:`specfun.legendre_equator` call per degree."""
+    degrees = np.array(config.orders(), dtype=np.int64)
+    m, errors = modes_mod.select_sphere_modes(degrees, config.target())
+    found = np.array([error is None for error in errors], dtype=bool)
+    l, m = degrees[found], m[found]
+    amp = np.array([specfun.legendre_equator(a, b)
+                    for a, b in zip(l.tolist(), m.tolist())], dtype=float)
+    return _traces(l, m, np.sqrt(l * (l + 1.0)), amp, degrees, errors)
+
+
+def _traces(n, k, lam, amp, orders, errors) -> tuple:
+    """(n, k, lam, amp, skipped): read-only columns of the selected modes,
+    one entry per order that has one (its order n, the angular wavenumber k
+    of its trace, its frequency and its trace amplitude), and the
+    (order, reason) pairs of the other orders, in order."""
+    for column in (n, k, lam, amp):
+        column.flags.writeable = False
+    skipped = tuple((order, str(error)) for order, error
+                    in zip(orders.tolist(), errors) if error is not None)
+    return n, k, lam, amp, skipped
 
 
 def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            band: BandSpec | None = None,
            weight: WeightSpec | None = None) -> SweepResult:
-    """Shared sweep driver; `quantity` picks the measured norm."""
-    result = SweepResult(config=config, quantity=quantity)
+    """Shared sweep driver; `quantity` picks the measured norm.  Each column
+    of the rows is one array pass over the selected modes; an order whose
+    measured norm is 0 is skipped."""
+    if config.kind == "disk":
+        n, k, lam, amp, skipped = _disk_traces(
+            config, quantity == "normal_derivative", band)
+        radius = config.radius
+    else:
+        n, k, lam, amp, skipped = _sphere_traces(config)
+        radius = 1.0
+    h = 1.0 / lam
+    # t * t, not t ** 2: ** goes through pow, which can miss the correctly
+    # rounded product by an ulp and change the CSV bytes
+    t = h * k / radius
+    sigma = 1.0 - t * t
+    xi_d = np.sqrt(np.maximum(sigma, 0.0))
+    # trace_norm of each amplitude alone, in the same operation order
+    norm = np.sqrt(2.0 * math.pi * radius * (amp * amp))
+    if quantity == "amplitude":
+        weighted = norm
+    elif quantity == "band_power":
+        inside = band_indicator(sigma, h, band)
+        weighted = np.power(sigma, s, out=np.zeros_like(sigma),
+                            where=inside) * norm
+    elif quantity == "normal_flat":
+        weighted = np.sqrt(xi_d) * norm
+    elif quantity == "normal_derivative":
+        weighted = glancing_weight(sigma, h, weight) * norm
+    else:
+        raise ValueError(f"unknown quantity {quantity!r}")
+
+    keep = weighted != 0.0
+    # the orders are distinct: sorting the pairs merges them in order of n
+    skipped = sorted(skipped + tuple(
+        (order, "selected mode fell outside the band")
+        for order in n[~keep].tolist()))
     rho1 = band.rho1 if band is not None else (weight.rho if weight else 0.0)
     rho2 = band.rho2 if band is not None else 0.0
-
-    orders = config.orders()
-    if config.kind == "disk":
-        traces = _disk_traces(config, quantity == "normal_derivative", band)
-    else:
-        traces = [_sphere_trace(n, config.target()) for n in orders]
-    for n, trace in zip(orders, traces):
-        if isinstance(trace, NoModeError):
-            result.skipped.append((n, str(trace)))
-            continue
-        lam, k, radius, amp = trace
-        h = 1.0 / lam
-        # t * t, not t ** 2: float ** goes through libm pow, which can miss
-        # the correctly rounded product by an ulp and change the CSV bytes
-        t = h * k / radius
-        sigma = 1.0 - t * t
-        xi_d = math.sqrt(max(sigma, 0.0))
-        amplitude = float(abs(amp))
-        norm = trace_norm([amp], radius)
-        if quantity == "amplitude":
-            weighted = norm
-        elif quantity == "band_power":
-            inside = band_indicator(sigma, h, band)
-            weighted = (sigma ** s) * norm if inside else 0.0
-        elif quantity == "normal_flat":
-            weighted = math.sqrt(xi_d) * norm
-        elif quantity == "normal_derivative":
-            weighted = float(glancing_weight(sigma, h, weight)) * norm
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
-        if weighted == 0.0:
-            result.skipped.append((n, "selected mode fell outside the band"))
-            continue
-        result.rows.append(SweepRow(
-            n=n, lam=lam, h=h, sigma=sigma, xi_d=xi_d, amplitude=amplitude,
-            weighted_norm=weighted, s=s, alpha=config.alpha, rho1=rho1,
-            rho2=rho2))
-    if not result.rows:
+    columns = (n, lam, h, sigma, xi_d, np.abs(amp), weighted)
+    rows = [SweepRow(*row, s, config.alpha, rho1, rho2)
+            for row in zip(*(column[keep].tolist() for column in columns))]
+    if not rows:
         raise FitError(f"sweep produced no usable rows "
-                       f"({len(result.skipped)} skipped)")
-    return result
+                       f"({len(skipped)} skipped)")
+    return SweepResult(config=config, quantity=quantity, rows=rows,
+                       skipped=skipped)
 
 
 def amplitude_sweep(config: SweepConfig) -> SweepResult:

@@ -28,17 +28,22 @@ signal (r^2 < 0.2 across the acceptance grids).  Candidate ranking uses the
 analytic phase/envelope model on the seeds of every candidate of every
 order, in one array pass; only the top few candidates of each order are
 solved exactly, all orders in one batched Newton, keeping selection cheap
-at orders ~1e5.  ``select_disk_mode_at_scale`` is its one-order case.
+at orders ~1e5.  ``select_sphere_modes`` picks the azimuthal order of every
+degree in one array pass.
 
 ``modes_in_frequency_windows`` enumerates every mode of every window of a
 quasimode ensemble in the same way: one pass over the candidates of all
-windows together, of which ``modes_in_frequency_window`` is the one-window
-case.  Its arrays grow with the windows it is given, so its callers bound
-the batch (``experiments.quasimode_boundedness`` by a fixed cap on the
-orders of the windows batched together).
+windows together.  Its arrays grow with the windows it is given, so its
+callers bound the batch (``experiments.quasimode_boundedness`` by a fixed
+cap on the orders of the windows batched together).
 
-Both batched functions return their modes as columns of n, lam and
-normalization; ``DiskMode`` is the one-mode view of the other functions.
+Modes exist only as columns: the disk functions return n, lam and the
+normalization c, one entry per mode, and a single mode is the one-element
+case.  The traces are taken on those columns by the experiments: a disk
+mode's trace on the circle of radius R is c J_n(lam R) e^{i n theta}, the
+trace of its h-scaled normal derivative h d_r u is c J_n'(lam R) e^{i n
+theta}, and the equator trace of Y_l^m is Y_l^m(pi/2, 0) e^{i m phi}
+(``specfun.legendre_equator``), which vanishes when l + m is odd.
 """
 
 from __future__ import annotations
@@ -79,60 +84,16 @@ class ScaleTarget:
         w = n ** (1.0 - self.alpha)
         return 2.0 * n + self.offset * w, 2.0 * n + (self.offset + 1.0) * w
 
-    def sphere_order_window(self, l: int) -> tuple[float, float]:
-        """Azimuthal-order window [l - (M+1) l^{1-alpha}, l - M l^{1-alpha}]."""
+    def sphere_order_window(self, l):
+        """Azimuthal-order window [l - (M+1) l^{1-alpha}, l - M l^{1-alpha}]
+        of a degree l, or the two edge columns of an array of degrees."""
         w = l ** (1.0 - self.alpha)
         return l - (self.offset + 1.0) * w, l - self.offset * w
 
 
-@dataclass(frozen=True)
-class DiskMode:
-    """Dirichlet eigenmode c J_n(lam r) e^{i n theta} of the unit disk."""
-    n: int
-    lam: float
-    normalization: float
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.lam
-
-    def sigma(self, radius: float) -> float:
-        """Glancing distance of the trace component at the given circle."""
-        return 1.0 - (self.n / (self.lam * radius)) ** 2
-
-
-@dataclass(frozen=True)
-class SphereMode:
-    """Spherical harmonic Y_l^m on the round unit sphere."""
-    l: int
-    m: int
-
-    @property
-    def lam(self) -> float:
-        return math.sqrt(self.l * (self.l + 1.0))
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.lam
-
-    def sigma(self) -> float:
-        """Glancing distance of the equator trace component."""
-        return 1.0 - (self.m / self.lam) ** 2
-
-
 # ----------------------------------------------------------------------
-# Construction
+# Normalization
 # ----------------------------------------------------------------------
-
-def disk_mode(n: int, m: int) -> DiskMode:
-    """The disk eigenmode with angular order n and m-th radial eigenvalue,
-    normalized by :func:`_normalizations`."""
-    lam = specfun.bessel_zero(n, m)
-    norm = float(_normalizations(np.array([n]), np.array([lam]))[0])
-    if not norm:
-        raise NoModeError(f"degenerate normalization at (n={n}, lam={lam})")
-    return DiskMode(n=n, lam=lam, normalization=norm)
-
 
 def _normalizations(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The L2(disk) normalizations c = 1/(sqrt(pi) |J_{n+1}(lam)|) of the
@@ -144,33 +105,6 @@ def _normalizations(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
     jnp1 = np.abs((2.0 * n / lam) * jn - jm1)      # for n = 0, jm1 = -J_1
     return np.divide(1.0, math.sqrt(math.pi) * jnp1, out=np.zeros_like(jnp1),
                      where=jnp1 != 0.0)
-
-
-def restrict_disk(mode: DiskMode, radius: float) -> float:
-    """Amplitude of the mode's trace on the circle of the given radius: the
-    trace is that amplitude times e^{i n theta}."""
-    if not (0.0 < radius < 1.0):
-        raise ValueError("radius must lie strictly inside the disk")
-    return mode.normalization * specfun.bessel_j(mode.n, mode.lam * radius)
-
-
-def restrict_disk_normal_derivative(mode: DiskMode, radius: float) -> float:
-    """Amplitude of the trace of the h-scaled normal derivative h d_r u.
-
-    h d_r (c J_n(lam r)) = c J_n'(lam r) since h = 1/lam, so the amplitude
-    is the normalization times J_n' at the restriction point.
-    """
-    if not (0.0 < radius < 1.0):
-        raise ValueError("radius must lie strictly inside the disk")
-    return mode.normalization * specfun.bessel_j_prime(mode.n,
-                                                       mode.lam * radius)
-
-
-def restrict_sphere(mode: SphereMode) -> float:
-    """Amplitude of the trace of Y_l^m on the equator, Y_l^m(pi/2, 0): the
-    trace is that amplitude times e^{i m phi}.  It vanishes identically when
-    l + m is odd."""
-    return specfun.legendre_equator(mode.l, mode.m)
 
 
 # ----------------------------------------------------------------------
@@ -207,65 +141,30 @@ class DiskSelection(NamedTuple):
     refined_quality: np.ndarray     # |trace| (-lam for "first"), exact
 
 
-def select_disk_mode_at_scale(n: int, target: ScaleTarget, radius: float = 0.5,
-                              optimize: str = "first", band=None) -> DiskMode:
-    """Pick a disk eigenmode whose frequency lies in the target window.
-
-    The one-order case of :func:`select_disk_modes`, which describes the
-    candidates, the screens, the ranking and the refinement.
-
-    Parameters
-    ----------
-    n : int
-        Angular order (n >= 1).
-    target : ScaleTarget
-        Window parameters; at radius 1/2 they pin sigma ~ n^{-alpha}.
-    radius : float
-        Restriction circle radius; the window formula is calibrated to 1/2.
-    optimize : str
-        "first": smallest eigenvalue in the window.
-        "restriction": the candidate maximizing the restricted amplitude
-        |J_n(lam radius)|, located by the phase model and then verified
-        exactly on the best few (`_REFINED`) model-ranked candidates.
-        "normal_derivative": same, for the h-scaled normal derivative.
-    band : BandSpec or None
-        If given, only zeros whose sigma at `radius` lies in the sharp band
-        (with h = 1/lam) are admissible.
-
-    Raises
-    ------
-    ValueError
-        If n is not an integer, or `optimize` is unknown.
-    NoModeError
-        If the window contains no zero, or none passes the band filter.
-    """
-    picked = select_disk_modes([n], target, radius=radius,
-                               optimize=optimize, band=band)
-    if picked.error[0] is not None:
-        raise picked.error[0]
-    return DiskMode(n=int(picked.n[0]), lam=float(picked.lam[0]),
-                    normalization=float(picked.normalization[0]))
-
-
 def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
                       optimize: str = "first", band=None) -> DiskSelection:
-    """:func:`select_disk_mode_at_scale` for every angular order of
-    `orders`, in a fixed number of array passes over all of them.
+    """Pick, for every angular order of `orders`, a disk eigenmode whose
+    frequency lies in the `target` window, in a fixed number of array
+    passes over all of them.  The windows are calibrated to `radius` 1/2,
+    where they pin sigma ~ n^{-alpha}.
 
     Returns one :class:`DiskSelection`: the picked mode of each order as
     columns, or the NoModeError that says why the order has none, with the
-    counts and refined candidates behind each pick.
+    counts and refined candidates behind each pick.  An order that is not
+    an integer, or an unknown `optimize`, raises ValueError.
 
     Per order, the candidates m are the indices whose seed lies within 0.6
-    zero spacings of the window (and, with a band, whose seed sigma lies in
-    it, with a hair of slack).  They are ranked by the phase model, or by
-    the seed for "first"; the top `_REFINED` of each order are solved
-    exactly, and the admissible one of best exact quality wins, the
-    first-ranked on a tie.  An order whose ranked few all leave the window
-    or the band on refinement has all its other candidates refined.  Each
-    stage is one array call over every order: the candidate ranges, the
-    seeds, the ranking, the Newton (once more for such orders), the
-    qualities, the pick and the normalization.
+    zero spacings of the window (and, with a `band`, whose seed sigma at
+    `radius` lies in it, with a hair of slack).  `optimize` ranks them:
+    "first" by the seed, smallest first; "restriction" by the phase model
+    of |J_n(lam radius)|; "normal_derivative" by that of |J_n'|.  The top
+    `_REFINED` of each order are solved exactly, and the one of best exact
+    quality (-lam for "first") whose zero lies in the window and, with h =
+    1/lam, in the band wins, the first-ranked on a tie.  An order whose
+    ranked few all leave the window or the band on refinement has all its
+    other candidates refined.  Each stage is one array call over every
+    order: the candidate ranges, the seeds, the ranking, the Newton (once
+    more for such orders), the qualities, the pick and the normalization.
     """
     if optimize not in _OPTIMIZE:
         raise ValueError(f"optimize must be one of {_OPTIMIZE}")
@@ -364,60 +263,56 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
         refined_m=m[sel], refined_quality=quality)
 
 
-def sphere_mode_at_scale(l: int, target: ScaleTarget) -> SphereMode:
-    """The spherical harmonic with azimuthal order in the target window.
+def select_sphere_modes(degrees, target: ScaleTarget):
+    """The azimuthal order m of a spherical harmonic Y_l^m in the target
+    window for every degree l of `degrees`, in one array pass.
 
     Picks the largest m <= l - offset*l^{1-alpha} inside the window with
     l + m even (odd parity has an identically zero equator trace).  The
     equator amplitude of the result grows like l^{alpha/4} with no phase
     factor, so no further optimization is needed on the sphere side.
+
+    Returns (m, error): the int64 column of orders, read where error is
+    None, and per degree None or the NoModeError of a degree without one.
+    A degree that is not a nonnegative integer raises ValueError.
     """
-    specfun._integers(l, "degree")
-    m_lo, m_hi = target.sphere_order_window(l)
-    m = math.floor(m_hi)
-    if (l + m) % 2 == 1:
-        m -= 1
-    if m < max(m_lo, 0.0):
-        raise NoModeError(
-            f"no even-parity order in window [{m_lo:.2f}, {m_hi:.2f}] for l={l}")
-    return SphereMode(l=l, m=m)
+    degrees = specfun._integers(degrees, "degree").ravel()
+    if (degrees < 0).any():
+        raise ValueError(f"degrees must be nonnegative, got {degrees.min()}")
+    m_lo, m_hi = target.sphere_order_window(degrees)
+    m = np.floor(m_hi).astype(np.int64)
+    m -= (degrees + m) % 2
+    errors = [None if ok else NoModeError(
+        f"no even-parity order in window [{lo:.2f}, {hi:.2f}] for l={l}")
+        for ok, lo, hi, l in zip((m >= np.maximum(m_lo, 0.0)).tolist(),
+                                 m_lo.tolist(), m_hi.tolist(),
+                                 degrees.tolist())]
+    return m, tuple(errors)
 
 
 # ----------------------------------------------------------------------
 # Frequency-window enumeration (for quasimode ensembles)
 # ----------------------------------------------------------------------
 
-def modes_in_frequency_window(lam_lo: float, lam_hi: float) -> list[DiskMode]:
-    """All disk modes with eigenfrequency in [lam_lo, lam_hi], n >= 0.
-
-    Returns one DiskMode per (n, m) pair; angular orders n >= 1 stand for
-    the two-dimensional eigenspace spanned by e^{+-i n theta} (callers who
-    need multiplicity count such modes twice).  Modes are ordered by (n, lam).
-
-    The one-window case of :func:`modes_in_frequency_windows`, which solves
-    every candidate in one pass and returns the modes as columns.
-    """
-    _, n, lam, norm = modes_in_frequency_windows([lam_lo], [lam_hi])
-    return [DiskMode(n=a, lam=b, normalization=c)
-            for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
-
-
 def modes_in_frequency_windows(lam_lo, lam_hi):
-    """:func:`modes_in_frequency_window` of every window [lam_lo[i],
-    lam_hi[i]] of two sequences of edges, in one pass over all of them.
+    """All disk modes with eigenfrequency in [lam_lo[i], lam_hi[i]], n >= 0,
+    of every window of two sequences of edges, in one pass over all of them.
 
     Returns the modes of all windows as the columns (window, n, lam,
     normalization), ordered by (window, n, lam), where window is the index
     i of the mode's window; np.bincount(window) counts the modes per window.
+    Each (n, m) pair is one mode; angular orders n >= 1 stand for the
+    two-dimensional eigenspace spanned by e^{+-i n theta} (callers who need
+    multiplicity count such modes twice).
 
     Every candidate (n, m) of every order n <= floor(lam_hi[i]) of every
     window comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
     each order against its own window; all of them are solved in one batched
     Newton (:func:`specfun.bessel_zero`) and the modes inside normalized in
-    one array pass.  Each zero is bit for bit the eigenvalue
-    :func:`disk_mode` returns, whatever else the batch holds, so each window
-    holds exactly the modes of :func:`disk_mode`, a zero on an edge
-    included.  Windows may overlap; a zero in several is a mode of each.
+    one array pass.  Each zero is bit for bit the zero solved alone,
+    whatever else the batch holds, so a window holds the same modes in any
+    batch, a zero on an edge included.  Windows may overlap; a zero in
+    several is a mode of each.
 
     The arrays grow with the candidates of all windows together (one order
     n of a window holds about (lam_hi - lam_lo)/pi of them), so callers

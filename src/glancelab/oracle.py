@@ -583,7 +583,8 @@ def run_all() -> OracleReport:
     -------
     OracleReport
     """
-    from . import specfun  # deferred: oracle must import even if specfun breaks
+    # deferred: oracle must import even if specfun breaks
+    from . import modes, specfun
 
     t0 = time.perf_counter()
     rep = OracleReport()
@@ -682,12 +683,19 @@ def run_all() -> OracleReport:
     # -- disk normalization by quadrature ------------------------------------
     quad_cases = [(0, 1), (4, 3), (25, 2)]
     n, m = (np.array(col) for col in zip(*quad_cases))
-    worst = 0.0
-    for k, lam in zip(n.tolist(), specfun.bessel_zero(n, m).tolist()):
-        got, closed = disk_quadrature_norm(k, lam)
-        worst = max(worst, abs(got - closed) / closed)
+    lam = specfun.bessel_zero(n, m)
+    quad, closed = np.array([disk_quadrature_norm(k, x) for k, x in
+                             zip(n.tolist(), lam.tolist())]).T
+    worst = _worst(quad, closed, closed)
     rep.checks.append(CheckResult("disk norm: quadrature vs closed form",
                                   worst <= 1e-9, worst / 1e-9,
+                                  f"{len(quad_cases)} modes"))
+    # the normalization that scales every trace amplitude the package
+    # writes: 2 pi c^2 int_0^1 J_n(lam r)^2 r dr = 1
+    want = 1.0 / np.sqrt(2.0 * math.pi * quad)
+    worst = _worst(modes._normalizations(n, lam), want, want)
+    rep.checks.append(CheckResult("modes normalization vs quadrature",
+                                  worst <= 1e-12, worst / 1e-12,
                                   f"{len(quad_cases)} modes"))
 
     # -- eigenvalue counting vs the smooth Weyl law ---------------------------

@@ -76,9 +76,12 @@ class BandSpec:
             raise ValueError("need 0 <= rho1 < rho2")
 
 
-def _check_h(h: float) -> None:
-    if not (0.0 < h < 1.0):
+def _check_h(h):
+    """h (a scalar or an array) as an array, each element in (0, 1)."""
+    h = np.asarray(h, dtype=float)
+    if not ((0.0 < h) & (h < 1.0)).all():
         raise ValueError("h must lie in (0, 1)")
+    return h
 
 
 def _ramp_exp(u):
@@ -115,24 +118,26 @@ def cutoff_pair(t, kind: str = "exp"):
     return chi1[()], (1.0 - chi1)[()]
 
 
-def glancing_weight(sigma, h: float, spec: WeightSpec):
+def glancing_weight(sigma, h, spec: WeightSpec):
     """The weight sigma^s chi1(sigma/h^rho) + h^{s rho} chi2(sigma/h^rho).
 
     Equal to sigma^s for sigma >= 2 h^rho, to h^{s rho} for sigma <= h^rho,
     and a smooth interpolation between the two in the crossover shell.
     sigma^s is only evaluated where chi1 > 0, so negative (evanescent)
-    sigma is safe.
+    sigma is safe.  h is a scalar or an array like sigma; each element is
+    the scalar call on its own, bit for bit (every power is np.power).
     """
-    _check_h(h)
+    h = _check_h(h)
     sig = np.asarray(sigma, dtype=float)
     chi1, chi2 = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
     power = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
     return (power * chi1 + h ** (spec.s * spec.rho) * chi2)[()]
 
 
-def band_indicator(sigma, h: float, band: BandSpec):
-    """Sharp indicator of h^{rho2} <= sigma <= h^{rho1}, endpoints kept."""
-    _check_h(h)
+def band_indicator(sigma, h, band: BandSpec):
+    """Sharp indicator of h^{rho2} <= sigma <= h^{rho1}, endpoints kept; h
+    is a scalar or an array like sigma, as in :func:`glancing_weight`."""
+    h = _check_h(h)
     sigma = np.asarray(sigma, dtype=float)
     out = (sigma >= h ** band.rho2) & (sigma <= h ** band.rho1)
     return out if out.ndim else bool(out)
@@ -142,8 +147,8 @@ def trace_norm(amplitudes, radius: float) -> float:
     """L2 norm over the restriction circle of sum_k a_k e^{i k theta}:
     sqrt(2 pi R sum |a_k|^2) by orthogonality of the angular factors.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (0.0 < radius < math.inf):
+        raise ValueError("radius must be positive and finite")
     amplitudes = np.asarray(amplitudes)
     return float(math.sqrt(2.0 * math.pi * radius
                            * float(np.sum(np.abs(amplitudes) ** 2))))

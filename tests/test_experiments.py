@@ -144,11 +144,11 @@ def test_sweep_row_matches_direct_selection():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=300, points=1)
     res = ex.amplitude_sweep(cfg)
     row = res.rows[0]
-    mode = modes.select_disk_mode_at_scale(300, cfg.target(),
-                                           optimize="restriction")
-    assert row.lam == mode.lam
-    assert row.h == pytest.approx(1.0 / mode.lam)
-    assert row.sigma == pytest.approx(mode.sigma(0.5))
+    got = modes.select_disk_modes([300], cfg.target(), optimize="restriction")
+    lam = float(got.lam[0])
+    assert row.lam == lam
+    assert row.h == pytest.approx(1.0 / lam)
+    assert row.sigma == pytest.approx(1.0 - (300 / (lam * 0.5)) ** 2)
 
 
 def test_unknown_kind_rejected():
@@ -248,9 +248,10 @@ def test_normal_derivative_uses_derivative_trace():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=400, n_hi=400, points=1)
     res = ex.normal_derivative_sweep(cfg, s=0.25)
     row = res.rows[0]
-    mode = modes.select_disk_mode_at_scale(400, cfg.target(),
-                                           optimize="normal_derivative")
-    amp = mode.normalization * specfun.bessel_j_prime(mode.n, mode.lam * 0.5)
+    got = modes.select_disk_modes([400], cfg.target(),
+                                  optimize="normal_derivative")
+    amp = got.normalization[0] * specfun.bessel_j_prime(400,
+                                                        got.lam[0] * 0.5)
     assert row.amplitude == pytest.approx(abs(amp))
 
 
@@ -305,7 +306,10 @@ def test_every_key_field_misses(fresh_traces):
     base = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
                           points=2)
     first = ex._disk_traces(base, False, None)
-    assert isinstance(first, tuple) and len(first) == 2
+    n, k, lam, amp, skipped = first
+    # the columns and the skipped pairs account for the two orders
+    assert n.size + len(skipped) == 2
+    assert k.size == lam.size == amp.size == n.size
     assert ex._disk_traces(base, False, None) is first
     assert fresh_traces().hits == 1
     keys = [(dataclasses.replace(base, **change), False, None)
@@ -349,19 +353,26 @@ def test_mutating_a_result_leaves_later_sweeps_alone(fresh_traces):
     assert second.skipped == skipped
 
 
-def test_batched_paths_build_no_disk_mode(monkeypatch, fresh_traces):
-    # the quasimode ensemble and the disk sweeps read the columns of the
-    # batched enumeration and selection; DiskMode is the one-mode view only
-    def refuse(*args, **kwargs):
-        raise AssertionError("a batched path built a DiskMode")
-
-    monkeypatch.setattr(modes, "DiskMode", refuse)
+def test_batched_paths_build_no_disk_mode(fresh_traces):
+    # modes travel as columns only: the one-mode classes are gone, and the
+    # quasimode ensemble and the disk sweeps run on the batched enumeration
+    # and selection
+    assert not hasattr(modes, "DiskMode")
+    assert not hasattr(modes, "SphereMode")
     res = ex.quasimode_boundedness(windows=2, trials=2)
     assert [r.dim > 0 for r in res.rows] == [True, True]
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=20000,
                          points=6)
     assert ex.sharpness_sweep(cfg, s=0.1, band=BandSpec(0.3, 0.6)).rows
     assert fresh_traces().misses == 1
+
+
+def test_trace_columns_are_read_only(fresh_traces):
+    # the memoized columns are shared by every sweep that reads them
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600, points=2)
+    for column in ex._disk_traces(cfg, False, None)[:4]:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -415,10 +426,8 @@ def _quasimode_one_window_at_a_time(lam_lo=200.0, lam_hi=2000.0, windows=8,
     spec = WeightSpec(s=s, rho=rho, cutoff="exp")
     rows = []
     for wi, lam in enumerate(np.geomspace(lam_lo, lam_hi, windows)):
-        found = modes.modes_in_frequency_window(lam, lam + 1.0)
-        ns = np.array([m.n for m in found], dtype=np.int64)
-        freqs = np.array([m.lam for m in found])
-        norms = np.array([m.normalization for m in found])
+        _, ns, freqs, norms = modes.modes_in_frequency_windows([lam],
+                                                               [lam + 1.0])
         amps = norms * specfun.bessel_j(ns, freqs * radius)
         sigmas = 1.0 - (ns / (freqs * radius)) ** 2
         weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps

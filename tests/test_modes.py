@@ -6,67 +6,86 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glancelab import experiments as ex
 from glancelab import modes, oracle, specfun, weights
 from glancelab.experiments import SweepConfig
-from glancelab.modes import DiskMode, NoModeError, ScaleTarget, SphereMode
+from glancelab.modes import NoModeError, ScaleTarget
 from glancelab.weights import BandSpec
 
 J0_ZERO_1 = 2.40482555769577276862
 J1_AT_J0_ZERO_1 = 0.51914749728946678814
 
 
+def _mode(n, m):
+    """(lam, normalization) of the disk mode with angular order n and m-th
+    radial eigenvalue: the one-element calls of the batched zero and
+    normalization."""
+    lam = specfun.bessel_zero([n], [m])
+    return float(lam[0]), float(modes._normalizations(np.array([n]), lam)[0])
+
+
+def _one_order(n, **kw):
+    """A disk sweep config of the one order n at alpha = 1/2."""
+    return SweepConfig(kind="disk", alpha=0.5, n_lo=n, n_hi=n, points=1, **kw)
+
+
 class TestDiskMode:
     def test_fundamental_frozen(self):
-        mode = modes.disk_mode(0, 1)
-        assert mode.lam == pytest.approx(J0_ZERO_1, rel=1e-13, abs=0.0)
-        assert mode.normalization == pytest.approx(
+        lam, norm = _mode(0, 1)
+        assert lam == pytest.approx(J0_ZERO_1, rel=1e-13, abs=0.0)
+        assert norm == pytest.approx(
             1.0 / (math.sqrt(math.pi) * J1_AT_J0_ZERO_1), rel=1e-12, abs=0.0)
 
     def test_unit_norm_against_quadrature(self):
         # 2 pi c^2 int_0^1 J_n(lam r)^2 r dr should be 1
-        mode = modes.disk_mode(7, 3)
-        integral, _ = oracle.disk_quadrature_norm(mode.n, mode.lam)
-        assert 2.0 * math.pi * mode.normalization ** 2 * integral == \
+        lam, norm = _mode(7, 3)
+        integral, _ = oracle.disk_quadrature_norm(7, lam)
+        assert 2.0 * math.pi * norm ** 2 * integral == \
             pytest.approx(1.0, rel=1e-9, abs=0.0)
 
     def test_sigma_formula(self):
-        mode = modes.disk_mode(10, 2)
+        # the glancing distance and h of a sweep's row, from its columns
         r = 0.5
-        assert mode.sigma(r) == pytest.approx(
-            1.0 - (mode.n / (mode.lam * r)) ** 2, rel=1e-15, abs=0.0)
-        assert mode.h == pytest.approx(1.0 / mode.lam)
+        row = ex.amplitude_sweep(_one_order(300)).rows[0]
+        assert row.sigma == pytest.approx(
+            1.0 - (row.n / (row.lam * r)) ** 2, rel=1e-15, abs=0.0)
+        assert row.h == pytest.approx(1.0 / row.lam)
 
 
 class TestRestriction:
     def test_trace_amplitude(self):
-        mode = modes.disk_mode(5, 4)
-        assert modes.restrict_disk(mode, 0.5) == pytest.approx(
-            mode.normalization * specfun.bessel_j(5, mode.lam * 0.5),
-            rel=1e-13, abs=0.0)
+        n, _, lam, amp, _ = ex._disk_traces(_one_order(500), False, None)
+        assert amp[0] == pytest.approx(
+            modes._normalizations(n, lam)[0] * specfun.bessel_j(
+                int(n[0]), lam[0] * 0.5), rel=1e-13, abs=0.0)
 
     def test_normal_derivative_is_h_scaled(self):
         # h d_r u at r = R equals the stored amplitude times e^{in theta}
-        mode = modes.disk_mode(6, 5)
+        n, _, lam, amp, _ = ex._disk_traces(_one_order(100), True, None)
+        n, lam = int(n[0]), float(lam[0])
+        norm = float(modes._normalizations(np.array([n]), np.array([lam]))[0])
         eps = 1e-6
-        u = lambda r: mode.normalization * specfun.bessel_j(6, mode.lam * r)
-        fd = mode.h * (u(0.5 + eps) - u(0.5 - eps)) / (2 * eps)
-        assert modes.restrict_disk_normal_derivative(mode, 0.5) == \
-            pytest.approx(fd, rel=1e-7, abs=0.0)
+        u = lambda r: norm * specfun.bessel_j(n, lam * r)
+        fd = (u(0.5 + eps) - u(0.5 - eps)) / (2 * eps) / lam
+        assert amp[0] == pytest.approx(fd, rel=1e-7, abs=0.0)
 
     def test_radius_validated(self):
-        mode = modes.disk_mode(0, 1)
         for r in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                modes.restrict_disk(mode, r)
-            with pytest.raises(ValueError):
-                modes.restrict_disk_normal_derivative(mode, r)
+            for derivative in (False, True):
+                with pytest.raises(ValueError):
+                    ex._disk_traces(_one_order(100, radius=r), derivative,
+                                    None)
 
     def test_sphere_trace(self):
-        assert modes.restrict_sphere(SphereMode(l=3, m=1)) == pytest.approx(
-            specfun.legendre_equator(3, 1), rel=1e-14, abs=0.0)
+        cfg = SweepConfig(kind="sphere", alpha=0.5, n_lo=300, n_hi=300,
+                          points=1)
+        l, m, _, amp, _ = ex._sphere_traces(cfg)
+        assert amp[0] == pytest.approx(
+            specfun.legendre_equator(int(l[0]), int(m[0])), rel=1e-14,
+            abs=0.0)
 
     def test_sphere_odd_parity_trace_vanishes(self):
-        assert modes.restrict_sphere(SphereMode(l=4, m=1)) == 0.0
+        assert specfun.legendre_equator(4, 1) == 0.0
 
     def test_trace_norm_orthogonality(self):
         # distinct circle wavenumbers are orthogonal, so the trace norm is
@@ -74,14 +93,14 @@ class TestRestriction:
         r = 0.5
         assert weights.trace_norm([3.0, 4.0], r) == pytest.approx(
             5.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
-        m3, m5 = modes.disk_mode(3, 2), modes.disk_mode(5, 2)
-        a = np.array([modes.restrict_disk(m3, r), modes.restrict_disk(m5, r)])
+        n = np.array([3, 5])
+        lam = specfun.bessel_zero(n, 2)
+        a = modes._normalizations(n, lam) * specfun.bessel_j(n, lam * r)
         theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         u = a[0] * np.exp(3j * theta) + a[1] * np.exp(5j * theta)
         quad = math.sqrt(2.0 * math.pi * r * np.mean(np.abs(u) ** 2))
         assert weights.trace_norm(a, r) == pytest.approx(quad, rel=1e-12,
                                                          abs=0.0)
-
 
 class TestScaleTarget:
     def test_window_formulas(self):
@@ -102,6 +121,15 @@ class TestScaleTarget:
                 ScaleTarget(alpha=0.5, offset=bad)
 
 
+def _select(n, target, **kw):
+    """(lam, normalization) of the mode select_disk_modes picks for the one
+    order n, or its NoModeError, raised."""
+    got = modes.select_disk_modes([n], target, **kw)
+    if got.error[0] is not None:
+        raise got.error[0]
+    return float(got.lam[0]), float(got.normalization[0])
+
+
 class TestSelection:
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=50, max_value=5000),
@@ -111,48 +139,47 @@ class TestSelection:
         # eigenvalue at all; the selector must then prove the absence
         t = ScaleTarget(alpha=alpha)
         lo, hi = t.disk_window(n)
-        try:
-            mode = modes.select_disk_mode_at_scale(n, t, optimize="restriction")
-        except NoModeError:
+        got = modes.select_disk_modes([n], t, optimize="restriction")
+        if got.error[0] is not None:
+            assert isinstance(got.error[0], NoModeError)
             m = max(1, round(specfun.bessel_zero_index(n, lo)))
             zeros = specfun.bessel_zero(n, np.arange(max(1, m - 2), m + 4))
             assert not ((lo <= zeros) & (zeros <= hi)).any()
             return
-        assert lo <= mode.lam <= hi
-        assert mode.n == n
+        assert lo <= got.lam[0] <= hi
+        assert got.n.tolist() == [n]
 
     def test_restriction_beats_first(self):
         t = ScaleTarget(alpha=0.5)
         for n in (200, 700, 1500):
-            best = modes.select_disk_mode_at_scale(n, t, optimize="restriction")
-            first = modes.select_disk_mode_at_scale(n, t, optimize="first")
-            a_best = abs(modes.restrict_disk(best, 0.5))
-            a_first = abs(modes.restrict_disk(first, 0.5))
+            best, c_best = _select(n, t, optimize="restriction")
+            first, c_first = _select(n, t, optimize="first")
+            a_best = abs(c_best * specfun.bessel_j(n, best * 0.5))
+            a_first = abs(c_first * specfun.bessel_j(n, first * 0.5))
             assert a_best >= a_first - 1e-12
-            assert first.lam <= best.lam + 1e-9  # first = smallest lam
+            assert first <= best + 1e-9  # first = smallest lam
             # and "first" really is the smallest eigenvalue in the window
             lo, hi = t.disk_window(n)
-            idx_first = specfun.bessel_zero_index(n, first.lam)
+            idx_first = specfun.bessel_zero_index(n, first)
             prev = specfun.bessel_zero(n, max(1, round(idx_first) - 1))
-            assert prev < lo or prev > first.lam - 1e-9
+            assert prev < lo or prev > first - 1e-9
 
     def test_derivative_target(self):
         t = ScaleTarget(alpha=0.5)
-        mode = modes.select_disk_mode_at_scale(800, t, optimize="normal_derivative")
+        lam, norm = _select(800, t, optimize="normal_derivative")
         lo, hi = t.disk_window(800)
-        assert lo <= mode.lam <= hi
-        d = abs(modes.restrict_disk_normal_derivative(mode, 0.5))
-        first = modes.select_disk_mode_at_scale(800, t, optimize="first")
-        d_first = abs(modes.restrict_disk_normal_derivative(first, 0.5))
+        assert lo <= lam <= hi
+        d = abs(norm * specfun.bessel_j_prime(800, lam * 0.5))
+        first, c_first = _select(800, t, optimize="first")
+        d_first = abs(c_first * specfun.bessel_j_prime(800, first * 0.5))
         assert d >= d_first - 1e-12
 
     def test_band_constraint_respected(self):
         band = BandSpec(rho1=0.3, rho2=0.6)
         t = ScaleTarget(alpha=0.5)
-        mode = modes.select_disk_mode_at_scale(20000, t, optimize="restriction",
-                                               band=band)
-        h = mode.h
-        assert h ** 0.6 <= mode.sigma(0.5) <= h ** 0.3
+        lam, _ = _select(20000, t, optimize="restriction", band=band)
+        h = 1.0 / lam
+        assert h ** 0.6 <= 1.0 - (20000 / (lam * 0.5)) ** 2 <= h ** 0.3
 
     def test_band_infeasible_raises(self):
         # at small n the whole window misses the band: sigma ~ 4 n^{-1/2}
@@ -160,8 +187,7 @@ class TestSelection:
         band = BandSpec(rho1=0.3, rho2=0.6)
         t = ScaleTarget(alpha=0.5)
         with pytest.raises(NoModeError):
-            modes.select_disk_mode_at_scale(100, t, optimize="restriction",
-                                            band=band)
+            _select(100, t, optimize="restriction", band=band)
 
     def test_diagnostics(self):
         t = ScaleTarget(alpha=0.5)
@@ -238,9 +264,9 @@ class TestSelection:
     def test_invalid_inputs(self):
         t = ScaleTarget(alpha=0.5)
         with pytest.raises(ValueError):
-            modes.select_disk_mode_at_scale(500, t, optimize="loudest")
+            modes.select_disk_modes([500], t, optimize="loudest")
         with pytest.raises(NoModeError):
-            modes.select_disk_mode_at_scale(0, t)
+            _select(0, t)
 
 
 def _norms(n, lam):
@@ -261,7 +287,7 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
     over all candidates of all orders.  The reference for
     select_disk_modes: per order, (mode or NoModeError, candidates,
     band-feasible, the refined (m, quality) in ranked order, whether the
-    walk went past the ranked few)."""
+    walk went past the ranked few); a mode is (n, lam, normalization)."""
     ranked_lists, out = [], []
     for n in orders:
         lam_lo, lam_hi = target.disk_window(n)
@@ -329,7 +355,7 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
                     continue
             diag["scores"].append((m, quality))
             if best is None or quality > best[0]:
-                best = (quality, DiskMode(n=n, lam=lam, normalization=norm))
+                best = (quality, (n, lam, norm))
         if best is None:
             picks.append((NoModeError(
                 f"all candidates left the window/band after refinement "
@@ -372,10 +398,8 @@ def _compare_with_one_by_one(alpha, optimize, band, grid):
             continue
         seconds += second
         assert got.error[j] is None, n
-        mode = DiskMode(n=n, lam=float(got.lam[j]),
-                        normalization=float(got.normalization[j]))
         # batched and one by one give the same bits
-        assert mode == want, n
+        assert (n, float(got.lam[j]), float(got.normalization[j])) == want, n
         assert (got.candidates[j], got.band_feasible[j]) == (candidates,
                                                              feasible), n
         mine = got.refined_k == j
@@ -407,14 +431,28 @@ class TestBatchedSelection:
         assert got.error[1] is None
         assert (got.candidates[0], got.band_feasible[0]) == (0, 0)
         assert set(got.refined_k.tolist()) == {1}
-        assert DiskMode(n=500, lam=float(got.lam[1]),
-                        normalization=float(got.normalization[1])) == \
-            modes.select_disk_mode_at_scale(500, t, optimize="restriction")
+        # the same bits as the one-order call
+        assert (got.lam[1], got.normalization[1]) == \
+            _select(500, t, optimize="restriction")
         empty = modes.select_disk_modes([], t)
         assert empty.n.size == empty.refined_m.size == 0
         assert empty.error == ()
         with pytest.raises(ValueError):
             modes.select_disk_modes([500], t, optimize="loudest")
+
+
+def _sphere_one_by_one(l, target):
+    """The azimuthal order of degree l as the selector picked it one degree
+    at a time, or the message of its NoModeError: the reference for the
+    array pass of select_sphere_modes."""
+    m_lo, m_hi = target.sphere_order_window(l)
+    m = math.floor(m_hi)
+    if (l + m) % 2 == 1:
+        m -= 1
+    if m < max(m_lo, 0.0):
+        return (f"no even-parity order in window [{m_lo:.2f}, {m_hi:.2f}] "
+                f"for l={l}")
+    return m
 
 
 class TestSphereSelection:
@@ -423,21 +461,43 @@ class TestSphereSelection:
            alpha=st.sampled_from([0.5, 0.8]))
     def test_order_in_window_and_even(self, l, alpha):
         t = ScaleTarget(alpha=alpha)
-        mode = modes.sphere_mode_at_scale(l, t)
+        m, error = modes.select_sphere_modes([l], t)
+        assert error == (None,)
         mlo, mhi = t.sphere_order_window(l)
-        assert mlo <= mode.m <= mhi
-        assert (mode.l + mode.m) % 2 == 0
+        assert mlo <= m[0] <= mhi
+        assert (l + m[0]) % 2 == 0
 
     def test_too_small_degree_raises(self):
-        with pytest.raises(NoModeError):
-            modes.sphere_mode_at_scale(2, ScaleTarget(alpha=0.5))
+        _, error = modes.select_sphere_modes([2], ScaleTarget(alpha=0.5))
+        assert isinstance(error[0], NoModeError)
 
     def test_sigma_scales_like_power(self):
-        t = ScaleTarget(alpha=0.5)
-        s1 = modes.sphere_mode_at_scale(1000, t).sigma()
-        s2 = modes.sphere_mode_at_scale(100000, t).sigma()
+        l = np.array([1000, 100000])
+        m, _ = modes.select_sphere_modes(l, ScaleTarget(alpha=0.5))
+        s1, s2 = 1.0 - m * m / (l * (l + 1.0))
         # sigma ~ 2 offset l^{-1/2}: two decades in l gives one in sigma
         assert s1 / s2 == pytest.approx(10.0, rel=0.2, abs=0.0)
+
+    @pytest.mark.parametrize("alpha,offset", [(0.5, 4.0), (0.8, 4.0),
+                                              (0.3, 1.0), (0.75, 0.5)])
+    def test_array_pass_matches_one_by_one(self, alpha, offset):
+        # every degree of the sphere sweeps' range up to 2e4, perfect
+        # squares and fourth powers included, and the certified limit 1e6:
+        # the same orders and, byte for byte, the same messages
+        t = ScaleTarget(alpha=alpha, offset=offset)
+        degrees = np.append(np.arange(0, 20001), 1000000)
+        m, errors = modes.select_sphere_modes(degrees, t)
+        for l, got, error in zip(degrees.tolist(), m.tolist(), errors):
+            want = _sphere_one_by_one(l, t)
+            assert (str(error) if error is not None else got) == want, l
+
+    def test_bad_degrees_rejected(self):
+        t = ScaleTarget(alpha=0.5)
+        for bad in ([100.5], [-4]):
+            with pytest.raises(ValueError, match="degree"):
+                modes.select_sphere_modes(bad, t)
+        m, errors = modes.select_sphere_modes([], t)
+        assert m.size == 0 and errors == ()
 
 
 def _enumerate_wide(lam_lo, lam_hi):
@@ -455,8 +515,7 @@ def _enumerate_wide(lam_lo, lam_hi):
     lam = specfun.bessel_zero(n, m)
     inside = (lam_lo <= lam) & (lam <= lam_hi)
     n, lam = n[inside], lam[inside]
-    return [DiskMode(n=a, lam=b, normalization=c)
-            for a, b, c in zip(n.tolist(), lam.tolist(), _norms(n, lam))]
+    return list(zip(n.tolist(), lam.tolist(), _norms(n, lam)))
 
 
 def _assert_matches_wide(found, lam_lo, lam_hi):
@@ -465,16 +524,23 @@ def _assert_matches_wide(found, lam_lo, lam_hi):
     assert found == _enumerate_wide(lam_lo, lam_hi)
 
 
+def _window(lam_lo, lam_hi):
+    """The modes of one window as (n, lam, normalization): the one-window
+    call of modes_in_frequency_windows."""
+    _, n, lam, norm = modes.modes_in_frequency_windows([lam_lo], [lam_hi])
+    return list(zip(n.tolist(), lam.tolist(), norm.tolist()))
+
+
 class TestFrequencyWindow:
     def test_small_window_frozen(self):
         # zeros in [5, 6]: j_{2,1} = 5.1356, j_{0,2} = 5.5201
-        found = modes.modes_in_frequency_window(5.0, 6.0)
-        pairs = sorted((m.n, round(m.lam, 3)) for m in found)
+        found = _window(5.0, 6.0)
+        pairs = sorted((n, round(lam, 3)) for n, lam, _ in found)
         assert pairs == [(0, 5.520), (2, 5.136)]
 
     def test_against_phase_count(self):
-        found = modes.modes_in_frequency_window(80.0, 82.5)
-        slots = sum(2 if m.n >= 1 else 1 for m in found)
+        found = _window(80.0, 82.5)
+        slots = sum(2 if n >= 1 else 1 for n, _, _ in found)
         assert slots == oracle.weyl_count(82.5, 80.0)
 
     def test_exact_at_quasimode_windows(self):
@@ -484,8 +550,8 @@ class TestFrequencyWindow:
         # each against the oracle's exact count and the wide enumeration
         small = [0.5, 1.0, 2.5, 5.0, 6.0, 10.0, 19.75, 37.3, 99.9]
         for lam in small + list(np.geomspace(200.0, 2000.0, 8)):
-            found = modes.modes_in_frequency_window(lam, lam + 1.0)
-            slots = sum(2 if m.n >= 1 else 1 for m in found)
+            found = _window(lam, lam + 1.0)
+            slots = sum(2 if n >= 1 else 1 for n, _, _ in found)
             assert slots == oracle.weyl_count(lam + 1.0, lam)
             _assert_matches_wide(found, lam, lam + 1.0)
 
@@ -500,8 +566,8 @@ class TestFrequencyWindow:
         # over a wide index range
         j = specfun.bessel_zero(n, m)
         for lo, hi in ((j - 1.0, j), (j, j + 1.0)):
-            found = modes.modes_in_frequency_window(lo, hi)
-            assert (n, j) in [(mode.n, mode.lam) for mode in found]
+            found = _window(lo, hi)
+            assert (n, j) in [(k, lam) for k, lam, _ in found]
             _assert_matches_wide(found, lo, hi)
 
     def test_solves_few_zeros_per_mode(self, monkeypatch):
@@ -516,19 +582,19 @@ class TestFrequencyWindow:
         monkeypatch.setattr(specfun, "bessel_zero", counted)
         for lam in (200.0, 536.54, 2000.0):
             solved.clear()
-            found = modes.modes_in_frequency_window(lam, lam + 1.0)
+            found = _window(lam, lam + 1.0)
             assert len(found) <= sum(solved) <= 1.6 * len(found)
 
     def test_all_inside_and_normalized(self):
-        found = modes.modes_in_frequency_window(40.0, 41.0)
-        for m in found:
-            assert 40.0 <= m.lam <= 41.0
-            assert m.normalization > 0.0
-        assert len({(m.n, round(m.lam, 9)) for m in found}) == len(found)
+        found = _window(40.0, 41.0)
+        for _, lam, norm in found:
+            assert 40.0 <= lam <= 41.0
+            assert norm > 0.0
+        assert len({(n, round(lam, 9)) for n, lam, _ in found}) == len(found)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
-            modes.modes_in_frequency_window(6.0, 5.0)
+            _window(6.0, 5.0)
 
 
 def _enumerate_one_window(lam_lo, lam_hi):
@@ -544,8 +610,7 @@ def _enumerate_one_window(lam_lo, lam_hi):
     jm1, jn = specfun.bessel_j_pair(n, lam)
     jnp1 = (2.0 * n / lam) * jn - jm1
     norm = 1.0 / (math.sqrt(math.pi) * np.abs(jnp1))
-    return [DiskMode(n=a, lam=b, normalization=c)
-            for a, b, c in zip(n.tolist(), lam.tolist(), norm.tolist())]
+    return list(zip(n.tolist(), lam.tolist(), norm.tolist()))
 
 
 def _windows(batched):
@@ -567,8 +632,7 @@ def _assert_matches_one_by_one(batched, lo, hi):
     found += [[]] * (len(lo) - len(found))
     for modes_of, a, b in zip(found, lo, hi):
         # the same bits in a batch of many windows as in a batch of one
-        assert [DiskMode(*mode) for mode in modes_of] == \
-            _enumerate_one_window(a, b), (a, b)
+        assert modes_of == _enumerate_one_window(a, b), (a, b)
 
 
 class TestBatchedWindows:
@@ -604,9 +668,9 @@ class TestBatchedWindows:
         _assert_matches_one_by_one(batched, lo, hi)
 
     def test_one_window_case_and_bad_windows(self):
-        one = modes.modes_in_frequency_window(5.0, 6.0)
-        assert [(m.n, m.lam, m.normalization) for m in one] == \
-            _windows(modes.modes_in_frequency_windows([5.0], [6.0]))[0]
+        # the same bits in a batch of one window as among others
+        assert _window(5.0, 6.0) == _windows(
+            modes.modes_in_frequency_windows([5.0, 40.0], [6.0, 41.0]))[0]
         assert all(len(column) == 0 for column in
                    modes.modes_in_frequency_windows([], []))
         # an empty window among full ones keeps its place

@@ -15,7 +15,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from glancelab import oracle
+from glancelab import modes, oracle
 
 # first zero of J_0 and the slope there
 J0_ZERO_1 = 2.40482555769577276862
@@ -344,6 +344,18 @@ class TestQuadratureNorm:
 
 
 class TestBattery:
+    def test_checks_the_package_normalization(self, monkeypatch):
+        # the closed form checks the quadrature; this check holds
+        # modes._normalizations, which scales every CSV amplitude, to it
+        name = "modes normalization vs quadrature"
+        check = {c.name: c for c in oracle.run_all().checks}[name]
+        assert check.passed and check.worst < 0.1
+        exact = modes._normalizations
+        monkeypatch.setattr(modes, "_normalizations",
+                            lambda n, lam: exact(n, lam) * (1.0 + 1e-11))
+        check = {c.name: c for c in oracle.run_all().checks}[name]
+        assert not check.passed
+
     def test_results_are_python_bool_and_float(self):
         # `selftest` prints them as JSON, which takes no numpy scalar
         for check in oracle.run_all().checks:

@@ -642,10 +642,10 @@ class TestBesselZeros:
     (specfun.airy_zero, (1.5,)),
     (specfun.legendre_equator, (3.5, 1)),
     (specfun.legendre_equator, (4, 1.5)),
-    (modes.disk_mode, (2.5, 1)),
-    (modes.select_disk_mode_at_scale, (500.5, modes.ScaleTarget(alpha=0.5))),
+    (modes._normalizations, ([2.5], [3.0])),
+    (modes.select_disk_modes, (500.5, modes.ScaleTarget(alpha=0.5))),
     (modes.select_disk_modes, ([500, 700.5], modes.ScaleTarget(alpha=0.5))),
-    (modes.sphere_mode_at_scale, (100.5, modes.ScaleTarget(alpha=0.5))),
+    (modes.select_sphere_modes, (100.5, modes.ScaleTarget(alpha=0.5))),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_non_integral_orders_and_indices_raise(fn, args):
     with pytest.raises(ValueError, match="must be a finite integer"):

@@ -126,6 +126,37 @@ class TestGlancingWeight:
                 weights.glancing_weight(0.1, h, spec)
 
 
+class TestArrayH:
+    @settings(max_examples=60, deadline=None)
+    @given(hs=st.lists(H, min_size=1, max_size=12),
+           sigmas=st.lists(SIGMA, min_size=12, max_size=12),
+           s=st.floats(min_value=-1.0, max_value=1.0),
+           rho=st.floats(min_value=0.0, max_value=1.0),
+           cutoff=st.sampled_from(["exp", "smoothstep"]),
+           rho1=st.floats(min_value=0.0, max_value=0.5))
+    def test_array_h_matches_scalar_calls(self, hs, sigmas, s, rho, cutoff,
+                                          rho1):
+        # one call on the columns of a sweep gives each row's weight and
+        # band membership bit for bit
+        h = np.array(hs)
+        sigma = np.array(sigmas[:h.size])
+        spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
+        band = BandSpec(rho1=rho1, rho2=rho1 + 0.4)
+        assert weights.glancing_weight(sigma, h, spec).tolist() == [
+            weights.glancing_weight(x, y, spec) for x, y in zip(sigmas, hs)]
+        assert weights.band_indicator(sigma, h, band).tolist() == [
+            weights.band_indicator(x, y, band) for x, y in zip(sigmas, hs)]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_array_h_with_any_element_outside_rejected(self, bad):
+        h = np.array([0.01, 0.1, bad, 0.5])
+        sigma = np.full(4, 0.2)
+        with pytest.raises(ValueError, match=r"h must lie in \(0, 1\)"):
+            weights.glancing_weight(sigma, h, WeightSpec(s=0.3, rho=0.5))
+        with pytest.raises(ValueError, match=r"h must lie in \(0, 1\)"):
+            weights.band_indicator(sigma, h, BandSpec(rho1=0.3, rho2=0.6))
+
+
 class TestBand:
     def test_endpoints_closed(self):
         band = BandSpec(rho1=0.3, rho2=0.6)
@@ -157,6 +188,12 @@ class TestTraceNorm:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             weights.trace_norm([1.0], 0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_rejects_radius_outside_positive_reals(self, radius):
+        # unchecked, nan gave a nan norm and inf an infinite one
+        with pytest.raises(ValueError, match="radius must be positive"):
+            weights.trace_norm([1.0], radius)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=8))
