@@ -228,7 +228,7 @@ def _check_sweep_disk(vals: dict, given: set) -> None:
 # ----------------------------------------------------------------------
 
 def _write_outputs(out_prefix: str, name: str, result, vals: dict,
-                   seed=None, cutoff: str = "exp") -> str:
+                   seed=None, cutoff: str | None = None) -> str:
     csv_path = out_prefix + ".csv"
     if isinstance(result, experiments.QuasimodeResult):
         io.write_quasimode_csv(csv_path, result)
@@ -247,8 +247,7 @@ def _run_sweep_disk(vals: dict) -> int:
     config = experiments.SweepConfig(
         kind="disk", alpha=vals["alpha"], n_lo=vals["n_min"],
         n_hi=vals["n_max"], points=vals["points"], radius=vals["radius"],
-        offset=vals["offset_const"],
-        optimize=vals["optimize"] or "restriction")
+        offset=vals["offset_const"], optimize=vals["optimize"])
     if vals["derivative"]:
         result = experiments.normal_derivative_sweep(
             config, s=vals["s"], rho=vals["rho"], cutoff=vals["cutoff"])
@@ -258,8 +257,10 @@ def _run_sweep_disk(vals: dict) -> int:
             config, s=vals["s"], band=BandSpec(vals["rho1"], vals["rho2"]))
     else:
         result = experiments.amplitude_sweep(config)
+    # only the derivative sweep applies a glancing weight, and its cutoff
     path = _write_outputs(vals["out"], "sweep-disk", result, vals,
-                          cutoff=vals["cutoff"])
+                          cutoff=vals["cutoff"] if vals["derivative"]
+                          else None)
     print(f"wrote {path} ({len(result.rows)} rows, "
           f"{len(result.skipped)} skipped)")
     return _EXIT_OK

@@ -21,9 +21,11 @@ band-constrained sweeps at small order.
 
 Modes and traces travel as columns, one entry per order, from the selector
 to the rows: each measured quantity is one array pass over them, and the
-rows are built once, at the end.  The selected disk modes and their traces
-are memoized per process (see `_disk_traces`), so sweeps that change only
-the measured quantity share one selection.
+rows are built once, at the end.  Rows, quasimode weights and the
+selector's band test all read sigma from ``weights.glancing_distance``.
+The selected disk modes and their traces are memoized per process (see
+`_disk_traces`), so sweeps that change only the measured quantity share
+one selection.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 from . import modes as modes_mod
 from . import specfun
 from .modes import NoModeError, ScaleTarget
-from .weights import (BandSpec, WeightSpec, band_indicator, glancing_weight,
-                      trace_norm)
+from .weights import (BandSpec, WeightSpec, band_indicator, glancing_distance,
+                      glancing_weight, trace_norm)
 
 
 class FitError(Exception):
@@ -125,9 +127,10 @@ class SweepConfig:
     n_lo, n_hi, points : geometric grid of angular orders / degrees.
     radius : restriction circle radius (disk only: the sphere's equator is
         fixed, and a sphere config must keep the default).
-    optimize : candidate rule passed to the disk selector; the measured
-        growth tracks the extremal mode, so sweeps default to maximizing
-        the restricted quantity rather than taking the lowest eigenvalue.
+    optimize : candidate rule passed to the disk selector, or None (the
+        default) to match the measured trace: "normal_derivative" for the
+        normal-derivative sweep, "restriction" otherwise; the growth tracks
+        the extremal mode, so the default maximizes the measured quantity.
         Disk only: a sphere degree has one candidate, and a sphere config
         must keep the default.
     offset : window offset M of the ScaleTarget.
@@ -138,7 +141,7 @@ class SweepConfig:
     n_hi: int
     points: int
     radius: float = 0.5
-    optimize: str = "restriction"
+    optimize: str | None = None
     offset: float = 4.0
 
     def __post_init__(self):
@@ -216,9 +219,8 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     """
     if not (0.0 < config.radius < 1.0):
         raise ValueError("radius must lie strictly inside the disk")
-    optimize = config.optimize
-    if derivative and optimize == "restriction":
-        optimize = "normal_derivative"
+    optimize = config.optimize or ("normal_derivative" if derivative
+                                   else "restriction")
     picked = modes_mod.select_disk_modes(
         config.orders(), config.target(), radius=config.radius,
         optimize=optimize, band=band)
@@ -260,7 +262,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            weight: WeightSpec | None = None) -> SweepResult:
     """Shared sweep driver; `quantity` picks the measured norm.  Each column
     of the rows is one array pass over the selected modes; an order whose
-    measured norm is 0 is skipped."""
+    measured norm is 0 is skipped, with the cause the quantity names."""
     if config.kind == "disk":
         n, k, lam, amp, skipped = _disk_traces(
             config, quantity == "normal_derivative", band)
@@ -269,31 +271,31 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
         n, k, lam, amp, skipped = _sphere_traces(config)
         radius = 1.0
     h = 1.0 / lam
-    # t * t, not t ** 2: ** goes through pow, which can miss the correctly
-    # rounded product by an ulp and change the CSV bytes
-    t = h * k / radius
-    sigma = 1.0 - t * t
+    sigma = glancing_distance(k, h, radius)
     xi_d = np.sqrt(np.maximum(sigma, 0.0))
     # trace_norm of each amplitude alone, in the same operation order
     norm = np.sqrt(2.0 * math.pi * radius * (amp * amp))
+    vanishes = "the trace vanishes on the circle"
     if quantity == "amplitude":
-        weighted = norm
+        weighted, why = norm, vanishes
     elif quantity == "band_power":
         inside = band_indicator(sigma, h, band)
         weighted = np.power(sigma, s, out=np.zeros_like(sigma),
                             where=inside) * norm
+        why = "selected mode fell outside the band"
     elif quantity == "normal_flat":
         weighted = np.sqrt(xi_d) * norm
+        why = "selected mode is evanescent at the circle (sigma <= 0)"
     elif quantity == "normal_derivative":
-        weighted = glancing_weight(sigma, h, weight) * norm
+        # the weight is positive for every sigma, evanescent included
+        weighted, why = glancing_weight(sigma, h, weight) * norm, vanishes
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
 
     keep = weighted != 0.0
     # the orders are distinct: sorting the pairs merges them in order of n
-    skipped = sorted(skipped + tuple(
-        (order, "selected mode fell outside the band")
-        for order in n[~keep].tolist()))
+    skipped = sorted(skipped + tuple((order, why)
+                                     for order in n[~keep].tolist()))
     rho1 = band.rho1 if band is not None else (weight.rho if weight else 0.0)
     rho2 = band.rho2 if band is not None else 0.0
     columns = (n, lam, h, sigma, xi_d, np.abs(amp), weighted)
@@ -405,12 +407,12 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     generator from (seed, window index, trial index).
 
     The modes of consecutive windows are enumerated together, in one pass
-    of :func:`modes.modes_in_frequency_windows`, and their traces taken in
-    one array call on its columns: as many windows as fit under
-    _BATCH_ORDERS orders sum(floor(Lambda + 1) + 1), which bounds the memory
-    of a batch (the default ensemble is one batch, and a window above the
-    cap is a batch of its own).  The checks and the draws then run window
-    by window, in window order.
+    of :func:`modes.modes_in_frequency_windows`, and weighted in one array
+    pass on its columns, at h = 1/Lambda of each mode's window: as many
+    windows as fit under _BATCH_ORDERS orders sum(floor(Lambda + 1) + 1),
+    which bounds the memory of a batch (the default ensemble is one batch,
+    and a window above the cap is a batch of its own).  The checks and the
+    draws then run window by window, in window order.
     """
     if windows < 1 or trials < 1:
         raise ValueError("need at least one window and one trial")
@@ -426,23 +428,23 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
         edges = lams[group]
         win, n_all, freqs, norms = modes_mod.modes_in_frequency_windows(
             edges, edges + 1.0)
-        # the trace amplitude c J_n(lam r) and the glancing distance
-        # 1 - (n / (lam r))^2 of every mode of the group, in one array pass
-        amp_all = norms * specfun.bessel_j(n_all, freqs * radius)
-        sigma_all = 1.0 - (n_all / (freqs * radius)) ** 2
-        # the modes come ordered by window
-        ends = np.cumsum(np.bincount(win, minlength=edges.size)).tolist()
-        for wi, a, b in zip(range(windows)[group], [0] + ends, ends):
-            lam = lams[wi]
-            if a == b:
+        # the weighted trace amplitude c J_n(lam r) of every mode of the
+        # group, one coefficient slot per angular sign
+        sigma = glancing_distance(n_all, 1.0 / freqs, radius)
+        weighted = glancing_weight(sigma, 1.0 / edges[win], spec) * (
+            norms * specfun.bessel_j(n_all, freqs * radius))
+        slots = np.where(n_all >= 1, 2, 1)
+        amps = np.repeat(weighted, slots)
+        # the modes come ordered by window, and so do their slots
+        ends = np.cumsum(np.bincount(np.repeat(win, slots),
+                                     minlength=edges.size)).tolist()
+        for wi, lam, a, b in zip(range(windows)[group], edges, [0] + ends,
+                                 ends):
+            dim = b - a
+            if not dim:
                 # the norms and their spread are undefined without a mode
                 raise NoModeError(
                     f"window [{lam:.2f}, {lam + 1:.2f}] holds no mode")
-            ns = n_all[a:b]
-            weighted = glancing_weight(sigma_all[a:b], 1.0 / lam,
-                                       spec) * amp_all[a:b]
-            amps = np.repeat(weighted, np.where(ns >= 1, 2, 1))
-            dim = len(amps)
             weyl = lam / 2.0 - 0.25
             if abs(dim - weyl) > lam ** (2.0 / 3.0):
                 raise specfun.NumericalError(
@@ -455,7 +457,7 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
                 rng = np.random.default_rng([seed, wi, t])
                 c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 c /= np.linalg.norm(c)
-                nr = trace_norm(c * amps, radius)
+                nr = trace_norm(c * amps[a:b], radius)
                 best = max(best, nr)
                 total += nr
             rows.append(QuasimodeRow(lam=float(lam), dim=dim,

@@ -102,7 +102,7 @@ def read_table(path: str) -> Table:
 
 
 def write_manifest(path: str, command: str, config: dict, rows: int,
-                   skipped=(), seed=None, cutoff: str = "exp",
+                   skipped=(), seed=None, cutoff: str | None = None,
                    input_hash: str | None = None) -> None:
     """Run metadata written next to a table, as JSON.
 
@@ -113,7 +113,9 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
     commands it hashes the input CSV, for sweeps the resolved config.
     `skipped` holds the (order, reason) pairs of a sweep's skipped rows;
     the record keeps their count as "skipped" and the pairs as
-    "skipped_orders".
+    "skipped_orders".  `cutoff` is the cutoff shape of the glancing weight
+    the run applied, recorded as "cutoff_shape"; None (null) for a run that
+    applied none.
     """
     from . import __version__
     config = {k: config[k] for k in sorted(config)}

@@ -9,7 +9,8 @@ glancing distance
 
     sigma = 1 - (h k / R)^2,      h = 1/lam,
 
-of the mode's tangential wavenumber k at the hypersurface of radius R.
+of the mode's tangential wavenumber k at the hypersurface of radius R,
+computed everywhere by ``weights.glancing_distance``.
 
 ``select_disk_modes`` picks, for every angular order n of a sweep, an
 eigenfrequency inside the window
@@ -24,12 +25,13 @@ near the envelope maximum, realizing the extremal modes whose growth rates
 the scaling experiments measure.  `optimize="first"` takes the smallest
 eigenvalue instead; its measured amplitude inherits the arcsine-distributed
 phase factor and fits of sweeps built from it have essentially no power-law
-signal (r^2 < 0.2 across the acceptance grids).  Candidate ranking uses the
-analytic phase/envelope model on the seeds of every candidate of every
-order, in one array pass; only the top few candidates of each order are
-solved exactly, all orders in one batched Newton, keeping selection cheap
-at orders ~1e5.  ``select_sphere_modes`` picks the azimuthal order of every
-degree in one array pass.
+signal (r^2 < 0.2 across the acceptance grids).  Candidates are ranked in
+one array pass over every order by the phase factor of their trace, read
+from the continuous zero index m of ``specfun.bessel_zero_index`` at their
+seeds (|J_n| ~ |sin pi m|, |J_n'| ~ |cos pi m|); only the top few of each
+order are solved exactly, all orders in one batched Newton, keeping
+selection cheap at orders ~1e5.  ``select_sphere_modes`` picks the
+azimuthal order of every degree in one array pass.
 
 ``modes_in_frequency_windows`` enumerates every mode of every window of a
 quasimode ensemble in the same way: one pass over the candidates of all
@@ -55,6 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
+from .weights import band_indicator, glancing_distance
 
 
 class NoModeError(Exception):
@@ -79,9 +82,10 @@ class ScaleTarget:
         if not (0.0 < self.offset < math.inf):
             raise ValueError("offset must be positive and finite")
 
-    def disk_window(self, n: int) -> tuple[float, float]:
-        """Frequency window for angular order n at R = 1/2."""
-        w = n ** (1.0 - self.alpha)
+    def disk_window(self, n):
+        """Frequency window of an angular order n at R = 1/2, or the two
+        edge columns of an array of orders."""
+        w = np.power(n, 1.0 - self.alpha)
         return 2.0 * n + self.offset * w, 2.0 * n + (self.offset + 1.0) * w
 
     def sphere_order_window(self, l):
@@ -117,15 +121,6 @@ _OPTIMIZE = ("first", "restriction", "normal_derivative")
 _REFINED = 3
 
 
-def _phase_model(n, lam: np.ndarray, radius: float) -> np.ndarray:
-    """Asymptotic phase of J_n(lam * radius) above the turning point, for an
-    array of lam and an order or an array of orders like it:
-    Phi = n g(w) - pi/4, w = lam radius / n;
-    |J_n| ~ envelope * |cos Phi|.
-    """
-    return n * specfun.phase_integral(lam * radius / n) - 0.25 * math.pi
-
-
 class DiskSelection(NamedTuple):
     """What :func:`select_disk_modes` picked, one entry per order: read lam
     and normalization where error is None.  The refined_* columns hold the
@@ -156,8 +151,9 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     Per order, the candidates m are the indices whose seed lies within 0.6
     zero spacings of the window (and, with a `band`, whose seed sigma at
     `radius` lies in it, with a hair of slack).  `optimize` ranks them:
-    "first" by the seed, smallest first; "restriction" by the phase model
-    of |J_n(lam radius)|; "normal_derivative" by that of |J_n'|.  The top
+    "first" by the seed, smallest first; "restriction" by |sin pi m| and
+    "normal_derivative" by |cos pi m|, the phase factors of |J_n(lam radius)|
+    and |J_n'|, where m is the continuous zero index at lam radius.  The top
     `_REFINED` of each order are solved exactly, and the one of best exact
     quality (-lam for "first") whose zero lies in the window and, with h =
     1/lam, in the band wins, the first-ranked on a tie.  An order whose
@@ -171,8 +167,7 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     orders = specfun._integers(orders, "order").ravel()
     # an order below 1 keeps no candidate (its windows are those of n = 1)
     ns = np.maximum(orders, 1)
-    lam_lo, lam_hi = np.array([target.disk_window(n) for n in ns.tolist()],
-                              dtype=float).reshape(-1, 2).T
+    lam_lo, lam_hi = target.disk_window(ns)
 
     spacing = math.pi * lam_lo / np.sqrt(np.maximum(lam_lo * lam_lo - ns * ns,
                                                     1.0))
@@ -187,7 +182,7 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     if band is not None:
         # seed-level screen with a hair of slack; refinement re-checks
         h = 1.0 / lam_seed
-        sigma = 1.0 - (ns[k] / (lam_seed * radius)) ** 2
+        sigma = glancing_distance(ns[k], h, radius)
         keep &= ((h ** band.rho2 * (1.0 - 1e-6) <= sigma)
                  & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
     k, m, lam_seed = k[keep], m[keep], lam_seed[keep]
@@ -196,13 +191,15 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     if optimize == "first":
         score = -lam_seed   # larger score = smaller eigenvalue
     else:
-        # at or below the turning point the phase model does not apply:
+        # above the turning point J_n(x) ~ envelope * cos(n g(x/n) - pi/4)
+        # = envelope * sin(pi m(x)); at or below it that does not apply:
         # rank below every oscillatory seed, refinement still decides
         score = np.full(m.size, -1.0)
         osc = lam_seed * radius > ns[k]
-        phi = _phase_model(ns[k][osc], lam_seed[osc], radius)
-        score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
-                            else np.sin(phi))
+        pm = math.pi * specfun.bessel_zero_index(ns[k][osc],
+                                                 lam_seed[osc] * radius)
+        score[osc] = np.abs(np.sin(pm) if optimize == "restriction"
+                            else np.cos(pm))
     ranked = np.lexsort((-score, k))
     k, m = k[ranked], m[ranked]
     rank = np.arange(m.size) - (np.cumsum(feasible) - feasible)[k]
@@ -215,8 +212,8 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
         ok = (lam_lo[k[sel]] <= lam) & (lam <= lam_hi[k[sel]])
         if band is not None:
             h = 1.0 / lam
-            sigma = 1.0 - (ns[k[sel]] / (lam * radius)) ** 2
-            ok &= (h ** band.rho2 <= sigma) & (sigma <= h ** band.rho1)
+            ok &= band_indicator(glancing_distance(ns[k[sel]], h, radius), h,
+                                 band)
         sel, lam = sel[ok], lam[ok]
         if optimize == "first":
             return sel, lam, -lam

@@ -457,14 +457,12 @@ def z_of_zeta(zeta):
     w = w[idx]
     t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
     # on the convex t - arctan(t) = w, (3w)^{1/3} starts below the root and
-    # w + pi/2 above it; Newton overshoots from below, then falls to the
-    # root, so an element starting at t >= _TAIL_SERIES never needs the series
-    small = (t < _TAIL_SERIES).any()
+    # w + pi/2 above it; Newton overshoots from below, then falls to the root
     for _ in range(60):
         if not idx.size:
             return _shaped(z, shape)
         t2 = t * t
-        g = _t_minus_atans(t, t2) if small else t - np.arctan(t)
+        g = _t_minus_atans(t, t2)
         d = (g - w) / (t2 / (1.0 + t2))
         t = t - d
         done = np.abs(d) <= 1e-15 * np.maximum(t, 1.0)

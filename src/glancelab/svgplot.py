@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .experiments import FitError, FitResult, fit_exponent
+from .experiments import FitError, fit_exponent
 
 _WIDTH, _HEIGHT = 640.0, 440.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72.0, 620.0, 42.0, 392.0

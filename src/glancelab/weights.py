@@ -7,8 +7,9 @@ the glancing distance
 
 the squared cosine of the incidence angle measured from tangency: sigma = 0
 is exactly glancing, sigma = 1 is normal incidence, sigma < 0 is evanescent.
-Everything here weights trace components as functions of sigma relative to
-the scale h^rho, where h is the inverse frequency.
+``glancing_distance`` computes it for the whole package; the rest weights
+trace components as functions of sigma relative to the scale h^rho, where h
+is the inverse frequency.
 
 ``glancing_weight`` splits a power law at that scale into two terms,
 
@@ -116,6 +117,15 @@ def cutoff_pair(t, kind: str = "exp"):
     else:
         raise ValueError(f"cutoff must be one of {_CUTOFFS}")
     return chi1[()], (1.0 - chi1)[()]
+
+
+def glancing_distance(k, h, radius):
+    """The glancing distance 1 - (h k / radius)^2 of angular wavenumbers k
+    at inverse frequencies h: numbers or arrays that broadcast."""
+    # t * t, not t ** 2: ** goes through pow, which can miss the correctly
+    # rounded product by an ulp and change the CSV bytes
+    t = h * k / radius
+    return 1.0 - t * t
 
 
 def glancing_weight(sigma, h, spec: WeightSpec):

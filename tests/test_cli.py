@@ -233,6 +233,64 @@ def test_normal_band_subcommand(tmp_path, capsys):
     assert max(w) / min(w) < 2.0
 
 
+def test_normal_band_names_evanescent_skips(tmp_path, capsys):
+    # the command has no band: its skipped modes are evanescent at R = 0.48
+    out = str(tmp_path / "nb")
+    code, stdout, _ = _run(capsys, "normal-band", "--alpha", "0.5",
+                           "--radius", "0.48", "--out", out)
+    assert code == 0 and "(7 rows, 17 skipped)" in stdout
+    doc = io.read_manifest(out + ".manifest.json")
+    assert doc["skipped"] == len(doc["skipped_orders"]) == 17
+    assert {reason for _, reason in doc["skipped_orders"]} == {
+        "selected mode is evanescent at the circle (sigma <= 0)"}
+
+
+_SMALL = ["--n-min", "200", "--n-max", "2000", "--points", "5"]
+
+
+@pytest.mark.parametrize("argv, cutoff", [
+    (["quasimode", "--windows", "2", "--trials", "2"], "exp"),
+    (["quasimode", "--windows", "2", "--trials", "2",
+      "--cutoff", "smoothstep"], "smoothstep"),
+    (["sweep-disk", "--alpha", "0.5", "--derivative", "--s", "0.25",
+      "--cutoff", "smoothstep", *_SMALL], "smoothstep"),
+    (["sweep-disk", "--alpha", "0.5", *_SMALL], None),
+    (["sweep-sphere", "--alpha", "0.5", *_SMALL], None),
+    (["normal-band", "--alpha", "0.5", *_SMALL], None),
+])
+def test_manifest_cutoff_only_where_a_weight_applies(tmp_path, capsys, argv,
+                                                     cutoff):
+    # only the quasimode ensemble and the derivative sweep apply a glancing
+    # weight; every other run records no cutoff shape
+    out = str(tmp_path / "run")
+    code, _, err = _run(capsys, *argv, "--out", out)
+    assert code == 0, err
+    assert io.read_manifest(out + ".manifest.json")["cutoff_shape"] == cutoff
+    if argv[0] == "normal-band":
+        code, _, err = _run(capsys, "plot", "--in", out + ".csv", "--x", "n",
+                            "--out", out + "-plot")
+        assert code == 0, err
+        assert io.read_manifest(out + "-plot.manifest.json")[
+            "cutoff_shape"] is None
+
+
+def test_explicit_optimize_reaches_the_derivative_sweep(tmp_path, capsys):
+    # without --optimize the derivative sweep ranks by |J_n'|; an explicit
+    # "restriction" is honoured and recorded
+    texts = {}
+    for extra in ([], ["--optimize", "restriction"]):
+        out = str(tmp_path / f"dv{len(extra)}")
+        code, _, err = _run(capsys, "sweep-disk", "--alpha", "0.5",
+                            "--derivative", "--s", "0.25", "--n-min", "200",
+                            "--n-max", "2000", "--points", "12", *extra,
+                            "--out", out)
+        assert code == 0, err
+        texts[len(extra)] = Path(out + ".csv").read_text()
+        doc = io.read_manifest(out + ".manifest.json")
+        assert doc["config"]["optimize"] == (extra[1] if extra else None)
+    assert texts[0] != texts[2]
+
+
 def test_derivative_sweep_via_cli(tmp_path, capsys):
     out = str(tmp_path / "dv")
     code, _, _ = _run(capsys, "sweep-disk", "--alpha", "0.5",

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from glancelab import experiments as ex
 from glancelab import io, modes, specfun
-from glancelab.weights import BandSpec, WeightSpec, glancing_weight, trace_norm
+from glancelab.weights import (BandSpec, WeightSpec, glancing_distance,
+                               glancing_weight, trace_norm)
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +212,37 @@ def test_sharpness_sweep_mixed_grid_logs_skips():
     assert min(skipped_orders) < min(row.n for row in res.rows)
 
 
+@pytest.mark.parametrize("radius", [0.4, 0.5, 0.6])
+@pytest.mark.parametrize("band", [(0.3, 0.6), (0.1, 0.3)])
+def test_band_selection_passes_the_sweeps_band_test(radius, band):
+    # selection and sweep read one glancing distance, so every mode a band
+    # sweep selects is a row: an order is skipped only by the selector
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=100000,
+                         points=24, radius=radius)
+    try:
+        res = ex.sharpness_sweep(cfg, s=0.1, band=BandSpec(*band))
+    except ex.FitError:
+        return      # no order has a band-feasible mode
+    assert not [reason for _, reason in res.skipped
+                if "outside the band" in reason]
+
+
+def test_normal_band_names_evanescent_modes():
+    # the windows are calibrated to R = 1/2: at R = 0.48 most selected
+    # modes turn before the circle, where sqrt(xi_d) = 0
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=100000,
+                         points=24, radius=0.48)
+    res = ex.normal_band_check(cfg)
+    n, k, lam, _, _ = ex._disk_traces(cfg, False, None)
+    sigma = dict(zip(n.tolist(),
+                     glancing_distance(k, 1.0 / lam, 0.48).tolist()))
+    assert len(res.skipped) == 17 and len(res.rows) == 7
+    for order, reason in res.skipped:
+        assert reason == ("selected mode is evanescent at the circle "
+                          "(sigma <= 0)")
+        assert sigma[order] <= 0.0
+
+
 # ----------------------------------------------------------------------
 # conormal-weighted and derivative sweeps
 # ----------------------------------------------------------------------
@@ -241,6 +273,27 @@ def test_normal_derivative_needs_far_branch():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=100, n_hi=200, points=2)
     with pytest.raises(ValueError, match="rho > alpha"):
         ex.normal_derivative_sweep(cfg, s=0.25, rho=0.4)
+
+
+def test_sweeps_honour_an_explicit_optimize():
+    # by default the rule matches the measured trace; a rule that is given
+    # is kept, so a "restriction" derivative sweep ranks by |J_n|
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=200, n_hi=2000,
+                         points=12)
+    text = io.sweep_to_csv_text
+
+    def derivative(optimize):
+        return text(ex.normal_derivative_sweep(
+            dataclasses.replace(cfg, optimize=optimize), s=0.25))
+
+    def amplitude(optimize):
+        return text(ex.amplitude_sweep(
+            dataclasses.replace(cfg, optimize=optimize)))
+
+    assert derivative(None) == derivative("normal_derivative")
+    assert derivative("restriction") != derivative(None)
+    assert amplitude(None) == amplitude("restriction")
+    assert amplitude("normal_derivative") != amplitude(None)
 
 
 def test_normal_derivative_uses_derivative_trace():
@@ -429,7 +482,7 @@ def _quasimode_one_window_at_a_time(lam_lo=200.0, lam_hi=2000.0, windows=8,
         _, ns, freqs, norms = modes.modes_in_frequency_windows([lam],
                                                                [lam + 1.0])
         amps = norms * specfun.bessel_j(ns, freqs * radius)
-        sigmas = 1.0 - (ns / (freqs * radius)) ** 2
+        sigmas = glancing_distance(ns, 1.0 / freqs, radius)
         weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps
         amps = np.repeat(weighted, np.where(ns >= 1, 2, 1))
         dim = len(amps)

@@ -313,7 +313,9 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
         else:
             score = np.full(ms.size, -1.0)
             osc = lam_seed * radius > n
-            phi = modes._phase_model(n, lam_seed[osc], radius)
+            # the asymptotic phase n g(x/n) - pi/4 of J_n(x), x = lam radius
+            phi = (n * specfun.phase_integral(lam_seed[osc] * radius / n)
+                   - 0.25 * math.pi)
             score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
                                 else np.sin(phi))
         ranked_lists.append(ms[np.argsort(-score, kind="stable")].tolist())

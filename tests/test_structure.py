@@ -2,8 +2,9 @@
 
 Every module-level private function of ``src/glancelab`` must have a caller
 in the package other than its own body: a helper whose callers moved to
-another code path fails here instead of lingering.  ``specfun`` holds no
-matrix product, whose rounding would make an element depend on its batch.
+another code path fails here instead of lingering.  Likewise every name a
+module imports must be read in it.  ``specfun`` holds no matrix product,
+whose rounding would make an element depend on its batch.
 """
 
 import ast
@@ -42,6 +43,40 @@ def test_every_private_function_has_a_caller():
     uncalled = sorted(f"{module}.{name}" for module, name in private
                       if not readers.get(name, set()) - {(module, name)})
     assert not uncalled, f"private functions without a caller: {uncalled}"
+
+
+def _imports(tree: ast.Module):
+    """(name, line) of every name an import binds, at any depth; a
+    ``from __future__`` import is a compiler directive and binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names of the module's ``__all__``, which re-exports them."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_read():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)} | _exported(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imports(tree) if name not in read]
+    assert not unused, f"imported but never read: {unused}"
 
 
 # numpy's matrix products, and np.linalg: BLAS blocks and orders their sums

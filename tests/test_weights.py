@@ -157,6 +157,28 @@ class TestArrayH:
             weights.band_indicator(sigma, h, BandSpec(rho1=0.3, rho2=0.6))
 
 
+class TestGlancingDistance:
+    def test_values(self):
+        # normal incidence, exact tangency, and the evanescent side
+        assert weights.glancing_distance(0, 0.25, 0.5) == 1.0
+        assert weights.glancing_distance(2, 0.25, 0.5) == 0.0
+        assert weights.glancing_distance(3, 0.25, 0.5) == 1.0 - 1.5 * 1.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(ks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12),
+           hs=st.lists(H, min_size=12, max_size=12),
+           radius=st.floats(min_value=0.05, max_value=1.0))
+    def test_array_matches_scalar_calls(self, ks, hs, radius):
+        # the squared ratio is a product, so each element of an array call
+        # is its scalar call bit for bit, and 1 - t * t exactly
+        k, h = np.array(ks), np.array(hs[:len(ks)])
+        got = weights.glancing_distance(k, h, radius).tolist()
+        assert got == [weights.glancing_distance(a, b, radius)
+                       for a, b in zip(ks, hs)]
+        t = h * k / radius
+        assert got == (1.0 - t * t).tolist()
+
+
 class TestBand:
     def test_endpoints_closed(self):
         band = BandSpec(rho1=0.3, rho2=0.6)
