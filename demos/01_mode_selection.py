@@ -14,6 +14,7 @@ oscillation), which is what the growth experiments measure.
 import numpy as np
 
 from glancelab import modes, specfun
+from glancelab.weights import glancing_distance
 
 TARGET = modes.ScaleTarget(alpha=0.5)
 ORDERS = np.array([100, 300, 1000, 3000, 10000, 30000])
@@ -32,7 +33,7 @@ def main():
         if error is not None:
             raise error
     n, lam = picked.n, picked.lam
-    sigma = 1.0 - (n / (lam * 0.5)) ** 2
+    sigma = glancing_distance(n, 1.0 / lam, 0.5)
     amplitude = np.abs(picked.normalization * specfun.bessel_j(n, lam * 0.5))
     for row in zip(n.tolist(), lam.tolist(), sigma.tolist(),
                    (n ** -TARGET.alpha).tolist(), amplitude.tolist()):

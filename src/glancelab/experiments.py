@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,7 +202,8 @@ _TRACE_CACHE = 16
 @functools.lru_cache(maxsize=_TRACE_CACHE)
 def _disk_traces(config: SweepConfig, derivative: bool,
                  band: BandSpec | None) -> tuple:
-    """The traces of the modes that `config` selects, as :func:`_traces`
+    """The traces of the modes that `config` selects by its rule
+    `config.optimize` (None is resolved by the caller), as :func:`_traces`
     returns them: one selector call, then one array call on its columns
     for every amplitude.  The trace is c J_n'(lam r) when `derivative` is
     true, else c J_n(lam r), which the amplitude, band and sqrt(xi_d)
@@ -219,11 +220,9 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     """
     if not (0.0 < config.radius < 1.0):
         raise ValueError("radius must lie strictly inside the disk")
-    optimize = config.optimize or ("normal_derivative" if derivative
-                                   else "restriction")
     picked = modes_mod.select_disk_modes(
         config.orders(), config.target(), radius=config.radius,
-        optimize=optimize, band=band)
+        optimize=config.optimize, band=band)
     found = np.array([error is None for error in picked.error], dtype=bool)
     n, lam = picked.n[found], picked.lam[found]
     amp = picked.normalization[found] * (
@@ -264,8 +263,11 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     of the rows is one array pass over the selected modes; an order whose
     measured norm is 0 is skipped, with the cause the quantity names."""
     if config.kind == "disk":
-        n, k, lam, amp, skipped = _disk_traces(
-            config, quantity == "normal_derivative", band)
+        derivative = quantity == "normal_derivative"
+        # the key holds the rule itself, so None and its default share it
+        resolved = replace(config, optimize=config.optimize or (
+            "normal_derivative" if derivative else "restriction"))
+        n, k, lam, amp, skipped = _disk_traces(resolved, derivative, band)
         radius = config.radius
     else:
         n, k, lam, amp, skipped = _sphere_traces(config)
@@ -273,8 +275,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     h = 1.0 / lam
     sigma = glancing_distance(k, h, radius)
     xi_d = np.sqrt(np.maximum(sigma, 0.0))
-    # trace_norm of each amplitude alone, in the same operation order
-    norm = np.sqrt(2.0 * math.pi * radius * (amp * amp))
+    norm = trace_norm(amp[:, None], radius)
     vanishes = "the trace vanishes on the circle"
     if quantity == "amplitude":
         weighted, why = norm, vanishes
@@ -286,11 +287,8 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     elif quantity == "normal_flat":
         weighted = np.sqrt(xi_d) * norm
         why = "selected mode is evanescent at the circle (sigma <= 0)"
-    elif quantity == "normal_derivative":
-        # the weight is positive for every sigma, evanescent included
+    else:   # normal_derivative: the weight is positive for every sigma
         weighted, why = glancing_weight(sigma, h, weight) * norm, vanishes
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
 
     keep = weighted != 0.0
     # the orders are distinct: sorting the pairs merges them in order of n

@@ -169,8 +169,7 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     ns = np.maximum(orders, 1)
     lam_lo, lam_hi = target.disk_window(ns)
 
-    spacing = math.pi * lam_lo / np.sqrt(np.maximum(lam_lo * lam_lo - ns * ns,
-                                                    1.0))
+    spacing = specfun._zero_spacing(ns, lam_lo)
     # seed-level window check with half-spacing slack; exact membership is
     # re-verified after refinement
     seed_lo, seed_hi = lam_lo - 0.6 * spacing, lam_hi + 0.6 * spacing

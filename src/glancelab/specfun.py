@@ -42,13 +42,13 @@ region where it was validated against backward-recurrence oracles:
   |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
 The Airy factors (``airy_ai``, ``airy_ai_prime``, the Newton of
-``airy_zero`` below m = 10 and the uniform expansion) use two methods keyed
-on the one constant _AIRY_ASYMP = 8, all in float64:
+``airy_zero`` below m = 10 and the uniform expansion) come from the one
+dispatch ``_airy_pair``, keyed on the one constant _AIRY_ASYMP = 8:
 
 - |x| >= 8: the Poincare asymptotic series (DLMF 9.7.5-6, 9.7.9-10),
-  truncated at their smallest term or after the first term below 1e-18;
-  the number of terms is read off the phase xi before summing; relative
-  error ~3e-15 at |x| = 8, falling further out;
+  truncated at their smallest term or after the first term below 1e-18,
+  the number of terms read off the phase xi = (2/3)|x|^{3/2}, which the
+  uniform expansion passes as n w; relative error ~3e-15 at |x| = 8;
 - |x| < 8: Taylor transport from correctly rounded (Ai, Ai') at +8 for
   x >= 0, stepping left so that the growing Bi-direction error decays, and
   at -8 for x < 0, stepping right where neither solution grows.  Against
@@ -70,9 +70,9 @@ zero can lie in a window, for any orders each with its own window, from one
 zero it is given in one Newton on ``bessel_j_pair``; selection (the top few
 ranked candidates of every order of a sweep) and window enumeration (every
 candidate of every order of every window of an ensemble) each make one call.
-The seed takes the Airy zero a_m of m >= 10 from the closed form of
-DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8), within 2 ulp of a_m,
-and the nine below from Newton on Ai.
+``airy_zero`` and the seed share one rule for a_m, ``_airy_zeros``: the
+closed form of DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8) for
+m >= 10, within 2 ulp of a_m, and memoised Newton on Ai below.
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -92,8 +92,10 @@ class NumericalError(Exception):
 
 def _flat(x):
     """The elements of a scalar or array as a 1-d float array, and its
-    shape."""
+    shape; ValueError unless every element is finite."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"arguments must be finite, got {x}")
     return x.ravel(), x.shape
 
 
@@ -108,11 +110,11 @@ def _integers(v, what: str) -> np.ndarray:
 
 
 def _as_arrays(n, x, dtype=float):
-    """Integer orders n and arguments x broadcast together: both as 1-d
-    arrays, and their shape.  With dtype int64, x holds zero indices, which
+    """Integer orders n and finite arguments x broadcast together: both as
+    1-d arrays, and their shape.  With dtype int64, x holds zero indices, which
     are checked like the orders."""
     x = (_integers(x, "zero index") if dtype is np.int64
-         else np.asarray(x, dtype=float))
+         else _flat(x)[0].reshape(np.shape(x)))
     n, x = np.broadcast_arrays(np.asarray(n), x)
     return _integers(n, "order").ravel(), x.ravel(), n.shape
 
@@ -276,16 +278,18 @@ def _airy_transports(x: np.ndarray):
     return ai, aip
 
 
-def _airy_pair(x: np.ndarray):
-    """(Ai, Ai') of every element of a 1-d array: the asymptotic series for
-    |x| >= 8, Taylor transport inside."""
+def _airy_pair(x: np.ndarray, xi=None):
+    """(Ai, Ai') of every element of a 1-d array, the one Airy dispatch: the
+    asymptotic series for |x| >= 8 at the phases xi = (2/3)|x|^{3/2} (from
+    x unless the caller knows them better), Taylor transport inside."""
     ai, aip = np.empty_like(x), np.empty_like(x)
     neg, pos = x <= -_AIRY_ASYMP, x >= _AIRY_ASYMP
     mid = ~(neg | pos)
+    if xi is None:
+        xi = (2.0 / 3.0) * np.abs(x) ** 1.5
     for sel, flip in ((neg, True), (pos, False)):
         if sel.any():
-            a = np.abs(x[sel])
-            ai[sel], aip[sel] = _airy_asymps(a, (2.0 / 3.0) * a ** 1.5, flip)
+            ai[sel], aip[sel] = _airy_asymps(np.abs(x[sel]), xi[sel], flip)
     if mid.any():
         ai[mid], aip[mid] = _airy_transports(x[mid])
     return ai, aip
@@ -320,9 +324,7 @@ def airy_zero(m: int) -> float:
     _integers(m, "zero index")
     if m < 1:
         raise ValueError("zero index starts at 1")
-    if m < _AIRY_ZERO_CLOSED:
-        return _airy_zero_newton(m)
-    return _airy_zero_closed(m)
+    return float(_airy_zeros(np.array([m], dtype=np.int64))[0])
 
 
 # The closed form below is within 1.9 ulp of a_m on m = 10 ... 1e6 (against
@@ -348,6 +350,15 @@ def _airy_zero_closed(m):
     return -u * (1.0 + s * (5.0 / 48.0 + s * (-5.0 / 36.0 + s * (
         77125.0 / 82944.0 + s * (-108056875.0 / 6967296.0
                                  + s * (162375596875.0 / 334430208.0))))))
+
+
+def _airy_zeros(m: np.ndarray) -> np.ndarray:
+    """a_m for an integer array of m >= 1: the rule of :func:`airy_zero`."""
+    a = _airy_zero_closed(m)
+    low = m < _AIRY_ZERO_CLOSED
+    if low.any():
+        a[low] = [_airy_zero_newton(int(k)) for k in m[low]]
+    return a
 
 
 @functools.cache
@@ -431,13 +442,12 @@ def _zeta_and_phase(z: np.ndarray):
     t = np.sqrt(np.abs(t2))
     osc = t2 >= 0.0
     # log((1+s)/z) - s = artanh(s) - s, by its odd series where it cancels
-    w = np.where(osc, t - np.arctan(t), np.log((1.0 + t) / z) - t)
-    for side, tail, sign in ((osc, _ATAN_TAIL, 1.0),
-                             (~osc, _ATANH_TAIL, -1.0)):
-        small = side & (t < _TAIL_SERIES)
-        if small.any():
-            ts, s2 = t[small], sign * t2[small]
-            w[small] = ts * s2 * _maclaurin(tail, s2)
+    w = np.log((1.0 + t) / z) - t
+    w[osc] = _t_minus_atans(t[osc], t2[osc])
+    small = ~osc & (t < _TAIL_SERIES)
+    if small.any():
+        ts, s2 = t[small], -t2[small]
+        w[small] = ts * s2 * _maclaurin(_ATANH_TAIL, s2)
     return np.where(osc, -1.0, 1.0) * (1.5 * w) ** (2.0 / 3.0), w
 
 
@@ -638,21 +648,16 @@ def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     p^2 = 1 / y.  This is the substitution zeta^{1/2} -> i (-zeta)^{1/2},
     p -> -i (z^2 - 1)^{-1/2} on the oscillatory side.  In the strip
     |n^{2/3} zeta| < _UNIFORM_STRIP, where those closed forms cancel, the
-    Maclaurin series in zeta take over.
+    Maclaurin series in zeta take over.  Ai and Ai' come from the one Airy
+    dispatch :func:`_airy_pair`, given the phase n w of the argument.
     """
     n = n.astype(float)
     z = x / n
-    zeta, g = _zeta_and_phase(z)
+    zeta, w = _zeta_and_phase(z)
     arg = n ** (2.0 / 3.0) * zeta
-    ai, aip = np.empty_like(z), np.empty_like(z)
-    far = arg <= -_AIRY_ASYMP
-    if far.any():
-        # the Airy phase (2/3)(-arg)^{3/2} is n g(z) exactly; taken from g
-        # it skips the round trip through zeta, which costs ~n eps of phase
-        ai[far], aip[far] = _airy_asymps(-arg[far], n[far] * g[far],
-                                         neg=True)
-    if not far.all():
-        ai[~far], aip[~far] = _airy_pair(arg[~far])
+    # the Airy phase (2/3)|arg|^{3/2} is n w exactly; taken from w it skips
+    # the round trip through zeta, which costs ~n eps of phase
+    ai, aip = _airy_pair(arg, n * w)
     r, b0, a1, b1 = (np.empty_like(z) for _ in range(4))
     strip = np.abs(arg) < _UNIFORM_STRIP
     if strip.any():
@@ -810,15 +815,15 @@ def bessel_zero_seed(n, m):
 
     Airy-zero transplantation j_{n,m} ~ n z(n^{-2/3} a_m) for n >= 1
     (DLMF 10.21.41 leading term), McMahon's expansion for n = 0
-    (DLMF 10.21.19).  The Airy zeros of m >= 10 come from their closed
-    form, the few below from the memoised Newton of :func:`airy_zero`.
+    (DLMF 10.21.19).  a_m is :func:`airy_zero`'s, bit for bit.
     """
     n, m, shape = _as_arrays(n, m, np.int64)
     if m.size and m.min() < 1:
         raise ValueError("zero index starts at 1")
     if n.size and n.min() < 0:
         raise ValueError("order must be nonnegative")
-    seeds = _transplanted_zeros(np.maximum(n, 1), m)
+    n1 = np.maximum(n, 1)
+    seeds = n1 * z_of_zeta(n1 ** (-2.0 / 3.0) * _airy_zeros(m))
     zero = n == 0
     if zero.any():
         seeds = np.where(zero, _mcmahon(m), seeds)
@@ -832,13 +837,11 @@ def _mcmahon(m):
     return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
 
 
-def _transplanted_zeros(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """n z(n^{-2/3} a_m) for the orders n >= 1 and the index array m."""
-    a = _airy_zero_closed(m)
-    low = m < _AIRY_ZERO_CLOSED
-    if low.any():
-        a[low] = [_airy_zero_newton(int(k)) for k in m[low]]
-    return n * z_of_zeta(n ** (-2.0 / 3.0) * a)
+def _zero_spacing(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The local spacing pi x / (x^2 - n^2)^{1/2} of the zeros of J_n near
+    x > n (1 for x <= n): Newton's bracket and selection's seed slack."""
+    return np.where(x > n, math.pi / np.sqrt(np.maximum(x * x - n * n, 1.0))
+                    * x, 1.0)
 
 
 def bessel_zero(n, m):
@@ -853,9 +856,7 @@ def bessel_zero(n, m):
     """
     n, ms, shape = _as_arrays(n, m, np.int64)
     lam = bessel_zero_seed(n, ms)
-    # half the local zero spacing bounds the allowed Newton excursion
-    spacing = np.where(lam > n, math.pi / np.sqrt(
-        np.maximum(lam * lam - n * n, 1.0)) * lam, 1.0)
+    spacing = _zero_spacing(n, lam)
     lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
     out = np.empty_like(lam)
     idx = np.arange(lam.size)

@@ -153,12 +153,13 @@ def band_indicator(sigma, h, band: BandSpec):
     return out if out.ndim else bool(out)
 
 
-def trace_norm(amplitudes, radius: float) -> float:
+def trace_norm(amplitudes, radius: float):
     """L2 norm over the restriction circle of sum_k a_k e^{i k theta}:
-    sqrt(2 pi R sum |a_k|^2) by orthogonality of the angular factors.
+    sqrt(2 pi R sum |a_k|^2) by orthogonality of the angular factors, the
+    sum over the last axis of `amplitudes`; a float for a 1-d sequence.
     """
     if not (0.0 < radius < math.inf):
         raise ValueError("radius must be positive and finite")
-    amplitudes = np.asarray(amplitudes)
-    return float(math.sqrt(2.0 * math.pi * radius
-                           * float(np.sum(np.abs(amplitudes) ** 2))))
+    power = np.sum(np.abs(np.asarray(amplitudes)) ** 2, axis=-1)
+    norm = np.sqrt(2.0 * math.pi * radius * power)
+    return norm if norm.ndim else float(norm)

@@ -233,7 +233,8 @@ def test_normal_band_names_evanescent_modes():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=100000,
                          points=24, radius=0.48)
     res = ex.normal_band_check(cfg)
-    n, k, lam, _, _ = ex._disk_traces(cfg, False, None)
+    n, k, lam, _, _ = ex._disk_traces(
+        dataclasses.replace(cfg, optimize="restriction"), False, None)
     sigma = dict(zip(n.tolist(),
                      glancing_distance(k, 1.0 / lam, 0.48).tolist()))
     assert len(res.skipped) == 17 and len(res.rows) == 7
@@ -355,9 +356,27 @@ def test_shared_traces_give_the_same_sweeps(fresh_traces, order):
         assert (io.sweep_to_csv_text(res), res.skipped) == got[label], label
 
 
+@pytest.mark.parametrize("sweep, rule", [
+    (ex.amplitude_sweep, "restriction"),
+    (lambda cfg: ex.normal_derivative_sweep(cfg, s=0.25),
+     "normal_derivative")])
+def test_the_default_rule_shares_its_explicit_entry(fresh_traces, sweep,
+                                                     rule):
+    # optimize=None is resolved before the key, so it selects once with
+    # the rule it stands for; each result keeps the config it was given
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
+                         points=2)
+    explicit = dataclasses.replace(cfg, optimize=rule)
+    default, given = sweep(cfg), sweep(explicit)
+    info = fresh_traces()
+    assert (info.misses, info.hits) == (1, 1)
+    assert default.config is cfg and given.config is explicit
+    assert io.sweep_to_csv_text(default) == io.sweep_to_csv_text(given)
+
+
 def test_every_key_field_misses(fresh_traces):
     base = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
-                          points=2)
+                          points=2, optimize="restriction")
     first = ex._disk_traces(base, False, None)
     n, k, lam, amp, skipped = first
     # the columns and the skipped pairs account for the two orders
@@ -422,7 +441,8 @@ def test_batched_paths_build_no_disk_mode(fresh_traces):
 
 def test_trace_columns_are_read_only(fresh_traces):
     # the memoized columns are shared by every sweep that reads them
-    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600, points=2)
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600, points=2,
+                         optimize="restriction")
     for column in ex._disk_traces(cfg, False, None)[:4]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1.0

@@ -54,14 +54,16 @@ class TestDiskMode:
 
 class TestRestriction:
     def test_trace_amplitude(self):
-        n, _, lam, amp, _ = ex._disk_traces(_one_order(500), False, None)
+        n, _, lam, amp, _ = ex._disk_traces(
+            _one_order(500, optimize="restriction"), False, None)
         assert amp[0] == pytest.approx(
             modes._normalizations(n, lam)[0] * specfun.bessel_j(
                 int(n[0]), lam[0] * 0.5), rel=1e-13, abs=0.0)
 
     def test_normal_derivative_is_h_scaled(self):
         # h d_r u at r = R equals the stored amplitude times e^{in theta}
-        n, _, lam, amp, _ = ex._disk_traces(_one_order(100), True, None)
+        n, _, lam, amp, _ = ex._disk_traces(
+            _one_order(100, optimize="normal_derivative"), True, None)
         n, lam = int(n[0]), float(lam[0])
         norm = float(modes._normalizations(np.array([n]), np.array([lam]))[0])
         eps = 1e-6

@@ -576,6 +576,15 @@ class TestBesselZeros:
             want = zero_seed_decimal(n, m)
             assert abs(seed - want) <= 24 * math.ulp(want), (n, m)
 
+    def test_seeds_take_airy_zero_bit_for_bit(self):
+        # one rule for a_m serves airy_zero and the seeds alike
+        ns = np.array([1, 7, 1000, 100000])
+        for m in range(1, 31):
+            want = ns * specfun.z_of_zeta(ns ** (-2.0 / 3.0)
+                                          * specfun.airy_zero(m))
+            assert specfun.bessel_zero_seed(ns, m).tobytes() == \
+                want.tobytes(), m
+
     def test_array_seeds_reject_bad_input(self):
         assert specfun.bessel_zero_seed(5, np.arange(1, 1)).size == 0
         with pytest.raises(ValueError):
@@ -709,6 +718,27 @@ SCALAR_CASES = {
 }
 NOT_ELEMENTWISE = {"airy_zero", "legendre_equator",
                    "bessel_zero_candidate_ranges"}
+
+
+# nan, inf or -inf in any argument of an elementwise function: a nan used to
+# give uninitialised memory out of airy_ai, inf a RuntimeWarning out of
+# bessel_j, and z_of_zeta(nan) ran its Newton to its step limit
+FINITE_CASES = {**SCALAR_CASES,
+                "bessel_zero_candidate_ranges": (5, 3.0, 9.0)}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, position", [
+    (name, i) for name, args in sorted(FINITE_CASES.items())
+    for i in range(len(args))])
+def test_non_finite_arguments_raise(name, position, bad):
+    good = FINITE_CASES[name]
+    # alone, and between valid elements of the same argument
+    for value in (bad, np.array([good[position], bad, good[position]])):
+        args = list(good)
+        args[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            getattr(specfun, name)(*args)
 
 
 def _near_turning_point(n, arg):

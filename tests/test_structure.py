@@ -4,7 +4,8 @@ Every module-level private function of ``src/glancelab`` must have a caller
 in the package other than its own body: a helper whose callers moved to
 another code path fails here instead of lingering.  Likewise every name a
 module imports must be read in it.  ``specfun`` holds no matrix product,
-whose rounding would make an element depend on its batch.
+whose rounding would make an element depend on its batch, and the two Airy
+methods are reached through the one Airy dispatch alone.
 """
 
 import ast
@@ -43,6 +44,20 @@ def test_every_private_function_has_a_caller():
     uncalled = sorted(f"{module}.{name}" for module, name in private
                       if not readers.get(name, set()) - {(module, name)})
     assert not uncalled, f"private functions without a caller: {uncalled}"
+
+
+# private functions that exactly one definition of the package may call
+_ONE_CALLER = {"_airy_asymps": ("specfun", "_airy_pair"),
+               "_airy_transports": ("specfun", "_airy_pair")}
+
+
+def test_airy_methods_have_one_dispatch():
+    callers = {name: set() for name in _ONE_CALLER}
+    for path in sorted(SRC.glob("*.py")):
+        for name, owner in _references(ast.parse(path.read_text())):
+            if name in callers and owner != name:
+                callers[name].add((path.stem, owner))
+    assert callers == {name: {caller} for name, caller in _ONE_CALLER.items()}
 
 
 def _imports(tree: ast.Module):

@@ -207,6 +207,14 @@ class TestTraceNorm:
         assert weights.trace_norm(a, r) == pytest.approx(
             5.0 * math.sqrt(math.pi), rel=1e-14, abs=0.0)
 
+    def test_rows_of_a_matrix(self):
+        # the sum runs over the last axis: each row is its own 1-d call
+        a = np.array([[3 + 4j, 0.5], [1e-3, -2.0], [0.0, 0.0]])
+        got = weights.trace_norm(a, 0.3)
+        assert got.shape == (3,)
+        assert got.tolist() == [weights.trace_norm(row, 0.3) for row in a]
+        assert type(weights.trace_norm(a[0], 0.3)) is float
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             weights.trace_norm([1.0], 0.0)
