@@ -16,13 +16,26 @@ hypersurface.  It provides:
   quasimode ensembles (`glancelab.experiments`);
 - independent cross-checks used to validate the fast paths
   (`glancelab.oracle`, imported on demand by `glancelab selftest`);
+- power-law exponent fits (`glancelab.fit`);
 - deterministic CSV/SVG output and a command line front end
   (`glancelab.io`, `glancelab.svgplot`, `glancelab.cli`).
+
+Each submodule loads on first use (PEP 562): ``import glancelab`` imports
+none, and ``glancelab.specfun`` imports specfun when it is first read.  So a
+command imports only the modules it runs.  `fit`, `io` and `svgplot` need the
+standard library alone, and so do the `fit` and `plot` commands; the other
+modules import numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import specfun, weights, modes, experiments, io, svgplot  # noqa: F401
+__all__ = ["specfun", "weights", "modes", "experiments", "fit", "io",
+           "svgplot", "__version__"]
 
-__all__ = ["specfun", "weights", "modes", "experiments", "io", "svgplot",
-           "__version__"]
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

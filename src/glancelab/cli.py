@@ -22,6 +22,10 @@ match flag names without the leading dashes, in a section named after the
 subcommand, with ``[common]`` applying everywhere.  Explicit flags override
 the file.  Exit status: 0 success, 1 configuration error, 2 numerical
 failure, 3 oracle failure.
+
+Each command imports only the modules it runs.  `fit` and `plot` read their
+table as an ``io.Table``, whose columns are tuples of floats, and run on the
+standard library alone; the other commands import numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import dataclasses
 import json
 import sys
 
-from . import experiments, io, modes, specfun, svgplot
+from . import io
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -227,15 +231,11 @@ def _check_sweep_disk(vals: dict, given: set) -> None:
 # subcommand bodies
 # ----------------------------------------------------------------------
 
-def _write_outputs(out_prefix: str, name: str, result, vals: dict,
-                   seed=None, cutoff: str | None = None) -> str:
+def _write_outputs(out_prefix: str, name: str, result, vals: dict, write,
+                   skipped=(), seed=None, cutoff: str | None = None) -> str:
+    """Write `result` to ``<out_prefix>.csv`` by `write`, and its manifest."""
     csv_path = out_prefix + ".csv"
-    if isinstance(result, experiments.QuasimodeResult):
-        io.write_quasimode_csv(csv_path, result)
-        skipped = []
-    else:
-        io.write_sweep_csv(csv_path, result)
-        skipped = result.skipped
+    write(csv_path, result)
     io.write_manifest(io.manifest_path(csv_path), name,
                       {k: v for k, v in vals.items() if k != "out"},
                       rows=len(result.rows), skipped=skipped, seed=seed,
@@ -244,6 +244,7 @@ def _write_outputs(out_prefix: str, name: str, result, vals: dict,
 
 
 def _run_sweep_disk(vals: dict) -> int:
+    from . import experiments
     config = experiments.SweepConfig(
         kind="disk", alpha=vals["alpha"], n_lo=vals["n_min"],
         n_hi=vals["n_max"], points=vals["points"], radius=vals["radius"],
@@ -259,6 +260,7 @@ def _run_sweep_disk(vals: dict) -> int:
         result = experiments.amplitude_sweep(config)
     # only the derivative sweep applies a glancing weight, and its cutoff
     path = _write_outputs(vals["out"], "sweep-disk", result, vals,
+                          io.write_sweep_csv, skipped=result.skipped,
                           cutoff=vals["cutoff"] if vals["derivative"]
                           else None)
     print(f"wrote {path} ({len(result.rows)} rows, "
@@ -267,55 +269,63 @@ def _run_sweep_disk(vals: dict) -> int:
 
 
 def _run_sweep_sphere(vals: dict) -> int:
+    from . import experiments
     config = experiments.SweepConfig(
         kind="sphere", alpha=vals["alpha"], n_lo=vals["n_min"],
         n_hi=vals["n_max"], points=vals["points"],
         offset=vals["offset_const"])
     result = experiments.amplitude_sweep(config)
-    path = _write_outputs(vals["out"], "sweep-sphere", result, vals)
+    path = _write_outputs(vals["out"], "sweep-sphere", result, vals,
+                          io.write_sweep_csv, skipped=result.skipped)
     print(f"wrote {path} ({len(result.rows)} rows, "
           f"{len(result.skipped)} skipped)")
     return _EXIT_OK
 
 
 def _run_normal_band(vals: dict) -> int:
+    from . import experiments
     config = experiments.SweepConfig(
         kind="disk", alpha=vals["alpha"], n_lo=vals["n_min"],
         n_hi=vals["n_max"], points=vals["points"], radius=vals["radius"],
         offset=vals["offset_const"])
     result = experiments.normal_band_check(config)
-    path = _write_outputs(vals["out"], "normal-band", result, vals)
+    path = _write_outputs(vals["out"], "normal-band", result, vals,
+                          io.write_sweep_csv, skipped=result.skipped)
     print(f"wrote {path} ({len(result.rows)} rows, "
           f"{len(result.skipped)} skipped)")
     return _EXIT_OK
 
 
 def _run_quasimode(vals: dict) -> int:
+    from . import experiments
     result = experiments.quasimode_boundedness(
         lam_lo=vals["lam_min"], lam_hi=vals["lam_max"],
         windows=vals["windows"], trials=vals["trials"], seed=vals["seed"],
         s=vals["s"], rho=vals["rho"], radius=vals["radius"],
         cutoff=vals["cutoff"])
     path = _write_outputs(vals["out"], "quasimode", result, vals,
-                          seed=vals["seed"], cutoff=vals["cutoff"])
+                          io.write_quasimode_csv, seed=vals["seed"],
+                          cutoff=vals["cutoff"])
     print(f"wrote {path} ({len(result.rows)} windows, "
           f"max/min {result.spread:.3f})")
     return _EXIT_OK
 
 
 def _run_fit(vals: dict) -> int:
+    from .fit import fit_exponent
     table = io.read_table(vals["infile"])
     for col in (vals["x"], vals["y"]):
         if col not in table.columns:
             raise _ConfigError(f"no column {col!r} in {vals['infile']} "
                                f"(has: {', '.join(table.names)})")
-    fit = experiments.fit_exponent(table[vals["x"]], table[vals["y"]],
-                                   drop_low=vals["drop_low"])
+    fit = fit_exponent(table[vals["x"]], table[vals["y"]],
+                       drop_low=vals["drop_low"])
     print(json.dumps(dataclasses.asdict(fit), sort_keys=True))
     return _EXIT_OK
 
 
 def _run_plot(vals: dict) -> int:
+    from . import svgplot
     table = io.read_table(vals["infile"])
     ys = vals["y"] or ["weighted_norm"]
     for col in [vals["x"]] + ys:
@@ -368,6 +378,21 @@ _RUNNERS = {
 }
 
 
+# the exceptions that exit 2, by the module that defines each
+_NUMERICAL = (("glancelab.specfun", "NumericalError"),
+              ("glancelab.fit", "FitError"),
+              ("glancelab.modes", "NoModeError"))
+
+
+def _numerical_errors() -> tuple:
+    """The exit-2 exception types of the modules loaded so far.  Python
+    evaluates an ``except`` expression only once an exception reaches it,
+    and a module the command never imported raised none of its own, so no
+    command imports a module just to learn what it did not raise."""
+    return tuple(getattr(sys.modules[module], name)
+                 for module, name in _NUMERICAL if module in sys.modules)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -380,8 +405,7 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"glancelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (specfun.NumericalError, experiments.FitError,
-            modes.NoModeError) as exc:
+    except _numerical_errors() as exc:
         print(f"glancelab: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -4,8 +4,9 @@ Each sweep walks a geometric grid of angular orders (disk) or degrees
 (sphere), selects one mode per order at a prescribed glancing scale
 sigma ~ n^{-alpha}, restricts it to the interior circle/equator, applies a
 weight or band, and records one row per order.  Fitting log(norm) against
-log(frequency) or log(h) then recovers the growth exponent that the
-restriction theory predicts:
+log(frequency) or log(h) (``fit_exponent``, defined in ``glancelab.fit`` and
+re-exported here) then recovers the growth exponent that the restriction
+theory predicts:
 
 - raw restricted norms grow like lam^{alpha/4};
 - sharp-band projections weighted by sigma^s scale like h^{alpha(s - 1/4)};
@@ -38,80 +39,10 @@ import numpy as np
 
 from . import modes as modes_mod
 from . import specfun
+from .fit import FitError, FitResult, fit_exponent
 from .modes import NoModeError, ScaleTarget
 from .weights import (BandSpec, WeightSpec, band_indicator, glancing_distance,
                       glancing_weight, trace_norm)
-
-
-class FitError(Exception):
-    """The sweep data does not support a power-law fit."""
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares power-law fit log y = slope * log x + intercept."""
-    slope: float
-    intercept: float
-    stderr: float
-    r_squared: float
-    n_points: int
-
-
-def fit_exponent(x, y, drop_low: float = 0.25) -> FitResult:
-    """Fit a growth exponent by ordinary least squares in log-log space.
-
-    Parameters
-    ----------
-    x, y : array_like
-        Positive abscissae (frequencies, h values, ...) and norms.  Rows are
-        assumed ordered with the pre-asymptotic end first; `drop_low` drops
-        that leading fraction before fitting.
-    drop_low : float
-        Fraction of leading rows to discard (default 1/4), in [0, 1).
-
-    Raises
-    ------
-    ValueError
-        `drop_low` outside [0, 1) (nan included).
-    FitError
-        Non-finite data, fewer than 3 usable points, non-positive data, or
-        a fit that claims a trend the data cannot support: r^2 < 0.8 with a
-        slope exceeding both 3 standard errors and 0.05.  Flat data with
-        scatter is *not* an error: a slope consistent with 0 is a legitimate
-        measurement of a bounded quantity, whatever its r^2.
-    """
-    if not (0.0 <= drop_low < 1.0):
-        raise ValueError(f"drop_low must lie in [0, 1), got {drop_low}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise FitError("x and y must be 1-d arrays of equal length")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise FitError("x and y must be finite (no nan or inf)")
-    keep = math.floor(len(x) * drop_low)
-    x, y = x[keep:], y[keep:]
-    if len(x) < 3:
-        raise FitError(f"only {len(x)} points left after dropping {keep}")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise FitError("log-log fit needs positive data")
-    lx, ly = np.log(x), np.log(y)
-    vx = lx - lx.mean()
-    denom = float(vx @ vx)
-    if denom == 0.0:
-        raise FitError("abscissa is constant")
-    slope = float(vx @ (ly - ly.mean())) / denom
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (slope * lx + intercept)
-    dof = len(x) - 2
-    stderr = math.sqrt(float(resid @ resid) / dof / denom) if dof > 0 else 0.0
-    total = float((ly - ly.mean()) @ (ly - ly.mean()))
-    r2 = 1.0 - float(resid @ resid) / total if total > 0.0 else 1.0
-    if r2 < 0.8 and abs(slope) > max(3.0 * stderr, 0.05):
-        raise FitError(
-            f"unreliable trend: slope {slope:+.4f} with r^2 {r2:.3f} "
-            f"(stderr {stderr:.4f})")
-    return FitResult(slope=slope, intercept=intercept, stderr=stderr,
-                     r_squared=r2, n_points=len(x))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Every table is written with ``%.17g`` floats (round-trip exact for doubles),
 LF line endings, and no timestamps, so identical runs produce byte-identical
 files; the only timestamp lives in the run manifest written next to a table.
+A table is read back as a `Table` whose columns are tuples of floats.  The
+module runs on the standard library alone: the writers take the results of
+``glancelab.experiments`` but never import it, so ``glancelab fit`` and
+``glancelab plot`` read their tables without numpy.
 """
 
 from __future__ import annotations
@@ -11,12 +15,9 @@ import configparser
 import datetime as _dt
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass
-
-import numpy as np
-
-from .experiments import QuasimodeResult, SweepResult
 
 # one row per selected mode; "b" is the glancing distance sigma of the trace
 SWEEP_COLUMNS = ("n", "lambda", "h", "b", "xi_d", "amplitude",
@@ -29,7 +30,7 @@ QUASIMODE_COLUMNS = ("lambda", "dim", "weyl_estimate", "max_norm",
 
 def format_value(v) -> str:
     """Render one CSV cell: integers verbatim, floats round-trip exact."""
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):     # numpy's integers included
         return str(int(v))
     return "%.17g" % float(v)
 
@@ -39,7 +40,8 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def sweep_to_csv_text(result: SweepResult) -> str:
+def sweep_to_csv_text(result) -> str:
+    """The CSV text of an ``experiments.SweepResult``."""
     lines = [",".join(SWEEP_COLUMNS)]
     for r in result.rows:
         lines.append(",".join(format_value(v) for v in (
@@ -48,7 +50,8 @@ def sweep_to_csv_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def quasimode_to_csv_text(result: QuasimodeResult) -> str:
+def quasimode_to_csv_text(result) -> str:
+    """The CSV text of an ``experiments.QuasimodeResult``."""
     lines = [",".join(QUASIMODE_COLUMNS)]
     for r in result.rows:
         lines.append(",".join(format_value(v) for v in (
@@ -57,21 +60,22 @@ def quasimode_to_csv_text(result: QuasimodeResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(path: str, result: SweepResult) -> None:
+def write_sweep_csv(path: str, result) -> None:
     _write_text(path, sweep_to_csv_text(result))
 
 
-def write_quasimode_csv(path: str, result: QuasimodeResult) -> None:
+def write_quasimode_csv(path: str, result) -> None:
     _write_text(path, quasimode_to_csv_text(result))
 
 
 @dataclass(frozen=True)
 class Table:
-    """A CSV table as named float columns (order preserved)."""
+    """A CSV table as named columns (order preserved), each a tuple of
+    floats."""
     names: tuple
     columns: dict
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def __getitem__(self, name: str) -> tuple:
         return self.columns[name]
 
     def __len__(self) -> int:
@@ -96,9 +100,9 @@ def read_table(path: str) -> Table:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{k}: non-numeric cell") from exc
-    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     return Table(names=names,
-                 columns={nm: data[:, j] for j, nm in enumerate(names)})
+                 columns={nm: tuple(row[j] for row in rows)
+                          for j, nm in enumerate(names)})
 
 
 def write_manifest(path: str, command: str, config: dict, rows: int,

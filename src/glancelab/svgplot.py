@@ -4,16 +4,15 @@ No plotting dependency: the experiments only ever need one kind of figure,
 and hand-writing it keeps the bytes deterministic — same table in, same SVG
 out, which the reproducibility checks rely on.  Coordinates are formatted
 with two decimals and nothing in the file depends on time, locale, or
-dict iteration order.
+dict iteration order.  It runs on the standard library alone, like the fit
+it draws.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .experiments import FitError, fit_exponent
+from .fit import FitError, fit_exponent
 
 _WIDTH, _HEIGHT = 640.0, 440.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72.0, 620.0, 42.0, 392.0
@@ -53,33 +52,34 @@ def render_log_log(x, series, xlabel: str = "", ylabel: str = "",
 
     Parameters
     ----------
-    x : array_like
-        Common abscissa, strictly positive.
+    x : sequence of numbers
+        Common abscissa, positive and finite.
     series : list of (label, y) pairs
-        Each y strictly positive, same length as x.  Each series gets its
+        Each y positive and finite, same length as x.  Each series gets its
         own color and a legend entry carrying its fitted slope (the same
         number `fit_exponent` reports with the same `drop_low`); a series
         whose fit is refused is still drawn, labelled "fit refused".
     """
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
+    x = [float(v) for v in x]
+    if not x:
         raise PlotError("empty table")
-    if np.any(x <= 0.0):
-        raise PlotError("non-positive values on the x log axis")
+    if not all(0.0 < v < math.inf for v in x):
+        raise PlotError("non-positive or non-finite values on the x log axis")
     cleaned = []
     for label, y in series:
-        y = np.asarray(y, dtype=float)
-        if y.shape != x.shape:
+        y = [float(v) for v in y]
+        if len(y) != len(x):
             raise PlotError(f"series {label!r} has wrong length")
-        if np.any(y <= 0.0):
-            raise PlotError(f"non-positive values in series {label!r}")
+        if not all(0.0 < v < math.inf for v in y):
+            raise PlotError(f"non-positive or non-finite values in series "
+                            f"{label!r}")
         cleaned.append((str(label), y))
     if not cleaned:
         raise PlotError("no series to plot")
 
-    lx_lo, lx_hi = math.log10(x.min()), math.log10(x.max())
-    ally = np.concatenate([y for _, y in cleaned])
-    ly_lo, ly_hi = math.log10(ally.min()), math.log10(ally.max())
+    lx_lo, lx_hi = math.log10(min(x)), math.log10(max(x))
+    ally = [v for _, y in cleaned for v in y]
+    ly_lo, ly_hi = math.log10(min(ally)), math.log10(max(ally))
     xpad = max(0.04 * (lx_hi - lx_lo), 0.05)
     ypad = max(0.04 * (ly_hi - ly_lo), 0.05)
     lx_lo, lx_hi = lx_lo - xpad, lx_hi + xpad
@@ -125,7 +125,7 @@ def render_log_log(x, series, xlabel: str = "", ylabel: str = "",
         except FitError:
             pass
         if fit is not None:
-            xa, xb = x.min(), x.max()
+            xa, xb = min(x), max(x)
             ya = math.exp(fit.intercept) * xa ** fit.slope
             yb = math.exp(fit.intercept) * xb ** fit.slope
             out.append(f'<line x1="{_fmt(px(xa))}" y1="{_fmt(py(ya))}" '

@@ -62,7 +62,7 @@ def test_sweep_sphere_runs(tmp_path, capsys):
     assert code == 0
     table = io.read_table(out + ".csv")
     assert len(table) == 5
-    assert all(table["amplitude"] > 0)
+    assert all(v > 0 for v in table["amplitude"])
 
 
 def test_manifest_lists_skipped_orders(tmp_path, capsys):
@@ -454,6 +454,72 @@ def test_selftest_runs_without_scipy():
                       "sys.exit(glancelab.cli.main(['selftest']))")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_passed"] is True
+
+
+DEMO_CSV = str(Path(__file__).resolve().parent.parent / "demos"
+               / "disk_growth.csv")
+
+
+def _main_without_numpy(*argv):
+    """Import the CLI and run it in a fresh interpreter in which numpy
+    cannot be imported."""
+    return _run_fresh("import sys; sys.modules['numpy'] = None; "
+                      "import glancelab.cli; "
+                      f"sys.exit(glancelab.cli.main({list(argv)!r}))")
+
+
+def test_submodules_load_on_first_use():
+    proc = _run_fresh(
+        "import sys, glancelab; "
+        "print(sorted(m for m in sys.modules if m.startswith('glancelab'))); "
+        "glancelab.specfun.bessel_j; from glancelab import fit; "
+        "print(sorted(m for m in sys.modules if m.startswith('glancelab'))); "
+        "glancelab.nosuch")
+    assert proc.stdout.splitlines() == [
+        "['glancelab']", "['glancelab', 'glancelab.fit', 'glancelab.specfun']"]
+    assert proc.stderr.rstrip().endswith(
+        "AttributeError: module 'glancelab' has no attribute 'nosuch'")
+
+
+def test_configuration_errors_without_numpy(tmp_path):
+    proc = _main_without_numpy("sweep-disk", "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert proc.stderr == "glancelab: error: sweep-disk: --alpha is required\n"
+    # an OSError passes the exit-2 clause, whose modules fit never loaded
+    proc = _main_without_numpy("fit", "--in", str(tmp_path / "none.csv"),
+                               "--x", "n", "--y", "amplitude")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("glancelab: error: [Errno 2] ")
+
+
+def test_fit_and_plot_run_without_numpy(tmp_path):
+    proc = _main_without_numpy("fit", "--in", DEMO_CSV, "--x", "n",
+                               "--y", "amplitude")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_points"] == 18
+    out = str(tmp_path / "fig")
+    proc = _main_without_numpy("plot", "--in", DEMO_CSV, "--x", "n",
+                               "--y", "amplitude", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(out + ".svg").read_text().count("<circle ") == 24
+    assert io.read_manifest(out + ".manifest.json")["rows"] == 24
+
+
+def test_numerical_failures_exit_2_in_a_fresh_process(tmp_path):
+    # fit refuses a trend its scatter cannot support (FitError); the
+    # quasimode windows below j_{0,1} hold no mode (NoModeError)
+    csv = tmp_path / "noisy.csv"
+    csv.write_text("x,y\n" + "".join(
+        f"{n},{n ** 3 * (10.0 if n % 2 else 0.1)!r}\n" for n in range(1, 25)))
+    for argv in (["fit", "--in", str(csv), "--x", "x", "--y", "y",
+                  "--drop-low", "0"],
+                 ["quasimode", "--lam-min", "1.1", "--lam-max", "1.3",
+                  "--windows", "2", "--trials", "2",
+                  "--out", str(tmp_path / "qm")]):
+        proc = _run_fresh("import sys, glancelab.cli; "
+                          f"sys.exit(glancelab.cli.main({argv!r}))")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("glancelab: numerical failure: ")
 
 
 def test_unwritable_output_path(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Tests for the SVG log-log renderer."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glancelab import svgplot
+from glancelab import io, svgplot
 from glancelab.experiments import fit_exponent
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _power_law(slope=0.5, points=12):
@@ -54,6 +57,18 @@ def test_refused_fit_still_draws_points():
     assert "fit refused" in svg
 
 
+def test_reproduces_the_demo_figure():
+    # demos/02_amplitude_growth.py draws disk_growth.svg from the sweep
+    # that disk_growth.csv holds; its columns, read back, draw it again
+    table = io.read_table(str(DEMOS / "disk_growth.csv"))
+    svg = svgplot.render_log_log(table["n"],
+                                 [("amplitude", table["amplitude"])],
+                                 xlabel="angular order n",
+                                 ylabel="|trace amplitude|",
+                                 title="disk, alpha = 0.5")
+    assert svg == (DEMOS / "disk_growth.svg").read_text()
+
+
 def test_empty_and_invalid_inputs_rejected():
     with pytest.raises(svgplot.PlotError, match="empty"):
         svgplot.render_log_log([], [("a", [])])
@@ -65,6 +80,12 @@ def test_empty_and_invalid_inputs_rejected():
         svgplot.render_log_log([1.0, 2.0, 3.0], [("a", [1.0, 2.0])])
     with pytest.raises(svgplot.PlotError, match="no series"):
         svgplot.render_log_log([1.0, 2.0, 3.0], [])
+    # a nan or inf cell would leave its coordinates, or every one, nan
+    for bad in (math.nan, math.inf):
+        with pytest.raises(svgplot.PlotError, match="non-finite"):
+            svgplot.render_log_log([1.0, bad, 3.0], [("a", [1.0, 2.0, 3.0])])
+        with pytest.raises(svgplot.PlotError, match="non-finite"):
+            svgplot.render_log_log([1.0, 2.0, 3.0], [("a", [1.0, bad, 3.0])])
 
 
 def test_title_is_escaped():
