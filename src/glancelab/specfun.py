@@ -281,18 +281,12 @@ def _airy_transports(x: np.ndarray):
 def _airy_pair(x: np.ndarray, xi=None):
     """(Ai, Ai') of every element of a 1-d array, the one Airy dispatch: the
     asymptotic series for |x| >= 8 at the phases xi = (2/3)|x|^{3/2} (from
-    x unless the caller knows them better), Taylor transport inside.  A
-    batch that one method serves whole goes to it without masked copies;
-    every method is elementwise, so the values are the same bits."""
+    x unless the caller knows them better), Taylor transport inside."""
+    ai, aip = np.empty_like(x), np.empty_like(x)
     neg, pos = x <= -_AIRY_ASYMP, x >= _AIRY_ASYMP
     mid = ~(neg | pos)
-    if mid.all():       # an empty batch too
-        return _airy_transports(x)
     if xi is None:
         xi = (2.0 / 3.0) * np.abs(x) ** 1.5
-    if neg.all() or pos.all():
-        return _airy_asymps(np.abs(x), xi, bool(neg[0]))
-    ai, aip = np.empty_like(x), np.empty_like(x)
     for sel, flip in ((neg, True), (pos, False)):
         if sel.any():
             ai[sel], aip[sel] = _airy_asymps(np.abs(x[sel]), xi[sel], flip)

@@ -228,27 +228,6 @@ class TestAiry:
         assert scaled(specfun.airy_ai_prime(x), want_b, x, 0.25).max() \
             <= 1e-14
 
-    @pytest.mark.parametrize("lo, hi", [(-60.0, -8.0), (8.0, 60.0),
-                                        (-7.99, 7.99)])
-    @pytest.mark.parametrize("with_xi", [False, True])
-    def test_whole_batch_of_one_method_matches_masked_path(self, lo, hi,
-                                                           with_xi):
-        # a batch that one method serves whole skips the masks; the same
-        # elements beside one of every other region take the masked path
-        x = np.linspace(lo, hi, 2000)
-        others = np.array([-20.0, 0.5, 20.0])
-        mixed = np.concatenate([x, others])
-        if with_xi:     # the Bessel expansion passes its own phases
-            xi = (2.0 / 3.0) * np.abs(x) ** 1.5 * (1.0 + 1e-9)
-            whole = specfun._airy_pair(x, xi)
-            masked = specfun._airy_pair(mixed, np.concatenate(
-                [xi, (2.0 / 3.0) * np.abs(others) ** 1.5]))
-        else:
-            whole, masked = specfun._airy_pair(x), specfun._airy_pair(mixed)
-        for got, want in zip(whole, masked):
-            assert got.tobytes() == want[:x.size].tobytes()
-        assert [v.size for v in specfun._airy_pair(np.array([]))] == [0, 0]
-
     def test_prime_matches_difference_quotient(self):
         for x in (-6.3, -1.0, 0.7, 3.0, 5.2, 9.0):
             h = 1e-6
