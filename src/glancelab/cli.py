@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import io
@@ -359,11 +360,13 @@ def _run_selftest(vals: dict) -> int:
     doc = {
         "all_passed": report.all_passed,
         "elapsed_seconds": round(report.elapsed, 3),
+        # a non-finite figure has failed its check; JSON has no NaN
         "checks": [{"name": c.name, "passed": c.passed,
-                    "worst": c.worst, "detail": c.detail}
+                    "worst": c.worst if math.isfinite(c.worst) else None,
+                    "detail": c.detail}
                    for c in report.checks],
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     return _EXIT_OK if report.all_passed else _EXIT_ORACLE
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -345,6 +346,8 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     """
     if windows < 1 or trials < 1:
         raise ValueError("need at least one window and one trial")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (0.0 < lam_lo <= lam_hi < math.inf):
         raise ValueError("need 0 < lam_lo <= lam_hi < inf")
     if not (0.0 < radius < 1.0):

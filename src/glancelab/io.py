@@ -7,13 +7,17 @@ A table is read back as a `Table` whose columns are tuples of floats.  The
 module runs on the standard library alone: the writers take the results of
 ``glancelab.experiments`` but never import it, so ``glancelab fit`` and
 ``glancelab plot`` read their tables without numpy.
+
+Importing the module loads only what every caller needs.  ``hashlib``
+(which loads OpenSSL), ``datetime`` and ``configparser`` are imported by
+the functions that use them: `write_manifest`, `hash_file` and
+`load_config`.  A run that writes CSV text alone, such as a sweep through
+the Python API, ``fit`` or ``selftest``, loads neither hashlib nor
+configparser.
 """
 
 from __future__ import annotations
 
-import configparser
-import datetime as _dt
-import hashlib
 import json
 import numbers
 import os
@@ -121,6 +125,9 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
     the run applied, recorded as "cutoff_shape"; None (null) for a run that
     applied none.
     """
+    import datetime
+    import hashlib
+
     from . import __version__
     config = {k: config[k] for k in sorted(config)}
     if input_hash is None:
@@ -136,12 +143,13 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
         "skipped": len(skipped),
         "skipped_orders": [[n, reason] for n, reason in skipped],
         "input_hash": input_hash,
-        "written": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "written": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def hash_file(path: str) -> str:
+    import hashlib
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
@@ -162,6 +170,7 @@ def load_config(path: str) -> dict:
     A [common] section applies to every subcommand; a section named after a
     subcommand overrides it.  Unknown keys are left for the CLI to reject.
     """
+    import configparser
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:

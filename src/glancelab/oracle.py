@@ -570,7 +570,8 @@ def _worst(got: np.ndarray, want: np.ndarray, scale: np.ndarray) -> float:
 def _check(name, got, want, scale, tol, detail=""):
     """The CheckResult of results `got` against `want` (numbers or arrays
     that broadcast): passed when the largest |got - want| / scale is at
-    most `tol`, its worst in units of `tol`."""
+    most `tol`, which a NaN or infinite figure never is, its worst in units
+    of `tol`."""
     worst = _worst(np.asarray(got, dtype=float), want, scale)
     return CheckResult(name, worst <= tol, worst / tol, detail)
 

@@ -366,6 +366,15 @@ def test_bad_values_are_config_errors(tmp_path, capsys, argv):
     assert not os.path.exists(out + ".csv")
 
 
+def test_quasimode_negative_seed_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, *_QUASIMODE, "--seed", "-1", "--out", out)
+    assert code == 1
+    assert err == ("glancelab: error: seed must be a non-negative integer, "
+                   "got -1\n")
+    assert not os.path.exists(out + ".csv")
+
+
 def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
     out = str(tmp_path / "dv")
     code, _, _ = _run(capsys, "sweep-disk", "--alpha", "0.5", "--derivative",
@@ -429,6 +438,23 @@ def test_selftest_json(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_selftest_prints_a_non_finite_figure_as_null(capsys, monkeypatch):
+    from glancelab import specfun
+    monkeypatch.setattr(specfun, "legendre_equator",
+                        lambda degree, order: float("nan"))
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    code, stdout, _ = _run(capsys, "selftest")
+    assert code == 3
+    doc = json.loads(stdout, parse_constant=refuse)
+    assert doc["all_passed"] is False
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert [(c["name"], c["worst"]) for c in failed] == [
+        ("specfun.legendre_equator vs recurrence", None)]
+
+
 def _run_fresh(code):
     """Run `code` in a fresh interpreter that imports glancelab from source."""
     src = os.path.dirname(os.path.dirname(io.__file__))
@@ -458,6 +484,40 @@ def test_selftest_runs_without_scipy():
 
 DEMO_CSV = str(Path(__file__).resolve().parent.parent / "demos"
                / "disk_growth.csv")
+
+# hashlib loads OpenSSL; configparser serves --config alone
+_DEFERRED = ("hashlib", "_hashlib", "configparser")
+
+# each entry point sets `code`, the exit status it would give
+_ENTRY_POINTS = {
+    "import-cli": "import glancelab.cli; code = 0",
+    "fit": "import glancelab.cli; code = glancelab.cli.main("
+           f"['fit', '--in', {DEMO_CSV!r}, '--x', 'n', '--y', 'amplitude'])",
+    "selftest": "import glancelab.cli; "
+                "code = glancelab.cli.main(['selftest'])",
+    "api-sweep":
+        "from glancelab import experiments, io; "
+        "result = experiments.amplitude_sweep(experiments.SweepConfig("
+        "kind='disk', alpha=0.5, n_lo=1000, n_hi=4000, points=3)); "
+        "io.sweep_to_csv_text(result); code = 0",
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_entry_point_loads_no_hashlib_or_configparser(entry):
+    # a module a site-packages hook loaded before the entry point ran is
+    # not the entry point's: only the difference counts
+    proc = _run_fresh("import sys; before = set(sys.modules)\n"
+                      + _ENTRY_POINTS[entry] + "\n"
+                      "print(code, sorted((set(sys.modules) - before) "
+                      f"& set({_DEFERRED!r})))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    # and it runs with each of them impossible to import
+    proc = _run_fresh("import sys\n"
+                      f"for name in {_DEFERRED!r}: sys.modules[name] = None\n"
+                      + _ENTRY_POINTS[entry] + "\nsys.exit(code)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def _main_without_numpy(*argv):

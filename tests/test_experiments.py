@@ -472,6 +472,18 @@ def test_quasimode_empty_window_raises():
         ex.quasimode_boundedness(lam_lo=1.1, lam_hi=1.3, windows=2, trials=2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, 0.5, "7"])
+def test_quasimode_rejects_a_bad_seed_before_any_work(monkeypatch, seed):
+    def enumerate_windows(*args):
+        raise AssertionError("windows enumerated before the seed was checked")
+
+    monkeypatch.setattr(modes, "modes_in_frequency_windows", enumerate_windows)
+    with pytest.raises(ValueError, match="^seed must be a non-negative "
+                       "integer, got "):
+        ex.quasimode_boundedness(lam_lo=60.0, lam_hi=90.0, windows=2,
+                                 trials=2, seed=seed)
+
+
 def test_quasimode_deterministic():
     kw = dict(lam_lo=60.0, lam_hi=90.0, windows=2, trials=4, seed=123)
     a = ex.quasimode_boundedness(**kw)

@@ -105,8 +105,18 @@ def test_manifest_contents(tmp_path):
     assert doc["rows"] == 4 and doc["skipped"] == 1
     assert doc["skipped_orders"] == [[7, "no eigenvalue in window"]]
     assert doc["cutoff_shape"] == "exp"
-    assert doc["input_hash"].startswith("sha256:")
+    # the sha256 of the sorted config as JSON: '{"alpha": 0.5, "points": 4}'
+    assert doc["input_hash"] == ("sha256:8fe5ea53246a4fc5bd8f1eb7e0d70322"
+                                 "86ff12d5d81a8b7130419626a8252f0c")
     assert "written" in doc and "version" in doc
+
+
+def test_hash_file_is_the_sha256_of_the_bytes(tmp_path):
+    path = tmp_path / "abc.csv"
+    path.write_bytes(b"abc")          # the FIPS 180-2 test message
+    assert io.hash_file(str(path)) == (
+        "sha256:ba7816bf8f01cfea414140de5dae2223"
+        "b00361a396177a9cb410ff61f20015ad")
 
 
 def test_manifest_path_naming():
