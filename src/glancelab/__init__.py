@@ -32,7 +32,13 @@ import importlib
 __version__ = "0.1.0"
 
 __all__ = ["specfun", "weights", "modes", "experiments", "fit", "io",
-           "svgplot", "__version__"]
+           "svgplot", "NumericalFailure", "__version__"]
+
+
+class NumericalFailure(Exception):
+    """The numerics failed, not the input: the base of
+    `specfun.NumericalError`, `modes.NoModeError` and `fit.FitError`.  The
+    command line exits 2 on it."""
 
 
 def __getattr__(name: str):

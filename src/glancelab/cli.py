@@ -24,8 +24,9 @@ the file.  Exit status: 0 success, 1 configuration error, 2 numerical
 failure, 3 oracle failure.
 
 Each command imports only the modules it runs.  `fit` and `plot` read their
-table as an ``io.Table``, whose columns are tuples of floats, and run on the
-standard library alone; the other commands import numpy.
+table as a dict of columns, each a tuple of floats, and run on the standard
+library alone; the other commands import numpy.  Exit status 2 is every
+``glancelab.NumericalFailure``, whichever module raised it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import json
 import math
 import sys
 
-from . import io
+from . import NumericalFailure, io
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -244,67 +245,43 @@ def _write_outputs(out_prefix: str, name: str, result, vals: dict, write,
     return csv_path
 
 
-def _run_sweep_disk(vals: dict) -> int:
+def _run_sweep(name: str, vals: dict) -> int:
     from . import experiments
+    # a sphere sweep has no radius or optimize, and keeps their defaults
     config = experiments.SweepConfig(
-        kind="disk", alpha=vals["alpha"], n_lo=vals["n_min"],
-        n_hi=vals["n_max"], points=vals["points"], radius=vals["radius"],
-        offset=vals["offset_const"], optimize=vals["optimize"])
-    if vals["derivative"]:
+        kind="sphere" if name == "sweep-sphere" else "disk",
+        alpha=vals["alpha"], n_lo=vals["n_min"], n_hi=vals["n_max"],
+        points=vals["points"], offset=vals["offset_const"],
+        **{k: vals[k] for k in ("radius", "optimize") if k in vals})
+    derivative = vals.get("derivative", False)
+    if name == "normal-band":
+        result = experiments.normal_band_check(config)
+    elif derivative:
         result = experiments.normal_derivative_sweep(
             config, s=vals["s"], rho=vals["rho"], cutoff=vals["cutoff"])
-    elif vals["rho1"] is not None:      # a band: rho2 is set too
+    elif vals.get("rho1") is not None:      # a band: rho2 is set too
         from .weights import BandSpec
         result = experiments.sharpness_sweep(
             config, s=vals["s"], band=BandSpec(vals["rho1"], vals["rho2"]))
     else:
         result = experiments.amplitude_sweep(config)
     # only the derivative sweep applies a glancing weight, and its cutoff
-    path = _write_outputs(vals["out"], "sweep-disk", result, vals,
+    path = _write_outputs(vals["out"], name, result, vals,
                           io.write_sweep_csv, skipped=result.skipped,
-                          cutoff=vals["cutoff"] if vals["derivative"]
-                          else None)
+                          cutoff=vals["cutoff"] if derivative else None)
     print(f"wrote {path} ({len(result.rows)} rows, "
           f"{len(result.skipped)} skipped)")
     return _EXIT_OK
 
 
-def _run_sweep_sphere(vals: dict) -> int:
-    from . import experiments
-    config = experiments.SweepConfig(
-        kind="sphere", alpha=vals["alpha"], n_lo=vals["n_min"],
-        n_hi=vals["n_max"], points=vals["points"],
-        offset=vals["offset_const"])
-    result = experiments.amplitude_sweep(config)
-    path = _write_outputs(vals["out"], "sweep-sphere", result, vals,
-                          io.write_sweep_csv, skipped=result.skipped)
-    print(f"wrote {path} ({len(result.rows)} rows, "
-          f"{len(result.skipped)} skipped)")
-    return _EXIT_OK
-
-
-def _run_normal_band(vals: dict) -> int:
-    from . import experiments
-    config = experiments.SweepConfig(
-        kind="disk", alpha=vals["alpha"], n_lo=vals["n_min"],
-        n_hi=vals["n_max"], points=vals["points"], radius=vals["radius"],
-        offset=vals["offset_const"])
-    result = experiments.normal_band_check(config)
-    path = _write_outputs(vals["out"], "normal-band", result, vals,
-                          io.write_sweep_csv, skipped=result.skipped)
-    print(f"wrote {path} ({len(result.rows)} rows, "
-          f"{len(result.skipped)} skipped)")
-    return _EXIT_OK
-
-
-def _run_quasimode(vals: dict) -> int:
+def _run_quasimode(name: str, vals: dict) -> int:
     from . import experiments
     result = experiments.quasimode_boundedness(
         lam_lo=vals["lam_min"], lam_hi=vals["lam_max"],
         windows=vals["windows"], trials=vals["trials"], seed=vals["seed"],
         s=vals["s"], rho=vals["rho"], radius=vals["radius"],
         cutoff=vals["cutoff"])
-    path = _write_outputs(vals["out"], "quasimode", result, vals,
+    path = _write_outputs(vals["out"], name, result, vals,
                           io.write_quasimode_csv, seed=vals["seed"],
                           cutoff=vals["cutoff"])
     print(f"wrote {path} ({len(result.rows)} windows, "
@@ -312,45 +289,44 @@ def _run_quasimode(vals: dict) -> int:
     return _EXIT_OK
 
 
-def _run_fit(vals: dict) -> int:
+def _read_columns(path: str, names) -> dict:
+    """The table at `path`, which must have every column in `names`."""
+    table = io.read_table(path)
+    for col in names:
+        if col not in table:
+            raise _ConfigError(f"no column {col!r} in {path} "
+                               f"(has: {', '.join(table)})")
+    return table
+
+
+def _run_fit(name: str, vals: dict) -> int:
     from .fit import fit_exponent
-    table = io.read_table(vals["infile"])
-    for col in (vals["x"], vals["y"]):
-        if col not in table.columns:
-            raise _ConfigError(f"no column {col!r} in {vals['infile']} "
-                               f"(has: {', '.join(table.names)})")
+    table = _read_columns(vals["infile"], (vals["x"], vals["y"]))
     fit = fit_exponent(table[vals["x"]], table[vals["y"]],
                        drop_low=vals["drop_low"])
     print(json.dumps(dataclasses.asdict(fit), sort_keys=True))
     return _EXIT_OK
 
 
-def _run_plot(vals: dict) -> int:
+def _run_plot(name: str, vals: dict) -> int:
     from . import svgplot
-    table = io.read_table(vals["infile"])
     ys = vals["y"] or ["weighted_norm"]
-    for col in [vals["x"]] + ys:
-        if col not in table.columns:
-            raise _ConfigError(f"no column {col!r} in {vals['infile']} "
-                               f"(has: {', '.join(table.names)})")
-    try:
-        text = svgplot.render_log_log(
-            table[vals["x"]], [(col, table[col]) for col in ys],
-            xlabel=vals["x"], ylabel=", ".join(ys), title=vals["title"],
-            drop_low=vals["drop_low"])
-    except svgplot.PlotError as exc:
-        raise _ConfigError(str(exc)) from exc
+    table = _read_columns(vals["infile"], [vals["x"]] + ys)
+    text = svgplot.render_log_log(
+        table[vals["x"]], [(col, table[col]) for col in ys],
+        xlabel=vals["x"], ylabel=", ".join(ys), title=vals["title"],
+        drop_low=vals["drop_low"])
     svg_path = vals["out"] + ".svg"
     svgplot.write_svg(svg_path, text)
-    io.write_manifest(io.manifest_path(svg_path), "plot",
+    io.write_manifest(io.manifest_path(svg_path), name,
                       {k: v for k, v in vals.items() if k != "out"},
-                      rows=len(table),
+                      rows=len(table[vals["x"]]),
                       input_hash=io.hash_file(vals["infile"]))
     print(f"wrote {svg_path}")
     return _EXIT_OK
 
 
-def _run_selftest(vals: dict) -> int:
+def _run_selftest(name: str, vals: dict) -> int:
     from . import oracle     # no other command needs it
     try:
         report = oracle.run_all()
@@ -370,30 +346,16 @@ def _run_selftest(vals: dict) -> int:
     return _EXIT_OK if report.all_passed else _EXIT_ORACLE
 
 
+# each runner takes the subcommand's name and its resolved values
 _RUNNERS = {
-    "sweep-disk": _run_sweep_disk,
-    "sweep-sphere": _run_sweep_sphere,
-    "normal-band": _run_normal_band,
+    "sweep-disk": _run_sweep,
+    "sweep-sphere": _run_sweep,
+    "normal-band": _run_sweep,
     "quasimode": _run_quasimode,
     "fit": _run_fit,
     "plot": _run_plot,
     "selftest": _run_selftest,
 }
-
-
-# the exceptions that exit 2, by the module that defines each
-_NUMERICAL = (("glancelab.specfun", "NumericalError"),
-              ("glancelab.fit", "FitError"),
-              ("glancelab.modes", "NoModeError"))
-
-
-def _numerical_errors() -> tuple:
-    """The exit-2 exception types of the modules loaded so far.  Python
-    evaluates an ``except`` expression only once an exception reaches it,
-    and a module the command never imported raised none of its own, so no
-    command imports a module just to learn what it did not raise."""
-    return tuple(getattr(sys.modules[module], name)
-                 for module, name in _NUMERICAL if module in sys.modules)
 
 
 def main(argv=None) -> int:
@@ -404,11 +366,11 @@ def main(argv=None) -> int:
             parser.print_help()
             return _EXIT_CONFIG
         vals = _resolve(args, args.subcommand)
-        return _RUNNERS[args.subcommand](vals)
+        return _RUNNERS[args.subcommand](args.subcommand, vals)
     except _ConfigError as exc:
         print(f"glancelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except _numerical_errors() as exc:
+    except NumericalFailure as exc:
         print(f"glancelab: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

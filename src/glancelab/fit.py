@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import NumericalFailure
 
-class FitError(Exception):
+
+class FitError(NumericalFailure):
     """The sweep data does not support a power-law fit."""
 
 

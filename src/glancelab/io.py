@@ -3,7 +3,7 @@
 Every table is written with ``%.17g`` floats (round-trip exact for doubles),
 LF line endings, and no timestamps, so identical runs produce byte-identical
 files; the only timestamp lives in the run manifest written next to a table.
-A table is read back as a `Table` whose columns are tuples of floats.  The
+A table is read back as a dict of named columns, each a tuple of floats.  The
 module runs on the standard library alone: the writers take the results of
 ``glancelab.experiments`` but never import it, so ``glancelab fit`` and
 ``glancelab plot`` read their tables without numpy.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import dataclass
 
 # one row per selected mode; "b" is the glancing distance sigma of the trace
 SWEEP_COLUMNS = ("n", "lambda", "h", "b", "xi_d", "amplitude",
@@ -72,22 +71,9 @@ def write_quasimode_csv(path: str, result) -> None:
     _write_text(path, quasimode_to_csv_text(result))
 
 
-@dataclass(frozen=True)
-class Table:
-    """A CSV table as named columns (order preserved), each a tuple of
-    floats."""
-    names: tuple
-    columns: dict
-
-    def __getitem__(self, name: str) -> tuple:
-        return self.columns[name]
-
-    def __len__(self) -> int:
-        return 0 if not self.names else len(self.columns[self.names[0]])
-
-
-def read_table(path: str) -> Table:
-    """Read a headed CSV of numeric columns, as written by this package."""
+def read_table(path: str) -> dict[str, tuple[float, ...]]:
+    """Read a headed CSV of numeric columns, as written by this package:
+    {name: column} in file order, each column a tuple of floats."""
     with open(path, newline="") as fh:
         text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -104,9 +90,7 @@ def read_table(path: str) -> Table:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{k}: non-numeric cell") from exc
-    return Table(names=names,
-                 columns={nm: tuple(row[j] for row in rows)
-                          for j, nm in enumerate(names)})
+    return {nm: tuple(row[j] for row in rows) for j, nm in enumerate(names)}
 
 
 def write_manifest(path: str, command: str, config: dict, rows: int,
@@ -169,9 +153,11 @@ def load_config(path: str) -> dict:
 
     A [common] section applies to every subcommand; a section named after a
     subcommand overrides it.  Unknown keys are left for the CLI to reject.
+    Values are taken literally: a ``%`` is a percent sign, not
+    interpolation syntax.
     """
     import configparser
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -56,11 +56,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import specfun
+from . import NumericalFailure, specfun
 from .weights import band_indicator, glancing_distance
 
 
-class NoModeError(Exception):
+class NoModeError(NumericalFailure):
     """No eigenmode satisfies the requested window/band constraints."""
 
 

@@ -85,8 +85,10 @@ import math
 
 import numpy as np
 
+from . import NumericalFailure
 
-class NumericalError(Exception):
+
+class NumericalError(NumericalFailure):
     """An iteration failed to converge or left its domain of validity."""
 
 

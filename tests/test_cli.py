@@ -46,7 +46,7 @@ def test_sweep_disk_writes_csv_and_manifest(tmp_path, capsys):
                            "--points", "4", "--out", out)
     assert code == 0 and "wrote" in stdout
     table = io.read_table(out + ".csv")
-    assert len(table) == 4
+    assert len(table["n"]) == 4
     doc = io.read_manifest(out + ".manifest.json")
     assert doc["command"] == "sweep-disk"
     assert doc["config"]["alpha"] == 0.5
@@ -61,7 +61,7 @@ def test_sweep_sphere_runs(tmp_path, capsys):
                       "--points", "5", "--out", out)
     assert code == 0
     table = io.read_table(out + ".csv")
-    assert len(table) == 5
+    assert len(table["n"]) == 5
     assert all(v > 0 for v in table["amplitude"])
 
 
@@ -395,7 +395,7 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     code, _, _ = _run(capsys, "sweep-disk", "--config", str(cfg),
                       "--out", out)
     assert code == 0
-    assert len(io.read_table(out + ".csv")) == 3
+    assert len(io.read_table(out + ".csv")["n"]) == 3
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -406,7 +406,7 @@ def test_flags_override_config(tmp_path, capsys):
     code, _, _ = _run(capsys, "sweep-disk", "--config", str(cfg),
                       "--points", "4", "--out", out)
     assert code == 0
-    assert len(io.read_table(out + ".csv")) == 4
+    assert len(io.read_table(out + ".csv")["n"]) == 4
 
 
 def test_unknown_key_in_own_section_rejected(tmp_path, capsys):
@@ -427,6 +427,31 @@ def test_common_keys_for_other_subcommands_ignored(tmp_path, capsys):
     code, _, _ = _run(capsys, "sweep-disk", "--config", str(cfg),
                       "--out", out)
     assert code == 0
+
+
+@pytest.mark.parametrize("title", ["95% band", "a %(x)s b"])
+def test_config_values_are_taken_literally(tmp_path, capsys, title):
+    # a % in a value is text, not interpolation syntax
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[plot]\ntitle = {title}\n")
+    out = str(tmp_path / "fig")
+    code, _, err = _run(capsys, "plot", "--config", str(cfg), "--in",
+                        DEMO_CSV, "--x", "n", "--y", "amplitude",
+                        "--out", out)
+    assert code == 0, err
+    assert f">{title}</text>" in Path(out + ".svg").read_text()
+    assert io.read_manifest(out + ".manifest.json")["config"]["title"] \
+        == title
+
+
+def test_numerical_failures_share_one_base():
+    # exit 2 is decided where each error is defined, by its base class
+    from glancelab import NumericalFailure, fit, modes, oracle, specfun, \
+        svgplot
+    for exc in (specfun.NumericalError, modes.NoModeError, fit.FitError):
+        assert issubclass(exc, NumericalFailure)
+    for exc in (oracle.OracleError, svgplot.PlotError):
+        assert not issubclass(exc, NumericalFailure)
 
 
 def test_selftest_json(capsys):
@@ -545,7 +570,7 @@ def test_configuration_errors_without_numpy(tmp_path):
     proc = _main_without_numpy("sweep-disk", "--out", str(tmp_path / "x"))
     assert proc.returncode == 1
     assert proc.stderr == "glancelab: error: sweep-disk: --alpha is required\n"
-    # an OSError passes the exit-2 clause, whose modules fit never loaded
+    # a missing input file is a configuration error, not a numerical one
     proc = _main_without_numpy("fit", "--in", str(tmp_path / "none.csv"),
                                "--x", "n", "--y", "amplitude")
     assert proc.returncode == 1
@@ -563,6 +588,12 @@ def test_fit_and_plot_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert Path(out + ".svg").read_text().count("<circle ") == 24
     assert io.read_manifest(out + ".manifest.json")["rows"] == 24
+    # a refused fit exits 2 although no numeric module was imported
+    proc = _main_without_numpy("fit", "--in", DEMO_CSV, "--x", "n",
+                               "--y", "amplitude", "--drop-low", "0.95")
+    assert proc.returncode == 2
+    assert proc.stderr == ("glancelab: numerical failure: only 2 points "
+                           "left after dropping 22\n")
 
 
 def test_numerical_failures_exit_2_in_a_fresh_process(tmp_path):

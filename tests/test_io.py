@@ -29,8 +29,8 @@ def test_sweep_csv_round_trip_exact(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_sweep_csv(path, res)
     table = io.read_table(path)
-    assert table.names == io.SWEEP_COLUMNS
-    assert len(table) == len(res.rows)
+    assert tuple(table) == io.SWEEP_COLUMNS
+    assert len(table["n"]) == len(res.rows)
     for j, row in enumerate(res.rows):
         assert table["n"][j] == row.n
         assert table["lambda"][j] == row.lam          # %.17g is exact
@@ -73,7 +73,7 @@ def test_quasimode_csv_round_trip(tmp_path):
     path = str(tmp_path / "q.csv")
     io.write_quasimode_csv(path, res)
     table = io.read_table(path)
-    assert table.names == io.QUASIMODE_COLUMNS
+    assert tuple(table) == io.QUASIMODE_COLUMNS
     assert list(table["dim"]) == [r.dim for r in res.rows]
     assert list(table["max_norm"]) == [r.max_norm for r in res.rows]
     assert set(table["seed"]) == {9.0}
