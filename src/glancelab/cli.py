@@ -35,6 +35,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import NumericalFailure, io
@@ -190,11 +191,10 @@ def _resolve(args, name: str) -> dict:
             value = default
         known[dest] = value
         section.pop(key, None)
-    if name == "plot" and getattr(args, "y", None):
-        known["y"] = list(args.y)
-    elif name == "plot":
-        known["y"] = ([s.strip() for s in section.pop("y", "").split(",")
-                       if s.strip()] or None)
+    if name == "plot":      # --y flags win over the file's y list
+        from_file = [s.strip() for s in section.pop("y", "").split(",")
+                     if s.strip()]
+        known["y"] = list(args.y or from_file) or None
     # a [common] key another subcommand uses is fine; a stray key in this
     # subcommand's own section is a config error
     unknown = sorted(set(section) & set(own))
@@ -310,15 +310,20 @@ def _run_fit(name: str, vals: dict) -> int:
 
 def _run_plot(name: str, vals: dict) -> int:
     from . import svgplot
+    svg_path = vals["out"] + ".svg"
+    manifest = io.manifest_path(svg_path)
+    if os.path.realpath(manifest) == os.path.realpath(
+            io.manifest_path(vals["infile"])):
+        raise _ConfigError(f"plot: --out {vals['out']} would overwrite the "
+                           f"manifest of --in {vals['infile']}")
     ys = vals["y"] or ["weighted_norm"]
     table = _read_columns(vals["infile"], [vals["x"]] + ys)
     text = svgplot.render_log_log(
         table[vals["x"]], [(col, table[col]) for col in ys],
         xlabel=vals["x"], ylabel=", ".join(ys), title=vals["title"],
         drop_low=vals["drop_low"])
-    svg_path = vals["out"] + ".svg"
     svgplot.write_svg(svg_path, text)
-    io.write_manifest(io.manifest_path(svg_path), name,
+    io.write_manifest(manifest, name,
                       {k: v for k, v in vals.items() if k != "out"},
                       rows=len(table[vals["x"]]),
                       input_hash=io.hash_file(vals["infile"]))

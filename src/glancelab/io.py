@@ -73,13 +73,17 @@ def write_quasimode_csv(path: str, result) -> None:
 
 def read_table(path: str) -> dict[str, tuple[float, ...]]:
     """Read a headed CSV of numeric columns, as written by this package:
-    {name: column} in file order, each column a tuple of floats."""
+    {name: column} in file order, each column a tuple of floats; a column
+    named twice is a ValueError."""
     with open(path, newline="") as fh:
         text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty table")
     names = tuple(s.strip() for s in lines[0].split(","))
+    repeated = sorted({nm for nm in names if names.count(nm) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column {', '.join(repeated)}")
     rows = []
     for k, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")

@@ -22,9 +22,12 @@ shapes of the operands.  So an element has the same bits in any array call
 as alone, with any BLAS build, and no output downstream depends on how its
 callers batch; ``tests/test_structure.py`` keeps matrix products out.
 
-``bessel_j`` and ``bessel_j_pair`` split their elements by the one test
-``_regions``, as masks, between three methods, each used strictly inside the
-region where it was validated against backward-recurrence oracles:
+Bessel J has one dispatch, ``_bessel_j``: it splits its elements by the one
+test ``_regions``, as masks, between three methods, each used strictly inside
+the region where it was validated against backward-recurrence oracles.
+``bessel_j`` is that dispatch at the elements of its arguments, and
+``bessel_j_pair`` is it at the two orders |n - 1| and n in one call, so each
+member of a pair has the bits of ``bessel_j`` at its order:
 
 - ascending power series (DLMF 10.2.2) where x <= 17 or x^2 <= 4(n+1),
   element by element in long double;
@@ -35,7 +38,7 @@ region where it was validated against backward-recurrence oracles:
   A_1, B_0, B_1 (DLMF 10.20.4, 10.20.10-11 with the Debye polynomials of
   10.41.10), on both sides of and at the turning point.  It costs O(1) in
   the order.  Its truncation error is below 3e-13 of the scaled J from
-  n = N_U on and falls like n^{-4} at fixed z (at n = 100 it is 4e-12,
+  n = N_U on and falls like n^{-4} at fixed z (at n = 100 it is 4.5e-12,
   which sets N_U); rounding in the Airy phase adds ~n eps far above the
   turning point (4e-12 at n = 1e6, z = 2).
   The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
@@ -540,9 +543,9 @@ def _bessel_hankels(x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(w) - q_ * np.sin(w))
 
 
-def _bessel_recurrence_pairs(n: np.ndarray, x: np.ndarray):
-    """(J_{n-1}, J_n) of every element of arrays (n, x) by forward
-    recurrence from Hankel-seeded J_0, J_1.
+def _bessel_recurrences(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_n of every element of arrays (n, x) by forward recurrence from
+    Hankel-seeded J_0, J_1.
 
     Forward recurrence is well conditioned while the order stays below the
     turning point; the dispatcher only uses it for x >= n - 4 n^{1/3}.
@@ -550,8 +553,7 @@ def _bessel_recurrence_pairs(n: np.ndarray, x: np.ndarray):
     by descending order, so that those still recurring at step k are a
     prefix, and each leaves the sweep at its own n.  Two rows hold the
     sweep, J_k in row k % 2: the step to J_{k+1} overwrites J_{k-1} in
-    place, and an element that has left keeps its (J_{n-1}, J_n) in rows
-    ((n - 1) % 2, n % 2).
+    place, and an element that has left keeps its J_n in row n % 2.
     """
     order = np.argsort(-n, kind="stable")
     ns = n[order]
@@ -571,19 +573,19 @@ def _bessel_recurrence_pairs(n: np.ndarray, x: np.ndarray):
         np.multiply(float(k), f, t)
         np.multiply(t, j, t)
         np.subtract(t, j_prev, j_prev)
-    cols = np.arange(ns.size)
-    jm1, jn = np.empty_like(two_over_x), np.empty_like(two_over_x)
-    # for n = 0 the pair is (J_{-1}, J_0) = (-J_1, J_0)
-    jm1[order] = np.where(ns == 0, -rows[1], rows[(ns + 1) % 2, cols])
-    jn[order] = rows[ns % 2, cols]
-    return jm1, jn
+    jn = np.empty_like(two_over_x)
+    jn[order] = rows[ns % 2, np.arange(ns.size)]
+    return jn
 
 
-# Orders at and above which the O(n) forward recurrence is never used.  From
-# here on the truncation error of the uniform expansion is below 3e-13 of
-# the scaled J; at n = 150 it is 9e-13, at n = 100 4e-12 (near z = 1.02 to
-# 1.05).  Higher crossovers do not make the quasimode windows (orders up to
-# 2000) faster.
+# Orders at and above which the O(n) forward recurrence is never used.  The
+# margins on both sides, of the scaled J against the oracle's Miller
+# recurrence on x from the recurrence edge n - 4 n^{1/3} to 3000: just
+# below, the recurrence gives J_199 within 5.9e-12 (largest at that edge,
+# x = 175.6); from here on the truncation error of the uniform expansion is
+# below 2.9e-13 (near z = 1.02), and it is 8.9e-13 at n = 150 and 4.5e-12 at
+# n = 100.  Both sides are over 1e3 times inside the 1e-8 target.  Higher
+# crossovers do not make the quasimode windows (orders up to 2000) faster.
 _N_U = 200
 
 # Half-width, in n^{2/3} zeta, of the strip around the turning point where the
@@ -689,6 +691,21 @@ def _regions(n: np.ndarray, x: np.ndarray):
     return series, recurrence
 
 
+def _bessel_j(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_n(x) of every element of checked 1-d arrays (n, x), the one Bessel
+    dispatch: each element goes to the method of its :func:`_regions`."""
+    series, recurrence = _regions(n, x)
+    out = np.empty_like(x)
+    if recurrence.any():
+        out[recurrence] = _bessel_recurrences(n[recurrence], x[recurrence])
+    uniform = ~(series | recurrence)
+    if uniform.any():
+        out[uniform] = _bessel_uniforms(n[uniform], x[uniform])
+    for i in np.flatnonzero(series):
+        out[i] = _bessel_series_ascending(int(n[i]), float(x[i]))
+    return out
+
+
 def bessel_j(n, x):
     """Bessel function J_n(x), n >= 0, uniformly accurate in large order.
 
@@ -703,48 +720,17 @@ def bessel_j(n, x):
     values at n = 1e5 and 1e6 in the tests.
     """
     n, x, shape = _as_arrays(n, x)
-    series, recurrence = _regions(n, x)
-    out = np.empty_like(x)
-    if recurrence.any():
-        out[recurrence] = _bessel_recurrence_pairs(n[recurrence],
-                                                   x[recurrence])[1]
-    uniform = ~(series | recurrence)
-    if uniform.any():
-        out[uniform] = _bessel_uniforms(n[uniform], x[uniform])
-    for i in np.flatnonzero(series):
-        out[i] = _bessel_series_ascending(int(n[i]), float(x[i]))
-    return _shaped(out, shape)
+    return _shaped(_bessel_j(n, x), shape)
 
 
 def bessel_j_pair(n, x):
-    """(J_{n-1}(x), J_n(x)), same regions and accuracy as :func:`bessel_j`;
-    for n = 0 the pair is (J_{-1}, J_0) = (-J_1, J_0).
-
-    One recurrence pass in the recurrence region, and from N_U on two
-    uniform evaluations (orders n - 1 and n): O(1) in the order.  Elements
-    in the series region, and in the uniform one below N_U, take
-    :func:`bessel_j` at orders |n - 1| and n.
-    """
+    """(J_{n-1}(x), J_n(x)): :func:`bessel_j` at the orders |n - 1| and n,
+    bit for bit, from one call of its dispatch; for n = 0 the pair is
+    (J_{-1}, J_0) = (-J_1, J_0).  O(1) in the order from n = N_U + 1 on."""
     n, x, shape = _as_arrays(n, x)
-    series, recurrence = _regions(n, x)
-    jm1, jn = np.empty_like(x), np.empty_like(x)
-    if recurrence.any():
-        jm1[recurrence], jn[recurrence] = _bessel_recurrence_pairs(
-            n[recurrence], x[recurrence])
-    uniform = ~(series | recurrence) & (n >= _N_U)
-    if uniform.any():
-        nu, xu = n[uniform], x[uniform]
-        both = _bessel_uniforms(np.concatenate([nu - 1, nu]),
-                                np.concatenate([xu, xu]))
-        jm1[uniform], jn[uniform] = both[:nu.size], both[nu.size:]
-    rest = ~(recurrence | uniform)
-    if rest.any():
-        nr, xr = n[rest], x[rest]
-        both = bessel_j(np.concatenate([np.abs(nr - 1), nr]),
-                        np.concatenate([xr, xr]))
-        jm1[rest] = np.where(nr == 0, -both[:nr.size], both[:nr.size])
-        jn[rest] = both[nr.size:]
-    return _shaped(jm1, shape), _shaped(jn, shape)
+    jm1, jn = np.split(_bessel_j(np.concatenate([np.abs(n - 1), n]),
+                                 np.concatenate([x, x])), 2)
+    return _shaped(np.where(n == 0, -jm1, jm1), shape), _shaped(jn, shape)
 
 
 def bessel_j_prime(n, x):

@@ -429,6 +429,48 @@ def test_common_keys_for_other_subcommands_ignored(tmp_path, capsys):
     assert code == 0
 
 
+def test_y_flags_override_config_y(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[plot]\ny = weighted_norm\n")
+    out = str(tmp_path / "fig")
+    code, _, err = _run(capsys, "plot", "--config", str(cfg), "--in",
+                        DEMO_CSV, "--x", "n", "--y", "amplitude",
+                        "--out", out)
+    assert code == 0, err
+    assert io.read_manifest(out + ".manifest.json")["config"]["y"] \
+        == ["amplitude"]
+
+
+def test_plot_refuses_to_overwrite_the_input_manifest(tmp_path, capsys):
+    # --out run next to --in run.csv would replace the sweep's
+    # run.manifest.json with the plot's
+    out = str(tmp_path / "run")
+    _run(capsys, "sweep-disk", "--alpha", "0.5", "--n-min", "100",
+         "--n-max", "1000", "--points", "5", "--out", out)
+    before = Path(out + ".manifest.json").read_bytes()
+    for prefix in (out, os.path.join(str(tmp_path), ".", "run")):
+        code, stdout, err = _run(capsys, "plot", "--in", out + ".csv",
+                                 "--x", "n", "--y", "amplitude",
+                                 "--out", prefix)
+        assert code == 1 and stdout == ""
+        assert "manifest of --in" in err
+        assert not os.path.exists(out + ".svg")
+        assert Path(out + ".manifest.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["fit", "plot"])
+def test_repeated_column_is_config_error(tmp_path, capsys, command):
+    csv = tmp_path / "t.csv"
+    csv.write_text("n,amplitude,amplitude\n1,2,3\n2,4,6\n3,8,9\n4,16,12\n")
+    out = str(tmp_path / "fig")
+    code, stdout, err = _run(
+        capsys, command, "--in", str(csv), "--x", "n", "--y", "amplitude",
+        "--drop-low", "0", *(["--out", out] if command == "plot" else []))
+    assert code == 1 and stdout == ""
+    assert "repeated column amplitude" in err
+    assert not os.path.exists(out + ".svg")
+
+
 @pytest.mark.parametrize("title", ["95% band", "a %(x)s b"])
 def test_config_values_are_taken_literally(tmp_path, capsys, title):
     # a % in a value is text, not interpolation syntax

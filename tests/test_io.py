@@ -92,6 +92,10 @@ def test_read_table_rejects_bad_input(tmp_path):
     words.write_text("a,b\n1,frog\n")
     with pytest.raises(ValueError, match="non-numeric"):
         io.read_table(str(words))
+    twice = tmp_path / "twice.csv"
+    twice.write_text("n,amplitude,amplitude\n1,2,3\n")
+    with pytest.raises(ValueError, match="repeated column amplitude"):
+        io.read_table(str(twice))
 
 
 def test_manifest_contents(tmp_path):

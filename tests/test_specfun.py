@@ -433,24 +433,46 @@ class TestBesselJ:
             for k in range(1, top):
                 np.multiply(two_k_over_x[k], j[k], out=j[k + 1])
                 np.subtract(j[k + 1], j[k - 1], out=j[k + 1])
-            cols = np.arange(n.size)
-            jm1 = np.where(n == 0, -rows[1], rows[np.maximum(n - 1, 0), cols])
-            return jm1, rows[n, cols]
+            return rows[n, np.arange(n.size)]
 
         rng = np.random.default_rng(13)
         for size in (1, 2, 3, 70, 600):
             n = rng.integers(0, specfun._N_U, size)
             n[:3] = [0, 1, specfun._N_U - 1][:size]
             x = rng.uniform(17.5, 3000.0, size)
-            for got, want in zip(specfun._bessel_recurrence_pairs(n, x),
-                                 all_rows(n, x)):
-                assert np.array_equal(got, want), size
+            assert np.array_equal(specfun._bessel_recurrences(n, x),
+                                  all_rows(n, x)), size
         for n in ([0], [1], [0, 1, 0], [5, 5, 5]):
             n = np.array(n)
             x = np.full(n.size, 40.0)
-            for got, want in zip(specfun._bessel_recurrence_pairs(n, x),
-                                 all_rows(n, x)):
-                assert np.array_equal(got, want), n
+            assert np.array_equal(specfun._bessel_recurrences(n, x),
+                                  all_rows(n, x)), n
+
+    def test_pair_is_bessel_j_at_both_orders(self):
+        # each member of a pair is bessel_j at its order, bit for bit, in
+        # every region, and around the crossover N_U on both sides of the
+        # turning point: at n = N_U the lower member, order N_U - 1, takes
+        # the recurrence from x = 175.6 on, as bessel_j(N_U - 1, x) does
+        pts = [(0, 5.0), (1, 0.0), (3, 16.9), (1000, 60.0), (0, 17.5),
+               (1, 30.0), (50, 41.0), (199, 3000.0), (60, 30.0),
+               (1000, 500.0), (1000, 1000.0), (1000, 2000.0)]
+        for n in (specfun._N_U - 1, specfun._N_U, specfun._N_U + 1):
+            pts += [(n, x) for x in (0.5 * n, 0.85 * n, 0.9 * n, float(n),
+                                     1.02 * n, 1.5 * n, 2.0 * n, 15.0 * n)]
+        n, x = (np.array(col) for col in zip(*pts))
+        series, recurrence = specfun._regions(n, x)
+        assert series.any() and recurrence.any() \
+            and not (series | recurrence).all()
+        jm1, jn = specfun.bessel_j_pair(n, x)
+        want_m1 = np.where(n == 0, -1.0, 1.0) * specfun.bessel_j(
+            np.abs(n - 1), x)
+        assert jn.tobytes() == specfun.bessel_j(n, x).tobytes()
+        assert jm1.tobytes() == want_m1.tobytes()
+        for ni, xi in pts:      # scalars, one point at a time
+            sign = -1.0 if ni == 0 else 1.0
+            assert specfun.bessel_j_pair(ni, xi) == (
+                sign * specfun.bessel_j(abs(ni - 1), xi),
+                specfun.bessel_j(ni, xi)), (ni, xi)
 
     def test_array_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -506,10 +528,16 @@ class TestUniformExpansion:
 
     @pytest.mark.parametrize("n", [specfun._N_U, 1000, 100000])
     def test_no_recurrence_from_crossover_on(self, monkeypatch, n):
-        def forbidden(*args):
-            raise AssertionError("O(n) recurrence used at a large order")
+        # a pair at n = N_U may take J_{N_U - 1} from the recurrence, as
+        # bessel_j does; no order from N_U on may reach it
+        recurrences = specfun._bessel_recurrences
 
-        monkeypatch.setattr(specfun, "_bessel_recurrence_pairs", forbidden)
+        def below_crossover(orders, x):
+            if orders.max() >= specfun._N_U:
+                raise AssertionError("O(n) recurrence used at a large order")
+            return recurrences(orders, x)
+
+        monkeypatch.setattr(specfun, "_bessel_recurrences", below_crossover)
         for z in (0.9, 1.0, 1.01, 2.0):
             x = n * z
             assert math.isfinite(specfun.bessel_j(n, x))

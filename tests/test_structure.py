@@ -4,8 +4,9 @@ Every module-level private function of ``src/glancelab`` must have a caller
 in the package other than its own body: a helper whose callers moved to
 another code path fails here instead of lingering.  Likewise every name a
 module imports must be read in it.  ``specfun`` holds no matrix product,
-whose rounding would make an element depend on its batch, and the two Airy
-methods are reached through the one Airy dispatch alone.
+whose rounding would make an element depend on its batch, the two Airy
+methods are reached through the one Airy dispatch alone, and the three Bessel
+methods and their region test through the one Bessel dispatch alone.
 """
 
 import ast
@@ -48,10 +49,14 @@ def test_every_private_function_has_a_caller():
 
 # private functions that exactly one definition of the package may call
 _ONE_CALLER = {"_airy_asymps": ("specfun", "_airy_pair"),
-               "_airy_transports": ("specfun", "_airy_pair")}
+               "_airy_transports": ("specfun", "_airy_pair"),
+               "_regions": ("specfun", "_bessel_j"),
+               "_bessel_uniforms": ("specfun", "_bessel_j"),
+               "_bessel_recurrences": ("specfun", "_bessel_j"),
+               "_bessel_series_ascending": ("specfun", "_bessel_j")}
 
 
-def test_airy_methods_have_one_dispatch():
+def test_each_method_has_one_dispatch():
     callers = {name: set() for name in _ONE_CALLER}
     for path in sorted(SRC.glob("*.py")):
         for name, owner in _references(ast.parse(path.read_text())):
