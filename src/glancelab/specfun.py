@@ -44,9 +44,9 @@ member of a pair has the bits of ``bessel_j`` at its order:
   The closed forms of A_1, B_0, B_1 cancel near zeta = 0, so in the strip
   |n^{2/3} zeta| < 1 their Maclaurin series in zeta replace them.
 
-The Airy factors (``airy_ai``, ``airy_ai_prime``, the Newton of
-``airy_zero`` below m = 10 and the uniform expansion) come from the one
-dispatch ``_airy_pair``, keyed on the one constant _AIRY_ASYMP = 8:
+The Airy factors of ``airy_ai``, ``airy_ai_prime`` and the uniform
+expansion come from the one dispatch ``_airy_pair``, keyed on the one
+constant _AIRY_ASYMP = 8:
 
 - |x| >= 8: the Poincare asymptotic series (DLMF 9.7.5-6, 9.7.9-10),
   truncated at their smallest term or after the first term below 1e-18,
@@ -73,9 +73,10 @@ zero can lie in a window, for any orders each with its own window, from one
 zero it is given in one Newton on ``bessel_j_pair``; selection (the top few
 ranked candidates of every order of a sweep) and window enumeration (every
 candidate of every order of every window of an ensemble) each make one call.
-``airy_zero`` and the seed share one rule for a_m, ``_airy_zeros``: the
-closed form of DLMF 9.9.18 (six terms in t^-2, t = 3 pi (4m - 1)/8) for
-m >= 10, within 2 ulp of a_m, and memoised Newton on Ai below.
+It and ``z_of_zeta`` share the module's one Newton iteration, ``_newton``.
+``airy_zero`` and the seed share one rule for a_m, ``_airy_zeros``: a table
+of float literals for m < 10, and the closed form of DLMF 9.9.18 (six terms
+in t^-2, t = 3 pi (4m - 1)/8) from there on, within 2 ulp of a_m.
 
 The module has no dependencies beyond numpy and never calls scipy; the
 independent checks live in :mod:`glancelab.oracle`.
@@ -320,21 +321,23 @@ def airy_ai_prime(x):
 
 
 def airy_zero(m: int) -> float:
-    """The m-th negative zero a_m of Ai (m >= 1).
-
-    From m = 10 on, the closed form of DLMF 9.9.18 (see
-    :func:`_airy_zero_closed`), within 2 ulp of a_m.  Below, Newton on Ai
-    from that closed form; those nine zeros are memoised.
-    """
+    """The m-th negative zero a_m of Ai (m >= 1): a_1 ... a_9 from a table
+    of float literals, within 6 ulp; from m = 10 on, the closed form of
+    DLMF 9.9.18 (:func:`_airy_zero_closed`), within 2 ulp."""
     _integers(m, "zero index")
     if m < 1:
         raise ValueError("zero index starts at 1")
     return float(_airy_zeros(np.array([m], dtype=np.int64))[0])
 
 
-# The closed form below is within 1.9 ulp of a_m on m = 10 ... 1e6 (against
-# 40-digit values at 167 indices); at m = 9 it is 7 ulp off, at m = 8 25.
-_AIRY_ZERO_CLOSED = 10
+# a_1 ... a_9, 6, 2, 3, 0, 0, 0, 1, 1 and 0 ulp from the correctly rounded
+# zeros (Newton on Ai from the closed form reaches these bits).  The closed
+# form below is within 1.9 ulp of a_m on m = 10 ... 1e6 (against 40-digit
+# values at 167 indices); at m = 9 it is 7 ulp off, at m = 8 25.
+_AIRY_ZEROS_LOW = (-2.3381074104597643, -4.0879494441309685,
+                   -5.520559828095548, -6.786708090071759, -7.944133587120853,
+                   -9.02265085334098, -10.040174341558087,
+                   -11.008524303733264, -11.936015563236262)
 
 
 def _airy_zero_closed(m):
@@ -360,22 +363,9 @@ def _airy_zero_closed(m):
 def _airy_zeros(m: np.ndarray) -> np.ndarray:
     """a_m for an integer array of m >= 1: the rule of :func:`airy_zero`."""
     a = _airy_zero_closed(m)
-    low = m < _AIRY_ZERO_CLOSED
-    if low.any():
-        a[low] = [_airy_zero_newton(int(k)) for k in m[low]]
+    low = m <= len(_AIRY_ZEROS_LOW)
+    a[low] = np.take(_AIRY_ZEROS_LOW, m[low] - 1)
     return a
-
-
-@functools.cache
-def _airy_zero_newton(m: int) -> float:
-    x = _airy_zero_closed(m)
-    for _ in range(30):
-        ai, aip = _airy_pair(np.array([x]))
-        d = float(ai[0] / aip[0])
-        x -= d
-        if abs(d) < 1e-14 * abs(x):
-            return x
-    raise NumericalError(f"Airy zero {m} did not converge")
 
 
 # ----------------------------------------------------------------------
@@ -457,12 +447,9 @@ def _zeta_and_phase(z: np.ndarray):
 
 
 def z_of_zeta(zeta):
-    """Inverse of :func:`zeta_of_z` on the oscillatory side (zeta <= 0).
-
-    Solves t - arctan(t) = (2/3)(-zeta)^{3/2} by Newton in t = sqrt(z^2-1),
-    where the equation is monotone with derivative t^2/(1+t^2); an element
-    leaves the iteration when its step falls to 1e-15 of max(t, 1).
-    """
+    """Inverse of :func:`zeta_of_z` on the oscillatory side (zeta <= 0):
+    :func:`_newton` on t - arctan(t) = (2/3)(-zeta)^{3/2} in t = sqrt(z^2-1),
+    monotone with derivative t^2/(1+t^2), to a step of 1e-15."""
     zeta, shape = _flat(zeta)
     if (zeta > 0.0).any():
         raise ValueError("z_of_zeta implemented for zeta <= 0")
@@ -470,21 +457,54 @@ def z_of_zeta(zeta):
     z = np.ones_like(w)             # z(0) = 1, the turning point
     idx = np.flatnonzero(w != 0.0)
     w = w[idx]
-    t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
     # on the convex t - arctan(t) = w, (3w)^{1/3} starts below the root and
     # w + pi/2 above it; Newton overshoots from below, then falls to the root
-    for _ in range(60):
-        if not idx.size:
-            return _shaped(z, shape)
+    t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
+
+    def step(live, t):
         t2 = t * t
-        g = _t_minus_atans(t, t2)
-        d = (g - w) / (t2 / (1.0 + t2))
-        t = t - d
-        done = np.abs(d) <= 1e-15 * np.maximum(t, 1.0)
-        z[idx[done]] = np.sqrt(1.0 + t[done] * t[done])
-        left = ~done
-        idx, t, w = idx[left], t[left], w[left]
-    raise NumericalError(f"z_of_zeta failed at zeta = {zeta[idx[0]]}")
+        return _t_minus_atans(t, t2) - w[live], t2 / (1.0 + t2)
+
+    t = _newton(step, t, 1e-15,
+                lambda i: f"z_of_zeta at zeta = {zeta[idx[i]]}")
+    z[idx] = np.sqrt(1.0 + t * t)
+    return _shaped(z, shape)
+
+
+def _newton(step, x, rtol, what, lo=None, hi=None):
+    """The roots of Newton's iteration from the 1-d array of starts x, all
+    at once: step(live, x) returns (f, f') at the iterates x of the starts
+    `live` still iterating.  With a bracket (lo, hi), arrays like x, a step
+    that would leave it goes halfway to the edge it heads for.  An element
+    retires once its step f/f', or with a bracket the step x - x_new it took,
+    falls to rtol max(x_new, 1) (either rule alone would move roots of the
+    callers by an ulp), so its iterates and its root depend on it alone.
+    NumericalError names what(position) of a start whose f' is 0, or that
+    still iterates after 40 steps; every root measured takes at most 5.
+    """
+    root = np.empty_like(x)
+    live = np.arange(x.size)
+    for _ in range(40):
+        if not live.size:
+            break
+        f, df = step(live, x)
+        if not df.all():
+            flat = live[np.flatnonzero(df == 0.0)[0]]
+            raise NumericalError(f"flat Newton step at {what(flat)}")
+        d = f / df
+        new = x - d
+        if lo is not None:
+            edge = np.where(d < 0, hi[live], lo[live])
+            new = np.where((lo[live] <= new) & (new <= hi[live]), new,
+                           0.5 * (x + edge))
+            d = x - new
+        done = np.abs(d) <= rtol * np.maximum(new, 1.0)
+        root[live[done]] = new[done]
+        keep = ~done
+        live, x = live[keep], new[keep]
+    if live.size:
+        raise NumericalError(f"{what(live[0])} did not converge")
+    return root
 
 
 # ----------------------------------------------------------------------
@@ -833,42 +853,21 @@ def _zero_spacing(n: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_zero(n, m):
-    """The m-th positive zero of J_n (m >= 1), to ~1e-12 relative.
-
-    Newton on J_n from :func:`bessel_zero_seed`, with the derivative from
-    the pair of :func:`bessel_j_pair`, over every element of (n, m) at
-    once; each element keeps its own bracket of 0.75 local zero spacings
-    around its seed, and leaves the iteration when its step falls to 1e-13
-    relative.  Each element's iterates depend on that element alone, so a
-    zero solved in a batch is bit for bit the zero solved alone.
-    """
+    """The m-th positive zero of J_n (m >= 1), to ~1e-12 relative: one
+    :func:`_newton` on J_n, its derivative from :func:`bessel_j_pair`, over
+    every element of (n, m), from :func:`bessel_zero_seed` in a bracket of
+    0.75 local zero spacings, to a step of 1e-13 relative."""
     n, ms, shape = _as_arrays(n, m, np.int64)
     lam = bessel_zero_seed(n, ms)
-    spacing = _zero_spacing(n, lam)
-    lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
-    out = np.empty_like(lam)
-    idx = np.arange(lam.size)
-    for _ in range(40):
-        if not idx.size:
-            return _shaped(out, shape)
-        jm1, jn = bessel_j_pair(n, lam)
-        deriv = jm1 - (n / lam) * jn
-        if not deriv.all():
-            j = np.flatnonzero(deriv == 0.0)[0]
-            raise NumericalError(
-                f"flat Newton step at zero ({n[j]}, {ms[idx[j]]})")
-        d = jn / deriv
-        lam_new = lam - d
-        outside = ~((lo <= lam_new) & (lam_new <= hi))
-        lam_new = np.where(outside, 0.5 * (lam + np.where(d < 0, hi, lo)),
-                           lam_new)
-        done = np.abs(lam_new - lam) <= 1e-13 * lam
-        out[idx[done]] = lam_new[done]
-        left = ~done
-        idx, n, lam = idx[left], n[left], lam_new[left]
-        lo, hi = lo[left], hi[left]
-    raise NumericalError(
-        f"Bessel zero ({n[0]}, {ms[idx[0]]}) did not converge")
+    half = 0.75 * _zero_spacing(n, lam)
+
+    def step(live, lam):
+        jm1, jn = bessel_j_pair(n[live], lam)
+        return jn, jm1 - (n[live] / lam) * jn
+
+    return _shaped(_newton(step, lam, 1e-13,
+                           lambda i: f"Bessel zero ({n[i]}, {ms[i]})",
+                           lam - half, lam + half), shape)
 
 
 # ----------------------------------------------------------------------

@@ -54,14 +54,18 @@ AIRY_FROZEN = [
      -1.77299583294303527438764342581e-7),
 ]
 
-# a_m to 21 digits (m = 1, 2, 5) and to 30 digits, by mpmath.airyaizero at
-# 40 digits: from m = 9 on, one index below the closed form's threshold
-# m = 10 and six at or above it, up to the largest index of the benchmark
-# sweeps (26211) and beyond
+# a_m to 30 digits, by mpmath.airyaizero at 40 digits: the nine of the
+# literal table, and six at or above the closed form's threshold m = 10, up
+# to the largest index of the benchmark sweeps (26211) and beyond
 AIRY_ZEROS_30 = {m: Decimal(a) for m, a in [
-    (1, "-2.33810741045976703849"),
-    (2, "-4.08794944413097061664"),
-    (5, "-7.94413358712085312314"),
+    (1, "-2.33810741045976703848919725245"),
+    (2, "-4.08794944413097061663698870146"),
+    (3, "-5.52055982809555105912985551293"),
+    (4, "-6.78670809007175899878024638450"),
+    (5, "-7.94413358712085312313828055580"),
+    (6, "-9.02265085334098038015819083988"),
+    (7, "-10.0401743415580859305945567374"),
+    (8, "-11.0085243037332628932354396496"),
     (9, "-11.9360155632362625170063649029"),
     (10, "-12.8287767528657572004067294072"),
     (11, "-13.6914890352107179282956967795"),
@@ -70,8 +74,7 @@ AIRY_ZEROS_30 = {m: Decimal(a) for m, a in [
     (26211, "-2480.16392708483257175703276588"),
     (1000000, "-28107.8319793795834876064419863"),
 ]}
-AIRY_ZERO_1, AIRY_ZERO_2, AIRY_ZERO_5 = (float(AIRY_ZEROS_30[m])
-                                         for m in (1, 2, 5))
+AIRY_ZEROS_LOW = [(m, float(AIRY_ZEROS_30[m])) for m in range(1, 10)]
 AIRY_ZEROS_FROZEN = [(m, float(a)) for m, a in AIRY_ZEROS_30.items()
                      if m >= 9]
 
@@ -139,6 +142,51 @@ def zero_seed_decimal(n: int, m: int) -> float:
         raise AssertionError(f"reference seed ({n}, {m}) did not converge")
 
 
+def z_of_zeta_loop(zeta: np.ndarray) -> np.ndarray:
+    """z_of_zeta at an array of zeta <= 0 by a Newton loop of its own, which
+    retires an element on its computed step: the reference whose bits the
+    shared driver must keep."""
+    w = (2.0 / 3.0) * (-zeta) ** 1.5
+    z = np.ones_like(w)
+    idx = np.flatnonzero(w != 0.0)
+    w = w[idx]
+    t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
+    for _ in range(60):
+        if not idx.size:
+            return z
+        t2 = t * t
+        d = (specfun._t_minus_atans(t, t2) - w) / (t2 / (1.0 + t2))
+        t = t - d
+        done = np.abs(d) <= 1e-15 * np.maximum(t, 1.0)
+        z[idx[done]] = np.sqrt(1.0 + t[done] * t[done])
+        idx, t, w = idx[~done], t[~done], w[~done]
+    raise AssertionError(f"reference z_of_zeta failed at {zeta[idx[0]]}")
+
+
+def bessel_zero_loop(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """bessel_zero at integer arrays (n, m) by a bracketed Newton loop of its
+    own, which retires an element on the step it took: the reference whose
+    bits the shared driver must keep."""
+    lam = specfun.bessel_zero_seed(n, m)
+    spacing = specfun._zero_spacing(n, lam)
+    lo, hi = lam - 0.75 * spacing, lam + 0.75 * spacing
+    out = np.empty_like(lam)
+    idx = np.arange(lam.size)
+    for _ in range(40):
+        if not idx.size:
+            return out
+        jm1, jn = specfun.bessel_j_pair(n, lam)
+        d = jn / (jm1 - (n / lam) * jn)
+        new = lam - d
+        new = np.where((lo <= new) & (new <= hi), new,
+                       0.5 * (lam + np.where(d < 0, hi, lo)))
+        done = np.abs(new - lam) <= 1e-13 * lam
+        out[idx[done]] = new[done]
+        idx, n, lam = idx[~done], n[~done], new[~done]
+        lo, hi = lo[~done], hi[~done]
+    raise AssertionError(f"reference zero ({n[0]}, {m[idx[0]]}) failed")
+
+
 class TestAiry:
     def test_origin(self):
         assert specfun.airy_ai(0.0) == pytest.approx(AI_AT_0, rel=1e-14,
@@ -146,10 +194,10 @@ class TestAiry:
         assert specfun.airy_ai_prime(0.0) == pytest.approx(AIP_AT_0, rel=1e-14,
                                                            abs=0.0)
 
-    @pytest.mark.parametrize("m,a", [(1, AIRY_ZERO_1), (2, AIRY_ZERO_2),
-                                     (5, AIRY_ZERO_5)])
+    @pytest.mark.parametrize("m,a", AIRY_ZEROS_LOW)
     def test_zeros_frozen(self, m, a):
-        assert specfun.airy_zero(m) == pytest.approx(a, rel=1e-13, abs=0.0)
+        # the literal table: 6, 2, 3, 0, 0, 0, 1, 1 and 0 ulp measured
+        assert abs(specfun.airy_zero(m) - a) <= 6 * math.ulp(a)
 
     @pytest.mark.parametrize("m,a", AIRY_ZEROS_FROZEN)
     def test_zeros_frozen_to_two_ulp(self, m, a):
@@ -594,10 +642,10 @@ class TestBesselZeros:
     def test_array_seeds_match_scalar(self, n):
         # one array call over every m with a frozen Airy zero, against the
         # transplant in 50-digit decimal arithmetic: m < 10 takes the
-        # memoised Airy Newton, m >= 10 the closed form; (1e5, 1) and
-        # (1e7, 1..2) start z_of_zeta at t < 0.1, where it takes the odd
-        # polynomial of t - arctan(t).  Worst measured: 16 ulp at (1, 1),
-        # where the Airy Newton leaves a_1 9 ulp off; elsewhere 3 ulp
+        # literal table, m >= 10 the closed form; (1e5, 1) and (1e7, 1..2)
+        # start z_of_zeta at t < 0.1, where it takes the odd polynomial of
+        # t - arctan(t).  Worst measured: 10 ulp at (1, 1), where the
+        # table's a_1 is 6 ulp off; elsewhere 6 ulp
         ms = np.array(sorted(AIRY_ZEROS_30))
         got = specfun.bessel_zero_seed(n, ms)
         for m, seed in zip(ms.tolist(), got.tolist()):
@@ -664,6 +712,55 @@ class TestBesselZeros:
             specfun.bessel_zero_seed(0, 0)
         with pytest.raises(ValueError):
             specfun.bessel_zero_seed(-1, 1)
+
+
+class TestNewton:
+    """The one Newton iteration, ``specfun._newton``, behind z_of_zeta and
+    bessel_zero: the bits of both against their own loops, and its two
+    failures."""
+
+    def test_z_of_zeta_keeps_the_bits_of_its_loop(self):
+        # the driver retires z_of_zeta on its computed step; on the step it
+        # took instead, 19 in 400k values move by an ulp, among them this
+        # zeta
+        rng = np.random.default_rng(26)
+        zeta = np.append(-60.0 * rng.random(400_000),
+                         [-1.8957426946682099, 0.0, -60.0])
+        assert specfun.z_of_zeta(zeta).tobytes() == \
+            z_of_zeta_loop(zeta).tobytes()
+
+    def test_bessel_zero_keeps_the_bits_of_its_loop(self):
+        # every zero of n < 300, m <= 30; with the bracket the driver
+        # retires on the step taken, and on the computed step instead
+        # (148, 10) moves by an ulp
+        n, m = (a.ravel() for a in np.meshgrid(np.arange(300),
+                                               np.arange(1, 31),
+                                               indexing="ij"))
+        assert specfun.bessel_zero(n, m).tobytes() == \
+            bessel_zero_loop(n, m).tobytes()
+
+    def test_a_step_that_never_shrinks_names_its_start(self):
+        def step(live, x):      # a unit step at start 1, none elsewhere
+            return (live == 1).astype(float), np.ones_like(x)
+
+        with pytest.raises(specfun.NumericalError,
+                           match="^start 1 did not converge$"):
+            specfun._newton(step, np.zeros(3), 1e-13, lambda i: f"start {i}")
+
+    def test_a_flat_step_names_its_zero(self, monkeypatch):
+        # J_{n-1} = (n / x) J_n makes J_n' = 0 at the order 7; the driver
+        # raises before it divides, so no RuntimeWarning (an error under
+        # the test configuration) is raised
+        pair = specfun.bessel_j_pair
+
+        def flat_at_seven(n, x):
+            jm1, jn = pair(n, x)
+            return np.where(n == 7, (n / x) * jn, jm1), jn
+
+        monkeypatch.setattr(specfun, "bessel_j_pair", flat_at_seven)
+        with pytest.raises(specfun.NumericalError,
+                           match=r"^flat Newton step at Bessel zero \(7, 2\)$"):
+            specfun.bessel_zero(np.array([3, 7, 9]), np.array([1, 2, 1]))
 
 
 # orders, degrees and zero indices that are not finite integers, which a

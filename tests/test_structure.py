@@ -5,8 +5,9 @@ in the package other than its own body: a helper whose callers moved to
 another code path fails here instead of lingering.  Likewise every name a
 module imports must be read in it.  ``specfun`` holds no matrix product,
 whose rounding would make an element depend on its batch, the two Airy
-methods are reached through the one Airy dispatch alone, and the three Bessel
-methods and their region test through the one Bessel dispatch alone.
+methods are reached through the one Airy dispatch alone, the three Bessel
+methods and their region test through the one Bessel dispatch alone, and the
+one Newton iteration by the two roots it solves alone.
 """
 
 import ast
@@ -54,15 +55,20 @@ _ONE_CALLER = {"_airy_asymps": ("specfun", "_airy_pair"),
                "_bessel_uniforms": ("specfun", "_bessel_j"),
                "_bessel_recurrences": ("specfun", "_bessel_j"),
                "_bessel_series_ascending": ("specfun", "_bessel_j")}
+# every private function whose callers are held, with the definitions that
+# may call it: a new root goes through the one Newton iteration, and is
+# added here
+_CALLERS = {name: {caller} for name, caller in _ONE_CALLER.items()} | {
+    "_newton": {("specfun", "z_of_zeta"), ("specfun", "bessel_zero")}}
 
 
 def test_each_method_has_one_dispatch():
-    callers = {name: set() for name in _ONE_CALLER}
+    callers = {name: set() for name in _CALLERS}
     for path in sorted(SRC.glob("*.py")):
         for name, owner in _references(ast.parse(path.read_text())):
             if name in callers and owner != name:
                 callers[name].add((path.stem, owner))
-    assert callers == {name: {caller} for name, caller in _ONE_CALLER.items()}
+    assert callers == _CALLERS
 
 
 def _imports(tree: ast.Module):
