@@ -50,13 +50,20 @@ from .weights import (BandSpec, WeightSpec, band_indicator, glancing_distance,
 # Sweeps over scale-selected modes
 # ----------------------------------------------------------------------
 
+# The largest order or degree a sweep takes: bessel_j is certified up to 1e6
+# (the oracle battery reaches 1e5, frozen Miller values 1e6), and
+# legendre_equator refuses degrees above 1e6
+_MAX_ORDER = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Common knobs of the order sweeps.
 
     kind : "disk" or "sphere".
     alpha : glancing-scale exponent, sigma ~ n^{-alpha}.
-    n_lo, n_hi, points : geometric grid of angular orders / degrees.
+    n_lo, n_hi, points : geometric grid of angular orders / degrees, up
+        to _MAX_ORDER = 1e6.
     radius : restriction circle radius (disk only: the sphere's equator is
         fixed, and a sphere config must keep the default).
     optimize : candidate rule passed to the disk selector, or None (the
@@ -65,7 +72,8 @@ class SweepConfig:
         the extremal mode, so the default maximizes the measured quantity.
         Disk only: a sphere degree has one candidate, and a sphere config
         must keep the default.
-    offset : window offset M of the ScaleTarget.
+    offset : window offset M of the ScaleTarget; its window at n_hi must
+        be finite.
     """
     kind: str
     alpha: float
@@ -86,6 +94,18 @@ class SweepConfig:
                              "apply to the disk only")
         if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
             raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
+        if self.n_hi > _MAX_ORDER:
+            raise ValueError(f"n_hi = {self.n_hi} (--n-max) is past the "
+                             f"certified orders, at most {_MAX_ORDER}")
+        target = self.target()      # checks alpha and the offset
+        window = (target.disk_window if self.kind == "disk"
+                  else target.sphere_order_window)
+        with np.errstate(over="ignore"):
+            edges = window(self.n_hi)   # the edges grow with the order
+        if not np.isfinite(edges).all():
+            raise ValueError(f"offset = {self.offset} (--offset-const) puts "
+                             f"the window of order {self.n_hi} past the "
+                             f"float range")
 
     def orders(self) -> list[int]:
         grid = np.geomspace(self.n_lo, self.n_hi, self.points)

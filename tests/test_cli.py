@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,30 @@ def test_bad_values_are_config_errors(tmp_path, capsys, argv):
     code, _, err = _run(capsys, *argv, "--out", out)
     assert code == 1
     assert err.startswith("glancelab: error:") and "Traceback" not in err
+    assert not os.path.exists(out + ".csv")
+
+
+_GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
+         "4"]
+
+
+# refused before any work, naming the flag at fault: an offset whose window
+# overflows gave numpy RuntimeWarnings, and disk orders past the certified
+# 1e6 ran to exit 0
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
+    (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
+    (["sweep-disk", "--alpha", "0.5", "--n-min", "1000", "--n-max",
+      "10000000", "--points", "3"], "--n-max"),
+])
+def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
+    out = str(tmp_path / "x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(capsys, *argv, "--out", out)
+    assert code == 1
+    assert err.startswith("glancelab: error:") and err.count("\n") == 1
+    assert flag in err
     assert not os.path.exists(out + ".csv")
 
 
