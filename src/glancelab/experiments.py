@@ -97,12 +97,10 @@ class SweepConfig:
         if self.n_hi > _MAX_ORDER:
             raise ValueError(f"n_hi = {self.n_hi} (--n-max) is past the "
                              f"certified orders, at most {_MAX_ORDER}")
-        target = self.target()      # checks alpha and the offset
-        window = (target.disk_window if self.kind == "disk"
-                  else target.sphere_order_window)
-        with np.errstate(over="ignore"):
-            edges = window(self.n_hi)   # the edges grow with the order
-        if not np.isfinite(edges).all():
+        self.target()       # checks alpha and the offset
+        # both windows reach (offset + 1) n^{1 - alpha} from n or 2n
+        if not math.isfinite((self.offset + 1.0)
+                             * self.n_hi ** (1.0 - self.alpha)):
             raise ValueError(f"offset = {self.offset} (--offset-const) puts "
                              f"the window of order {self.n_hi} past the "
                              f"float range")

@@ -55,9 +55,8 @@ _ONE_CALLER = {"_airy_asymps": ("specfun", "_airy_pair"),
                "_bessel_uniforms": ("specfun", "_bessel_j"),
                "_bessel_recurrences": ("specfun", "_bessel_j"),
                "_bessel_series_ascending": ("specfun", "_bessel_j")}
-# every private function whose callers are held, with the definitions that
-# may call it: a new root goes through the one Newton iteration, and is
-# added here
+# the private functions whose callers are held, each with the definitions
+# that may call it
 _CALLERS = {name: {caller} for name, caller in _ONE_CALLER.items()} | {
     "_newton": {("specfun", "z_of_zeta"), ("specfun", "bessel_zero")}}
 
