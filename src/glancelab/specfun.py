@@ -446,31 +446,6 @@ def _zeta_and_phase(z: np.ndarray):
     return np.where(osc, -1.0, 1.0) * (1.5 * w) ** (2.0 / 3.0), w
 
 
-def z_of_zeta(zeta):
-    """Inverse of :func:`zeta_of_z` on the oscillatory side (zeta <= 0):
-    :func:`_newton` on t - arctan(t) = (2/3)(-zeta)^{3/2} in t = sqrt(z^2-1),
-    monotone with derivative t^2/(1+t^2), to a step of 1e-15."""
-    zeta, shape = _flat(zeta)
-    if (zeta > 0.0).any():
-        raise ValueError("z_of_zeta implemented for zeta <= 0")
-    w = (2.0 / 3.0) * (-zeta) ** 1.5
-    z = np.ones_like(w)             # z(0) = 1, the turning point
-    idx = np.flatnonzero(w != 0.0)
-    w = w[idx]
-    # on the convex t - arctan(t) = w, (3w)^{1/3} starts below the root and
-    # w + pi/2 above it; Newton overshoots from below, then falls to the root
-    t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
-
-    def step(live, t):
-        t2 = t * t
-        return _t_minus_atans(t, t2) - w[live], t2 / (1.0 + t2)
-
-    t = _newton(step, t, 1e-15,
-                lambda i: f"z_of_zeta at zeta = {zeta[idx[i]]}")
-    z[idx] = np.sqrt(1.0 + t * t)
-    return _shaped(z, shape)
-
-
 def _newton(step, x, rtol, what, lo=None, hi=None):
     """The roots of Newton's iteration from the 1-d array of starts x, all
     at once: step(live, x) returns (f, f') at the iterates x of the starts
@@ -505,6 +480,31 @@ def _newton(step, x, rtol, what, lo=None, hi=None):
     if live.size:
         raise NumericalError(f"{what(live[0])} did not converge")
     return root
+
+
+def z_of_zeta(zeta):
+    """Inverse of :func:`zeta_of_z` on the oscillatory side (zeta <= 0):
+    :func:`_newton` on t - arctan(t) = (2/3)(-zeta)^{3/2} in t = sqrt(z^2-1),
+    monotone with derivative t^2/(1+t^2), to a step of 1e-15."""
+    zeta, shape = _flat(zeta)
+    if (zeta > 0.0).any():
+        raise ValueError("z_of_zeta implemented for zeta <= 0")
+    w = (2.0 / 3.0) * (-zeta) ** 1.5
+    z = np.ones_like(w)             # z(0) = 1, the turning point
+    idx = np.flatnonzero(w != 0.0)
+    w = w[idx]
+    # on the convex t - arctan(t) = w, (3w)^{1/3} starts below the root and
+    # w + pi/2 above it; Newton overshoots from below, then falls to the root
+    t = np.where(w < 0.5, (3.0 * w) ** (1.0 / 3.0), w + 0.5 * math.pi)
+
+    def step(live, t):
+        t2 = t * t
+        return _t_minus_atans(t, t2) - w[live], t2 / (1.0 + t2)
+
+    t = _newton(step, t, 1e-15,
+                lambda i: f"z_of_zeta at zeta = {zeta[idx[i]]}")
+    z[idx] = np.sqrt(1.0 + t * t)
+    return _shaped(z, shape)
 
 
 # ----------------------------------------------------------------------
