@@ -5,7 +5,7 @@ Subcommands
 sweep-disk     disk amplitude sweep; with --rho1/--rho2 a band-filtered
                sigma^s-weighted sweep; with --derivative an h-scaled
                normal-derivative sweep weighted by sigma^{-s}.  --s needs
-               a band or --derivative; --rho and --cutoff need --derivative
+               a band or --derivative; --rho needs --derivative
 sweep-sphere   equator amplitude sweep over spherical-harmonic degrees
 quasimode      random quasimodes on unit frequency windows, weighted norms
 normal-band    sqrt(xi_d)-weighted trace norms (bounded by theory)
@@ -89,8 +89,6 @@ _OPTIONS = {
          "sweep the h-scaled normal derivative weighted by sigma^{-s}"),
         ("rho", "--rho", float, 2.0 / 3.0,
          "glancing-weight scale for --derivative"),
-        ("cutoff", "--cutoff", str, "exp",
-         "cutoff shape for --derivative: exp or smoothstep"),
         ("optimize", "--optimize", str, None,
          "mode choice within the window: first, restriction, "
          "normal_derivative (default: match the measured quantity)"),
@@ -114,7 +112,6 @@ _OPTIONS = {
         ("s", "--s", float, 0.3, "weight power"),
         ("rho", "--rho", float, 2.0 / 3.0, "glancing-weight scale"),
         ("radius", "--radius", float, 0.5, "restriction circle radius"),
-        ("cutoff", "--cutoff", str, "exp", "cutoff shape: exp or smoothstep"),
         ("out", "--out", str, None, "output prefix (required)"),
     ],
     "fit": [
@@ -223,10 +220,8 @@ def _check_sweep_disk(vals: dict, given: set) -> None:
     if "--s" in given and not (all(band_flags) or vals["derivative"]):
         raise _ConfigError("sweep-disk: --s applies only with a band "
                            "(--rho1/--rho2) or --derivative")
-    for flag in ("--rho", "--cutoff"):
-        if flag in given and not vals["derivative"]:
-            raise _ConfigError(f"sweep-disk: {flag} applies only with "
-                               "--derivative")
+    if "--rho" in given and not vals["derivative"]:
+        raise _ConfigError("sweep-disk: --rho applies only with --derivative")
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +229,13 @@ def _check_sweep_disk(vals: dict, given: set) -> None:
 # ----------------------------------------------------------------------
 
 def _write_outputs(out_prefix: str, name: str, result, vals: dict, write,
-                   skipped=(), seed=None, cutoff: str | None = None) -> str:
+                   skipped=(), seed=None) -> str:
     """Write `result` to ``<out_prefix>.csv`` by `write`, and its manifest."""
     csv_path = out_prefix + ".csv"
     write(csv_path, result)
     io.write_manifest(io.manifest_path(csv_path), name,
                       {k: v for k, v in vals.items() if k != "out"},
-                      rows=len(result.rows), skipped=skipped, seed=seed,
-                      cutoff=cutoff)
+                      rows=len(result.rows), skipped=skipped, seed=seed)
     return csv_path
 
 
@@ -253,22 +247,19 @@ def _run_sweep(name: str, vals: dict) -> int:
         alpha=vals["alpha"], n_lo=vals["n_min"], n_hi=vals["n_max"],
         points=vals["points"], offset=vals["offset_const"],
         **{k: vals[k] for k in ("radius", "optimize") if k in vals})
-    derivative = vals.get("derivative", False)
     if name == "normal-band":
         result = experiments.normal_band_check(config)
-    elif derivative:
+    elif vals.get("derivative"):
         result = experiments.normal_derivative_sweep(
-            config, s=vals["s"], rho=vals["rho"], cutoff=vals["cutoff"])
+            config, s=vals["s"], rho=vals["rho"])
     elif vals.get("rho1") is not None:      # a band: rho2 is set too
         from .weights import BandSpec
         result = experiments.sharpness_sweep(
             config, s=vals["s"], band=BandSpec(vals["rho1"], vals["rho2"]))
     else:
         result = experiments.amplitude_sweep(config)
-    # only the derivative sweep applies a glancing weight, and its cutoff
     path = _write_outputs(vals["out"], name, result, vals,
-                          io.write_sweep_csv, skipped=result.skipped,
-                          cutoff=vals["cutoff"] if derivative else None)
+                          io.write_sweep_csv, skipped=result.skipped)
     print(f"wrote {path} ({len(result.rows)} rows, "
           f"{len(result.skipped)} skipped)")
     return _EXIT_OK
@@ -279,11 +270,9 @@ def _run_quasimode(name: str, vals: dict) -> int:
     result = experiments.quasimode_boundedness(
         lam_lo=vals["lam_min"], lam_hi=vals["lam_max"],
         windows=vals["windows"], trials=vals["trials"], seed=vals["seed"],
-        s=vals["s"], rho=vals["rho"], radius=vals["radius"],
-        cutoff=vals["cutoff"])
+        s=vals["s"], rho=vals["rho"], radius=vals["radius"])
     path = _write_outputs(vals["out"], name, result, vals,
-                          io.write_quasimode_csv, seed=vals["seed"],
-                          cutoff=vals["cutoff"])
+                          io.write_quasimode_csv, seed=vals["seed"])
     print(f"wrote {path} ({len(result.rows)} windows, "
           f"max/min {result.spread:.3f})")
     return _EXIT_OK

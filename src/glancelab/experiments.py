@@ -282,8 +282,7 @@ def normal_band_check(config: SweepConfig) -> SweepResult:
 
 
 def normal_derivative_sweep(config: SweepConfig, s: float,
-                            rho: float = 2.0 / 3.0,
-                            cutoff: str = "exp") -> SweepResult:
+                            rho: float = 2.0 / 3.0) -> SweepResult:
     """h-scaled normal-derivative traces weighted by the glancing weight
     with power -s: expected exponent in h is alpha (1/4 - s), flat at
     s = 1/4.  The weight's far branch sigma^{-s} is the active one for
@@ -293,7 +292,7 @@ def normal_derivative_sweep(config: SweepConfig, s: float,
         raise ValueError("the normal-derivative sweep needs a disk config")
     if not (rho > config.alpha):
         raise ValueError("need rho > alpha so modes sit in the far branch")
-    weight = WeightSpec(s=-s, rho=rho, cutoff=cutoff)
+    weight = WeightSpec(s=-s, rho=rho)
     return _sweep(config, "normal_derivative", s=s, weight=weight)
 
 
@@ -332,8 +331,8 @@ class QuasimodeResult:
 def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
                           windows: int = 8, trials: int = 20,
                           seed: int = 2025, s: float = 0.3,
-                          rho: float = 2.0 / 3.0, radius: float = 0.5,
-                          cutoff: str = "exp") -> QuasimodeResult:
+                          rho: float = 2.0 / 3.0,
+                          radius: float = 0.5) -> QuasimodeResult:
     """Weighted restricted norms of random quasimodes stay bounded.
 
     For each window [Lambda, Lambda+1] on a geometric grid, draw `trials`
@@ -370,7 +369,7 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
         raise ValueError("need 0 < lam_lo <= lam_hi < inf")
     if not (0.0 < radius < 1.0):
         raise ValueError("radius must lie strictly inside the disk")
-    spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
+    spec = WeightSpec(s=s, rho=rho)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
     rows = []

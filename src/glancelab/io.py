@@ -98,7 +98,7 @@ def read_table(path: str) -> dict[str, tuple[float, ...]]:
 
 
 def write_manifest(path: str, command: str, config: dict, rows: int,
-                   skipped=(), seed=None, cutoff: str | None = None,
+                   skipped=(), seed=None,
                    input_hash: str | None = None) -> None:
     """Run metadata written next to a table, as JSON.
 
@@ -109,9 +109,7 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
     commands it hashes the input CSV, for sweeps the resolved config.
     `skipped` holds the (order, reason) pairs of a sweep's skipped rows;
     the record keeps their count as "skipped" and the pairs as
-    "skipped_orders".  `cutoff` is the cutoff shape of the glancing weight
-    the run applied, recorded as "cutoff_shape"; None (null) for a run that
-    applied none.
+    "skipped_orders".
     """
     import datetime
     import hashlib
@@ -126,7 +124,6 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
         "version": __version__,
         "config": config,
         "seed": seed,
-        "cutoff_shape": cutoff,
         "rows": rows,
         "skipped": len(skipped),
         "skipped_orders": [[n, reason] for n, reason in skipped],

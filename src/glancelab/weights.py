@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CUTOFFS = ("exp", "smoothstep")
-
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -45,21 +43,17 @@ class WeightSpec:
         Power of sigma away from glancing; s = 0 gives a pure cutoff pair.
     rho : float
         Localization exponent: the crossover sits at sigma ~ h^rho.
-    cutoff : str
-        Transition profile on [1, 2]: "exp" (smooth, compactly glued
-        exponentials, the default) or "smoothstep" (C^2 polynomial).
+
+    The transition on [1, 2] is the one of :func:`cutoff_pair`.
     """
     s: float
     rho: float
-    cutoff: str = "exp"
 
     def __post_init__(self):
         if not math.isfinite(self.s):
             raise ValueError("s must be finite")
         if not (0.0 <= self.rho < math.inf):
             raise ValueError("rho must be nonnegative and finite")
-        if self.cutoff not in _CUTOFFS:
-            raise ValueError(f"cutoff must be one of {_CUTOFFS}")
 
 
 @dataclass(frozen=True)
@@ -85,37 +79,20 @@ def _check_h(h):
     return h
 
 
-def _ramp_exp(u):
-    """Smooth 0->1 ramp on [0, 1] from glued exponentials: C^infinity flat
-    at both ends.  psi(u) = f(u)/(f(u) + f(1-u)), f(t) = exp(-1/t); the
-    ends give f(0) = exp(-inf) = 0 and so exactly 0 and 1.
+def cutoff_pair(t):
+    """The partition (chi1(t), chi2(t)): chi1 = 0 for t <= 1, 1 for t >= 2.
+
+    chi1 ramps across [1, 2] as psi(t - 1), psi(u) = f(u)/(f(u) + f(1-u))
+    with f(u) = exp(-1/u): glued exponentials, C^infinity flat at both ends,
+    where f(0) = exp(-inf) = 0 gives exactly 0 and 1.  chi2 = 1 - chi1
+    exactly, so the pair is a partition of unity by construction.  A scalar
+    t gives scalars.
     """
-    u = np.clip(u, 0.0, 1.0)
+    u = np.clip(np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         fa = np.exp(-1.0 / u)
         fb = np.exp(-1.0 / (1.0 - u))
-    return fa / (fa + fb)
-
-
-def _ramp_smoothstep(u):
-    """C^2 polynomial ramp 6u^5 - 15u^4 + 10u^3 on [0, 1]."""
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
-
-
-def cutoff_pair(t, kind: str = "exp"):
-    """The partition (chi1(t), chi2(t)): chi1 = 0 for t <= 1, 1 for t >= 2.
-
-    chi1 ramps smoothly across [1, 2]; chi2 = 1 - chi1 exactly, so the pair
-    is a partition of unity by construction.  A scalar t gives scalars.
-    """
-    t = np.asarray(t, dtype=float)
-    if kind == "exp":
-        chi1 = _ramp_exp(t - 1.0)
-    elif kind == "smoothstep":
-        chi1 = _ramp_smoothstep(t - 1.0)
-    else:
-        raise ValueError(f"cutoff must be one of {_CUTOFFS}")
+    chi1 = fa / (fa + fb)
     return chi1[()], (1.0 - chi1)[()]
 
 
@@ -139,7 +116,7 @@ def glancing_weight(sigma, h, spec: WeightSpec):
     """
     h = _check_h(h)
     sig = np.asarray(sigma, dtype=float)
-    chi1, chi2 = cutoff_pair(sig / h ** spec.rho, spec.cutoff)
+    chi1, chi2 = cutoff_pair(sig / h ** spec.rho)
     power = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
     return (power * chi1 + h ** (spec.s * spec.rho) * chi2)[()]
 

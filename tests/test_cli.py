@@ -249,30 +249,27 @@ def test_normal_band_names_evanescent_skips(tmp_path, capsys):
 _SMALL = ["--n-min", "200", "--n-max", "2000", "--points", "5"]
 
 
-@pytest.mark.parametrize("argv, cutoff", [
-    (["quasimode", "--windows", "2", "--trials", "2"], "exp"),
-    (["quasimode", "--windows", "2", "--trials", "2",
-      "--cutoff", "smoothstep"], "smoothstep"),
-    (["sweep-disk", "--alpha", "0.5", "--derivative", "--s", "0.25",
-      "--cutoff", "smoothstep", *_SMALL], "smoothstep"),
-    (["sweep-disk", "--alpha", "0.5", *_SMALL], None),
-    (["sweep-sphere", "--alpha", "0.5", *_SMALL], None),
-    (["normal-band", "--alpha", "0.5", *_SMALL], None),
-])
-def test_manifest_cutoff_only_where_a_weight_applies(tmp_path, capsys, argv,
-                                                     cutoff):
-    # only the quasimode ensemble and the derivative sweep apply a glancing
-    # weight; every other run records no cutoff shape
+@pytest.mark.parametrize("argv", [
+    ["quasimode", "--windows", "2", "--trials", "2"],
+    ["sweep-disk", "--alpha", "0.5", "--derivative", "--s", "0.25", *_SMALL],
+    ["sweep-disk", "--alpha", "0.5", *_SMALL],
+    ["sweep-sphere", "--alpha", "0.5", *_SMALL],
+    ["normal-band", "--alpha", "0.5", *_SMALL],
+], ids=["quasimode", "derivative", "amplitude", "sphere", "normal-band"])
+def test_manifest_records_no_cutoff(tmp_path, capsys, argv):
+    # the glancing weight has one cutoff, so no manifest names one: neither
+    # the runs that apply the weight (quasimode, --derivative) nor the rest
     out = str(tmp_path / "run")
     code, _, err = _run(capsys, *argv, "--out", out)
     assert code == 0, err
-    assert io.read_manifest(out + ".manifest.json")["cutoff_shape"] == cutoff
+    doc = io.read_manifest(out + ".manifest.json")
+    assert "cutoff_shape" not in doc and "cutoff" not in doc["config"]
     if argv[0] == "normal-band":
         code, _, err = _run(capsys, "plot", "--in", out + ".csv", "--x", "n",
                             "--out", out + "-plot")
         assert code == 0, err
-        assert io.read_manifest(out + "-plot.manifest.json")[
-            "cutoff_shape"] is None
+        assert "cutoff_shape" not in io.read_manifest(
+            out + "-plot.manifest.json")
 
 
 def test_explicit_optimize_reaches_the_derivative_sweep(tmp_path, capsys):
@@ -314,11 +311,10 @@ def test_derivative_sweep_via_cli(tmp_path, capsys):
 @pytest.mark.parametrize("flags, section", [
     (["--s", "0.25"], ""),                       # no band, no --derivative
     (["--rho", "0.7"], ""),
-    (["--cutoff", "smoothstep"], ""),
+    (["--s", "0"], ""),                          # even at its default value
     (["--rho1", "0.3", "--rho2", "0.6", "--rho", "0.7"], ""),
     ([], "s = 0.25\n"),
     ([], "rho = 0.7\n"),
-    ([], "cutoff = smoothstep\n"),
 ])
 def test_sweep_disk_rejects_flags_that_do_not_apply(tmp_path, capsys, flags,
                                                     section):
@@ -403,13 +399,39 @@ def test_quasimode_negative_seed_is_config_error(tmp_path, capsys):
 def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
     out = str(tmp_path / "dv")
     code, _, _ = _run(capsys, "sweep-disk", "--alpha", "0.5", "--derivative",
-                      "--s", "0.25", "--rho", "0.7", "--cutoff", "smoothstep",
+                      "--s", "0.25", "--rho", "0.7",
                       "--n-min", "200", "--n-max", "600", "--points", "3",
                       "--out", out)
     assert code == 0
     doc = io.read_manifest(out + ".manifest.json")
-    assert doc["config"]["rho"] == 0.7
-    assert doc["config"]["cutoff"] == "smoothstep"
+    assert doc["config"]["s"] == 0.25 and doc["config"]["rho"] == 0.7
+
+
+# the glancing weight has one cutoff: a --cutoff flag, or a cutoff key in a
+# config file, is refused whatever shape it names, never ignored
+@pytest.mark.parametrize("argv", [
+    [*_DISK, "--derivative", "--cutoff", "smoothstep"],
+    [*_QUASIMODE, "--cutoff", "exp"],
+])
+def test_cutoff_flag_is_refused(tmp_path, capsys, argv):
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, *argv, "--out", out)
+    assert code == 1
+    assert err.startswith("glancelab:") and err.count("\n") == 1
+    assert "--cutoff" in err
+    assert not os.path.exists(out + ".csv")
+
+
+@pytest.mark.parametrize("section", ["quasimode"])
+def test_cutoff_config_key_is_refused(tmp_path, capsys, section):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\ncutoff = exp\n")
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, *_QUASIMODE, "--config", str(cfg),
+                        "--out", out)
+    assert code == 1
+    assert err == "glancelab: error: unknown config keys for quasimode: cutoff\n"
+    assert not os.path.exists(out + ".csv")
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -508,7 +508,7 @@ def _quasimode_one_window_at_a_time(lam_lo=200.0, lam_hi=2000.0, windows=8,
     """The per-window loop that the batched ensemble replaced: one window
     enumeration and one trace call per window; the reference for
     quasimode_boundedness."""
-    spec = WeightSpec(s=s, rho=rho, cutoff="exp")
+    spec = WeightSpec(s=s, rho=rho)
     rows = []
     for wi, lam in enumerate(np.geomspace(lam_lo, lam_hi, windows)):
         _, ns, freqs, norms = modes.modes_in_frequency_windows([lam],

@@ -102,13 +102,13 @@ def test_manifest_contents(tmp_path):
     path = str(tmp_path / "run.manifest.json")
     io.write_manifest(path, "sweep-disk", {"alpha": 0.5, "points": 4},
                       rows=4, skipped=[(7, "no eigenvalue in window")],
-                      seed=None, cutoff="exp")
+                      seed=None)
     doc = io.read_manifest(path)
     assert doc["command"] == "sweep-disk"
     assert doc["config"] == {"alpha": 0.5, "points": 4}
     assert doc["rows"] == 4 and doc["skipped"] == 1
     assert doc["skipped_orders"] == [[7, "no eigenvalue in window"]]
-    assert doc["cutoff_shape"] == "exp"
+    assert "cutoff_shape" not in doc
     # the sha256 of the sorted config as JSON: '{"alpha": 0.5, "points": 4}'
     assert doc["input_hash"] == ("sha256:8fe5ea53246a4fc5bd8f1eb7e0d70322"
                                  "86ff12d5d81a8b7130419626a8252f0c")

@@ -1,5 +1,6 @@
 """Tests for the glancing-scale weights and sharp bands."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,23 +15,20 @@ SIGMA = st.floats(min_value=-1.0, max_value=1.0)
 
 
 class TestCutoffPair:
-    @pytest.mark.parametrize("kind", ["exp", "smoothstep"])
-    def test_partition_of_unity(self, kind):
+    def test_partition_of_unity(self):
         t = np.linspace(-2.0, 5.0, 301)
-        c1, c2 = weights.cutoff_pair(t, kind)
+        c1, c2 = weights.cutoff_pair(t)
         assert np.allclose(c1 + c2, 1.0, atol=0.0)
 
-    @pytest.mark.parametrize("kind", ["exp", "smoothstep"])
-    def test_support(self, kind):
+    def test_support(self):
         t = np.array([-3.0, 0.0, 1.0, 2.0, 2.5, 100.0])
-        c1, _ = weights.cutoff_pair(t, kind)
+        c1, _ = weights.cutoff_pair(t)
         assert np.all(c1[:3] == 0.0)
         assert np.all(c1[3:] == 1.0)
 
-    @pytest.mark.parametrize("kind", ["exp", "smoothstep"])
-    def test_monotone_ramp(self, kind):
+    def test_monotone_ramp(self):
         t = np.linspace(1.0, 2.0, 200)
-        c1, _ = weights.cutoff_pair(t, kind)
+        c1, _ = weights.cutoff_pair(t)
         assert np.all(np.diff(c1) >= 0.0)
         assert 0.0 < c1[100] < 1.0
 
@@ -49,8 +47,10 @@ class TestCutoffPair:
         assert isinstance(c1s, float)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            weights.cutoff_pair(1.0, "boxcar")
+        # the ramp has one shape: a second argument naming any shape,
+        # even this one, is an error rather than ignored
+        with pytest.raises(TypeError):
+            weights.cutoff_pair(1.0, "exp")
 
 
 class TestGlancingWeight:
@@ -81,11 +81,10 @@ class TestGlancingWeight:
         assert np.allclose(weights.glancing_weight(sigma, 0.01, spec), 1.0,
                            atol=0.0)
 
-    @pytest.mark.parametrize("cutoff", ["exp", "smoothstep"])
-    def test_array_matches_scalar_calls(self, cutoff):
+    def test_array_matches_scalar_calls(self):
         # one call per quasimode window must give each component's weight
         # bit for bit, including the glued ends and evanescent sigma
-        spec = WeightSpec(s=0.3, rho=2.0 / 3.0, cutoff=cutoff)
+        spec = WeightSpec(s=0.3, rho=2.0 / 3.0)
         h = 0.01
         sigma = np.concatenate([np.linspace(-0.5, 1.0, 301),
                                 [h ** spec.rho, 2.0 * h ** spec.rho]])
@@ -113,12 +112,6 @@ class TestGlancingWeight:
         hi = np.maximum(sigma ** 0.25, h ** (0.25 * 0.6))
         assert np.all(g >= lo - 1e-15) and np.all(g <= hi + 1e-15)
 
-    def test_smoothstep_variant(self):
-        spec = WeightSpec(s=0.3, rho=0.5, cutoff="smoothstep")
-        h = 1e-3
-        assert weights.glancing_weight(3.0 * h ** 0.5, h, spec) == pytest.approx(
-            (3.0 * h ** 0.5) ** 0.3, rel=1e-12, abs=0.0)
-
     def test_rejects_bad_h(self):
         spec = WeightSpec(s=0.3, rho=0.5)
         for h in (0.0, 1.0, -0.5, 2.0):
@@ -132,15 +125,13 @@ class TestArrayH:
            sigmas=st.lists(SIGMA, min_size=12, max_size=12),
            s=st.floats(min_value=-1.0, max_value=1.0),
            rho=st.floats(min_value=0.0, max_value=1.0),
-           cutoff=st.sampled_from(["exp", "smoothstep"]),
            rho1=st.floats(min_value=0.0, max_value=0.5))
-    def test_array_h_matches_scalar_calls(self, hs, sigmas, s, rho, cutoff,
-                                          rho1):
+    def test_array_h_matches_scalar_calls(self, hs, sigmas, s, rho, rho1):
         # one call on the columns of a sweep gives each row's weight and
         # band membership bit for bit
         h = np.array(hs)
         sigma = np.array(sigmas[:h.size])
-        spec = WeightSpec(s=s, rho=rho, cutoff=cutoff)
+        spec = WeightSpec(s=s, rho=rho)
         band = BandSpec(rho1=rho1, rho2=rho1 + 0.4)
         assert weights.glancing_weight(sigma, h, spec).tolist() == [
             weights.glancing_weight(x, y, spec) for x, y in zip(sigmas, hs)]
@@ -239,8 +230,11 @@ class TestWeightSpecValidation:
             WeightSpec(s=0.3, rho=-0.1)
 
     def test_bad_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            WeightSpec(s=0.3, rho=0.5, cutoff="hann")
+        # the weight has no cutoff knob: naming a shape, even the one the
+        # weight uses, is an error rather than ignored
+        assert [f.name for f in dataclasses.fields(WeightSpec)] == ["s", "rho"]
+        with pytest.raises(TypeError):
+            WeightSpec(s=0.3, rho=0.5, cutoff="exp")
 
     @pytest.mark.parametrize("s, rho", [(math.nan, 0.5), (math.inf, 0.5),
                                         (-math.inf, 0.5), (0.3, math.inf),
