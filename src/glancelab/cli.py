@@ -32,7 +32,6 @@ library alone; the other commands import numpy.  Exit status 2 is every
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -143,6 +142,11 @@ _REQUIRED = {
 }
 
 
+# every key some subcommand reads from a config file
+_CONFIG_KEYS = {flag.lstrip("-") for options in _OPTIONS.values()
+                for _dest, flag, *_ in options} | {"y"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="glancelab",
                      description="scaling experiments for restricted "
@@ -193,8 +197,9 @@ def _resolve(args, name: str) -> dict:
                      if s.strip()]
         known["y"] = list(args.y or from_file) or None
     # a [common] key another subcommand uses is fine; a stray key in this
-    # subcommand's own section is a config error
-    unknown = sorted(set(section) & set(own))
+    # subcommand's own section, or one no subcommand takes, is a config error
+    unknown = sorted(key for key in section
+                     if key in own or key not in _CONFIG_KEYS)
     if unknown:
         raise _ConfigError(f"unknown config keys for {name}: "
                            + ", ".join(unknown))
@@ -293,7 +298,9 @@ def _run_fit(name: str, vals: dict) -> int:
     table = _read_columns(vals["infile"], (vals["x"], vals["y"]))
     fit = fit_exponent(table[vals["x"]], table[vals["y"]],
                        drop_low=vals["drop_low"])
-    print(json.dumps(dataclasses.asdict(fit), sort_keys=True))
+    # vars, not dataclasses.asdict: importing dataclasses loads inspect,
+    # which would slow every command's start-up
+    print(json.dumps(vars(fit), sort_keys=True))
     return _EXIT_OK
 
 

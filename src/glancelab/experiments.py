@@ -55,6 +55,12 @@ from .weights import (BandSpec, WeightSpec, band_indicator, glancing_distance,
 # legendre_equator refuses degrees above 1e6
 _MAX_ORDER = 10 ** 6
 
+# The farthest a window may reach past its order, (offset + 1) n^{1 - alpha}
+# at n_hi: frequencies stay under 1e12 + 2e6, where zero indices, about
+# lam/pi, are exact integers and bessel_zero's 1e-13 relative Newton step
+# (0.1 there) resolves the zero spacing pi
+_MAX_REACH = 1e12
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -64,16 +70,16 @@ class SweepConfig:
     alpha : glancing-scale exponent, sigma ~ n^{-alpha}.
     n_lo, n_hi, points : geometric grid of angular orders / degrees, up
         to _MAX_ORDER = 1e6.
-    radius : restriction circle radius (disk only: the sphere's equator is
-        fixed, and a sphere config must keep the default).
+    radius : restriction circle radius, in (0, 1) (disk only: the sphere's
+        equator is fixed, and a sphere config must keep the default).
     optimize : candidate rule passed to the disk selector, or None (the
         default) to match the measured trace: "normal_derivative" for the
         normal-derivative sweep, "restriction" otherwise; the growth tracks
         the extremal mode, so the default maximizes the measured quantity.
         Disk only: a sphere degree has one candidate, and a sphere config
         must keep the default.
-    offset : window offset M of the ScaleTarget; its window at n_hi must
-        be finite.
+    offset : window offset M of the ScaleTarget; its window at n_hi may
+        reach at most _MAX_REACH = 1e12 past the order.
     """
     kind: str
     alpha: float
@@ -92,6 +98,12 @@ class SweepConfig:
             raise ValueError("a sphere sweep restricts to the equator and "
                              "has one mode per degree: radius and optimize "
                              "apply to the disk only")
+        if not (0.0 < self.radius < 1.0):
+            raise ValueError(f"radius = {self.radius} (--radius) must lie "
+                             f"strictly inside the disk")
+        if self.optimize not in (None, *modes_mod._OPTIMIZE):
+            raise ValueError(f"optimize = {self.optimize!r} (--optimize) "
+                             f"must be one of {modes_mod._OPTIMIZE}")
         if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
             raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
         if self.n_hi > _MAX_ORDER:
@@ -99,11 +111,11 @@ class SweepConfig:
                              f"certified orders, at most {_MAX_ORDER}")
         self.target()       # checks alpha and the offset
         # both windows reach (offset + 1) n^{1 - alpha} from n or 2n
-        if not math.isfinite((self.offset + 1.0)
-                             * self.n_hi ** (1.0 - self.alpha)):
+        reach = (self.offset + 1.0) * self.n_hi ** (1.0 - self.alpha)
+        if not reach <= _MAX_REACH:
             raise ValueError(f"offset = {self.offset} (--offset-const) puts "
-                             f"the window of order {self.n_hi} past the "
-                             f"float range")
+                             f"the window of order {self.n_hi} {reach:.3g} "
+                             f"past it, more than {_MAX_REACH:.0e}")
 
     def orders(self) -> list[int]:
         grid = np.geomspace(self.n_lo, self.n_hi, self.points)
@@ -163,13 +175,10 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
     quantity share one selection: the powers s of criteria 3 and 6, and
     criterion 5's sqrt(xi_d) reweighting of criterion 1's modes.  The
-    columns are read-only and the skipped pairs a tuple.  Exceptions are not
-    cached, so a bad radius raises on every call.  Module constants such as
-    `modes._REFINED` are not in the key: code that patches one must call
-    `_disk_traces.cache_clear()`.
+    columns are read-only and the skipped pairs a tuple.  Module constants
+    such as `modes._REFINED` are not in the key: code that patches one must
+    call `_disk_traces.cache_clear()`.
     """
-    if not (0.0 < config.radius < 1.0):
-        raise ValueError("radius must lie strictly inside the disk")
     picked = modes_mod.select_disk_modes(
         config.orders(), config.target(), radius=config.radius,
         optimize=config.optimize, band=band)

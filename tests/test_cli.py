@@ -368,13 +368,22 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
 
 
 # refused before any work, naming the flag at fault: an offset whose window
-# overflows gave numpy RuntimeWarnings, and disk orders past the certified
-# 1e6 ran to exit 0
+# overflows gave numpy RuntimeWarnings, and so did finite offsets whose zero
+# indices pass int64 (1e150, 1e300); disk orders past the certified 1e6 and
+# windows just past the reach bound 1e12 ran to exit 0; a bad radius or
+# optimize failed inside the sweep, naming no flag
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-disk", "--alpha", "0.5", "--n-min", "1000", "--n-max",
       "10000000", "--points", "3"], "--n-max"),
+    (["sweep-disk", *_GRID, "--offset-const", "1e150"], "--offset-const"),
+    (["sweep-sphere", *_GRID, "--offset-const", "1e300"], "--offset-const"),
+    # reach (2.3e10 + 1) 2000^{1/2} = 1.03e12
+    (["sweep-disk", *_GRID, "--offset-const", "2.3e10"], "--offset-const"),
+    (["sweep-disk", *_GRID, "--radius", "1.5"], "--radius"),
+    (["normal-band", *_GRID, "--radius", "nan"], "--radius"),
+    (["sweep-disk", *_GRID, "--optimize", "largest"], "--optimize"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")
@@ -422,7 +431,7 @@ def test_cutoff_flag_is_refused(tmp_path, capsys, argv):
     assert not os.path.exists(out + ".csv")
 
 
-@pytest.mark.parametrize("section", ["quasimode"])
+@pytest.mark.parametrize("section", ["quasimode", "common"])
 def test_cutoff_config_key_is_refused(tmp_path, capsys, section):
     cfg = tmp_path / "c.ini"
     cfg.write_text(f"[{section}]\ncutoff = exp\n")
@@ -601,6 +610,9 @@ DEMO_CSV = str(Path(__file__).resolve().parent.parent / "demos"
 
 # hashlib loads OpenSSL; configparser serves --config alone
 _DEFERRED = ("hashlib", "_hashlib", "configparser")
+# and the bare import loads no dataclasses, which imports inspect (with ast,
+# dis and tokenize): each command loads it through its own modules
+_DEFERRED_AT_IMPORT = _DEFERRED + ("dataclasses", "inspect")
 
 # each entry point sets `code`, the exit status it would give
 _ENTRY_POINTS = {
@@ -619,17 +631,18 @@ _ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
 def test_entry_point_loads_no_hashlib_or_configparser(entry):
+    deferred = _DEFERRED_AT_IMPORT if entry == "import-cli" else _DEFERRED
     # a module a site-packages hook loaded before the entry point ran is
     # not the entry point's: only the difference counts
     proc = _run_fresh("import sys; before = set(sys.modules)\n"
                       + _ENTRY_POINTS[entry] + "\n"
                       "print(code, sorted((set(sys.modules) - before) "
-                      f"& set({_DEFERRED!r})))")
+                      f"& set({deferred!r})))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     # and it runs with each of them impossible to import
     proc = _run_fresh("import sys\n"
-                      f"for name in {_DEFERRED!r}: sys.modules[name] = None\n"
+                      f"for name in {deferred!r}: sys.modules[name] = None\n"
                       + _ENTRY_POINTS[entry] + "\nsys.exit(code)")
     assert proc.returncode == 0, proc.stderr
 

@@ -171,6 +171,17 @@ def test_sphere_config_rejects_an_optimize_rule():
                        points=8, optimize="first")
 
 
+@pytest.mark.parametrize("kind", ["disk", "sphere"])
+def test_window_reach_bound(kind):
+    # the reach (offset + 1) n_hi^{1 - alpha} may equal _MAX_REACH, not pass
+    # it: 1e12 - 1 over 1e4^{1/2} = 100 is exact in floats
+    at = dict(kind=kind, alpha=0.5, n_lo=100, n_hi=10000, points=2)
+    cfg = ex.SweepConfig(**at, offset=ex._MAX_REACH / 100 - 1.0)
+    assert (cfg.offset + 1.0) * cfg.n_hi ** 0.5 == ex._MAX_REACH
+    with pytest.raises(ValueError, match="--offset-const"):
+        ex.SweepConfig(**at, offset=math.nextafter(cfg.offset, math.inf))
+
+
 def test_normal_derivative_sweep_rejects_sphere():
     # a sphere sweep takes equator values: it would measure the amplitude
     cfg = ex.SweepConfig(kind="sphere", alpha=0.5, n_lo=200, n_hi=5000,
@@ -395,17 +406,18 @@ def test_every_key_field_misses(fresh_traces):
 
 
 def test_errors_are_not_cached(fresh_traces):
-    bad_radius = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=300,
-                                points=1, radius=1.5)
-    bad_optimize = dataclasses.replace(bad_radius, radius=0.5,
-                                       optimize="largest")
-    for _ in range(2):
-        with pytest.raises(ValueError, match="radius"):
-            ex.amplitude_sweep(bad_radius)
-        with pytest.raises(ValueError, match="optimize"):
-            ex.amplitude_sweep(bad_optimize)
+    # a bad radius or optimize is refused when the config is built, so no
+    # sweep, and no cache entry, ever sees it
+    good = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=300,
+                          points=1)
+    for change, flag in ((dict(radius=1.5), "--radius"),
+                         (dict(radius=0.0), "--radius"),
+                         (dict(radius=math.nan), "--radius"),
+                         (dict(optimize="largest"), "--optimize")):
+        with pytest.raises(ValueError, match=flag):
+            dataclasses.replace(good, **change)
     info = fresh_traces()
-    assert (info.misses, info.hits, info.currsize) == (4, 0, 0)
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
 
 def test_mutating_a_result_leaves_later_sweeps_alone(fresh_traces):
