@@ -371,7 +371,8 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
 # overflows gave numpy RuntimeWarnings, and so did finite offsets whose zero
 # indices pass int64 (1e150, 1e300); disk orders past the certified 1e6 and
 # windows just past the reach bound 1e12 ran to exit 0; a bad radius or
-# optimize failed inside the sweep, naming no flag
+# optimize failed inside the sweep, naming no flag; the glancing weight has
+# one cutoff, so --cutoff is refused whatever shape it names
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
@@ -384,6 +385,8 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
     (["sweep-disk", *_GRID, "--radius", "1.5"], "--radius"),
     (["normal-band", *_GRID, "--radius", "nan"], "--radius"),
     (["sweep-disk", *_GRID, "--optimize", "largest"], "--optimize"),
+    ([*_DISK, "--derivative", "--cutoff", "smoothstep"], "--cutoff"),
+    ([*_QUASIMODE, "--cutoff", "exp"], "--cutoff"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")
@@ -416,21 +419,8 @@ def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
     assert doc["config"]["s"] == 0.25 and doc["config"]["rho"] == 0.7
 
 
-# the glancing weight has one cutoff: a --cutoff flag, or a cutoff key in a
-# config file, is refused whatever shape it names, never ignored
-@pytest.mark.parametrize("argv", [
-    [*_DISK, "--derivative", "--cutoff", "smoothstep"],
-    [*_QUASIMODE, "--cutoff", "exp"],
-])
-def test_cutoff_flag_is_refused(tmp_path, capsys, argv):
-    out = str(tmp_path / "x")
-    code, _, err = _run(capsys, *argv, "--out", out)
-    assert code == 1
-    assert err.startswith("glancelab:") and err.count("\n") == 1
-    assert "--cutoff" in err
-    assert not os.path.exists(out + ".csv")
-
-
+# the glancing weight has one cutoff: a cutoff key in a config file is
+# refused whatever shape it names, never ignored
 @pytest.mark.parametrize("section", ["quasimode", "common"])
 def test_cutoff_config_key_is_refused(tmp_path, capsys, section):
     cfg = tmp_path / "c.ini"
