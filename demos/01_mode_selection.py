@@ -6,14 +6,14 @@ J_n(lambda) = 0 inside the window lambda in 2n + [M, M+1] n^{1-alpha}
 glancing distance sigma = 1 - (n / (lambda/2))^2 of size ~ n^{-alpha}:
 larger n means closer to glancing, at a controlled rate.
 
-Within one window there are many eigenvalues; "optimize=restriction" picks
-the one whose restricted amplitude is largest (the edge of the Bessel
-oscillation), which is what the growth experiments measure.
+Within one window there are many eigenvalues; the selector picks the one
+whose restricted amplitude is largest (the edge of the Bessel oscillation),
+which is what the growth experiments measure.
 """
 
 import numpy as np
 
-from glancelab import modes, specfun
+from glancelab import modes
 from glancelab.weights import glancing_distance
 
 TARGET = modes.ScaleTarget(alpha=0.5)
@@ -28,13 +28,13 @@ def main():
           ("n", "lambda", "sigma", "n^-alpha", "|amplitude|"))
     # one selector call picks a mode for every order; its columns give the
     # glancing distance and the trace amplitude c J_n(lambda / 2)
-    picked = modes.select_disk_modes(ORDERS, TARGET, optimize="restriction")
+    picked = modes.select_disk_modes(ORDERS, TARGET)
     for error in picked.error:
         if error is not None:
             raise error
     n, lam = picked.n, picked.lam
     sigma = glancing_distance(n, 1.0 / lam, 0.5)
-    amplitude = np.abs(picked.normalization * specfun.bessel_j(n, lam * 0.5))
+    amplitude = np.abs(picked.amplitude)
     for row in zip(n.tolist(), lam.tolist(), sigma.tolist(),
                    (n ** -TARGET.alpha).tolist(), amplitude.tolist()):
         print("%8d %16.6f %12.3e %12.3e %12.4f" % row)

@@ -88,9 +88,6 @@ _OPTIONS = {
          "sweep the h-scaled normal derivative weighted by sigma^{-s}"),
         ("rho", "--rho", float, 2.0 / 3.0,
          "glancing-weight scale for --derivative"),
-        ("optimize", "--optimize", str, None,
-         "mode choice within the window: first, restriction, "
-         "normal_derivative (default: match the measured quantity)"),
         ("out", "--out", str, None, "output prefix (required)"),
     ],
     "sweep-sphere": _COMMON_SWEEP + [
@@ -246,12 +243,12 @@ def _write_outputs(out_prefix: str, name: str, result, vals: dict, write,
 
 def _run_sweep(name: str, vals: dict) -> int:
     from . import experiments
-    # a sphere sweep has no radius or optimize, and keeps their defaults
+    # a sphere sweep has no radius, and keeps the default
     config = experiments.SweepConfig(
         kind="sphere" if name == "sweep-sphere" else "disk",
         alpha=vals["alpha"], n_lo=vals["n_min"], n_hi=vals["n_max"],
         points=vals["points"], offset=vals["offset_const"],
-        **{k: vals[k] for k in ("radius", "optimize") if k in vals})
+        radius=vals.get("radius", experiments.SweepConfig.radius))
     if name == "normal-band":
         result = experiments.normal_band_check(config)
     elif vals.get("derivative"):

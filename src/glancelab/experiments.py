@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,14 +72,10 @@ class SweepConfig:
         to _MAX_ORDER = 1e6.
     radius : restriction circle radius, in (0, 1) (disk only: the sphere's
         equator is fixed, and a sphere config must keep the default).
-    optimize : candidate rule passed to the disk selector, or None (the
-        default) to match the measured trace: "normal_derivative" for the
-        normal-derivative sweep, "restriction" otherwise; the growth tracks
-        the extremal mode, so the default maximizes the measured quantity.
-        Disk only: a sphere degree has one candidate, and a sphere config
-        must keep the default.
     offset : window offset M of the ScaleTarget; its window at n_hi may
-        reach at most _MAX_REACH = 1e12 past the order.
+        reach at most _MAX_REACH = 1e12 past the order, and on the sphere
+        M may be at most n_hi^alpha, past which every degree's order window
+        lies below 0.
     """
     kind: str
     alpha: float
@@ -87,23 +83,17 @@ class SweepConfig:
     n_hi: int
     points: int
     radius: float = 0.5
-    optimize: str | None = None
     offset: float = 4.0
 
     def __post_init__(self):
         if self.kind not in ("disk", "sphere"):
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if self.kind == "sphere" and (self.radius, self.optimize) != (
-                SweepConfig.radius, SweepConfig.optimize):
-            raise ValueError("a sphere sweep restricts to the equator and "
-                             "has one mode per degree: radius and optimize "
-                             "apply to the disk only")
+        if self.kind == "sphere" and self.radius != SweepConfig.radius:
+            raise ValueError("a sphere sweep restricts to the equator: "
+                             "radius applies to the disk only")
         if not (0.0 < self.radius < 1.0):
             raise ValueError(f"radius = {self.radius} (--radius) must lie "
                              f"strictly inside the disk")
-        if self.optimize not in (None, *modes_mod._OPTIMIZE):
-            raise ValueError(f"optimize = {self.optimize!r} (--optimize) "
-                             f"must be one of {modes_mod._OPTIMIZE}")
         if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
             raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
         if self.n_hi > _MAX_ORDER:
@@ -116,6 +106,14 @@ class SweepConfig:
             raise ValueError(f"offset = {self.offset} (--offset-const) puts "
                              f"the window of order {self.n_hi} {reach:.3g} "
                              f"past it, more than {_MAX_REACH:.0e}")
+        # a degree l's orders l - (M + 1) l^{1-alpha} ... l - M l^{1-alpha}
+        # all lie below 0 once M > l^alpha
+        most = self.n_hi ** self.alpha
+        if self.kind == "sphere" and not self.offset <= most:
+            raise ValueError(f"offset = {self.offset} (--offset-const) puts "
+                             f"the order window of every degree up to "
+                             f"{self.n_hi} below 0: it may be at most "
+                             f"n_hi^alpha = {most:.6g}")
 
     def orders(self) -> list[int]:
         grid = np.geomspace(self.n_lo, self.n_hi, self.points)
@@ -164,12 +162,11 @@ _TRACE_CACHE = 16
 @functools.lru_cache(maxsize=_TRACE_CACHE)
 def _disk_traces(config: SweepConfig, derivative: bool,
                  band: BandSpec | None) -> tuple:
-    """The traces of the modes that `config` selects by its rule
-    `config.optimize` (None is resolved by the caller), as :func:`_traces`
-    returns them: one selector call, then one array call on its columns
-    for every amplitude.  The trace is c J_n'(lam r) when `derivative` is
-    true, else c J_n(lam r), which the amplitude, band and sqrt(xi_d)
-    quantities all read.
+    """The traces of the modes that `config` selects, as :func:`_traces`
+    returns them, from one selector call: each order's mode is the one of
+    largest trace, and its amplitude the selector's.  The trace is
+    c J_n'(lam r) when `derivative` is true, else c J_n(lam r), which the
+    amplitude, band and sqrt(xi_d) quantities all read.
 
     Memoized per process on (config, derivative, band), the last
     _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
@@ -181,13 +178,11 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     """
     picked = modes_mod.select_disk_modes(
         config.orders(), config.target(), radius=config.radius,
-        optimize=config.optimize, band=band)
+        derivative=derivative, band=band)
     found = np.array([error is None for error in picked.error], dtype=bool)
-    n, lam = picked.n[found], picked.lam[found]
-    amp = picked.normalization[found] * (
-        specfun.bessel_j_prime if derivative else specfun.bessel_j)(
-            n, lam * config.radius)
-    return _traces(n, n, lam, amp, picked.n, picked.error)
+    n = picked.n[found]
+    return _traces(n, n, picked.lam[found], picked.amplitude[found],
+                   picked.n, picked.error)
 
 
 def _sphere_traces(config: SweepConfig) -> tuple:
@@ -222,11 +217,8 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     of the rows is one array pass over the selected modes; an order whose
     measured norm is 0 is skipped, with the cause the quantity names."""
     if config.kind == "disk":
-        derivative = quantity == "normal_derivative"
-        # the key holds the rule itself, so None and its default share it
-        resolved = replace(config, optimize=config.optimize or (
-            "normal_derivative" if derivative else "restriction"))
-        n, k, lam, amp, skipped = _disk_traces(resolved, derivative, band)
+        n, k, lam, amp, skipped = _disk_traces(
+            config, quantity == "normal_derivative", band)
         radius = config.radius
     else:
         n, k, lam, amp, skipped = _sphere_traces(config)
@@ -280,7 +272,7 @@ def sharpness_sweep(config: SweepConfig, s: float, band: BandSpec) -> SweepResul
     alpha (s - 1/4).  Orders whose whole window misses the band are skipped.
     """
     if not math.isfinite(s):
-        raise ValueError("s must be finite")
+        raise ValueError(f"s = {s} (--s) must be finite")
     return _sweep(config, "band_power", s=s, band=band)
 
 
@@ -371,13 +363,22 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     draws then run window by window, in window order.
     """
     if windows < 1 or trials < 1:
-        raise ValueError("need at least one window and one trial")
+        raise ValueError("need at least one window (--windows) and one "
+                         "trial (--trials)")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (0.0 < lam_lo <= lam_hi < math.inf):
-        raise ValueError("need 0 < lam_lo <= lam_hi < inf")
+        raise ValueError(f"lam_lo = {lam_lo}, lam_hi = {lam_hi} (--lam-min, "
+                         f"--lam-max) need 0 < lam_lo <= lam_hi < inf")
+    # the last window [lam_hi, lam_hi + 1] enumerates orders up to
+    # floor(lam_hi + 1), and bessel_j is certified up to _MAX_ORDER
+    if math.floor(lam_hi + 1.0) > _MAX_ORDER:
+        raise ValueError(f"lam_hi = {lam_hi} (--lam-max) takes orders up to "
+                         f"{math.floor(lam_hi + 1.0)}, past the certified "
+                         f"orders, at most {_MAX_ORDER}")
     if not (0.0 < radius < 1.0):
-        raise ValueError("radius must lie strictly inside the disk")
+        raise ValueError(f"radius = {radius} (--radius) must lie strictly "
+                         f"inside the disk")
     spec = WeightSpec(s=s, rho=rho)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 

@@ -19,19 +19,20 @@ eigenfrequency inside the window
 
 which pins sigma ~ n^{-alpha} at the restriction circle.  Within the window
 the restricted amplitude of individual modes oscillates through an
-equidistributed phase, so "which zero" matters enormously: the `optimize`
-argument chooses the zero whose trace (or h-scaled normal derivative) is
-near the envelope maximum, realizing the extremal modes whose growth rates
-the scaling experiments measure.  `optimize="first"` takes the smallest
-eigenvalue instead; its measured amplitude inherits the arcsine-distributed
-phase factor and fits of sweeps built from it have essentially no power-law
-signal (r^2 < 0.2 across the acceptance grids).  Candidates are ranked in
-one array pass over every order by the phase factor of their trace, read
-from the continuous zero index m of ``specfun.bessel_zero_index`` at their
-seeds (|J_n| ~ |sin pi m|, |J_n'| ~ |cos pi m|); only the top few of each
-order are solved exactly, all orders in one batched Newton, keeping
-selection cheap at orders ~1e5.  ``select_sphere_modes`` picks the
-azimuthal order of every degree in one array pass.
+equidistributed phase, so "which zero" matters enormously: the selector
+takes the zero whose measured trace (J_n, or J_n' for the h-scaled normal
+derivative) is near the envelope maximum, realizing the extremal modes
+whose growth rates the scaling experiments measure.  The smallest
+eigenvalue of the window would inherit the arcsine-distributed phase
+factor instead, and fits of sweeps built from it have essentially no
+power-law signal (r^2 < 0.2 across the acceptance grids).  Candidates
+are ranked in one array pass over every order by the phase factor of
+their trace, read from the continuous zero index m of
+``specfun.bessel_zero_index`` at their seeds (|J_n| ~ |sin pi m|, |J_n'| ~
+|cos pi m|); only the top few of each order are solved exactly, all orders
+in one batched Newton, keeping selection cheap at orders ~1e5.
+``select_sphere_modes`` picks the azimuthal order of every degree in one
+array pass.
 
 ``modes_in_frequency_windows`` enumerates every mode of every window of a
 quasimode ensemble in the same way: one pass over the candidates of all
@@ -115,55 +116,55 @@ def _normalizations(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
 # Scale-targeted selection
 # ----------------------------------------------------------------------
 
-_OPTIMIZE = ("first", "restriction", "normal_derivative")
-
 # how many model-ranked candidates selection evaluates exactly
 _REFINED = 3
 
 
 class DiskSelection(NamedTuple):
-    """What :func:`select_disk_modes` picked, one entry per order: read lam
-    and normalization where error is None.  The refined_* columns hold the
-    admissible candidates solved exactly, each order's in ranked order."""
+    """What :func:`select_disk_modes` picked, one entry per order: read lam,
+    normalization and amplitude where error is None.  The refined_* columns
+    hold the admissible candidates solved exactly, each order's in ranked
+    order."""
     n: np.ndarray                   # the orders, int64
     lam: np.ndarray
     normalization: np.ndarray
+    amplitude: np.ndarray           # the picked trace c J_n (or c J_n')
     error: tuple                    # None, or why the order has no mode
     candidates: np.ndarray          # seeds in the window
     band_feasible: np.ndarray       # of those, seeds in the band
     refined_k: np.ndarray           # position in n of the candidate's order
     refined_m: np.ndarray           # its radial index
-    refined_quality: np.ndarray     # |trace| (-lam for "first"), exact
+    refined_quality: np.ndarray     # |trace|, exact
 
 
 def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
-                      optimize: str = "first", band=None) -> DiskSelection:
-    """Pick, for every angular order of `orders`, a disk eigenmode whose
-    frequency lies in the `target` window, in a fixed number of array
-    passes over all of them.  The windows are calibrated to `radius` 1/2,
-    where they pin sigma ~ n^{-alpha}.
+                      derivative: bool = False, band=None) -> DiskSelection:
+    """Pick, for every angular order of `orders`, the disk eigenmode of
+    largest trace on the circle of `radius` among those whose frequency lies
+    in the `target` window, in a fixed number of array passes over all of
+    them.  The trace is c J_n(lam radius), or with `derivative` the h-scaled
+    normal derivative c J_n'(lam radius), the quantity the sweep measures: a
+    pick blind to it inherits an arcsine-distributed phase factor.  The
+    windows are calibrated to `radius` 1/2, where they pin sigma ~ n^{-alpha}.
 
     Returns one :class:`DiskSelection`: the picked mode of each order as
-    columns, or the NoModeError that says why the order has none, with the
-    counts and refined candidates behind each pick.  An order that is not
-    an integer, or an unknown `optimize`, raises ValueError.
+    columns, with its trace amplitude, or the NoModeError that says why the
+    order has none, with the counts and refined candidates behind each pick.
+    An order that is not an integer raises ValueError.
 
     Per order, the candidates m are the indices whose seed lies within 0.6
     zero spacings of the window (and, with a `band`, whose seed sigma at
-    `radius` lies in it, with a hair of slack).  `optimize` ranks them:
-    "first" by the seed, smallest first; "restriction" by |sin pi m| and
-    "normal_derivative" by |cos pi m|, the phase factors of |J_n(lam radius)|
-    and |J_n'|, where m is the continuous zero index at lam radius.  The top
-    `_REFINED` of each order are solved exactly, and the one of best exact
-    quality (-lam for "first") whose zero lies in the window and, with h =
-    1/lam, in the band wins, the first-ranked on a tie.  An order whose
-    ranked few all leave the window or the band on refinement has all its
-    other candidates refined.  Each stage is one array call over every
-    order: the candidate ranges, the seeds, the ranking, the Newton (once
-    more for such orders), the qualities, the pick and the normalization.
+    `radius` lies in it, with a hair of slack).  They are ranked by |sin pi
+    m|, or |cos pi m| with `derivative`, the phase factors of |J_n(lam
+    radius)| and |J_n'|, where m is the continuous zero index at lam radius.
+    The top `_REFINED` of each order are solved exactly, and the one of
+    largest exact |trace| whose zero lies in the window and, with h = 1/lam,
+    in the band wins, the first-ranked on a tie.  An order whose ranked few
+    all leave the window or the band on refinement has all its other
+    candidates refined.  Each stage is one array call over every order: the
+    candidate ranges, the seeds, the ranking, the Newton (once more for such
+    orders), the traces, the pick and the normalization.
     """
-    if optimize not in _OPTIMIZE:
-        raise ValueError(f"optimize must be one of {_OPTIMIZE}")
     orders = specfun._integers(orders, "order").ravel()
     # an order below 1 keeps no candidate (its windows are those of n = 1)
     ns = np.maximum(orders, 1)
@@ -187,24 +188,21 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     k, m, lam_seed = k[keep], m[keep], lam_seed[keep]
     feasible = np.bincount(k, minlength=ns.size)
 
-    if optimize == "first":
-        score = -lam_seed   # larger score = smaller eigenvalue
-    else:
-        # above the turning point J_n(x) ~ envelope * cos(n g(x/n) - pi/4)
-        # = envelope * sin(pi m(x)); at or below it that does not apply:
-        # rank below every oscillatory seed, refinement still decides
-        score = np.full(m.size, -1.0)
-        osc = lam_seed * radius > ns[k]
-        pm = math.pi * specfun.bessel_zero_index(ns[k][osc],
-                                                 lam_seed[osc] * radius)
-        score[osc] = np.abs(np.sin(pm) if optimize == "restriction"
-                            else np.cos(pm))
+    # above the turning point J_n(x) ~ envelope * cos(n g(x/n) - pi/4)
+    # = envelope * sin(pi m(x)); at or below it that does not apply: rank
+    # below every oscillatory seed, refinement still decides
+    score = np.full(m.size, -1.0)
+    osc = lam_seed * radius > ns[k]
+    pm = math.pi * specfun.bessel_zero_index(ns[k][osc],
+                                             lam_seed[osc] * radius)
+    score[osc] = np.abs(np.cos(pm) if derivative else np.sin(pm))
     ranked = np.lexsort((-score, k))
     k, m = k[ranked], m[ranked]
     rank = np.arange(m.size) - (np.cumsum(feasible) - feasible)[k]
+    trace = specfun.bessel_j_prime if derivative else specfun.bessel_j
 
     def refine(sel):
-        """(positions, lam, quality) of the admissible zeros among the
+        """(positions, lam, trace) of the admissible zeros among the
         candidates at positions sel."""
         sel = np.flatnonzero(sel)
         lam = specfun.bessel_zero(ns[k[sel]], m[sel])
@@ -214,31 +212,30 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
             ok &= band_indicator(glancing_distance(ns[k[sel]], h, radius), h,
                                  band)
         sel, lam = sel[ok], lam[ok]
-        if optimize == "first":
-            return sel, lam, -lam
-        trace = (specfun.bessel_j if optimize == "restriction"
-                 else specfun.bessel_j_prime)
-        return sel, lam, np.abs(trace(ns[k[sel]], lam * radius))
+        return sel, lam, trace(ns[k[sel]], lam * radius)
 
-    sel, lam, quality = refine(rank < _REFINED)
+    sel, lam, traces = refine(rank < _REFINED)
     # past the ranked few only when they all drifted outside on exact
     # refinement (narrow window, seeds near the edges)
     again = ~np.isin(k, k[sel]) & (rank >= _REFINED)
     if again.any():
         # appended after the first round: each order's candidates still
         # come in ranked order, since these orders had none admitted there
-        sel, lam, quality = (np.concatenate(pair) for pair in
-                             zip((sel, lam, quality), refine(again)))
+        sel, lam, traces = (np.concatenate(pair) for pair in
+                            zip((sel, lam, traces), refine(again)))
+    quality = np.abs(traces)
 
-    # per order the best exact quality; the sort is stable, so on a tie the
+    # per order the largest |trace|; the sort is stable, so on a tie the
     # first-ranked candidate comes first
     best = np.lexsort((-quality, k[sel]))
     picked, first = np.unique(k[sel][best], return_index=True)
     best = best[first]
     norm = _normalizations(ns[picked], lam[best])
 
-    out_lam, out_norm = (np.full(ns.size, math.nan) for _ in range(2))
+    out_lam, out_norm, out_amp = (np.full(ns.size, math.nan)
+                                  for _ in range(3))
     out_lam[picked], out_norm[picked] = lam[best], norm
+    out_amp[picked] = norm * traces[best]
     errors = [None] * ns.size
     for j in np.flatnonzero(~(out_norm > 0.0)).tolist():
         n, lo, hi = int(orders[j]), float(lam_lo[j]), float(lam_hi[j])
@@ -254,9 +251,9 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
             error = f"degenerate normalization at (n={n}, lam={out_lam[j]})"
         errors[j] = NoModeError(error)
     return DiskSelection(
-        n=orders, lam=out_lam, normalization=out_norm, error=tuple(errors),
-        candidates=candidates, band_feasible=feasible, refined_k=k[sel],
-        refined_m=m[sel], refined_quality=quality)
+        n=orders, lam=out_lam, normalization=out_norm, amplitude=out_amp,
+        error=tuple(errors), candidates=candidates, band_feasible=feasible,
+        refined_k=k[sel], refined_m=m[sel], refined_quality=quality)
 
 
 def select_sphere_modes(degrees, target: ScaleTarget):

@@ -51,9 +51,10 @@ class WeightSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.s):
-            raise ValueError("s must be finite")
+            raise ValueError("s (--s) must be finite")
         if not (0.0 <= self.rho < math.inf):
-            raise ValueError("rho must be nonnegative and finite")
+            raise ValueError(f"rho = {self.rho} (--rho) must be nonnegative "
+                             f"and finite")
 
 
 @dataclass(frozen=True)

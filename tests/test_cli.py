@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, config files, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,23 +273,6 @@ def test_manifest_records_no_cutoff(tmp_path, capsys, argv):
             out + "-plot.manifest.json")
 
 
-def test_explicit_optimize_reaches_the_derivative_sweep(tmp_path, capsys):
-    # without --optimize the derivative sweep ranks by |J_n'|; an explicit
-    # "restriction" is honoured and recorded
-    texts = {}
-    for extra in ([], ["--optimize", "restriction"]):
-        out = str(tmp_path / f"dv{len(extra)}")
-        code, _, err = _run(capsys, "sweep-disk", "--alpha", "0.5",
-                            "--derivative", "--s", "0.25", "--n-min", "200",
-                            "--n-max", "2000", "--points", "12", *extra,
-                            "--out", out)
-        assert code == 0, err
-        texts[len(extra)] = Path(out + ".csv").read_text()
-        doc = io.read_manifest(out + ".manifest.json")
-        assert doc["config"]["optimize"] == (extra[1] if extra else None)
-    assert texts[0] != texts[2]
-
-
 def test_derivative_sweep_via_cli(tmp_path, capsys):
     out = str(tmp_path / "dv")
     code, _, _ = _run(capsys, "sweep-disk", "--alpha", "0.5",
@@ -370,9 +354,12 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
 # refused before any work, naming the flag at fault: an offset whose window
 # overflows gave numpy RuntimeWarnings, and so did finite offsets whose zero
 # indices pass int64 (1e150, 1e300); disk orders past the certified 1e6 and
-# windows just past the reach bound 1e12 ran to exit 0; a bad radius or
-# optimize failed inside the sweep, naming no flag; the glancing weight has
-# one cutoff, so --cutoff is refused whatever shape it names
+# windows just past the reach bound 1e12 ran to exit 0; a bad radius failed
+# inside the sweep, naming no flag; the glancing weight has one cutoff, so
+# --cutoff is refused whatever shape it names, and the measured trace picks
+# each disk mode, so --optimize is refused whatever rule it names; the
+# quasimode checks named no flag; a sphere offset above n_max^alpha, which
+# leaves every degree's order window below 0, exited 2 with no usable rows
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
@@ -387,6 +374,15 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
     (["sweep-disk", *_GRID, "--optimize", "largest"], "--optimize"),
     ([*_DISK, "--derivative", "--cutoff", "smoothstep"], "--cutoff"),
     ([*_QUASIMODE, "--cutoff", "exp"], "--cutoff"),
+    ([*_QUASIMODE, "--radius", "1.5"], "--radius"),
+    ([*_QUASIMODE, "--radius", "nan"], "--radius"),
+    (["quasimode", "--lam-min", "300", "--lam-max", "200"], "--lam-max"),
+    ([*_QUASIMODE, "--s", "nan"], "--s"),
+    ([*_QUASIMODE, "--rho", "-1"], "--rho"),
+    ([*_DISK, "--derivative", "--s", "inf"], "--s"),
+    ([*_DISK, "--rho1", "0.3", "--rho2", "0.6", "--s", "nan"], "--s"),
+    (["quasimode", "--windows", "0"], "--windows"),
+    (["sweep-sphere", *_GRID, "--offset-const", "50"], "--offset-const"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")
@@ -397,6 +393,38 @@ def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     assert err.startswith("glancelab: error:") and err.count("\n") == 1
     assert flag in err
     assert not os.path.exists(out + ".csv")
+
+
+def test_window_past_the_certified_orders_is_refused(tmp_path, capsys,
+                                                     monkeypatch):
+    # a window [L, L + 1] takes the orders up to floor(L + 1), and bessel_j
+    # is certified up to 1e6; one window at L = 1e9 was killed (exit 137).
+    # Enumeration raises here, so a refusal that stops working fails at once
+    # instead of allocating memory in proportion to L
+    from glancelab import experiments, modes
+
+    def enumerate_windows(*args):
+        raise AssertionError("enumerated the windows")
+
+    monkeypatch.setattr(modes, "modes_in_frequency_windows",
+                        enumerate_windows)
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, "quasimode", "--lam-min", "1e9", "--lam-max",
+                        "1e9", "--windows", "1", "--trials", "1",
+                        "--out", out)
+    assert code == 1
+    assert err.startswith("glancelab: error:") and err.count("\n") == 1
+    assert "--lam-max" in err
+    assert not os.path.exists(out + ".csv")
+    # the window just under 1e6 takes order 1e6 and is enumerated; the
+    # window at 1e6 takes order 1e6 + 1
+    top = float(experiments._MAX_ORDER)
+    below = math.nextafter(top, 0.0)
+    with pytest.raises(AssertionError, match="enumerated"):
+        experiments.quasimode_boundedness(lam_lo=below, lam_hi=below,
+                                          windows=1)
+    with pytest.raises(ValueError, match="--lam-max"):
+        experiments.quasimode_boundedness(lam_lo=top, lam_hi=top, windows=1)
 
 
 def test_quasimode_negative_seed_is_config_error(tmp_path, capsys):
@@ -419,17 +447,24 @@ def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
     assert doc["config"]["s"] == 0.25 and doc["config"]["rho"] == 0.7
 
 
-# the glancing weight has one cutoff: a cutoff key in a config file is
-# refused whatever shape it names, never ignored
-@pytest.mark.parametrize("section", ["quasimode", "common"])
-def test_cutoff_config_key_is_refused(tmp_path, capsys, section):
+# the glancing weight has one cutoff, and the measured trace picks each disk
+# mode: a cutoff or optimize key in a config file is refused whatever value
+# it names, never ignored
+@pytest.mark.parametrize("section, key, value, argv", [
+    ("quasimode", "cutoff", "exp", _QUASIMODE),
+    ("common", "cutoff", "exp", _QUASIMODE),
+    ("sweep-disk", "optimize", "restriction", _DISK),
+    ("common", "optimize", "restriction", _DISK),
+], ids=["quasimode", "common", "sweep-disk-optimize", "common-optimize"])
+def test_cutoff_config_key_is_refused(tmp_path, capsys, section, key, value,
+                                      argv):
     cfg = tmp_path / "c.ini"
-    cfg.write_text(f"[{section}]\ncutoff = exp\n")
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
     out = str(tmp_path / "x")
-    code, _, err = _run(capsys, *_QUASIMODE, "--config", str(cfg),
-                        "--out", out)
+    code, _, err = _run(capsys, *argv, "--config", str(cfg), "--out", out)
     assert code == 1
-    assert err == "glancelab: error: unknown config keys for quasimode: cutoff\n"
+    assert err == (f"glancelab: error: unknown config keys for {argv[0]}: "
+                   f"{key}\n")
     assert not os.path.exists(out + ".csv")
 
 

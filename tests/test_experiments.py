@@ -145,7 +145,7 @@ def test_sweep_row_matches_direct_selection():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=300, points=1)
     res = ex.amplitude_sweep(cfg)
     row = res.rows[0]
-    got = modes.select_disk_modes([300], cfg.target(), optimize="restriction")
+    got = modes.select_disk_modes([300], cfg.target())
     lam = float(got.lam[0])
     assert row.lam == lam
     assert row.h == pytest.approx(1.0 / lam)
@@ -165,19 +165,32 @@ def test_sphere_config_rejects_a_radius():
 
 
 def test_sphere_config_rejects_an_optimize_rule():
-    # a sphere degree has one candidate: the rule would be ignored
-    with pytest.raises(ValueError, match="optimize"):
+    # the measured trace picks every disk mode: no config, sphere or disk,
+    # takes a rule, and the sphere's refusal names the radius alone
+    for kind in ("sphere", "disk"):
+        with pytest.raises(TypeError, match="optimize"):
+            ex.SweepConfig(kind=kind, alpha=0.5, n_lo=200, n_hi=5000,
+                           points=8, optimize="restriction")
+    with pytest.raises(ValueError) as info:
         ex.SweepConfig(kind="sphere", alpha=0.5, n_lo=200, n_hi=5000,
-                       points=8, optimize="first")
+                       points=8, radius=0.3)
+    assert str(info.value) == ("a sphere sweep restricts to the equator: "
+                               "radius applies to the disk only")
 
 
 @pytest.mark.parametrize("kind", ["disk", "sphere"])
 def test_window_reach_bound(kind):
-    # the reach (offset + 1) n_hi^{1 - alpha} may equal _MAX_REACH, not pass
-    # it: 1e12 - 1 over 1e4^{1/2} = 100 is exact in floats
+    # the disk's reach (offset + 1) n_hi^{1 - alpha} may equal _MAX_REACH,
+    # not pass it: 1e12 - 1 over 1e4^{1/2} = 100 is exact in floats; the
+    # sphere's offset may equal n_hi^alpha = 100, where the order window of
+    # degree n_hi ends at 0, and the bound on the reach never binds
     at = dict(kind=kind, alpha=0.5, n_lo=100, n_hi=10000, points=2)
-    cfg = ex.SweepConfig(**at, offset=ex._MAX_REACH / 100 - 1.0)
-    assert (cfg.offset + 1.0) * cfg.n_hi ** 0.5 == ex._MAX_REACH
+    most = ex._MAX_REACH / 100 - 1.0 if kind == "disk" else 100.0
+    cfg = ex.SweepConfig(**at, offset=most)
+    if kind == "disk":
+        assert (cfg.offset + 1.0) * cfg.n_hi ** 0.5 == ex._MAX_REACH
+    else:
+        assert ex.amplitude_sweep(cfg).rows[-1].n == 10000
     with pytest.raises(ValueError, match="--offset-const"):
         ex.SweepConfig(**at, offset=math.nextafter(cfg.offset, math.inf))
 
@@ -244,8 +257,7 @@ def test_normal_band_names_evanescent_modes():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=100000,
                          points=24, radius=0.48)
     res = ex.normal_band_check(cfg)
-    n, k, lam, _, _ = ex._disk_traces(
-        dataclasses.replace(cfg, optimize="restriction"), False, None)
+    n, k, lam, _, _ = ex._disk_traces(cfg, False, None)
     sigma = dict(zip(n.tolist(),
                      glancing_distance(k, 1.0 / lam, 0.48).tolist()))
     assert len(res.skipped) == 17 and len(res.rows) == 7
@@ -287,34 +299,12 @@ def test_normal_derivative_needs_far_branch():
         ex.normal_derivative_sweep(cfg, s=0.25, rho=0.4)
 
 
-def test_sweeps_honour_an_explicit_optimize():
-    # by default the rule matches the measured trace; a rule that is given
-    # is kept, so a "restriction" derivative sweep ranks by |J_n|
-    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=200, n_hi=2000,
-                         points=12)
-    text = io.sweep_to_csv_text
-
-    def derivative(optimize):
-        return text(ex.normal_derivative_sweep(
-            dataclasses.replace(cfg, optimize=optimize), s=0.25))
-
-    def amplitude(optimize):
-        return text(ex.amplitude_sweep(
-            dataclasses.replace(cfg, optimize=optimize)))
-
-    assert derivative(None) == derivative("normal_derivative")
-    assert derivative("restriction") != derivative(None)
-    assert amplitude(None) == amplitude("restriction")
-    assert amplitude("normal_derivative") != amplitude(None)
-
-
 def test_normal_derivative_uses_derivative_trace():
     from glancelab import modes
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=400, n_hi=400, points=1)
     res = ex.normal_derivative_sweep(cfg, s=0.25)
     row = res.rows[0]
-    got = modes.select_disk_modes([400], cfg.target(),
-                                  optimize="normal_derivative")
+    got = modes.select_disk_modes([400], cfg.target(), derivative=True)
     amp = got.normalization[0] * specfun.bessel_j_prime(400,
                                                         got.lam[0] * 0.5)
     assert row.amplitude == pytest.approx(abs(amp))
@@ -367,27 +357,9 @@ def test_shared_traces_give_the_same_sweeps(fresh_traces, order):
         assert (io.sweep_to_csv_text(res), res.skipped) == got[label], label
 
 
-@pytest.mark.parametrize("sweep, rule", [
-    (ex.amplitude_sweep, "restriction"),
-    (lambda cfg: ex.normal_derivative_sweep(cfg, s=0.25),
-     "normal_derivative")])
-def test_the_default_rule_shares_its_explicit_entry(fresh_traces, sweep,
-                                                     rule):
-    # optimize=None is resolved before the key, so it selects once with
-    # the rule it stands for; each result keeps the config it was given
-    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
-                         points=2)
-    explicit = dataclasses.replace(cfg, optimize=rule)
-    default, given = sweep(cfg), sweep(explicit)
-    info = fresh_traces()
-    assert (info.misses, info.hits) == (1, 1)
-    assert default.config is cfg and given.config is explicit
-    assert io.sweep_to_csv_text(default) == io.sweep_to_csv_text(given)
-
-
 def test_every_key_field_misses(fresh_traces):
     base = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
-                          points=2, optimize="restriction")
+                          points=2)
     first = ex._disk_traces(base, False, None)
     n, k, lam, amp, skipped = first
     # the columns and the skipped pairs account for the two orders
@@ -397,8 +369,7 @@ def test_every_key_field_misses(fresh_traces):
     assert fresh_traces().hits == 1
     keys = [(dataclasses.replace(base, **change), False, None)
             for change in (dict(n_hi=700), dict(points=3), dict(alpha=0.4),
-                           dict(offset=3.0), dict(radius=0.4),
-                           dict(optimize="first"))]
+                           dict(offset=3.0), dict(radius=0.4))]
     keys += [(base, False, BandSpec(0.1, 0.9)), (base, True, None)]
     for k, key in enumerate(keys, start=2):
         ex._disk_traces(*key)
@@ -406,14 +377,13 @@ def test_every_key_field_misses(fresh_traces):
 
 
 def test_errors_are_not_cached(fresh_traces):
-    # a bad radius or optimize is refused when the config is built, so no
-    # sweep, and no cache entry, ever sees it
+    # a bad radius is refused when the config is built, so no sweep, and no
+    # cache entry, ever sees it
     good = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=300,
                           points=1)
     for change, flag in ((dict(radius=1.5), "--radius"),
                          (dict(radius=0.0), "--radius"),
-                         (dict(radius=math.nan), "--radius"),
-                         (dict(optimize="largest"), "--optimize")):
+                         (dict(radius=math.nan), "--radius")):
         with pytest.raises(ValueError, match=flag):
             dataclasses.replace(good, **change)
     info = fresh_traces()
@@ -453,8 +423,7 @@ def test_batched_paths_build_no_disk_mode(fresh_traces):
 
 def test_trace_columns_are_read_only(fresh_traces):
     # the memoized columns are shared by every sweep that reads them
-    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600, points=2,
-                         optimize="restriction")
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600, points=2)
     for column in ex._disk_traces(cfg, False, None)[:4]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1.0

@@ -54,16 +54,14 @@ class TestDiskMode:
 
 class TestRestriction:
     def test_trace_amplitude(self):
-        n, _, lam, amp, _ = ex._disk_traces(
-            _one_order(500, optimize="restriction"), False, None)
+        n, _, lam, amp, _ = ex._disk_traces(_one_order(500), False, None)
         assert amp[0] == pytest.approx(
             modes._normalizations(n, lam)[0] * specfun.bessel_j(
                 int(n[0]), lam[0] * 0.5), rel=1e-13, abs=0.0)
 
     def test_normal_derivative_is_h_scaled(self):
         # h d_r u at r = R equals the stored amplitude times e^{in theta}
-        n, _, lam, amp, _ = ex._disk_traces(
-            _one_order(100, optimize="normal_derivative"), True, None)
+        n, _, lam, amp, _ = ex._disk_traces(_one_order(100), True, None)
         n, lam = int(n[0]), float(lam[0])
         norm = float(modes._normalizations(np.array([n]), np.array([lam]))[0])
         eps = 1e-6
@@ -132,6 +130,20 @@ def _select(n, target, **kw):
     return float(got.lam[0]), float(got.normalization[0])
 
 
+def _first_in_window(n, target):
+    """(lam, normalization) of the smallest eigenvalue of the order n in the
+    target window: the mode a rule blind to the trace would take."""
+    lo, hi = target.disk_window(n)
+    below = math.floor(specfun.bessel_zero_index(n, lo))
+    ms = np.arange(max(1, below - 1), below + 3)
+    zeros = specfun.bessel_zero(n, ms)
+    i = np.flatnonzero(zeros >= lo)[0]
+    # the zero before it, if any, lies below the window
+    assert i > 0 or ms[0] == 1
+    assert zeros[i] <= hi
+    return _mode(n, int(ms[i]))
+
+
 class TestSelection:
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=50, max_value=5000),
@@ -141,7 +153,7 @@ class TestSelection:
         # eigenvalue at all; the selector must then prove the absence
         t = ScaleTarget(alpha=alpha)
         lo, hi = t.disk_window(n)
-        got = modes.select_disk_modes([n], t, optimize="restriction")
+        got = modes.select_disk_modes([n], t)
         if got.error[0] is not None:
             assert isinstance(got.error[0], NoModeError)
             m = max(1, round(specfun.bessel_zero_index(n, lo)))
@@ -154,32 +166,49 @@ class TestSelection:
     def test_restriction_beats_first(self):
         t = ScaleTarget(alpha=0.5)
         for n in (200, 700, 1500):
-            best, c_best = _select(n, t, optimize="restriction")
-            first, c_first = _select(n, t, optimize="first")
+            best, c_best = _select(n, t)
+            first, c_first = _first_in_window(n, t)
             a_best = abs(c_best * specfun.bessel_j(n, best * 0.5))
             a_first = abs(c_first * specfun.bessel_j(n, first * 0.5))
             assert a_best >= a_first - 1e-12
             assert first <= best + 1e-9  # first = smallest lam
-            # and "first" really is the smallest eigenvalue in the window
-            lo, hi = t.disk_window(n)
-            idx_first = specfun.bessel_zero_index(n, first)
-            prev = specfun.bessel_zero(n, max(1, round(idx_first) - 1))
-            assert prev < lo or prev > first - 1e-9
 
     def test_derivative_target(self):
         t = ScaleTarget(alpha=0.5)
-        lam, norm = _select(800, t, optimize="normal_derivative")
+        lam, norm = _select(800, t, derivative=True)
         lo, hi = t.disk_window(800)
         assert lo <= lam <= hi
         d = abs(norm * specfun.bessel_j_prime(800, lam * 0.5))
-        first, c_first = _select(800, t, optimize="first")
+        first, c_first = _first_in_window(800, t)
         d_first = abs(c_first * specfun.bessel_j_prime(800, first * 0.5))
         assert d >= d_first - 1e-12
+
+    # the acceptance grid, and the grid of the cli benchmark's sweep-disk
+    @pytest.mark.parametrize("grid", [(1000, 100000, 24), (200, 2000, 12)])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_amplitude_is_the_picked_trace(self, grid, derivative):
+        # the selector's amplitude is c J_n(lam / 2), or c J_n'(lam / 2),
+        # with the bits of the trace evaluated afresh on the picked modes
+        orders = SweepConfig(kind="disk", alpha=0.5, n_lo=grid[0],
+                             n_hi=grid[1], points=grid[2]).orders()
+        got = modes.select_disk_modes(orders, ScaleTarget(alpha=0.5),
+                                      derivative=derivative)
+        found = np.array([e is None for e in got.error])
+        assert found.all()
+        trace = specfun.bessel_j_prime if derivative else specfun.bessel_j
+        want = got.normalization * trace(got.n, got.lam * 0.5)
+        assert got.amplitude.tobytes() == want.tobytes()
+        assert (np.abs(got.amplitude) == got.normalization * np.abs(
+            trace(got.n, got.lam * 0.5))).all()
+        # and the largest |trace| among each order's refined candidates
+        for j in range(got.n.size):
+            best = got.refined_quality[got.refined_k == j].max()
+            assert got.normalization[j] * best == abs(got.amplitude[j])
 
     def test_band_constraint_respected(self):
         band = BandSpec(rho1=0.3, rho2=0.6)
         t = ScaleTarget(alpha=0.5)
-        lam, _ = _select(20000, t, optimize="restriction", band=band)
+        lam, _ = _select(20000, t, band=band)
         h = 1.0 / lam
         assert h ** 0.6 <= 1.0 - (20000 / (lam * 0.5)) ** 2 <= h ** 0.3
 
@@ -189,41 +218,41 @@ class TestSelection:
         band = BandSpec(rho1=0.3, rho2=0.6)
         t = ScaleTarget(alpha=0.5)
         with pytest.raises(NoModeError):
-            _select(100, t, optimize="restriction", band=band)
+            _select(100, t, band=band)
 
     def test_diagnostics(self):
         t = ScaleTarget(alpha=0.5)
-        got = modes.select_disk_modes([500], t, optimize="restriction")
+        got = modes.select_disk_modes([500], t)
         assert got.candidates[0] >= got.band_feasible[0] \
             >= got.refined_m.size >= 1
         assert (got.refined_k == 0).all()
         assert got.refined_quality.size == got.refined_m.size
 
-    # (n, alpha, optimize, band, picked m, candidates, band_feasible,
+    # (n, alpha, measured trace, band, picked m, candidates, band_feasible,
     # refined m in ranked order), frozen from the selector that seeded and
     # ranked one candidate at a time
-    @pytest.mark.parametrize("n,alpha,optimize,band,m,cands,feasible,refined", [
+    @pytest.mark.parametrize("n,alpha,trace,band,m,cands,feasible,refined", [
         (2588, 0.5, "restriction", (0.3, 0.6), 622, 15, 2, [622, 621]),
         (3000, 0.3, "normal_derivative", None, 1022, 80, 80,
          [1022, 966, 996]),
     ])
-    def test_frozen_picks(self, n, alpha, optimize, band, m, cands, feasible,
+    def test_frozen_picks(self, n, alpha, trace, band, m, cands, feasible,
                           refined):
         got = modes.select_disk_modes(
-            [n], ScaleTarget(alpha=alpha), optimize=optimize,
+            [n], ScaleTarget(alpha=alpha),
+            derivative=trace == "normal_derivative",
             band=BandSpec(*band) if band else None)
         assert got.error == (None,)
         assert got.lam[0] == specfun.bessel_zero(n, m)
         assert (got.candidates[0], got.band_feasible[0]) == (cands, feasible)
         assert got.refined_m.tolist() == refined
 
-    @pytest.mark.parametrize("alpha,optimize,band", [
+    @pytest.mark.parametrize("alpha,trace,band", [
         (0.5, "restriction", (0.3, 0.6)),    # the upper edge h^0.3 binds
         (0.5, "restriction", (0.1, 0.3)),    # the lower edge h^0.3 binds
         (0.3, "normal_derivative", None),
-        (0.5, "first", None),
     ])
-    def test_array_screen_matches_scalar_loop(self, alpha, optimize, band):
+    def test_array_screen_matches_scalar_loop(self, alpha, trace, band):
         # the seed, window, band and phase screens of one order, redone one
         # candidate at a time on the seeds of the order's candidates, as the
         # reference for the array pass: same counts, and the refined m in
@@ -243,17 +272,14 @@ class TestSelection:
                           if (1 / s) ** spec.rho2 * (1 - 1e-6)
                           <= 1 - (n / (0.5 * s)) ** 2
                           <= (1 / s) ** spec.rho1 * (1 + 1e-6)]
-            if optimize == "first":
-                ranked = [m for m, _ in sorted(inside, key=lambda c: c[1])]
-            else:
-                trig = math.cos if optimize == "restriction" else math.sin
-                g = specfun.phase_integral(
-                    np.array([0.5 * s / n for _, s in inside]))
-                phase = dict(zip((m for m, _ in inside), g.tolist()))
-                ranked = sorted((m for m, _ in inside), key=lambda m: -abs(
-                    trig(n * phase[m] - 0.25 * math.pi)))
-            got = modes.select_disk_modes([n], t, optimize=optimize,
-                                          band=spec)
+            trig = math.cos if trace == "restriction" else math.sin
+            g = specfun.phase_integral(
+                np.array([0.5 * s / n for _, s in inside]))
+            phase = dict(zip((m for m, _ in inside), g.tolist()))
+            ranked = sorted((m for m, _ in inside), key=lambda m: -abs(
+                trig(n * phase[m] - 0.25 * math.pi)))
+            got = modes.select_disk_modes(
+                [n], t, derivative=trace == "normal_derivative", band=spec)
             if got.error[0] is not None:
                 assert not inside
                 continue
@@ -265,8 +291,6 @@ class TestSelection:
 
     def test_invalid_inputs(self):
         t = ScaleTarget(alpha=0.5)
-        with pytest.raises(ValueError):
-            modes.select_disk_modes([500], t, optimize="loudest")
         with pytest.raises(NoModeError):
             _select(0, t)
 
@@ -279,7 +303,7 @@ def _norms(n, lam):
             ).tolist()
 
 
-def _select_one_by_one(orders, target, radius=0.5, optimize="first",
+def _select_one_by_one(orders, target, radius=0.5, derivative=False,
                        band=None):
     """The selection of each order as it stood before the orders of a sweep
     were batched: array seeds and ranking of the order's candidates, then
@@ -310,25 +334,19 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
                         & (sigma <= h ** band.rho1 * (1.0 + 1e-6)))
             ms, lam_seed = ms[feasible], lam_seed[feasible]
             diag["band_feasible"] = ms.size
-        if optimize == "first":
-            score = -lam_seed
-        else:
-            score = np.full(ms.size, -1.0)
-            osc = lam_seed * radius > n
-            # the asymptotic phase n g(x/n) - pi/4 of J_n(x), x = lam radius
-            phi = (n * specfun.phase_integral(lam_seed[osc] * radius / n)
-                   - 0.25 * math.pi)
-            score[osc] = np.abs(np.cos(phi) if optimize == "restriction"
-                                else np.sin(phi))
+        score = np.full(ms.size, -1.0)
+        osc = lam_seed * radius > n
+        # the asymptotic phase n g(x/n) - pi/4 of J_n(x), x = lam radius
+        phi = (n * specfun.phase_integral(lam_seed[osc] * radius / n)
+               - 0.25 * math.pi)
+        score[osc] = np.abs(np.sin(phi) if derivative else np.cos(phi))
         ranked_lists.append(ms[np.argsort(-score, kind="stable")].tolist())
 
     n_all = np.repeat(orders, [len(r) for r in ranked_lists])
     lam_all = specfun.bessel_zero(n_all, np.concatenate(
         [np.array(r, dtype=np.int64) for r in ranked_lists]))
-    trace = (specfun.bessel_j if optimize == "restriction"
-             else specfun.bessel_j_prime)
-    quality_all = (-lam_all if optimize == "first"
-                   else np.abs(trace(n_all, lam_all * radius))).tolist()
+    trace = specfun.bessel_j_prime if derivative else specfun.bessel_j
+    quality_all = np.abs(trace(n_all, lam_all * radius)).tolist()
     norm_all = _norms(n_all, lam_all)
     lam_all = lam_all.tolist()
 
@@ -371,16 +389,16 @@ def _select_one_by_one(orders, target, radius=0.5, optimize="first",
 
 
 # the selections of the ten sweeps of criteria 1, 3, 5 and 6 (the benchmark's
-# disk-sweep): s does not enter selection, so the four band sweeps make one
-# selection, and so do the two derivative sweeps
+# disk-sweep), each with the trace it measures: s does not enter selection,
+# so the four band sweeps make one selection, and so do the two derivative
+# sweeps
 _SWEEP_SELECTIONS = [(0.3, "restriction", None), (0.5, "restriction", None),
                      (0.5, "restriction", (0.3, 0.6)),
-                     (0.5, "normal_derivative", None),
-                     (0.5, "first", None), (0.5, "first", (0.3, 0.6))]
+                     (0.5, "normal_derivative", None)]
 # the acceptance grid, and the grid of the cli benchmark's sweep-disk
 _GRIDS = [(1000, 100000, 24), (200, 2000, 12)]
 
-def _compare_with_one_by_one(alpha, optimize, band, grid):
+def _compare_with_one_by_one(alpha, trace, band, grid):
     """Assert that select_disk_modes picks as the reference does on every
     order of the grid; return how often the reference refined past the
     ranked few."""
@@ -388,13 +406,15 @@ def _compare_with_one_by_one(alpha, optimize, band, grid):
     spec = BandSpec(*band) if band else None
     orders = SweepConfig(kind="disk", alpha=alpha, n_lo=grid[0],
                          n_hi=grid[1], points=grid[2]).orders()
-    got = modes.select_disk_modes(orders, target, optimize=optimize,
+    derivative = trace == "normal_derivative"
+    got = modes.select_disk_modes(orders, target, derivative=derivative,
                                   band=spec)
     assert got.n.tolist() == orders
     assert len(got.error) == len(orders)
     seconds = 0
     for j, (n, (want, candidates, feasible, scores, second)) in enumerate(
-            zip(orders, _select_one_by_one(orders, target, optimize=optimize,
+            zip(orders, _select_one_by_one(orders, target,
+                                           derivative=derivative,
                                            band=spec))):
         if isinstance(want, NoModeError):
             assert isinstance(got.error[j], NoModeError), n
@@ -414,9 +434,9 @@ def _compare_with_one_by_one(alpha, optimize, band, grid):
 
 class TestBatchedSelection:
     @pytest.mark.parametrize("grid", _GRIDS)
-    @pytest.mark.parametrize("alpha,optimize,band", _SWEEP_SELECTIONS)
-    def test_matches_one_by_one(self, alpha, optimize, band, grid):
-        _compare_with_one_by_one(alpha, optimize, band, grid)
+    @pytest.mark.parametrize("alpha,trace,band", _SWEEP_SELECTIONS)
+    def test_matches_one_by_one(self, alpha, trace, band, grid):
+        _compare_with_one_by_one(alpha, trace, band, grid)
 
     def test_second_round_matches_one_by_one(self, monkeypatch):
         # with one candidate refined first, the second round, which refines
@@ -429,19 +449,20 @@ class TestBatchedSelection:
 
     def test_orders_below_one_and_bad_optimize(self):
         t = ScaleTarget(alpha=0.5)
-        got = modes.select_disk_modes([0, 500], t, optimize="restriction")
+        got = modes.select_disk_modes([0, 500], t)
         assert isinstance(got.error[0], NoModeError)
         assert str(got.error[0]) == "selection needs angular order n >= 1"
         assert got.error[1] is None
         assert (got.candidates[0], got.band_feasible[0]) == (0, 0)
         assert set(got.refined_k.tolist()) == {1}
         # the same bits as the one-order call
-        assert (got.lam[1], got.normalization[1]) == \
-            _select(500, t, optimize="restriction")
+        assert (got.lam[1], got.normalization[1]) == _select(500, t)
+        assert np.isnan(got.amplitude[0])
         empty = modes.select_disk_modes([], t)
         assert empty.n.size == empty.refined_m.size == 0
         assert empty.error == ()
-        with pytest.raises(ValueError):
+        # the rule is the measured trace, never an argument of its own
+        with pytest.raises(TypeError):
             modes.select_disk_modes([500], t, optimize="loudest")
 
 

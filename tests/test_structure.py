@@ -7,7 +7,8 @@ module imports must be read in it.  ``specfun`` holds no matrix product,
 whose rounding would make an element depend on its batch, the two Airy
 methods are reached through the one Airy dispatch alone, the three Bessel
 methods and their region test through the one Bessel dispatch alone, and the
-one Newton iteration by the two roots it solves alone.
+one Newton iteration by the two roots it solves alone.  Every flag of a CLI
+subcommand is read by the body that runs it.
 """
 
 import ast
@@ -123,3 +124,30 @@ def test_specfun_has_no_matrix_product():
         elif isinstance(node, ast.Attribute) and node.attr == "linalg":
             found.append(ast.unparse(node))
     assert not found, f"matrix products in specfun: {found}"
+
+
+def _string_keys(function: ast.FunctionDef):
+    """The string keys a function reads: ``d["key"]`` and ``d.get("key")``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "attr", None) == "get"):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            yield key.value
+
+
+def test_every_flag_reaches_its_runner():
+    # a flag that its runner never reads would be parsed, recorded in the
+    # manifest and silently ignored
+    from glancelab import cli
+    bodies = {node.name: node
+              for node in ast.parse((SRC / "cli.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    unread = [f"{name} {flag}" for name, options in cli._OPTIONS.items()
+              for dest, flag, *_ in options if dest not in set(
+                  _string_keys(bodies[cli._RUNNERS[name].__name__]))]
+    assert not unread, f"flags that no runner reads: {unread}"
