@@ -295,9 +295,7 @@ def _run_fit(name: str, vals: dict) -> int:
     table = _read_columns(vals["infile"], (vals["x"], vals["y"]))
     fit = fit_exponent(table[vals["x"]], table[vals["y"]],
                        drop_low=vals["drop_low"])
-    # vars, not dataclasses.asdict: importing dataclasses loads inspect,
-    # which would slow every command's start-up
-    print(json.dumps(vars(fit), sort_keys=True))
+    print(json.dumps(fit._asdict(), sort_keys=True))
     return _EXIT_OK
 
 

@@ -22,11 +22,11 @@ band-constrained sweeps at small order.
 
 Modes and traces travel as columns, one entry per order, from the selector
 to the rows: each measured quantity is one array pass over them, and the
-rows are built once, at the end.  Rows, quasimode weights and the
-selector's band test all read sigma from ``weights.glancing_distance``.
-The selected disk modes and their traces are memoized per process (see
-`_disk_traces`), so sweeps that change only the measured quantity share
-one selection.
+rows, named tuples, are built once, at the end.  Rows, quasimode weights
+and the selector's band test all read sigma from ``glancing_distance``.
+The selected disk modes and the columns derived from them (h, sigma, xi_d,
+|amplitude|, the trace norm) are memoized per process (see `_disk_traces`),
+so a sweep that changes only the measured quantity computes only that.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +97,9 @@ class SweepConfig:
                              f"strictly inside the disk")
         if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
             raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
+        if self.points == 1 and self.n_lo != self.n_hi:
+            raise ValueError(f"points = 1 (--points) sweeps n_lo alone: it "
+                             f"needs n_hi = n_lo = {self.n_lo}")
         if self.n_hi > _MAX_ORDER:
             raise ValueError(f"n_hi = {self.n_hi} (--n-max) is past the "
                              f"certified orders, at most {_MAX_ORDER}")
@@ -117,15 +121,13 @@ class SweepConfig:
 
     def orders(self) -> list[int]:
         grid = np.geomspace(self.n_lo, self.n_hi, self.points)
-        out = sorted({int(round(g)) for g in grid})
-        return out
+        return sorted({int(round(g)) for g in grid})
 
     def target(self) -> ScaleTarget:
         return ScaleTarget(alpha=self.alpha, offset=self.offset)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One order of a sweep; mirrors the CSV schema."""
     n: int
     lam: float
@@ -162,31 +164,35 @@ _TRACE_CACHE = 16
 @functools.lru_cache(maxsize=_TRACE_CACHE)
 def _disk_traces(config: SweepConfig, derivative: bool,
                  band: BandSpec | None) -> tuple:
-    """The traces of the modes that `config` selects, as :func:`_traces`
-    returns them, from one selector call: each order's mode is the one of
-    largest trace, and its amplitude the selector's.  The trace is
-    c J_n'(lam r) when `derivative` is true, else c J_n(lam r), which the
-    amplitude, band and sqrt(xi_d) quantities all read.
+    """The modes that `config` selects and their derived columns, as
+    :func:`_traces` returns them, from one selector call: each order's mode
+    is the one of largest trace, and its amplitude the selector's.  The
+    trace is c J_n'(lam r) when `derivative` is true, else c J_n(lam r).
+    The band refusal of :func:`sharpness_sweep` is made here.
 
     Memoized per process on (config, derivative, band), the last
     _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
-    quantity share one selection: the powers s of criteria 3 and 6, and
-    criterion 5's sqrt(xi_d) reweighting of criterion 1's modes.  The
-    columns are read-only and the skipped pairs a tuple.  Module constants
-    such as `modes._REFINED` are not in the key: code that patches one must
-    call `_disk_traces.cache_clear()`.
+    quantity share one selection and its columns: the powers s of criteria
+    3 and 6, and criterion 5's sqrt(xi_d) reweighting of criterion 1's
+    modes.  The columns are read-only and the skipped pairs a tuple.
+    Module constants such as `modes._REFINED` are not in the key: code that
+    patches one must call `_disk_traces.cache_clear()`.
     """
     picked = modes_mod.select_disk_modes(
         config.orders(), config.target(), radius=config.radius,
         derivative=derivative, band=band)
+    if (band is not None and not band.rho1 < config.alpha < band.rho2
+            and picked.candidates.any() and not picked.band_feasible.any()):
+        raise ValueError(f"band (--rho1 {band.rho1}, --rho2 {band.rho2}) "
+                         f"misses every window and alpha = {config.alpha}")
     found = np.array([error is None for error in picked.error], dtype=bool)
     n = picked.n[found]
     return _traces(n, n, picked.lam[found], picked.amplitude[found],
-                   picked.n, picked.error)
+                   picked.n, picked.error, config.radius)
 
 
 def _sphere_traces(config: SweepConfig) -> tuple:
-    """The equator traces of the harmonics that `config` selects, as
+    """The equator traces (radius 1) of the harmonics `config` selects, as
     :func:`_traces` returns them: one selector call, then one
     :func:`specfun.legendre_equator` call per degree."""
     degrees = np.array(config.orders(), dtype=np.int64)
@@ -195,38 +201,35 @@ def _sphere_traces(config: SweepConfig) -> tuple:
     l, m = degrees[found], m[found]
     amp = np.array([specfun.legendre_equator(a, b)
                     for a, b in zip(l.tolist(), m.tolist())], dtype=float)
-    return _traces(l, m, np.sqrt(l * (l + 1.0)), amp, degrees, errors)
+    return _traces(l, m, np.sqrt(l * (l + 1.0)), amp, degrees, errors, 1.0)
 
 
-def _traces(n, k, lam, amp, orders, errors) -> tuple:
-    """(n, k, lam, amp, skipped): read-only columns of the selected modes,
-    one entry per order that has one (its order n, the angular wavenumber k
-    of its trace, its frequency and its trace amplitude), and the
-    (order, reason) pairs of the other orders, in order."""
-    for column in (n, k, lam, amp):
+def _traces(n, k, lam, amp, orders, errors, radius) -> tuple:
+    """(n, lam, h, sigma, xi_d, |amp|, norm, skipped): read-only columns,
+    one entry per order that has a mode (with h = 1/lam, sigma of the
+    trace's wavenumber k on the circle of `radius`, xi_d = sqrt(max(sigma,
+    0)) and the trace's norm there), and the (order, reason) pairs of the
+    other orders, in order."""
+    h = 1.0 / lam
+    sigma = glancing_distance(k, h, radius)
+    columns = (n, lam, h, sigma, np.sqrt(np.maximum(sigma, 0.0)),
+               np.abs(amp), trace_norm(amp[:, None], radius))
+    for column in columns:
         column.flags.writeable = False
     skipped = tuple((order, str(error)) for order, error
                     in zip(orders.tolist(), errors) if error is not None)
-    return n, k, lam, amp, skipped
+    return columns + (skipped,)
 
 
 def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            band: BandSpec | None = None,
            weight: WeightSpec | None = None) -> SweepResult:
-    """Shared sweep driver; `quantity` picks the measured norm.  Each column
-    of the rows is one array pass over the selected modes; an order whose
-    measured norm is 0 is skipped, with the cause the quantity names."""
-    if config.kind == "disk":
-        n, k, lam, amp, skipped = _disk_traces(
-            config, quantity == "normal_derivative", band)
-        radius = config.radius
-    else:
-        n, k, lam, amp, skipped = _sphere_traces(config)
-        radius = 1.0
-    h = 1.0 / lam
-    sigma = glancing_distance(k, h, radius)
-    xi_d = np.sqrt(np.maximum(sigma, 0.0))
-    norm = trace_norm(amp[:, None], radius)
+    """Shared sweep driver; `quantity` picks the measured norm, one array
+    pass over the selection's columns; an order whose measured norm is 0 is
+    skipped, with the cause the quantity names."""
+    traces = (_disk_traces(config, quantity == "normal_derivative", band)
+              if config.kind == "disk" else _sphere_traces(config))
+    n, lam, h, sigma, xi_d, amp, norm, skipped = traces
     vanishes = "the trace vanishes on the circle"
     if quantity == "amplitude":
         weighted, why = norm, vanishes
@@ -247,7 +250,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
                                      for order in n[~keep].tolist()))
     rho1 = band.rho1 if band is not None else (weight.rho if weight else 0.0)
     rho2 = band.rho2 if band is not None else 0.0
-    columns = (n, lam, h, sigma, xi_d, np.abs(amp), weighted)
+    columns = (n, lam, h, sigma, xi_d, amp, weighted)
     rows = [SweepRow(*row, s, config.alpha, rho1, rho2)
             for row in zip(*(column[keep].tolist() for column in columns))]
     if not rows:
@@ -270,6 +273,8 @@ def sharpness_sweep(config: SweepConfig, s: float, band: BandSpec) -> SweepResul
     h^{rho2} is the band's own near edge), so the measured quantity is
     sigma^s ||u|_H|| over band-feasible modes; expected exponent in h is
     alpha (s - 1/4).  Orders whose whole window misses the band are skipped.
+    A band that misses every window and excludes the scale n^{-alpha}
+    (alpha outside (rho1, rho2)), which no larger order reaches, is refused.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} (--s) must be finite")
@@ -301,8 +306,7 @@ def normal_derivative_sweep(config: SweepConfig, s: float,
 # Random quasimodes on unit frequency windows
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuasimodeRow:
+class QuasimodeRow(NamedTuple):
     lam: float          # window left edge Lambda
     dim: int            # number of coefficient slots (multiplicity 2 for n >= 1)
     weyl_estimate: float
@@ -325,8 +329,8 @@ class QuasimodeResult:
 
     @property
     def spread(self) -> float:
-        vals = [r.max_norm for r in self.rows]
-        return max(vals) / min(vals)
+        return (max(r.max_norm for r in self.rows)
+                / min(r.max_norm for r in self.rows))
 
 
 def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
@@ -410,8 +414,7 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
                     f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
                     f"two-term Weyl predicts {weyl:.1f}; enumeration is "
                     f"broken")
-            best = 0.0
-            total = 0.0
+            best = total = 0.0
             for t in range(trials):
                 rng = np.random.default_rng([seed, wi, t])
                 c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

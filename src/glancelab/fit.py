@@ -9,7 +9,7 @@ without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import NumericalFailure
 
@@ -18,8 +18,7 @@ class FitError(NumericalFailure):
     """The sweep data does not support a power-law fit."""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Least-squares power-law fit log y = slope * log x + intercept."""
     slope: float
     intercept: float

@@ -123,6 +123,20 @@ def test_infeasible_band_is_numerical_error(tmp_path, capsys):
     assert code == 2 and "no usable rows" in err
 
 
+def test_band_beyond_every_window_is_config_error(tmp_path, capsys):
+    # the band h^0.95 ... h^0.9 lies far below every window's sigma ~ 4
+    # n^{-1/2}, and it excludes alpha, so no larger order would reach it:
+    # the input is at fault (this exited 2, "no usable rows").  The band
+    # 0.3 ... 0.6 above holds alpha, and stays a numerical failure
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, "sweep-disk", *_GRID, "--rho1", "0.9",
+                        "--rho2", "0.95", "--s", "0.5", "--out", out)
+    assert code == 1
+    assert err.startswith("glancelab: error:") and err.count("\n") == 1
+    assert "--rho1" in err and "--rho2" in err
+    assert not os.path.exists(out + ".csv")
+
+
 def test_fit_prints_json(tmp_path, capsys):
     out = str(tmp_path / "run")
     _run(capsys, "sweep-disk", "--alpha", "0.5", "--n-min", "100",
@@ -359,7 +373,8 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
 # --cutoff is refused whatever shape it names, and the measured trace picks
 # each disk mode, so --optimize is refused whatever rule it names; the
 # quasimode checks named no flag; a sphere offset above n_max^alpha, which
-# leaves every degree's order window below 0, exited 2 with no usable rows
+# leaves every degree's order window below 0, exited 2 with no usable rows;
+# one point between two orders swept n_min alone, ignoring --n-max
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
@@ -383,6 +398,8 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
     ([*_DISK, "--rho1", "0.3", "--rho2", "0.6", "--s", "nan"], "--s"),
     (["quasimode", "--windows", "0"], "--windows"),
     (["sweep-sphere", *_GRID, "--offset-const", "50"], "--offset-const"),
+    (["sweep-disk", *_GRID[:-1], "1"], "--points"),
+    (["sweep-sphere", *_GRID[:-1], "1"], "--points"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")
@@ -635,40 +652,48 @@ DEMO_CSV = str(Path(__file__).resolve().parent.parent / "demos"
 
 # hashlib loads OpenSSL; configparser serves --config alone
 _DEFERRED = ("hashlib", "_hashlib", "configparser")
-# and the bare import loads no dataclasses, which imports inspect (with ast,
-# dis and tokenize): each command loads it through its own modules
-_DEFERRED_AT_IMPORT = _DEFERRED + ("dataclasses", "inspect")
+# dataclasses imports inspect (with ast, dis and tokenize): the bare import,
+# fit and plot load neither, the numeric commands load it through their own
+# modules
+_INSPECT = ("dataclasses", "inspect")
 
-# each entry point sets `code`, the exit status it would give
+# each entry point sets `code`, the exit status it would give, and loads
+# none of the modules it names; `out` is a file prefix in a fresh directory
 _ENTRY_POINTS = {
-    "import-cli": "import glancelab.cli; code = 0",
-    "fit": "import glancelab.cli; code = glancelab.cli.main("
-           f"['fit', '--in', {DEMO_CSV!r}, '--x', 'n', '--y', 'amplitude'])",
-    "selftest": "import glancelab.cli; "
-                "code = glancelab.cli.main(['selftest'])",
-    "api-sweep":
+    "import-cli": ("import glancelab.cli; code = 0", _DEFERRED + _INSPECT),
+    "fit": ("import glancelab.cli; code = glancelab.cli.main(['fit', "
+            f"'--in', {DEMO_CSV!r}, '--x', 'n', '--y', 'amplitude'])",
+            _DEFERRED + _INSPECT),
+    # plot hashes its input into its manifest
+    "plot": ("import glancelab.cli; code = glancelab.cli.main(['plot', "
+             f"'--in', {DEMO_CSV!r}, '--x', 'n', '--y', 'amplitude', "
+             "'--out', out])", ("configparser",) + _INSPECT),
+    "selftest": ("import glancelab.cli; "
+                 "code = glancelab.cli.main(['selftest'])", _DEFERRED),
+    "api-sweep": (
         "from glancelab import experiments, io; "
         "result = experiments.amplitude_sweep(experiments.SweepConfig("
         "kind='disk', alpha=0.5, n_lo=1000, n_hi=4000, points=3)); "
-        "io.sweep_to_csv_text(result); code = 0",
+        "io.sweep_to_csv_text(result); code = 0", _DEFERRED),
 }
 
 
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
-def test_entry_point_loads_no_hashlib_or_configparser(entry):
-    deferred = _DEFERRED_AT_IMPORT if entry == "import-cli" else _DEFERRED
+def test_entry_point_loads_no_hashlib_or_configparser(entry, tmp_path):
+    code, deferred = _ENTRY_POINTS[entry]
+    out = f"out = {str(tmp_path / 'out')!r}\n"
     # a module a site-packages hook loaded before the entry point ran is
     # not the entry point's: only the difference counts
-    proc = _run_fresh("import sys; before = set(sys.modules)\n"
-                      + _ENTRY_POINTS[entry] + "\n"
+    proc = _run_fresh(out + "import sys; before = set(sys.modules)\n"
+                      + code + "\n"
                       "print(code, sorted((set(sys.modules) - before) "
                       f"& set({deferred!r})))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     # and it runs with each of them impossible to import
-    proc = _run_fresh("import sys\n"
+    proc = _run_fresh(out + "import sys\n"
                       f"for name in {deferred!r}: sys.modules[name] = None\n"
-                      + _ENTRY_POINTS[entry] + "\nsys.exit(code)")
+                      + code + "\nsys.exit(code)")
     assert proc.returncode == 0, proc.stderr
 
 

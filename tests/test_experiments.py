@@ -247,6 +247,10 @@ def test_band_selection_passes_the_sweeps_band_test(radius, band):
         res = ex.sharpness_sweep(cfg, s=0.1, band=BandSpec(*band))
     except ex.FitError:
         return      # no order has a band-feasible mode
+    except ValueError as exc:
+        # nor has one, and the band excludes the scale n^-alpha
+        assert "--rho1" in str(exc) and not band[0] < 0.5 < band[1]
+        return
     assert not [reason for _, reason in res.skipped
                 if "outside the band" in reason]
 
@@ -257,9 +261,9 @@ def test_normal_band_names_evanescent_modes():
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=100000,
                          points=24, radius=0.48)
     res = ex.normal_band_check(cfg)
-    n, k, lam, _, _ = ex._disk_traces(cfg, False, None)
+    n, lam, *_ = ex._disk_traces(cfg, False, None)
     sigma = dict(zip(n.tolist(),
-                     glancing_distance(k, 1.0 / lam, 0.48).tolist()))
+                     glancing_distance(n, 1.0 / lam, 0.48).tolist()))
     assert len(res.skipped) == 17 and len(res.rows) == 7
     for order, reason in res.skipped:
         assert reason == ("selected mode is evanescent at the circle "
@@ -361,10 +365,11 @@ def test_every_key_field_misses(fresh_traces):
     base = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600,
                           points=2)
     first = ex._disk_traces(base, False, None)
-    n, k, lam, amp, skipped = first
+    *columns, skipped = first
     # the columns and the skipped pairs account for the two orders
-    assert n.size + len(skipped) == 2
-    assert k.size == lam.size == amp.size == n.size
+    assert len(columns) == 7
+    assert columns[0].size + len(skipped) == 2
+    assert {column.size for column in columns} == {columns[0].size}
     assert ex._disk_traces(base, False, None) is first
     assert fresh_traces().hits == 1
     keys = [(dataclasses.replace(base, **change), False, None)
@@ -398,13 +403,40 @@ def test_mutating_a_result_leaves_later_sweeps_alone(fresh_traces):
     text, skipped = io.sweep_to_csv_text(first), list(first.skipped)
     assert first.rows and skipped
     first.rows.pop()
-    first.rows[0] = dataclasses.replace(first.rows[0], lam=1.0)
+    first.rows[0] = first.rows[0]._replace(lam=1.0)
     first.skipped.clear()
     first.skipped.append((1, "changed"))
     second = ex.sharpness_sweep(cfg, s=0.0, band=band)
     assert fresh_traces().hits == 1
     assert io.sweep_to_csv_text(second) == text
     assert second.skipped == skipped
+
+
+@pytest.mark.parametrize("first, second", [
+    (lambda cfg: ex.sharpness_sweep(cfg, s=0.0, band=BandSpec(0.3, 0.6)),
+     lambda cfg: ex.sharpness_sweep(cfg, s=0.25, band=BandSpec(0.3, 0.6))),
+    (lambda cfg: ex.normal_derivative_sweep(cfg, s=0.25),
+     lambda cfg: ex.normal_derivative_sweep(cfg, s=0.4)),
+    (ex.amplitude_sweep, ex.normal_band_check),
+], ids=["band", "derivative", "normal-band"])
+def test_a_reused_selection_does_only_its_quantitys_work(
+        fresh_traces, monkeypatch, first, second):
+    # the memo holds the selection's derived columns: a sweep that reuses
+    # it selects nothing and recomputes neither sigma nor the trace norm
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=20000,
+                         points=6)
+    expect = io.sweep_to_csv_text(second(cfg))
+    ex._disk_traces.cache_clear()
+    first(cfg)
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a reused selection recomputed a column")
+
+    monkeypatch.setattr(ex, "glancing_distance", recompute)
+    monkeypatch.setattr(ex, "trace_norm", recompute)
+    monkeypatch.setattr(ex.modes_mod, "select_disk_modes", recompute)
+    assert io.sweep_to_csv_text(second(cfg)) == expect
+    assert (fresh_traces().misses, fresh_traces().hits) == (1, 1)
 
 
 def test_batched_paths_build_no_disk_mode(fresh_traces):
@@ -424,7 +456,7 @@ def test_batched_paths_build_no_disk_mode(fresh_traces):
 def test_trace_columns_are_read_only(fresh_traces):
     # the memoized columns are shared by every sweep that reads them
     cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=300, n_hi=600, points=2)
-    for column in ex._disk_traces(cfg, False, None)[:4]:
+    for column in ex._disk_traces(cfg, False, None)[:-1]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1.0
 

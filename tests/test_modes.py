@@ -53,15 +53,27 @@ class TestDiskMode:
 
 
 class TestRestriction:
+    @staticmethod
+    def _signed(config, derivative):
+        """The selector's signed trace amplitudes of `config`'s orders; the
+        sweeps keep their magnitudes, as the memo's amplitude column."""
+        amp = ex._disk_traces(config, derivative, None)[5]
+        signed = modes.select_disk_modes(config.orders(), config.target(),
+                                         derivative=derivative).amplitude
+        assert amp.tolist() == np.abs(signed).tolist()
+        return signed
+
     def test_trace_amplitude(self):
-        n, _, lam, amp, _ = ex._disk_traces(_one_order(500), False, None)
+        n, lam, *_ = ex._disk_traces(_one_order(500), False, None)
+        amp = self._signed(_one_order(500), False)
         assert amp[0] == pytest.approx(
             modes._normalizations(n, lam)[0] * specfun.bessel_j(
                 int(n[0]), lam[0] * 0.5), rel=1e-13, abs=0.0)
 
     def test_normal_derivative_is_h_scaled(self):
-        # h d_r u at r = R equals the stored amplitude times e^{in theta}
-        n, _, lam, amp, _ = ex._disk_traces(_one_order(100), True, None)
+        # h d_r u at r = R equals the picked amplitude times e^{in theta}
+        n, lam, *_ = ex._disk_traces(_one_order(100), True, None)
+        amp = self._signed(_one_order(100), True)
         n, lam = int(n[0]), float(lam[0])
         norm = float(modes._normalizations(np.array([n]), np.array([lam]))[0])
         eps = 1e-6
@@ -79,9 +91,10 @@ class TestRestriction:
     def test_sphere_trace(self):
         cfg = SweepConfig(kind="sphere", alpha=0.5, n_lo=300, n_hi=300,
                           points=1)
-        l, m, _, amp, _ = ex._sphere_traces(cfg)
+        l, *_, amp, _, _ = ex._sphere_traces(cfg)
+        m, _ = modes.select_sphere_modes(l, cfg.target())
         assert amp[0] == pytest.approx(
-            specfun.legendre_equator(int(l[0]), int(m[0])), rel=1e-14,
+            abs(specfun.legendre_equator(int(l[0]), int(m[0]))), rel=1e-14,
             abs=0.0)
 
     def test_sphere_odd_parity_trace_vanishes(self):
