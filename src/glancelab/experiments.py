@@ -168,7 +168,9 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     :func:`_traces` returns them, from one selector call: each order's mode
     is the one of largest trace, and its amplitude the selector's.  The
     trace is c J_n'(lam r) when `derivative` is true, else c J_n(lam r).
-    The band refusal of :func:`sharpness_sweep` is made here.
+    The band refusal of :func:`sharpness_sweep` is made here: when the grid
+    has candidates but none in the band, the order _MAX_ORDER is selected
+    too, and the band is refused if that one misses it as well.
 
     Memoized per process on (config, derivative, band), the last
     _TRACE_CACHE = 16 keys kept, since sweeps that change only the measured
@@ -178,13 +180,21 @@ def _disk_traces(config: SweepConfig, derivative: bool,
     Module constants such as `modes._REFINED` are not in the key: code that
     patches one must call `_disk_traces.cache_clear()`.
     """
-    picked = modes_mod.select_disk_modes(
-        config.orders(), config.target(), radius=config.radius,
-        derivative=derivative, band=band)
-    if (band is not None and not band.rho1 < config.alpha < band.rho2
-            and picked.candidates.any() and not picked.band_feasible.any()):
+    def select(orders):
+        return modes_mod.select_disk_modes(
+            orders, config.target(), radius=config.radius,
+            derivative=derivative, band=band)
+
+    picked = select(config.orders())
+    # sigma need not shrink with the order off radius 1/2, so only the
+    # largest certified order can say that no order reaches the band
+    if (band is not None and picked.candidates.any()
+            and not picked.band_feasible.any()
+            and not select([_MAX_ORDER]).band_feasible.any()):
         raise ValueError(f"band (--rho1 {band.rho1}, --rho2 {band.rho2}) "
-                         f"misses every window and alpha = {config.alpha}")
+                         f"misses the windows of the grid and of order "
+                         f"{_MAX_ORDER} on the circle of --radius "
+                         f"{config.radius}")
     found = np.array([error is None for error in picked.error], dtype=bool)
     n = picked.n[found]
     return _traces(n, n, picked.lam[found], picked.amplitude[found],
@@ -273,8 +283,10 @@ def sharpness_sweep(config: SweepConfig, s: float, band: BandSpec) -> SweepResul
     h^{rho2} is the band's own near edge), so the measured quantity is
     sigma^s ||u|_H|| over band-feasible modes; expected exponent in h is
     alpha (s - 1/4).  Orders whose whole window misses the band are skipped.
-    A band that misses every window and excludes the scale n^{-alpha}
-    (alpha outside (rho1, rho2)), which no larger order reaches, is refused.
+    A band that misses every window of the grid and the window of the
+    largest certified order, _MAX_ORDER, is refused: off radius 1/2 sigma
+    tends to 1 - 1/(4 R^2) rather than to 0, so whether larger orders reach
+    the band does not follow from alpha alone.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} (--s) must be finite")

@@ -4,9 +4,16 @@ Every routine here recomputes a quantity that :mod:`glancelab.specfun` (or the
 experiment layer) produces by a *different* method, so agreement is evidence
 rather than tautology:
 
-- :func:`bessel_series`     Bessel J by Miller's backward recurrence with the
-                            even-order normalization sum (DLMF 10.12.4/10.74.6),
-                            no asymptotics anywhere.
+- :func:`bessel_series`     Bessel J at integer order by the trapezoidal rule
+                            on Bessel's integral (DLMF 10.9.2), exponentially
+                            convergent for the periodic integrand: about
+                            (n + x)/2 nodes plus an aliasing margin
+                            30 + 8 max(n, x)^{1/3} that holds the aliased
+                            terms below 1e-26.  Accurate to about 1e-15 in
+                            absolute terms, not relatively; that suffices,
+                            since every check that uses it compares on a
+                            scale of at least n^{-1/3}, or absolutely.  No
+                            series, recurrence or asymptotics.
 - :func:`legendre_recurrence`
                             fully normalized equator values of associated
                             Legendre functions by three-term upward recurrence
@@ -22,15 +29,16 @@ rather than tautology:
 - :func:`airy_ode_check`    Ai on the real line by integrating y'' = x y from
                             origin values, against the series/asymptotic code.
 - :func:`weyl_count`        Dirichlet eigenvalue counts of the unit disk by
-                            phase counting, with the sign of Miller's J_n
-                            at the edge, no zero-finding involved.
+                            phase counting, with the sign of the quadrature
+                            J_n at the edge, no zero-finding involved.
 
 :func:`run_all` executes the whole battery and returns an
 :class:`OracleReport`; the command line exposes it as ``glancelab selftest``.
 
 These paths are simple and share no code with the fast ones.  They may be
-made faster with the same arithmetic (as :func:`_miller_pass` is), but never
-by calling into :mod:`glancelab.specfun`: their value is independence.
+made faster with the same arithmetic (as :func:`bessel_series` is, by tables
+and array passes), but never by calling into :mod:`glancelab.specfun`: their
+value is independence.
 """
 
 from __future__ import annotations
@@ -47,117 +55,112 @@ class OracleError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Bessel J by Miller's algorithm
+# Bessel J by the trapezoidal rule on Bessel's integral
 # ----------------------------------------------------------------------
 
-# coefficients 2k/x are formed this many steps at a time (64 KB of longdouble)
-_MILLER_BLOCK = 4096
+# each element's nodes are summed in runs of at most this many, and a batch
+# holds at most twice this many nodes (128 KB per longdouble array)
+_CHUNK = 1 << 12
+_PI = 4 * np.arctan(np.longdouble(1.0))
 
 
-def _miller_pass(n: int, x: float, start: int) -> float:
-    """One backward-recurrence pass from trial index `start` down to 0.
-
-    Returns the normalized J_n(x).  Uses extended precision accumulators and
-    rescales on the fly, since the trial solution can grow by thousands of
-    orders of magnitude above the turning point.  The coefficients 2k/x are
-    formed a block at a time by one numpy product; each is the same
-    longdouble as ``two_over_x * np.longdouble(k)``, so the pass is
-    bit-identical to a step-by-step one.
-    """
-    xl = np.longdouble(x)
-    two_over_x = np.longdouble(2.0) / xl
-    b_hi = np.longdouble(0.0)      # B_{k+1}
-    b = np.longdouble(1.0)         # B_k, k = start
-    even_sum = np.longdouble(0.0)  # sum of B_k over even k >= 2
-    b_n = np.longdouble(0.0)
-    have_n = False
-    # constructed via powers: the literals 1e4000 / 1e-4000 would already be
-    # inf / 0.0 as Python floats before numpy ever saw them
-    big = np.longdouble(10.0) ** 4000
-    small = np.longdouble(10.0) ** -4000
-
-    k = start
-    while k >= 1:
-        ks = np.arange(k, max(k - _MILLER_BLOCK, 0), -1)
-        for c in two_over_x * ks.astype(np.longdouble):
-            if k == n:
-                b_n = b
-                have_n = True
-            if (k & 1) == 0:
-                even_sum += b
-            b_hi, b = b, c * b - b_hi
-            if abs(b) > big:
-                b *= small
-                b_hi *= small
-                even_sum *= small
-                b_n *= small
-            k -= 1
-    # loop leaves b = B_0
-    if n == 0:
-        b_n = b
-        have_n = True
-    if not have_n:
-        raise OracleError(f"start index {start} below order {n}")
-    norm = b + 2.0 * even_sum
-    if norm == 0.0:
-        raise OracleError("degenerate normalization sum in Miller recurrence")
-    return float(b_n / norm)
+def _intervals(n: int, x: np.ndarray) -> np.ndarray:
+    """The interval count M of the rule at each x: (n + x)/2 plus the
+    aliasing margin 30 + 8 ceil(max(n, x)^{1/3})."""
+    return (np.floor(0.5 * (n + x)).astype(np.int64) + 30
+            + 8 * np.ceil(np.cbrt(np.maximum(n, x))).astype(np.int64))
 
 
-def bessel_series(n: int, x: float) -> float:
-    """Bessel function J_n(x) by backward recurrence, independent of specfun.
+def _spans(counts: np.ndarray):
+    """(owner, index, start): counts[i] entries for each i in turn, with
+    owner i and index 0 ... counts[i] - 1, and where each i's entries
+    start."""
+    start = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - start[owner], start
+
+
+def bessel_series(n: int, x):
+    """Bessel function J_n(x) by quadrature, independent of specfun.
 
     Parameters
     ----------
     n : int
         Order, n >= 0.
-    x : float
-        Argument, x >= 0.
+    x : float or array of float
+        Arguments, finite and x >= 0, all at the one order n.
 
     Returns
     -------
-    float
-        J_n(x).  Values below ~1e-250 may round to subnormals or zero; in the
-        deep evanescent regime this routine certifies "negligible" rather
-        than a precise tiny value.
+    float or ndarray
+        J_n(x): a float for a scalar x, else an array of the shape of x,
+        each element with the bits of a call on it alone.  Accurate in
+        absolute terms, to about 1e-16 to 1e-15, so a value far below that,
+        such as J_200(100) ~ 1e-39, is resolved as negligible rather than
+        relatively.  That is all the battery needs: each of its checks
+        compares on a scale of at least n^{-1/3}, or absolutely.
 
     Notes
     -----
-    Miller's algorithm: run the three-term recurrence
-    B_{k-1} = (2k/x) B_k - B_{k+1} downward from an index above both n and x
-    with trial data (0, 1), then normalize with
-    J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1  (DLMF 10.12.4).
+    Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt
+    (DLMF 10.9.2) by the trapezoidal rule on M intervals of [0, pi], the
+    two end nodes at half weight.  The integrand is even, 2 pi-periodic and
+    entire in t, so this is the 2M-point rule on the whole period, whose
+    error is the aliased terms J_{2M-n}(x) + J_{2M+n}(x) (Trefethen &
+    Weideman, SIAM Review 56, 2014).  With the aliasing margin
+    M = floor((n + x)/2) + 30 + 8 ceil(m^{1/3}), m = max(n, x), the order
+    2M - n exceeds x by at least 60 + 16 m^{1/3}, where J_{2M-n}(x) is
+    about (2/x)^{1/3} Ai(2^{1/3} 16) < 1e-26 (the 60 covers small m).  The
+    work is M nodes, about (n + x)/2.
 
-    Start rule: with m = max(n, x) and step = 20 + ceil(12 m^{1/3}), the
-    first pass starts at int(m) + step, and each further pass starts `step`
-    higher, until two successive passes agree to 1e-13 relative (at most
-    12 passes).  The step is sized by the Airy decay past the turning point
-    k = x: the relative error of a pass at order n shrinks like
-    exp(-(4/3) t^{3/2}) with t = 2^{1/3} (start - m) / m^{1/3}, so at
-    start - m >= 12 m^{1/3} the first pass is already converged and the
-    second only confirms it.  Starting no higher keeps the growth of the
-    trial solution ahead of the turning point near e^{40}.  The constant 20
-    covers small m, where the Airy scaling does not yet apply.
+    The end nodes are exact, cos 0 = 1 and cos(n pi) = (-1)^n, so only the
+    interior nodes t_k = k h, h = pi/M, k = 1 ... M - 1, are evaluated.
+    Each phase is formed in longdouble: n t_k reduced exactly as
+    ((n k) mod 2M) h, minus x sin t_k, with sin t_k = sin(a w h + b h) by
+    angle addition from tables of sin and cos at a w h and b h,
+    a, b < w = ceil(sqrt(M)).  It is reduced mod 2 pi and its cosine taken
+    in float64.  Each element's cosines are summed in longdouble, in runs
+    of at most _CHUNK from k = 1 on, whatever else is in the call.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    m = max(n, x)
-    step = 20 + math.ceil(12.0 * m ** (1.0 / 3.0))
-    start = int(m) + step
-    prev = None
-    for _ in range(12):
-        val = _miller_pass(n, x, start)
-        # |J| <= 1 always, so near a zero an absolute floor of 1e-15 is the
-        # honest meaning of "converged"
-        if prev is not None and abs(val - prev) <= 1e-13 * max(abs(val), 0.01):
-            return val
-        prev = val
-        start += step
-    raise OracleError(f"Miller recurrence did not stabilize for J_{n}({x})")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError("argument must be finite and nonnegative")
+    flat = x.ravel()
+    m = _intervals(n, flat)
+    h = _PI / m.astype(np.longdouble)
+    xl = flat.astype(np.longdouble)
+    w = np.ceil(np.sqrt(m)).astype(np.int64)
+    owner, i, at = _spans(w)
+    fine, coarse = i * h[owner], i * w[owner] * h[owner]
+    sin_fine, cos_fine = np.sin(fine), np.cos(fine)
+    sin_coarse, cos_coarse = np.sin(coarse), np.cos(coarse)
+    # run r of an element starts at node 1 + r _CHUNK; a batch holds the
+    # runs whose last node falls in one _CHUNK of all the runs' nodes
+    elem, r, _ = _spans(-(-(m - 1) // _CHUNK))
+    first = 1 + _CHUNK * r
+    length = np.minimum(_CHUNK, m[elem] - first)
+    ends = np.flatnonzero(np.diff((np.cumsum(length) - 1) // _CHUNK,
+                                  append=-1)) + 1
+    sums = np.empty(elem.size, dtype=np.longdouble)
+    for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        run, j, start = _spans(length[lo:hi])
+        e = elem[lo:hi][run]
+        k = first[lo:hi][run] + j
+        a, b = np.divmod(k, w[e])
+        a += at[e]
+        b += at[e]
+        sin_k = sin_coarse[a] * cos_fine[b] + cos_coarse[a] * sin_fine[b]
+        phase = (n * k) % (2 * m[e]) * h[e] - xl[e] * sin_k
+        phase -= np.rint(phase.astype(float) * (0.5 / math.pi)) * (2 * _PI)
+        terms = np.cos(phase.astype(float)).astype(np.longdouble)
+        sums[lo:hi] = np.add.reduceat(terms, start)
+    total = np.zeros(flat.size, dtype=np.longdouble)
+    np.add.at(total, elem, sums)
+    out = ((total + (n % 2 == 0)) / m).astype(float)
+    out[flat == 0.0] = float(n == 0)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def bessel_prime_series(n: int, x: float) -> float:
@@ -346,8 +349,8 @@ def disk_quadrature_norm(n: int, lam: float) -> tuple[float, float]:
     The caller is responsible for passing lam at (or near) a zero of J_n;
     otherwise the closed form does not apply.
     """
-    j_n = np.vectorize(bessel_series, otypes=[float])
-    val = _gauss_legendre(lambda r: j_n(n, lam * r) ** 2 * r, 0.0, 1.0)
+    val = _gauss_legendre(lambda r: bessel_series(n, lam * r) ** 2 * r,
+                          0.0, 1.0)
     closed = 0.5 * bessel_series(n + 1, lam) ** 2
     return val, closed
 
@@ -483,7 +486,7 @@ def _zero_counter(n: int, x: float) -> int:
     (DLMF 10.19.6 with U_1 of 10.41.10), which also bounds it where that
     diverges at the turning point; there e stays below 0.016.  Where the
     index lies within twice that of an integer k, the count is k - 1 or k,
-    and the sign of J_n(x) by Miller's recurrence decides: J_n changes sign
+    and the sign of J_n(x) by quadrature decides: J_n changes sign
     at each of its simple zeros, so sign J_n(x) = (-1)^count.
     """
     if n == 0:
@@ -507,9 +510,9 @@ def weyl_count(lam: float, lam_lo: float = 0.0) -> int:
 
     Each zero j_{n,m} <= lam contributes multiplicity 2 for n >= 1
     (angular factors e^{+-i n theta}) and 1 for n = 0.  Counting is by
-    phase, with the sign of Miller's J_n(lam) deciding the few zeros that
-    lie within the phase error of lam (see `_zero_counter`); no zeros are
-    located, and the count is exact.
+    phase, with the sign of the quadrature J_n(lam) deciding the few zeros
+    that lie within the phase error of lam (see `_zero_counter`); no zeros
+    are located, and the count is exact.
 
     The two-term Weyl law for comparison: N(lam) ~ lam^2/4 - lam/2.
     """
@@ -576,6 +579,20 @@ def _check(name, got, want, scale, tol, detail=""):
     return CheckResult(name, worst <= tol, worst / tol, detail)
 
 
+# the (n, x) at which the battery checks specfun.bessel_j, across all its
+# dispatch regimes
+BESSEL_CASES = [(0, 0.5), (0, 17.2), (3, 2.0), (7, 30.0), (12, 11.5),
+                (40, 35.0), (60, 66.0), (120, 121.0), (200, 170.0),
+                (500, 502.0), (500, 540.0), (1000, 1003.0), (1000, 980.0),
+                (2000, 2100.0), (5000, 5015.0),
+                # the Newton point z = 2 of the disk-sweep zeros, exactly
+                # z = 1, and the first point past the recurrence crossover
+                # at n = 200
+                (1000, 2000.0), (2000, 4000.0), (1000, 1000.0), (200, 201.0),
+                # large orders near the turning point
+                (20000, 20060.0), (20000, 20600.0), (100000, 100400.0)]
+
+
 def run_all() -> OracleReport:
     """Run every oracle check, cross-validating the fast specfun paths.
 
@@ -600,23 +617,16 @@ def run_all() -> OracleReport:
         [bessel_series(1, 2.40482555769577276862), bessel_series(100, 130.0)],
         want, np.maximum(np.abs(want), 1e-12), 1e-12))
 
-    # -- specfun Bessel vs Miller across all dispatch regimes --------------
-    cases = [(0, 0.5), (0, 17.2), (3, 2.0), (7, 30.0), (12, 11.5),
-             (40, 35.0), (60, 66.0), (120, 121.0), (200, 170.0),
-             (500, 502.0), (500, 540.0), (1000, 1003.0), (1000, 980.0),
-             (2000, 2100.0), (5000, 5015.0),
-             # the Newton point z = 2 of the disk-sweep zeros, exactly z = 1,
-             # and the first point past the recurrence crossover at n = 200
-             (1000, 2000.0), (2000, 4000.0), (1000, 1000.0), (200, 201.0),
-             # large orders near the turning point
-             (20000, 20060.0), (20000, 20600.0), (100000, 100400.0)]
-    n, x = (np.array(col) for col in zip(*cases))
-    want = np.array([bessel_series(*case) for case in cases])
+    # -- specfun Bessel vs the quadrature across all dispatch regimes -------
+    # (the check keeps the name it had when Miller's recurrence was the
+    # reference: the benchmark reports each check's figure under its name)
+    n, x = (np.array(col) for col in zip(*BESSEL_CASES))
+    want = np.array([bessel_series(*case) for case in BESSEL_CASES])
     scale = np.maximum(np.abs(want), (n + 1.0) ** (-1.0 / 3.0))
     rep.checks.append(_check("specfun.bessel_j vs Miller recurrence",
                              specfun.bessel_j(n, x), want, scale, 1e-8,
-                             f"{len(cases)} orders up to "
-                             f"{max(c[0] for c in cases)}"))
+                             f"{len(BESSEL_CASES)} orders up to "
+                             f"{max(c[0] for c in BESSEL_CASES)}"))
 
     # -- zero residuals -----------------------------------------------------
     zero_cases = [(0, 1), (0, 7), (5, 3), (40, 1), (300, 2), (1000, 4),

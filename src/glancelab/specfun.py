@@ -599,7 +599,7 @@ def _bessel_recurrences(n: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # Orders at and above which the O(n) forward recurrence is never used.  The
-# margins on both sides, of the scaled J against the oracle's Miller
+# margins on both sides, of the scaled J against Miller's backward
 # recurrence on x from the recurrence edge n - 4 n^{1/3} to 3000: just
 # below, the recurrence gives J_199 within 5.9e-12 (largest at that edge,
 # x = 175.6); from here on the truncation error of the uniform expansion is

@@ -363,6 +363,8 @@ def test_bad_values_are_config_errors(tmp_path, capsys, argv):
 
 _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
          "4"]
+_BAND_GRID = ["--alpha", "0.5", "--rho1", "0.3", "--rho2", "0.6", "--s", "0.1",
+              "--n-min", "1000", "--n-max", "100000", "--points", "24"]
 
 
 # refused before any work, naming the flag at fault: an offset whose window
@@ -374,7 +376,9 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
 # each disk mode, so --optimize is refused whatever rule it names; the
 # quasimode checks named no flag; a sphere offset above n_max^alpha, which
 # leaves every degree's order window below 0, exited 2 with no usable rows;
-# one point between two orders swept n_min alone, ignoring --n-max
+# one point between two orders swept n_min alone, ignoring --n-max; off
+# radius 1/2, where sigma tends to 1 - 1/(4 R^2), a band that no order up to
+# 1e6 reaches exited 2 with no usable rows
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
@@ -400,6 +404,8 @@ _GRID = ["--alpha", "0.5", "--n-min", "1000", "--n-max", "2000", "--points",
     (["sweep-sphere", *_GRID, "--offset-const", "50"], "--offset-const"),
     (["sweep-disk", *_GRID[:-1], "1"], "--points"),
     (["sweep-sphere", *_GRID[:-1], "1"], "--points"),
+    (["sweep-disk", "--radius", "0.6", *_BAND_GRID], "--radius"),
+    (["sweep-disk", "--radius", "0.4", *_BAND_GRID], "--radius"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")

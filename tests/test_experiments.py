@@ -248,8 +248,11 @@ def test_band_selection_passes_the_sweeps_band_test(radius, band):
     except ex.FitError:
         return      # no order has a band-feasible mode
     except ValueError as exc:
-        # nor has one, and the band excludes the scale n^-alpha
-        assert "--rho1" in str(exc) and not band[0] < 0.5 < band[1]
+        # nor has one, and nor has the largest certified order
+        assert "--rho1" in str(exc) and "--radius" in str(exc)
+        edge = modes.select_disk_modes([ex._MAX_ORDER], cfg.target(),
+                                       radius=radius, band=BandSpec(*band))
+        assert not edge.band_feasible.any()
         return
     assert not [reason for _, reason in res.skipped
                 if "outside the band" in reason]

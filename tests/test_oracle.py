@@ -90,11 +90,14 @@ class TestBesselSeries:
 
 
 def miller_pass_per_step(n, x, start):
-    """Reference Miller pass that forms each coefficient inside the loop.
+    """One pass of Miller's backward recurrence, each coefficient formed
+    inside the loop.
 
-    Each step computes ``two_over_x * np.longdouble(k)``, where
-    `oracle._miller_pass` takes the same values from a block product.
-    Returns the normalized J_n(x) and the number of 1e-4000 rescales.
+    Runs B_{k-1} = (2k/x) B_k - B_{k+1} down from trial index `start`
+    with trial data (0, 1), in extended precision, rescaling on the fly
+    (the trial solution grows by thousands of orders of magnitude above
+    the turning point), and normalizes with J_0(x) + 2 sum_{k>=1} J_{2k}(x)
+    = 1 (DLMF 10.12.4).  Returns the normalized J_n(x).
     """
     two_over_x = np.longdouble(2.0) / np.longdouble(x)
     b_hi = np.longdouble(0.0)
@@ -103,7 +106,6 @@ def miller_pass_per_step(n, x, start):
     b_n = np.longdouble(0.0)
     big = np.longdouble(10.0) ** 4000
     small = np.longdouble(10.0) ** -4000
-    rescales = 0
     k = start
     while k >= 1:
         if k == n:
@@ -118,80 +120,150 @@ def miller_pass_per_step(n, x, start):
             b_hi *= small
             even_sum *= small
             b_n *= small
-            rescales += 1
         k -= 1
     if n == 0:
         b_n = b
-    return float(b_n / (b + 2.0 * even_sum)), rescales
+    return float(b_n / (b + 2.0 * even_sum))
 
 
-class TestMillerPass:
-    @pytest.mark.parametrize("n,x,start", [
-        (6000, 6050.0, 9000),   # start and n in different 4096-step blocks
-        (0, 40.0, 5000),        # n = 0 is read off after the loop
-        (4096, 4100.0, 8192),   # n is the first index of the second block
-        (4097, 4100.0, 8192),   # n is the last index of the first block
-        (700, 1000.0, 4096),    # start exactly one block long
-    ])
-    def test_bit_identical_to_per_step_loop(self, n, x, start):
-        want, _ = miller_pass_per_step(n, x, start)
-        assert oracle._miller_pass(n, x, start) == want
+def miller_series(n, x):
+    """J_n(x) by Miller's recurrence: the tests' relative reference, which
+    resolves the deep-evanescent values that the quadrature oracle gives
+    only to an absolute 1e-16.
 
-    def test_bit_identical_through_rescales(self):
-        # from 5000 down to x = 3 the trial solution grows past 1e4000
-        want, rescales = miller_pass_per_step(7, 3.0, 5000)
-        assert rescales >= 1
-        assert oracle._miller_pass(7, 3.0, 5000) == want
-
-
-def _count_miller_work(monkeypatch):
-    """Record (passes, steps) for every `bessel_series` call from now on."""
-    calls = []
-    miller_pass = oracle._miller_pass
-    bessel_series = oracle.bessel_series
-
-    def counting_pass(n, x, start):
-        calls[-1][0] += 1
-        calls[-1][1] += start   # a pass from `start` makes `start` steps
-        return miller_pass(n, x, start)
-
-    def counting_series(n, x):
-        calls.append([0, 0])
-        return bessel_series(n, x)
-
-    monkeypatch.setattr(oracle, "_miller_pass", counting_pass)
-    monkeypatch.setattr(oracle, "bessel_series", counting_series)
-    return calls
+    Start rule: with m = max(n, x) and step = 20 + ceil(12 m^{1/3}), the
+    first pass starts at int(m) + step, and each further pass starts `step`
+    higher, until two successive passes agree to 1e-13 relative (at most
+    12 passes).  The step is sized by the Airy decay past the turning point
+    k = x: the relative error of a pass at order n shrinks like
+    exp(-(4/3) t^{3/2}) with t = 2^{1/3} (start - m) / m^{1/3}, so at
+    start - m >= 12 m^{1/3} the first pass is already converged and the
+    second only confirms it.  The constant 20 covers small m, where the
+    Airy scaling does not yet apply.
+    """
+    if x == 0.0:
+        return 1.0 if n == 0 else 0.0
+    m = max(n, x)
+    step = 20 + math.ceil(12.0 * m ** (1.0 / 3.0))
+    start = int(m) + step
+    prev = None
+    for _ in range(12):
+        val = miller_pass_per_step(n, x, start)
+        # |J| <= 1 always, so near a zero an absolute floor of 1e-15 is the
+        # honest meaning of "converged"
+        if prev is not None and abs(val - prev) <= 1e-13 * max(abs(val), 0.01):
+            return val
+        prev = val
+        start += step
+    raise AssertionError(f"Miller recurrence did not stabilize for J_{n}({x})")
 
 
-class TestMillerWork:
-    @pytest.mark.parametrize("n,x", [(100000, 100400.0), (20000, 20600.0)])
-    def test_large_order_takes_two_passes(self, monkeypatch, n, x):
-        calls = _count_miller_work(monkeypatch)
-        oracle.bessel_series(n, x)
-        (passes, steps), = calls
-        assert passes == 2
-        # two passes from m + step and m + 2 step cost 2m + 3 step, which is
-        # 2.051 m at m = 20600; three passes from m + 20, 1.5 m and 2.25 m
-        # would cost 4.77 m
-        assert steps <= 2.1 * max(n, x)
-
-    def test_every_battery_call_takes_two_passes(self, monkeypatch):
-        calls = _count_miller_work(monkeypatch)
-        assert oracle.run_all().all_passed
-        assert len(calls) > 100
-        assert {passes for passes, _ in calls} == {2}
+# (n, x) on both sides of the turning point, at the origin and far from it
+SCIPY_CASES = [(0, 1e4), (1, 1e-3), (0, 1e-6), (5000, 10.0), (100000, 99000.0),
+               (100000, 101000.0), (3, 250.0), (50000, 50000.0)]
 
 
 class TestStartRule:
-    @pytest.mark.parametrize("n,x", [
-        (0, 1e4), (1, 1e-3), (0, 1e-6), (5000, 10.0), (100000, 99000.0),
-        (100000, 101000.0), (3, 250.0), (50000, 50000.0)])
+    @pytest.mark.parametrize("n,x", SCIPY_CASES)
     def test_against_scipy(self, n, x):
-        # scipy's jv (Amos) shares no code with Miller's recurrence
+        # the tests' Miller reference; scipy's jv (Amos) shares no code with
+        # Miller's recurrence
+        got = miller_series(n, x)
+        want = float(scipy.special.jv(n, x))
+        assert abs(got - want) / max(abs(want), (n + 1.0) ** (-1.0 / 3.0)) <= 1e-12
+
+
+def _battery_values():
+    """The quadrature at every (n, x) the battery checks specfun.bessel_j
+    at, and at its two frozen anchors."""
+    cases = oracle.BESSEL_CASES + [(1, J0_ZERO_1), (100, 130.0)]
+    return cases, np.array([oracle.bessel_series(n, x) for n, x in cases])
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("n,x", SCIPY_CASES)
+    def test_against_scipy(self, n, x):
+        # scipy's jv (Amos) shares no code with the quadrature
         got = oracle.bessel_series(n, x)
         want = float(scipy.special.jv(n, x))
         assert abs(got - want) / max(abs(want), (n + 1.0) ** (-1.0 / 3.0)) <= 1e-12
+
+    def test_matches_miller_at_every_battery_case(self):
+        # worst measured 9e-16, at (100000, 100400)
+        cases, got = _battery_values()
+        want = np.array([miller_series(n, x) for n, x in cases])
+        n = np.array([n for n, _ in cases])
+        scale = np.maximum(np.abs(want), (n + 1.0) ** (-1.0 / 3.0))
+        assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+    def test_aliasing_margin_suffices(self, monkeypatch):
+        # doubling the margin past (n + x)/2 moves no battery value by more
+        # than rounding: the aliased terms are far below it
+        _, got = _battery_values()
+        intervals = oracle._intervals
+
+        def doubled(n, x):
+            return 2 * intervals(n, x) - np.floor(0.5 * (n + x)).astype(np.int64)
+
+        monkeypatch.setattr(oracle, "_intervals", doubled)
+        _, wide = _battery_values()
+        assert np.max(np.abs(wide - got)) <= 4e-16
+
+    def test_array_call_equals_scalar_calls(self):
+        # elements of one run of nodes and of several (M > _CHUNK from
+        # x = 8000 on), and the origin, in a 2-D array
+        x = np.array([[12000.0, 3.5, 0.0], [9000.0, 20060.0, 250.25]])
+        got = oracle.bessel_series(3, x)
+        assert got.shape == x.shape
+        want = [[oracle.bessel_series(3, v) for v in row]
+                for row in x.tolist()]
+        assert np.array_equal(got, want)
+        assert oracle.bessel_series(3, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(ValueError):
+            oracle.bessel_series(1, x)
+
+
+class TestQuadratureWork:
+    @staticmethod
+    def _bound(n, x):
+        # (n + x)/2 nodes plus the aliasing margin 30 + 8 ceil(m^{1/3}),
+        # where Miller's recurrence took two passes of over max(n, x) steps
+        return 0.5 * (n + x) + 8.0 * np.cbrt(np.maximum(n, x)) + 38.0
+
+    @pytest.mark.parametrize("n,x", [(100000, 100400.0), (20000, 20600.0),
+                                     (0, 1e4), (5000, 10.0)])
+    def test_node_count(self, monkeypatch, n, x):
+        # the call takes one cosine per node, M - 1 in all, and one per
+        # entry of its two tables of ceil(sqrt(M)) angles
+        sizes = []
+        cos = np.cos
+        monkeypatch.setattr(np, "cos",
+                            lambda a: sizes.append(np.size(a)) or cos(a))
+        oracle.bessel_series(n, x)
+        monkeypatch.undo()
+        bound = self._bound(n, x)
+        assert sum(sizes) <= bound + 2 * math.ceil(math.sqrt(bound))
+
+    def test_every_battery_call_within_the_bound(self, monkeypatch):
+        # (n, x, M) of every call; it evaluates M - 1 nodes per element
+        calls = []
+        intervals = oracle._intervals
+
+        def recording(n, x):
+            m = intervals(n, x)
+            calls.append((n, x.copy(), m))
+            return m
+
+        monkeypatch.setattr(oracle, "_intervals", recording)
+        assert oracle.run_all().all_passed
+        assert len(calls) > 50
+        for n, x, m in calls:
+            assert np.all(m <= self._bound(n, x)), (n, x)
+        # about 1.9e5 nodes in all
+        assert sum(int(m.sum()) for _, _, m in calls) <= 2.5e5
 
 
 class TestLegendreRecurrence:

@@ -2,9 +2,10 @@
 
 Frozen reference values were computed to 30 significant digits with an
 arbitrary-precision library and hard-coded here.  The region-by-region
-checks compare with independent references: Miller's recurrence
-(:func:`glancelab.oracle.bessel_series`), ``scipy.special.airy``, and
-50-digit ``decimal`` arithmetic.  Everything else is checked through
+checks compare with independent references: the quadrature oracle
+(:func:`glancelab.oracle.bessel_series`), Miller's recurrence where a value
+must be resolved relatively, ``scipy.special.airy``, and 50-digit
+``decimal`` arithmetic.  Everything else is checked through
 identities, interlacing, and round trips.
 """
 
@@ -18,6 +19,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from glancelab import modes, oracle, specfun
+from test_oracle import miller_series
 
 AI_AT_0 = 0.35502805388781723926
 AIP_AT_0 = -0.25881940379280679841
@@ -78,11 +80,12 @@ AIRY_ZEROS_LOW = [(m, float(AIRY_ZEROS_30[m])) for m in range(1, 10)]
 AIRY_ZEROS_FROZEN = [(m, float(a)) for m, a in AIRY_ZEROS_30.items()
                      if m >= 9]
 
-# J_n(x) by Miller's recurrence, frozen from glancelab.oracle.bessel_series:
-#   PYTHONPATH=src python -c "from glancelab.oracle import bessel_series; \
-#       print(repr(bessel_series(1000000, 2000000.0)))"
-# (1.2 s at (1e6, 1.0004e6) and 1.8 s at (1e6, 2e6) on one core of a shared
-# 2-vCPU box); they certify bessel_j past the orders the oracle battery reaches
+# J_n(x) by Miller's recurrence, frozen from the oracle when that was its
+# method (1.2 s at (1e6, 1.0004e6) and 1.8 s at (1e6, 2e6) on one core of a
+# shared 2-vCPU box; `miller_series` of tests/test_oracle.py is the same
+# recurrence).  They certify bessel_j past the orders the oracle battery
+# reaches, and the quadrature that is now the oracle is tested against them
+# (test_quadrature_oracle_reproduces_frozen_miller_values)
 MILLER_FROZEN = [
     (100000, 200000.0, -0.0010964176196624307),
     (1000000, 1000400.0, 0.004241171477590452),
@@ -398,8 +401,9 @@ class TestBesselJ:
             assert jn == pytest.approx(specfun.bessel_j(n, x),
                                        abs=1e-10 * max(abs(jn), scale))
 
-    # worst error of bessel_j and bessel_j_pair against Miller's recurrence
-    # in each case group of the test below, as measured, and the tolerance
+    # worst error of bessel_j and bessel_j_pair against the oracle, or
+    # Miller's recurrence where relative, in each case group of the test
+    # below, as measured, and the tolerance
     # (about twice that): against max(|J|, n^{-1/3}), but relative where
     # J lies far below n^{-1/3} (the evanescent groups)
     REGION_TOL = {
@@ -416,7 +420,7 @@ class TestBesselJ:
         # (n, x) in each region of _regions, and inside the uniform one on
         # both sides of the turning point, in the strip |n^{2/3} zeta| < 1
         # and in the transport band |n^{2/3} zeta| < 8, each group in one
-        # array call, against Miller's recurrence for J_n and J_{n-1}
+        # array call, against the oracle for J_n and J_{n-1}
         cases = {
             "series": [(0, 5.0), (3, 16.9), (100, 17.0), (1000, 60.0), (2, 0.0)],
             "recurrence": [(0, 17.5), (1, 30.0), (5, 500.0), (50, 41.0),
@@ -450,15 +454,18 @@ class TestBesselJ:
                 assert {"strip": arg < specfun._UNIFORM_STRIP,
                         "band": (specfun._UNIFORM_STRIP <= arg) & (arg < 8.0),
                         }.get(name, arg >= 8.0).all(), name
-            want = np.array([oracle.bessel_series(*p) for p in pts])
-            want_m1 = np.array([oracle.bessel_series(ni - 1, xi) if ni
-                                else -oracle.bessel_series(1, xi)
+            # Miller's recurrence resolves the evanescent values relatively,
+            # which the quadrature oracle does only to 1e-16 absolutely
+            relative = name in ("evanescent", "uniform below N_U")
+            series = miller_series if relative else oracle.bessel_series
+            want = np.array([series(*p) for p in pts])
+            want_m1 = np.array([series(ni - 1, xi) if ni else -series(1, xi)
                                 for ni, xi in pts])
             j = specfun.bessel_j(n, x)
             jm1, jn = specfun.bessel_j_pair(n, x)
             for got, ref in ((j, want), (jn, want), (jm1, want_m1)):
                 amp = np.abs(ref)
-                if name not in ("evanescent", "uniform below N_U"):
+                if not relative:
                     amp = np.maximum(amp, (n + 1.0) ** (-1.0 / 3.0))
                 err = np.abs(got - ref) / np.maximum(amp, 1e-300)
                 assert err.max() <= self.REGION_TOL[name], (name, err)
@@ -598,6 +605,12 @@ class TestUniformExpansion:
         assert scaled_error(specfun.bessel_j(n, x), want, n) < 1e-8
 
 
+@pytest.mark.parametrize("n,x,want", MILLER_FROZEN)
+def test_quadrature_oracle_reproduces_frozen_miller_values(n, x, want):
+    # worst measured 6.1e-16, at (1e6, 1.0004e6)
+    assert scaled_error(oracle.bessel_series(n, x), want, n) < 1e-13
+
+
 class TestBesselZeros:
     def test_first_zero_frozen(self):
         assert specfun.bessel_zero(0, 1) == pytest.approx(J0_ZERO_1, rel=1e-13,
@@ -678,10 +691,10 @@ class TestBesselZeros:
             assert abs(seed - want) <= 24 * math.ulp(want), (ni, mi)
 
     def test_batched_zeros_match_scalar(self):
-        # one Newton over zeros of every region, each against Miller's
-        # recurrence: J_n / J_n' at the computed zero is its distance to
-        # the true one.  Worst measured: 1.1e-15 relative, at (3, 4), whose
-        # zero x = 16.2 lies in the series region
+        # one Newton over zeros of every region, each against the oracle:
+        # J_n / J_n' at the computed zero is its distance to the true one.
+        # Worst measured: 1.1e-15 relative, at (3, 4), whose zero x = 16.2
+        # lies in the series region
         n = np.array([0, 0, 1, 3, 57, 150, 199, 200, 201, 1000, 2000, 40])
         m = np.array([1, 9, 1, 4, 2, 1, 30, 1, 7, 218, 1, 40])
         got = specfun.bessel_zero(n, m)
