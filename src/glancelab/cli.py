@@ -192,7 +192,7 @@ def _resolve(args, name: str) -> dict:
     if name == "plot":      # --y flags win over the file's y list
         from_file = [s.strip() for s in section.pop("y", "").split(",")
                      if s.strip()]
-        known["y"] = list(args.y or from_file) or None
+        known["y"] = list(args.y or from_file) or ["weighted_norm"]
     # a [common] key another subcommand uses is fine; a stray key in this
     # subcommand's own section, or one no subcommand takes, is a config error
     unknown = sorted(key for key in section
@@ -307,7 +307,7 @@ def _run_plot(name: str, vals: dict) -> int:
             io.manifest_path(vals["infile"])):
         raise _ConfigError(f"plot: --out {vals['out']} would overwrite the "
                            f"manifest of --in {vals['infile']}")
-    ys = vals["y"] or ["weighted_norm"]
+    ys = vals["y"]
     table = _read_columns(vals["infile"], [vals["x"]] + ys)
     text = svgplot.render_log_log(
         table[vals["x"]], [(col, table[col]) for col in ys],

@@ -145,7 +145,6 @@ class SweepRow(NamedTuple):
 @dataclass
 class SweepResult:
     config: SweepConfig
-    quantity: str
     rows: list[SweepRow]
     skipped: list[tuple[int, str]]
 
@@ -266,8 +265,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     if not rows:
         raise FitError(f"sweep produced no usable rows "
                        f"({len(skipped)} skipped)")
-    return SweepResult(config=config, quantity=quantity, rows=rows,
-                       skipped=skipped)
+    return SweepResult(config=config, rows=rows, skipped=skipped)
 
 
 def amplitude_sweep(config: SweepConfig) -> SweepResult:
@@ -370,13 +368,10 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     Randomness is deterministic: each (window, trial) pair seeds its own
     generator from (seed, window index, trial index).
 
-    The modes of consecutive windows are enumerated together, in one pass
-    of :func:`modes.modes_in_frequency_windows`, and weighted in one array
-    pass on its columns, at h = 1/Lambda of each mode's window: as many
-    windows as fit under _BATCH_ORDERS orders sum(floor(Lambda + 1) + 1),
-    which bounds the memory of a batch (the default ensemble is one batch,
-    and a window above the cap is a batch of its own).  The checks and the
-    draws then run window by window, in window order.
+    The modes of all windows and their traces come from one call of
+    :func:`modes.modes_in_frequency_windows`, and are weighted in one array
+    pass on its columns, at h = 1/Lambda of each mode's window.  The checks
+    and the draws then run window by window, in window order.
     """
     if windows < 1 or trials < 1:
         raise ValueError("need at least one window (--windows) and one "
@@ -398,63 +393,40 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     spec = WeightSpec(s=s, rho=rho)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
+    win, n_all, freqs, _, traces = modes_mod.modes_in_frequency_windows(
+        lams, lams + 1.0, radius=radius)
+    # the weighted trace amplitude of every mode, one coefficient slot per
+    # angular sign
+    sigma = glancing_distance(n_all, 1.0 / freqs, radius)
+    weighted = glancing_weight(sigma, 1.0 / lams[win], spec) * traces
+    slots = np.where(n_all >= 1, 2, 1)
+    amps = np.repeat(weighted, slots)
+    # the modes come ordered by window, and so do their slots
+    ends = np.cumsum(np.bincount(np.repeat(win, slots),
+                                 minlength=windows)).tolist()
     rows = []
-    for group in _window_groups(lams):
-        edges = lams[group]
-        win, n_all, freqs, norms = modes_mod.modes_in_frequency_windows(
-            edges, edges + 1.0)
-        # the weighted trace amplitude c J_n(lam r) of every mode of the
-        # group, one coefficient slot per angular sign
-        sigma = glancing_distance(n_all, 1.0 / freqs, radius)
-        weighted = glancing_weight(sigma, 1.0 / edges[win], spec) * (
-            norms * specfun.bessel_j(n_all, freqs * radius))
-        slots = np.where(n_all >= 1, 2, 1)
-        amps = np.repeat(weighted, slots)
-        # the modes come ordered by window, and so do their slots
-        ends = np.cumsum(np.bincount(np.repeat(win, slots),
-                                     minlength=edges.size)).tolist()
-        for wi, lam, a, b in zip(range(windows)[group], edges, [0] + ends,
-                                 ends):
-            dim = b - a
-            if not dim:
-                # the norms and their spread are undefined without a mode
-                raise NoModeError(
-                    f"window [{lam:.2f}, {lam + 1:.2f}] holds no mode")
-            weyl = lam / 2.0 - 0.25
-            if abs(dim - weyl) > lam ** (2.0 / 3.0):
-                raise specfun.NumericalError(
-                    f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
-                    f"two-term Weyl predicts {weyl:.1f}; enumeration is "
-                    f"broken")
-            best = total = 0.0
-            for t in range(trials):
-                rng = np.random.default_rng([seed, wi, t])
-                c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                c /= np.linalg.norm(c)
-                nr = trace_norm(c * amps[a:b], radius)
-                best = max(best, nr)
-                total += nr
-            rows.append(QuasimodeRow(lam=float(lam), dim=dim,
-                                     weyl_estimate=weyl, max_norm=best,
-                                     mean_norm=total / trials))
+    for wi, lam, a, b in zip(range(windows), lams, [0] + ends, ends):
+        dim = b - a
+        if not dim:
+            # the norms and their spread are undefined without a mode
+            raise NoModeError(
+                f"window [{lam:.2f}, {lam + 1:.2f}] holds no mode")
+        weyl = lam / 2.0 - 0.25
+        if abs(dim - weyl) > lam ** (2.0 / 3.0):
+            raise specfun.NumericalError(
+                f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
+                f"two-term Weyl predicts {weyl:.1f}; enumeration is broken")
+        best = total = 0.0
+        for t in range(trials):
+            rng = np.random.default_rng([seed, wi, t])
+            c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            c /= np.linalg.norm(c)
+            nr = trace_norm(c * amps[a:b], radius)
+            best = max(best, nr)
+            total += nr
+        rows.append(QuasimodeRow(lam=float(lam), dim=dim, weyl_estimate=weyl,
+                                 max_norm=best, mean_norm=total / trials))
 
     return QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed,
                            radius=radius)
 
-
-# the most orders, sum(floor(Lambda + 1) + 1), that one enumeration batches:
-# the default ensemble (Lambda = 200 ... 2000, 8 windows, 6.6k orders) is
-# one batch, a window at Lambda = 2e4 one of its own
-_BATCH_ORDERS = 8000
-
-
-def _window_groups(lams) -> list[slice]:
-    """Consecutive runs of the windows [lams[i], lams[i] + 1], each under
-    _BATCH_ORDERS orders or a single window."""
-    groups, start, total = [], 0, 0
-    for i, orders in enumerate((np.floor(lams + 1.0) + 1.0).tolist()):
-        if i > start and total + orders > _BATCH_ORDERS:
-            groups.append(slice(start, i))
-            start, total = i, 0
-        total += orders
-    return groups + [slice(start, len(lams))]

@@ -35,17 +35,17 @@ in one batched Newton, keeping selection cheap at orders ~1e5.
 array pass.
 
 ``modes_in_frequency_windows`` enumerates every mode of every window of a
-quasimode ensemble in the same way: one pass over the candidates of all
-windows together.  Its arrays grow with the windows it is given, so its
-callers bound the batch (``experiments.quasimode_boundedness`` by a fixed
-cap on the orders of the windows batched together).
+quasimode ensemble in the same way, and takes its trace: one pass over the
+candidates of each fixed slice of the windows' (window, order) pairs, so
+its memory is bounded by the slice, not by the windows, and no output
+depends on the slice size.
 
-Modes exist only as columns: the disk functions return n, lam and the
-normalization c, one entry per mode, and a single mode is the one-element
-case.  The traces are taken on those columns by the experiments: a disk
-mode's trace on the circle of radius R is c J_n(lam R) e^{i n theta}, the
-trace of its h-scaled normal derivative h d_r u is c J_n'(lam R) e^{i n
-theta}, and the equator trace of Y_l^m is Y_l^m(pi/2, 0) e^{i m phi}
+Modes exist only as columns: the disk functions return n, lam, the
+normalization c and the trace amplitude, one entry per mode, and a single
+mode is the one-element case.  A disk mode's trace on the circle of radius
+R is c J_n(lam R) e^{i n theta}, the trace of its h-scaled normal
+derivative h d_r u is c J_n'(lam R) e^{i n theta}, and the equator trace
+of Y_l^m, taken by the experiments, is Y_l^m(pi/2, 0) e^{i m phi}
 (``specfun.legendre_equator``), which vanishes when l + m is odd.
 """
 
@@ -287,29 +287,36 @@ def select_sphere_modes(degrees, target: ScaleTarget):
 # Frequency-window enumeration (for quasimode ensembles)
 # ----------------------------------------------------------------------
 
-def modes_in_frequency_windows(lam_lo, lam_hi):
+# the most (window, order) pairs one enumeration pass holds: the default
+# quasimode ensemble (Lambda = 200 ... 2000, 8 windows, 6.6k orders) is one
+# pass, the largest window quasimode accepts (Lambda = 999990) 125
+_BATCH_ORDERS = 8000
+
+
+def modes_in_frequency_windows(lam_lo, lam_hi, radius: float = 0.5):
     """All disk modes with eigenfrequency in [lam_lo[i], lam_hi[i]], n >= 0,
-    of every window of two sequences of edges, in one pass over all of them.
+    of every window of two sequences of edges, and their traces on the
+    circle of `radius`.
 
     Returns the modes of all windows as the columns (window, n, lam,
-    normalization), ordered by (window, n, lam), where window is the index
-    i of the mode's window; np.bincount(window) counts the modes per window.
-    Each (n, m) pair is one mode; angular orders n >= 1 stand for the
-    two-dimensional eigenspace spanned by e^{+-i n theta} (callers who need
-    multiplicity count such modes twice).
+    normalization, amplitude), ordered by (window, n, lam), where window is
+    the index i of the mode's window and amplitude the trace c J_n(lam
+    radius); np.bincount(window) counts the modes per window.  Each (n, m)
+    pair is one mode; angular orders n >= 1 stand for the two-dimensional
+    eigenspace spanned by e^{+-i n theta} (callers who need multiplicity
+    count such modes twice).
 
-    Every candidate (n, m) of every order n <= floor(lam_hi[i]) of every
-    window comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
-    each order against its own window; all of them are solved in one batched
-    Newton (:func:`specfun.bessel_zero`) and the modes inside normalized in
-    one array pass.  Each zero is bit for bit the zero solved alone,
-    whatever else the batch holds, so a window holds the same modes in any
-    batch, a zero on an edge included.  Windows may overlap; a zero in
-    several is a mode of each.
-
-    The arrays grow with the candidates of all windows together (one order
-    n of a window holds about (lam_hi - lam_lo)/pi of them), so callers
-    batch as many windows as their memory allows.
+    The windows expand into the (window, order) pairs of the orders n <=
+    floor(lam_hi[i]) of every window, and the enumeration runs over
+    consecutive slices of at most _BATCH_ORDERS = 8000 of them, which
+    bounds its memory whatever the windows.  Per slice, every candidate (n,
+    m) comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
+    each order against its own window; all of them are solved in one
+    batched Newton (:func:`specfun.bessel_zero`), and the modes inside are
+    normalized and traced in one array pass.  Each zero is bit for bit the
+    zero solved alone, whatever else the slice holds, so no output depends
+    on the slicing, a zero on an edge included.  Windows may overlap; a zero
+    in several is a mode of each.
     """
     lam_lo, lam_hi = (np.asarray(v, dtype=float).ravel()
                       for v in np.broadcast_arrays(lam_lo, lam_hi))
@@ -319,20 +326,26 @@ def modes_in_frequency_windows(lam_lo, lam_hi):
         raise ValueError(f"need 0 < lam_lo < lam_hi < inf, got window "
                          f"[{lam_lo[i]}, {lam_hi[i]}]")
     # m(lam_hi) vanishes for n >= lam_hi, so the orders of a window end at
-    # floor(lam_hi); `win` is the window of each order
+    # floor(lam_hi); `wins` is the window of each order
     count = np.floor(lam_hi).astype(np.int64) + 1
-    win = np.repeat(np.arange(lam_lo.size), count)
-    orders = np.arange(win.size) - np.repeat(np.cumsum(count) - count, count)
-    k, m = specfun.bessel_zero_candidate_ranges(orders, lam_lo[win],
-                                                lam_hi[win])
-    n, win = orders[k], win[k]
-    lam = specfun.bessel_zero(n, m)
-    inside = (lam_lo[win] <= lam) & (lam <= lam_hi[win])
-    win, n, lam = win[inside], n[inside], lam[inside]
-    norm = _normalizations(n, lam)
-    degenerate = np.flatnonzero(norm == 0.0)
-    if degenerate.size:
-        i = degenerate[0]
-        raise NoModeError(
-            f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
-    return win, n, lam, norm
+    wins = np.repeat(np.arange(lam_lo.size), count)
+    orders = np.arange(wins.size) - np.repeat(np.cumsum(count) - count, count)
+    parts = []
+    # one pass at least: no windows give five empty columns
+    for start in range(0, max(wins.size, 1), _BATCH_ORDERS):
+        n, win = (a[start:start + _BATCH_ORDERS] for a in (orders, wins))
+        k, m = specfun.bessel_zero_candidate_ranges(n, lam_lo[win],
+                                                    lam_hi[win])
+        n, win = n[k], win[k]
+        lam = specfun.bessel_zero(n, m)
+        inside = (lam_lo[win] <= lam) & (lam <= lam_hi[win])
+        win, n, lam = win[inside], n[inside], lam[inside]
+        norm = _normalizations(n, lam)
+        degenerate = np.flatnonzero(norm == 0.0)
+        if degenerate.size:
+            i = degenerate[0]
+            raise NoModeError(
+                f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
+        parts.append((win, n, lam, norm,
+                      norm * specfun.bessel_j(n, lam * radius)))
+    return tuple(np.concatenate(column) for column in zip(*parts))

@@ -426,7 +426,7 @@ def test_window_past_the_certified_orders_is_refused(tmp_path, capsys,
     # instead of allocating memory in proportion to L
     from glancelab import experiments, modes
 
-    def enumerate_windows(*args):
+    def enumerate_windows(*args, **kwargs):
         raise AssertionError("enumerated the windows")
 
     monkeypatch.setattr(modes, "modes_in_frequency_windows",
@@ -543,6 +543,16 @@ def test_y_flags_override_config_y(tmp_path, capsys):
     assert code == 0, err
     assert io.read_manifest(out + ".manifest.json")["config"]["y"] \
         == ["amplitude"]
+
+
+def test_plot_records_the_default_y(tmp_path, capsys):
+    # with no --y the plot draws weighted_norm, and its manifest says so
+    out = str(tmp_path / "fig")
+    code, _, err = _run(capsys, "plot", "--in", DEMO_CSV, "--x", "n",
+                        "--out", out)
+    assert code == 0, err
+    assert io.read_manifest(out + ".manifest.json")["config"]["y"] \
+        == ["weighted_norm"]
 
 
 def test_plot_refuses_to_overwrite_the_input_manifest(tmp_path, capsys):

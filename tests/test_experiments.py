@@ -490,7 +490,7 @@ def test_quasimode_empty_window_raises():
 
 @pytest.mark.parametrize("seed", [-1, 2.0, 0.5, "7"])
 def test_quasimode_rejects_a_bad_seed_before_any_work(monkeypatch, seed):
-    def enumerate_windows(*args):
+    def enumerate_windows(*args, **kwargs):
         raise AssertionError("windows enumerated before the seed was checked")
 
     monkeypatch.setattr(modes, "modes_in_frequency_windows", enumerate_windows)
@@ -527,8 +527,8 @@ def _quasimode_one_window_at_a_time(lam_lo=200.0, lam_hi=2000.0, windows=8,
     spec = WeightSpec(s=s, rho=rho)
     rows = []
     for wi, lam in enumerate(np.geomspace(lam_lo, lam_hi, windows)):
-        _, ns, freqs, norms = modes.modes_in_frequency_windows([lam],
-                                                               [lam + 1.0])
+        _, ns, freqs, norms, _ = modes.modes_in_frequency_windows(
+            [lam], [lam + 1.0])
         amps = norms * specfun.bessel_j(ns, freqs * radius)
         sigmas = glancing_distance(ns, 1.0 / freqs, radius)
         weighted = glancing_weight(sigmas, 1.0 / lam, spec) * amps
@@ -556,42 +556,52 @@ def test_quasimode_matches_one_window_at_a_time(seed):
         == io.quasimode_to_csv_text(_quasimode_one_window_at_a_time(seed=seed))
 
 
-def test_quasimode_groups_of_one_window(monkeypatch):
-    # the default ensemble is one batch; with a cap below every window each
-    # window is its own batch, with no cap all windows are one, and the
-    # output does not change by a byte (the 120 windows make 13 batches
-    # under the default cap)
-    lams = np.geomspace(200.0, 2000.0, 8)
-    assert ex._window_groups(lams) == [slice(0, 8)]
-    for kw in (dict(lam_lo=60.0, lam_hi=2000.0, windows=5, trials=3, seed=4),
-               dict(lam_lo=200.0, lam_hi=2000.0, windows=120, trials=2,
-                    seed=3)):
-        monkeypatch.setattr(ex, "_BATCH_ORDERS", 8000)
-        text = io.quasimode_to_csv_text(ex.quasimode_boundedness(**kw))
-        for cap in (1, math.inf):
-            monkeypatch.setattr(ex, "_BATCH_ORDERS", cap)
-            assert io.quasimode_to_csv_text(
-                ex.quasimode_boundedness(**kw)) == text, (kw, cap)
-    monkeypatch.setattr(ex, "_BATCH_ORDERS", 1)
-    assert ex._window_groups(lams) == [slice(i, i + 1) for i in range(8)]
+# 997 splits windows mid-way; 10**9 makes one slice of every ensemble (under
+# the default cap, criterion 4's is one slice and the 120 windows are 12);
+# 997 on the 120 windows would cost 0.8 s
+@pytest.mark.parametrize("kw,caps", [
+    (dict(), (997, 10 ** 9)),
+    (dict(lam_lo=60.0, lam_hi=2000.0, windows=5, trials=3, seed=4),
+     (997, 10 ** 9)),
+    (dict(lam_lo=200.0, lam_hi=2000.0, windows=120, trials=2, seed=3),
+     (10 ** 9,)),
+], ids=["criterion-4", "5-windows", "120-windows"])
+def test_quasimode_does_not_depend_on_the_slice_size(monkeypatch, kw, caps):
+    # the same columns and the same CSV text, to the byte, whatever the
+    # number of (window, order) pairs per enumeration pass
+    res = ex.quasimode_boundedness(**kw)
+    lams = np.array([r.lam for r in res.rows])
+    assert modes._BATCH_ORDERS == 8000
+    text = io.quasimode_to_csv_text(res)
+    columns = modes.modes_in_frequency_windows(lams, lams + 1.0)
+    for cap in caps:
+        monkeypatch.setattr(modes, "_BATCH_ORDERS", cap)
+        assert io.quasimode_to_csv_text(
+            ex.quasimode_boundedness(**kw)) == text, cap
+        again = modes.modes_in_frequency_windows(lams, lams + 1.0)
+        assert [(c.dtype, c.tobytes()) for c in again] == \
+            [(c.dtype, c.tobytes()) for c in columns], cap
 
 
-def test_quasimode_window_groups_stay_under_the_cap():
-    # consecutive runs under the cap; a window above it is a run of its own
-    lams = np.array([3000.0, 3000.0, 5000.0, 9000.0, 100.0, 100.0])
-    assert ex._BATCH_ORDERS == 8000
-    assert ex._window_groups(lams) == [slice(0, 2), slice(2, 3), slice(3, 4),
-                                       slice(4, 6)]
+def _traced_peak(**kw) -> int:
+    """The tracemalloc peak, in bytes, of one quasimode ensemble."""
+    tracemalloc.start()
+    try:
+        ex.quasimode_boundedness(**kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_quasimode_memory_stays_bounded():
-    # 120 windows on [200, 2000]: batched in groups under the cap the
-    # traced peak is 3.2 MiB, batched all at once 27.5 MiB
-    tracemalloc.start()
-    try:
-        ex.quasimode_boundedness(lam_lo=200.0, lam_hi=2000.0, windows=120,
-                                 trials=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    # 120 windows on [200, 2000], 12 slices: the traced peak is 4.0 MiB,
+    # enumerated as one slice 18.9 MiB
+    assert _traced_peak(lam_lo=200.0, lam_hi=2000.0, windows=120,
+                        trials=2) < 8 * 2 ** 20
+
+
+def test_quasimode_memory_stays_bounded_for_one_large_window():
+    # one window at 1e5, 13 slices: the traced peak is 4.3 MiB, enumerated
+    # as one slice 25.4 MiB
+    assert _traced_peak(lam_lo=1e5, lam_hi=1e5, windows=1,
+                        trials=2) < 8 * 2 ** 20

@@ -565,7 +565,8 @@ def _assert_matches_wide(found, lam_lo, lam_hi):
 def _window(lam_lo, lam_hi):
     """The modes of one window as (n, lam, normalization): the one-window
     call of modes_in_frequency_windows."""
-    _, n, lam, norm = modes.modes_in_frequency_windows([lam_lo], [lam_hi])
+    _, n, lam, norm, _ = modes.modes_in_frequency_windows([lam_lo],
+                                                          [lam_hi])
     return list(zip(n.tolist(), lam.tolist(), norm.tolist()))
 
 
@@ -654,8 +655,8 @@ def _enumerate_one_window(lam_lo, lam_hi):
 def _windows(batched):
     """The columns of modes_in_frequency_windows split by window, as one
     list of (n, lam, normalization) per window index up to the last."""
-    win, n, lam, norm = batched
-    assert len(win) == len(n) == len(lam) == len(norm)
+    win, n, lam, norm, amp = batched
+    assert len(win) == len(n) == len(lam) == len(norm) == len(amp)
     # ordered by (window, n, lam)
     assert np.lexsort((lam, n, win)).tolist() == list(range(len(win)))
     found = [[] for _ in range(win.max() + 1 if len(win) else 0)]
@@ -720,3 +721,13 @@ class TestBatchedWindows:
                        ([1.0], [math.inf]), ([math.nan], [2.0])):
             with pytest.raises(ValueError, match=r"need 0 < lam_lo"):
                 modes.modes_in_frequency_windows(lo, hi)
+
+    @pytest.mark.parametrize("radius", [0.5, 0.3])
+    def test_amplitude_is_the_trace_on_the_circle(self, radius):
+        # c J_n(lam R), bit for bit, as the selector's amplitude column
+        lo = np.array([60.0, 200.0])
+        kw = {} if radius == 0.5 else {"radius": radius}
+        _, n, lam, norm, amp = modes.modes_in_frequency_windows(lo, lo + 1.0,
+                                                                **kw)
+        assert amp.tobytes() == (
+            norm * specfun.bessel_j(n, lam * radius)).tobytes()
