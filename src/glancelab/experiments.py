@@ -95,8 +95,15 @@ class SweepConfig:
         if not (0.0 < self.radius < 1.0):
             raise ValueError(f"radius = {self.radius} (--radius) must lie "
                              f"strictly inside the disk")
-        if not (1 <= self.n_lo <= self.n_hi and self.points >= 1):
-            raise ValueError("need 1 <= n_lo <= n_hi and points >= 1")
+        if not self.n_lo >= 1:
+            raise ValueError(f"n_lo = {self.n_lo} (--n-min) must be at "
+                             f"least 1")
+        if not self.n_hi >= self.n_lo:
+            raise ValueError(f"n_hi = {self.n_hi} (--n-max) must be at least "
+                             f"n_lo = {self.n_lo} (--n-min)")
+        if not self.points >= 1:
+            raise ValueError(f"points = {self.points} (--points) must be at "
+                             f"least 1")
         if self.points == 1 and self.n_lo != self.n_hi:
             raise ValueError(f"points = 1 (--points) sweeps n_lo alone: it "
                              f"needs n_hi = n_lo = {self.n_lo}")
@@ -307,7 +314,8 @@ def normal_derivative_sweep(config: SweepConfig, s: float,
     if config.kind != "disk":
         raise ValueError("the normal-derivative sweep needs a disk config")
     if not (rho > config.alpha):
-        raise ValueError("need rho > alpha so modes sit in the far branch")
+        raise ValueError(f"need rho > alpha (--rho {rho}, --alpha "
+                         f"{config.alpha}) so modes sit in the far branch")
     weight = WeightSpec(s=-s, rho=rho)
     return _sweep(config, "normal_derivative", s=s, weight=weight)
 

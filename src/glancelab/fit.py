@@ -62,7 +62,8 @@ def fit_exponent(x, y, drop_low: float = 0.25) -> FitResult:
         measurement of a bounded quantity, whatever its r^2.
     """
     if not (0.0 <= drop_low < 1.0):
-        raise ValueError(f"drop_low must lie in [0, 1), got {drop_low}")
+        raise ValueError(f"drop_low must lie in [0, 1), got {drop_low} "
+                         f"(--drop-low)")
     x, y = _floats(x), _floats(y)
     if len(x) != len(y):
         raise FitError("x and y must be 1-d arrays of equal length")

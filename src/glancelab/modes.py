@@ -79,9 +79,11 @@ class ScaleTarget:
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha = {self.alpha} (--alpha) must lie in "
+                             f"(0, 1)")
         if not (0.0 < self.offset < math.inf):
-            raise ValueError("offset must be positive and finite")
+            raise ValueError(f"offset = {self.offset} (--offset-const) must "
+                             f"be positive and finite")
 
     def disk_window(self, n):
         """Frequency window of an angular order n at R = 1/2, or the two
@@ -97,19 +99,38 @@ class ScaleTarget:
 
 
 # ----------------------------------------------------------------------
-# Normalization
+# Normalizations and traces
 # ----------------------------------------------------------------------
 
-def _normalizations(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The L2(disk) normalizations c = 1/(sqrt(pi) |J_{n+1}(lam)|) of the
-    modes at the zeros lam of J_n (arrays alike), from
+def _norms_and_traces(n: np.ndarray, lam: np.ndarray, radius: float,
+                      derivative: bool = False):
+    """(normalization, trace) of the modes at the zeros lam of J_n (arrays
+    alike), from one :func:`specfun.bessel_j` call on the stacked columns
+    of orders and arguments.
+
+    The L2(disk) normalization is c = 1/(sqrt(pi) |J_{n+1}(lam)|), from
     int_0^1 J_n(lam r)^2 r dr = J_{n+1}(lam)^2 / 2 at a zero of J_n; 0.0
-    where J_{n+1}(lam) vanishes, which leaves no mode."""
-    jm1, jn = specfun.bessel_j_pair(n, lam)
+    where J_{n+1}(lam) vanishes, which leaves no mode.  The trace is J_n(lam
+    radius), or with `derivative` J_n'(lam radius) by
+    ``specfun._derivatives`` from J_{n-1} and J_n there; each value has
+    the bits of ``bessel_j_pair``, ``bessel_j`` and ``bessel_j_prime``.
+    """
+    x = lam * radius
+    below = np.abs(n - 1)
+    orders, args = (((below, n, below, n), (lam, lam, x, x)) if derivative
+                    else ((below, n, n), (lam, lam, x)))
+    j = np.split(specfun.bessel_j(np.concatenate(orders),
+                                  np.concatenate(args)), len(orders))
+    # for n = 0 the member below is J_{-1} = -J_1, as bessel_j_pair has it
+    jm1, jn = np.where(n == 0, -j[0], j[0]), j[1]
     # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
-    jnp1 = np.abs((2.0 * n / lam) * jn - jm1)      # for n = 0, jm1 = -J_1
-    return np.divide(1.0, math.sqrt(math.pi) * jnp1, out=np.zeros_like(jnp1),
+    jnp1 = np.abs((2.0 * n / lam) * jn - jm1)
+    norm = np.divide(1.0, math.sqrt(math.pi) * jnp1, out=np.zeros_like(jnp1),
                      where=jnp1 != 0.0)
+    if not derivative:
+        return norm, j[2]
+    return norm, specfun._derivatives(n, x, np.where(n == 0, -j[2], j[2]),
+                                      j[3])
 
 
 # ----------------------------------------------------------------------
@@ -157,13 +178,15 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     `radius` lies in it, with a hair of slack).  They are ranked by |sin pi
     m|, or |cos pi m| with `derivative`, the phase factors of |J_n(lam
     radius)| and |J_n'|, where m is the continuous zero index at lam radius.
-    The top `_REFINED` of each order are solved exactly, and the one of
-    largest exact |trace| whose zero lies in the window and, with h = 1/lam,
-    in the band wins, the first-ranked on a tie.  An order whose ranked few
-    all leave the window or the band on refinement has all its other
-    candidates refined.  Each stage is one array call over every order: the
-    candidate ranges, the seeds, the ranking, the Newton (once more for such
-    orders), the traces, the pick and the normalization.
+    The top `_REFINED` of each order are solved exactly, from the seeds
+    that ranked them, and the one of largest exact |trace| whose zero lies
+    in the window and, with h = 1/lam, in the band wins, the first-ranked
+    on a tie.  An order whose ranked few all leave the window or the band on
+    refinement has all its other candidates refined.  Each stage is one
+    array call over every order: the candidate ranges, the seeds, the
+    ranking, the Newton and then the normalizations and traces of the
+    admitted zeros, both from one Bessel call (:func:`_norms_and_traces`;
+    once more for such orders), and the pick, which reads its own entries.
     """
     orders = specfun._integers(orders, "order").ravel()
     # an order below 1 keeps no candidate (its windows are those of n = 1)
@@ -197,32 +220,33 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
                                              lam_seed[osc] * radius)
     score[osc] = np.abs(np.cos(pm) if derivative else np.sin(pm))
     ranked = np.lexsort((-score, k))
-    k, m = k[ranked], m[ranked]
+    k, m, lam_seed = k[ranked], m[ranked], lam_seed[ranked]
     rank = np.arange(m.size) - (np.cumsum(feasible) - feasible)[k]
-    trace = specfun.bessel_j_prime if derivative else specfun.bessel_j
 
     def refine(sel):
-        """(positions, lam, trace) of the admissible zeros among the
-        candidates at positions sel."""
+        """(positions, lam, normalization, trace) of the admissible zeros
+        among the candidates at positions sel."""
         sel = np.flatnonzero(sel)
-        lam = specfun.bessel_zero(ns[k[sel]], m[sel])
+        lam = specfun.bessel_zero(ns[k[sel]], m[sel], seeds=lam_seed[sel])
         ok = (lam_lo[k[sel]] <= lam) & (lam <= lam_hi[k[sel]])
         if band is not None:
             h = 1.0 / lam
             ok &= band_indicator(glancing_distance(ns[k[sel]], h, radius), h,
                                  band)
         sel, lam = sel[ok], lam[ok]
-        return sel, lam, trace(ns[k[sel]], lam * radius)
+        return (sel, lam,
+                *_norms_and_traces(ns[k[sel]], lam, radius, derivative))
 
-    sel, lam, traces = refine(rank < _REFINED)
+    sel, lam, norms, traces = refine(rank < _REFINED)
     # past the ranked few only when they all drifted outside on exact
     # refinement (narrow window, seeds near the edges)
     again = ~np.isin(k, k[sel]) & (rank >= _REFINED)
     if again.any():
         # appended after the first round: each order's candidates still
         # come in ranked order, since these orders had none admitted there
-        sel, lam, traces = (np.concatenate(pair) for pair in
-                            zip((sel, lam, traces), refine(again)))
+        sel, lam, norms, traces = (
+            np.concatenate(pair)
+            for pair in zip((sel, lam, norms, traces), refine(again)))
     quality = np.abs(traces)
 
     # per order the largest |trace|; the sort is stable, so on a tie the
@@ -230,12 +254,11 @@ def select_disk_modes(orders, target: ScaleTarget, radius: float = 0.5,
     best = np.lexsort((-quality, k[sel]))
     picked, first = np.unique(k[sel][best], return_index=True)
     best = best[first]
-    norm = _normalizations(ns[picked], lam[best])
 
     out_lam, out_norm, out_amp = (np.full(ns.size, math.nan)
                                   for _ in range(3))
-    out_lam[picked], out_norm[picked] = lam[best], norm
-    out_amp[picked] = norm * traces[best]
+    out_lam[picked], out_norm[picked] = lam[best], norms[best]
+    out_amp[picked] = norms[best] * traces[best]
     errors = [None] * ns.size
     for j in np.flatnonzero(~(out_norm > 0.0)).tolist():
         n, lo, hi = int(orders[j]), float(lam_lo[j]), float(lam_hi[j])
@@ -313,10 +336,11 @@ def modes_in_frequency_windows(lam_lo, lam_hi, radius: float = 0.5):
     m) comes from one :func:`specfun.bessel_zero_candidate_ranges` call,
     each order against its own window; all of them are solved in one
     batched Newton (:func:`specfun.bessel_zero`), and the modes inside are
-    normalized and traced in one array pass.  Each zero is bit for bit the
-    zero solved alone, whatever else the slice holds, so no output depends
-    on the slicing, a zero on an edge included.  Windows may overlap; a zero
-    in several is a mode of each.
+    normalized and traced by one Bessel call (:func:`_norms_and_traces`).
+    Each zero and each value is bit for bit the one solved alone, whatever
+    else the slice holds, so no output depends on the slicing, a zero on an
+    edge included.  Windows may overlap; a zero in several is a mode of
+    each.
     """
     lam_lo, lam_hi = (np.asarray(v, dtype=float).ravel()
                       for v in np.broadcast_arrays(lam_lo, lam_hi))
@@ -340,12 +364,11 @@ def modes_in_frequency_windows(lam_lo, lam_hi, radius: float = 0.5):
         lam = specfun.bessel_zero(n, m)
         inside = (lam_lo[win] <= lam) & (lam <= lam_hi[win])
         win, n, lam = win[inside], n[inside], lam[inside]
-        norm = _normalizations(n, lam)
+        norm, trace = _norms_and_traces(n, lam, radius)
         degenerate = np.flatnonzero(norm == 0.0)
         if degenerate.size:
             i = degenerate[0]
             raise NoModeError(
                 f"degenerate normalization at (n={n[i]}, lam={lam[i]})")
-        parts.append((win, n, lam, norm,
-                      norm * specfun.bessel_j(n, lam * radius)))
+        parts.append((win, n, lam, norm, norm * trace))
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -693,11 +693,12 @@ def run_all() -> OracleReport:
                              quad, closed, closed, 1e-9,
                              f"{len(quad_cases)} modes"))
     # the normalization that scales every trace amplitude the package
-    # writes: 2 pi c^2 int_0^1 J_n(lam r)^2 r dr = 1
+    # writes, taken with the traces by modes._norms_and_traces (the trace
+    # column is not checked here): 2 pi c^2 int_0^1 J_n(lam r)^2 r dr = 1
     want = 1.0 / np.sqrt(2.0 * math.pi * quad)
     rep.checks.append(_check("modes normalization vs quadrature",
-                             modes._normalizations(n, lam), want, want, 1e-12,
-                             f"{len(quad_cases)} modes"))
+                             modes._norms_and_traces(n, lam, 0.5)[0], want,
+                             want, 1e-12, f"{len(quad_cases)} modes"))
 
     # -- eigenvalue counting vs the smooth Weyl law ---------------------------
     lam = 2000.0

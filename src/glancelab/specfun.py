@@ -73,7 +73,12 @@ zero can lie in a window, for any orders each with its own window, from one
 zero it is given in one Newton on ``bessel_j_pair``; selection (the top few
 ranked candidates of every order of a sweep) and window enumeration (every
 candidate of every order of every window of an ensemble) each make one call.
-It and ``z_of_zeta`` share the module's one Newton iteration, ``_newton``.
+It computes the seeds itself unless the caller passes them: selection ranks
+its candidates by their seeds, so it hands them over and no seed is solved
+twice.  It and ``z_of_zeta`` share the module's one Newton iteration,
+``_newton``.  J_n' has one formula, ``_derivatives``, on a pair that
+``bessel_j_prime`` and the disk normalizations of :mod:`glancelab.modes`
+each take from one dispatch call.
 ``airy_zero`` and the seed share one rule for a_m, ``_airy_zeros``: a table
 of float literals for m < 10, and the closed form of DLMF 9.9.18 (six terms
 in t^-2, t = 3 pi (4m - 1)/8) from there on, within 2 ulp of a_m.
@@ -753,16 +758,24 @@ def bessel_j_pair(n, x):
     return _shaped(np.where(n == 0, -jm1, jm1), shape), _shaped(jn, shape)
 
 
-def bessel_j_prime(n, x):
-    """d/dx J_n(x) via J_n' = J_{n-1} - (n/x) J_n (DLMF 10.6.2); where
-    x <= 1e-300 n, x = 0 included, the limit at 0: 1/2 for n = 1, else 0
-    (within x/4 there, where n/x could overflow and J_n underflow)."""
-    n, x, shape = _as_arrays(n, x)
-    jm1, jn = bessel_j_pair(n, x)   # for n = 0, jm1 is already -J_1
+def _derivatives(n: np.ndarray, x: np.ndarray, jm1: np.ndarray,
+                 jn: np.ndarray) -> np.ndarray:
+    """J_n'(x) = J_{n-1}(x) - (n/x) J_n(x) (DLMF 10.6.2) of every element
+    of arrays (n, x) from their pair (jm1, jn) as :func:`bessel_j_pair`
+    gives it (-J_1 for n = 0); where x <= 1e-300 n, x = 0 included, the
+    limit at 0: 1/2 for n = 1, else 0 (within x/4 there, where n/x could
+    overflow and J_n underflow)."""
     origin = x <= n * 1e-300
     deriv = jm1 - (n / np.where(origin, 1.0, x)) * jn
-    return _shaped(np.where(origin, np.where(n == 1, 0.5, 0.0), deriv),
-                   shape)
+    return np.where(origin, np.where(n == 1, 0.5, 0.0), deriv)
+
+
+def bessel_j_prime(n, x):
+    """d/dx J_n(x) from :func:`bessel_j_pair` by :func:`_derivatives`: J_n'
+    = J_{n-1} - (n/x) J_n (DLMF 10.6.2), and where x <= 1e-300 n the limit
+    at 0, 1/2 for n = 1, else 0."""
+    n, x, shape = _as_arrays(n, x)
+    return _shaped(_derivatives(n, x, *bessel_j_pair(n, x)), shape)
 
 
 # ----------------------------------------------------------------------
@@ -818,6 +831,17 @@ def bessel_zero_candidate_ranges(n, lo, hi):
             np.repeat(first, count) + offset)
 
 
+def _zero_indices(n, m):
+    """Orders n >= 0 and zero indices m >= 1 broadcast together, as
+    :func:`_as_arrays` returns them; ValueError otherwise."""
+    n, m, shape = _as_arrays(n, m, np.int64)
+    if m.size and m.min() < 1:
+        raise ValueError("zero index starts at 1")
+    if n.size and n.min() < 0:
+        raise ValueError("order must be nonnegative")
+    return n, m, shape
+
+
 def bessel_zero_seed(n, m):
     """Asymptotic estimate of the m-th positive zero of J_n (m >= 1).
 
@@ -825,11 +849,7 @@ def bessel_zero_seed(n, m):
     (DLMF 10.21.41 leading term), McMahon's expansion for n = 0
     (DLMF 10.21.19).  a_m is :func:`airy_zero`'s, bit for bit.
     """
-    n, m, shape = _as_arrays(n, m, np.int64)
-    if m.size and m.min() < 1:
-        raise ValueError("zero index starts at 1")
-    if n.size and n.min() < 0:
-        raise ValueError("order must be nonnegative")
+    n, m, shape = _zero_indices(n, m)
     n1 = np.maximum(n, 1)
     seeds = n1 * z_of_zeta(n1 ** (-2.0 / 3.0) * _airy_zeros(m))
     zero = n == 0
@@ -852,13 +872,25 @@ def _zero_spacing(n: np.ndarray, x: np.ndarray) -> np.ndarray:
                     * x, 1.0)
 
 
-def bessel_zero(n, m):
+def bessel_zero(n, m, seeds=None):
     """The m-th positive zero of J_n (m >= 1), to ~1e-12 relative: one
     :func:`_newton` on J_n, its derivative from :func:`bessel_j_pair`, over
     every element of (n, m), from :func:`bessel_zero_seed` in a bracket of
-    0.75 local zero spacings, to a step of 1e-13 relative."""
-    n, ms, shape = _as_arrays(n, m, np.int64)
-    lam = bessel_zero_seed(n, ms)
+    0.75 local zero spacings, to a step of 1e-13 relative.
+
+    `seeds`, when given, are the values of ``bessel_zero_seed(n, m)`` that
+    the caller already holds, in the broadcast shape of (n, m), and are not
+    computed again; any other values move the zeros.  A shape that does
+    not match raises ValueError.
+    """
+    n, ms, shape = _zero_indices(n, m)
+    if seeds is None:
+        lam = bessel_zero_seed(n, ms)
+    else:
+        lam, seed_shape = _flat(seeds)
+        if seed_shape != shape:
+            raise ValueError(f"seeds of shape {seed_shape} for zeros of "
+                             f"shape {shape}")
     half = 0.75 * _zero_spacing(n, lam)
 
     def step(live, lam):

@@ -69,7 +69,8 @@ class BandSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.rho1 < self.rho2):
-            raise ValueError("need 0 <= rho1 < rho2")
+            raise ValueError(f"rho1 = {self.rho1}, rho2 = {self.rho2} "
+                             f"(--rho1, --rho2) need 0 <= rho1 < rho2")
 
 
 def _check_h(h):

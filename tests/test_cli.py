@@ -197,7 +197,7 @@ def test_drop_low_outside_unit_interval_is_config_error(tmp_path, capsys,
                              *(["--out", out] if command == "plot" else []))
     assert code == 1 and stdout == ""
     assert err == (f"glancelab: error: drop_low must lie in [0, 1), "
-                   f"got {float(drop)}\n")
+                   f"got {float(drop)} (--drop-low)\n")
     assert not os.path.exists(out + ".svg")
 
 
@@ -378,7 +378,9 @@ _BAND_GRID = ["--alpha", "0.5", "--rho1", "0.3", "--rho2", "0.6", "--s", "0.1",
 # leaves every degree's order window below 0, exited 2 with no usable rows;
 # one point between two orders swept n_min alone, ignoring --n-max; off
 # radius 1/2, where sigma tends to 1 - 1/(4 R^2), a band that no order up to
-# 1e6 reaches exited 2 with no usable rows
+# 1e6 reaches exited 2 with no usable rows; a nonpositive offset, an alpha
+# outside (0, 1), an empty order range, a reversed band and a derivative
+# weight scale below alpha were refused naming no flag
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
@@ -406,6 +408,13 @@ _BAND_GRID = ["--alpha", "0.5", "--rho1", "0.3", "--rho2", "0.6", "--s", "0.1",
     (["sweep-sphere", *_GRID[:-1], "1"], "--points"),
     (["sweep-disk", "--radius", "0.6", *_BAND_GRID], "--radius"),
     (["sweep-disk", "--radius", "0.4", *_BAND_GRID], "--radius"),
+    (["sweep-disk", *_GRID, "--offset-const", "-1"], "--offset-const"),
+    (["sweep-disk", *_GRID, "--alpha", "1.5"], "--alpha"),
+    (["sweep-disk", *_GRID, "--n-min", "3000"], "--n-max"),
+    (["sweep-sphere", *_GRID, "--n-min", "0"], "--n-min"),
+    (["sweep-disk", *_GRID, "--points", "0"], "--points"),
+    ([*_DISK, "--rho1", "0.6", "--rho2", "0.3"], "--rho1"),
+    ([*_DISK, "--derivative", "--rho", "0.4"], "--rho"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")

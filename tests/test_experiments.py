@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_disk_amplitude_sweep_scaling():
             row.amplitude * math.sqrt(2.0 * math.pi * cfg.radius))
     f = res.fit(x="lam")
     assert 0.05 < f.slope < 0.20              # alpha/4 = 0.125
+
+
+def test_demo_table_is_criterion_1_sweep():
+    # demos/disk_growth.csv is the alpha = 1/2 sweep of criterion 1, so a
+    # change that moves any selected mode's bits fails here
+    cfg = ex.SweepConfig(kind="disk", alpha=0.5, n_lo=1000, n_hi=100000,
+                         points=24)
+    demo = Path(__file__).resolve().parent.parent / "demos" / "disk_growth.csv"
+    assert demo.read_bytes() == io.sweep_to_csv_text(
+        ex.amplitude_sweep(cfg)).encode()
 
 
 def test_disk_rows_ascend_in_order():

@@ -21,7 +21,8 @@ def _mode(n, m):
     radial eigenvalue: the one-element calls of the batched zero and
     normalization."""
     lam = specfun.bessel_zero([n], [m])
-    return float(lam[0]), float(modes._normalizations(np.array([n]), lam)[0])
+    return float(lam[0]), float(
+        modes._norms_and_traces(np.array([n]), lam, 0.5)[0][0])
 
 
 def _one_order(n, **kw):
@@ -67,7 +68,7 @@ class TestRestriction:
         n, lam, *_ = ex._disk_traces(_one_order(500), False, None)
         amp = self._signed(_one_order(500), False)
         assert amp[0] == pytest.approx(
-            modes._normalizations(n, lam)[0] * specfun.bessel_j(
+            modes._norms_and_traces(n, lam, 0.5)[0][0] * specfun.bessel_j(
                 int(n[0]), lam[0] * 0.5), rel=1e-13, abs=0.0)
 
     def test_normal_derivative_is_h_scaled(self):
@@ -75,7 +76,8 @@ class TestRestriction:
         n, lam, *_ = ex._disk_traces(_one_order(100), True, None)
         amp = self._signed(_one_order(100), True)
         n, lam = int(n[0]), float(lam[0])
-        norm = float(modes._normalizations(np.array([n]), np.array([lam]))[0])
+        norm = float(modes._norms_and_traces(np.array([n]), np.array([lam]),
+                                             0.5)[0][0])
         eps = 1e-6
         u = lambda r: norm * specfun.bessel_j(n, lam * r)
         fd = (u(0.5 + eps) - u(0.5 - eps)) / (2 * eps) / lam
@@ -108,7 +110,7 @@ class TestRestriction:
             5.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
         n = np.array([3, 5])
         lam = specfun.bessel_zero(n, 2)
-        a = modes._normalizations(n, lam) * specfun.bessel_j(n, lam * r)
+        a = np.multiply(*modes._norms_and_traces(n, lam, r))
         theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         u = a[0] * np.exp(3j * theta) + a[1] * np.exp(5j * theta)
         quad = math.sqrt(2.0 * math.pi * r * np.mean(np.abs(u) ** 2))
@@ -477,6 +479,111 @@ class TestBatchedSelection:
         # the rule is the measured trace, never an argument of its own
         with pytest.raises(TypeError):
             modes.select_disk_modes([500], t, optimize="loudest")
+
+
+class TestNormsAndTraces:
+    # n = 0, orders of the recurrence region (n < 200) and of the uniform
+    # expansion; radius 0.9 puts some traces in the recurrence region
+    N = np.array([0, 0, 1, 3, 17, 60, 150, 199, 200, 1000, 54321])
+    M = np.array([1, 7, 2, 5, 3, 40, 3, 12, 1, 9, 4])
+
+    @pytest.mark.parametrize("radius", [0.5, 0.3, 0.9])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_bits_of_the_separate_calls(self, radius, derivative):
+        lam = specfun.bessel_zero(self.N, self.M)
+        norm, trace = modes._norms_and_traces(self.N, lam, radius,
+                                              derivative)
+        assert norm.tolist() == _norms(self.N, lam)
+        one = specfun.bessel_j_prime if derivative else specfun.bessel_j
+        assert trace.tobytes() == one(self.N, lam * radius).tobytes()
+        # and each element as it is alone
+        for i, n in enumerate(self.N.tolist()):
+            alone = modes._norms_and_traces(self.N[i:i + 1], lam[i:i + 1],
+                                            radius, derivative)
+            assert (alone[0][0], alone[1][0]) == (norm[i], trace[i]), n
+
+
+class TestSelectionWork:
+    """Count the calls one selection or window enumeration makes, by
+    wrapping the module attributes it calls through."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """A list that records, in call order, each seed solve ("seed"),
+        each Newton round ("zero"), each evaluation of a Newton step outside
+        the seeds ("evaluation") and each Bessel dispatch call
+        ("dispatch")."""
+        events, seeding = [], []
+
+        def seed(*args, **kwargs):
+            events.append("seed")
+            seeding.append(True)
+            try:
+                return seed_fn(*args, **kwargs)
+            finally:
+                seeding.pop()
+
+        def zero(*args, **kwargs):
+            events.append("zero")
+            return zero_fn(*args, **kwargs)
+
+        def newton(step, *args, **kwargs):
+            def counted(live, x):
+                if not seeding:
+                    events.append("evaluation")
+                return step(live, x)
+            return newton_fn(counted, *args, **kwargs)
+
+        def dispatch(*args, **kwargs):
+            events.append("dispatch")
+            return dispatch_fn(*args, **kwargs)
+
+        seed_fn, zero_fn = specfun.bessel_zero_seed, specfun.bessel_zero
+        newton_fn, dispatch_fn = specfun._newton, specfun._bessel_j
+        monkeypatch.setattr(specfun, "bessel_zero_seed", seed)
+        monkeypatch.setattr(specfun, "bessel_zero", zero)
+        monkeypatch.setattr(specfun, "_newton", newton)
+        monkeypatch.setattr(specfun, "_bessel_j", dispatch)
+        return events
+
+    @staticmethod
+    def _rounds(events):
+        """The events from each "zero" to the next, and those before."""
+        cuts = [i for i, e in enumerate(events) if e == "zero"] + [None]
+        return events[:cuts[0]], [events[a + 1:b]
+                                  for a, b in zip(cuts, cuts[1:])]
+
+    # with one candidate refined first, the band sweep needs a second round
+    @pytest.mark.parametrize("refined,alpha,trace,band,rounds", [
+        (3, *selection, 1) for selection in _SWEEP_SELECTIONS] + [
+        (1, 0.5, "restriction", (0.3, 0.6), 2)])
+    def test_selection_seeds_once_and_calls_once_past_the_newton(
+            self, monkeypatch, refined, alpha, trace, band, rounds):
+        monkeypatch.setattr(modes, "_REFINED", refined)
+        events = self._record(monkeypatch)
+        orders = SweepConfig(kind="disk", alpha=alpha, n_lo=1000,
+                             n_hi=100000, points=24).orders()
+        modes.select_disk_modes(orders, ScaleTarget(alpha=alpha),
+                                derivative=trace == "normal_derivative",
+                                band=BandSpec(*band) if band else None)
+        before, each = self._rounds(events)
+        assert before == ["seed"] and len(each) == rounds
+        for r in each:
+            # the Newton's evaluations, then one call for the admitted
+            # zeros' normalizations and traces
+            assert "seed" not in r
+            assert r.count("dispatch") == r.count("evaluation") + 1
+            assert r[-1] == "dispatch"
+
+    def test_window_slice_calls_once_past_the_newton(self, monkeypatch):
+        events = self._record(monkeypatch)
+        monkeypatch.setattr(modes, "_BATCH_ORDERS", 500)
+        lo = np.array([200.0, 536.54, 1439.37])
+        modes.modes_in_frequency_windows(lo, lo + 1.0)
+        before, slices = self._rounds(events)
+        assert before == [] and len(slices) > 1
+        for r in slices:
+            assert r.count("dispatch") == r.count("evaluation") + 1
 
 
 def _sphere_one_by_one(l, target):

@@ -417,14 +417,19 @@ class TestQuadratureNorm:
 
 class TestBattery:
     def test_checks_the_package_normalization(self, monkeypatch):
-        # the closed form checks the quadrature; this check holds
-        # modes._normalizations, which scales every CSV amplitude, to it
+        # the closed form checks the quadrature; this check holds the
+        # normalization of modes._norms_and_traces, which scales every CSV
+        # amplitude, to it
         name = "modes normalization vs quadrature"
         check = {c.name: c for c in oracle.run_all().checks}[name]
         assert check.passed and check.worst < 0.1
-        exact = modes._normalizations
-        monkeypatch.setattr(modes, "_normalizations",
-                            lambda n, lam: exact(n, lam) * (1.0 + 1e-11))
+        exact = modes._norms_and_traces
+
+        def planted(*args, **kwargs):
+            norm, trace = exact(*args, **kwargs)
+            return norm * (1.0 + 1e-11), trace
+
+        monkeypatch.setattr(modes, "_norms_and_traces", planted)
         check = {c.name: c for c in oracle.run_all().checks}[name]
         assert not check.passed
 

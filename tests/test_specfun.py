@@ -718,6 +718,33 @@ class TestBesselZeros:
                                math.floor(b + margin) + 1)]
         assert list(zip(n.tolist(), m.tolist())) == want
 
+    def test_given_seeds_keep_the_bits(self):
+        # n = 0, the recurrence region (n < 200) and the uniform expansion
+        n = np.array([0, 0, 1, 3, 57, 150, 199, 200, 201, 1000, 54321])
+        m = np.array([1, 9, 1, 4, 2, 1, 30, 1, 7, 218, 3])
+        seeds = specfun.bessel_zero_seed(n, m)
+        assert specfun.bessel_zero(n, m, seeds=seeds).tobytes() == \
+            specfun.bessel_zero(n, m).tobytes()
+        assert specfun.bessel_zero(7, 3, seeds=specfun.bessel_zero_seed(
+            7, 3)) == specfun.bessel_zero(7, 3)
+        grid = np.array([[1, 2], [3, 4]])
+        assert specfun.bessel_zero(5, grid, seeds=specfun.bessel_zero_seed(
+            5, grid)).tobytes() == specfun.bessel_zero(5, grid).tobytes()
+
+    def test_seeds_of_another_shape_raise(self):
+        seeds = specfun.bessel_zero_seed(np.array([3, 4]), 1)
+        for n, m, given in ((np.array([3, 4, 5]), 1, seeds),
+                            (3, 1, seeds), (np.array([3, 4]), 1, seeds[0]),
+                            (5, np.array([[1, 2], [3, 4]]), seeds)):
+            with pytest.raises(ValueError, match="seeds of shape"):
+                specfun.bessel_zero(n, m, seeds=given)
+        with pytest.raises(ValueError, match="finite"):
+            specfun.bessel_zero(np.array([3, 4]), 1,
+                                seeds=np.array([4.0, math.nan]))
+        # the indices are checked whatever seeds come with them
+        with pytest.raises(ValueError, match="zero index starts at 1"):
+            specfun.bessel_zero(3, 0, seeds=6.0)
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             specfun.bessel_zero(3, 0)
@@ -789,7 +816,7 @@ class TestNewton:
     (specfun.airy_zero, (1.5,)),
     (specfun.legendre_equator, (3.5, 1)),
     (specfun.legendre_equator, (4, 1.5)),
-    (modes._normalizations, ([2.5], [3.0])),
+    (modes._norms_and_traces, (np.array([2.5]), np.array([3.0]), 0.5)),
     (modes.select_disk_modes, (500.5, modes.ScaleTarget(alpha=0.5))),
     (modes.select_disk_modes, ([500, 700.5], modes.ScaleTarget(alpha=0.5))),
     (modes.select_sphere_modes, (100.5, modes.ScaleTarget(alpha=0.5))),
