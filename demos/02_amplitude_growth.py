@@ -37,7 +37,7 @@ def main():
                                  xlabel="angular order n",
                                  ylabel="|trace amplitude|",
                                  title="disk, alpha = 0.5")
-    svgplot.write_svg(os.path.join(HERE, "disk_growth.svg"), svg)
+    io.write_text(os.path.join(HERE, "disk_growth.svg"), svg)
     print()
     print("wrote %s and disk_growth.svg" % csv_path)
 

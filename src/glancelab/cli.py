@@ -65,9 +65,20 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _columns(text: str) -> list[str] | None:
+    """A config file's comma list of column names; None when it names none,
+    which leaves the default."""
+    return [s.strip() for s in text.split(",") if s.strip()] or None
+
+
+# the default of a flag that has none: it must be given, on the command line
+# or in the config file
+_NO_DEFAULT = object()
+
 # Option tables: (dest, flag, type, default, help).  Defaults are applied
 # after the config file so that flags > file > default, and so the manifest
-# can record the fully resolved values.
+# can record the fully resolved values.  A _bool flag takes no value, and a
+# _columns flag is appended to on each use.
 _COMMON_SWEEP = [
     ("n_min", "--n-min", int, 1000, "smallest angular order / degree"),
     ("n_max", "--n-max", int, 100000, "largest angular order / degree"),
@@ -78,7 +89,7 @@ _COMMON_SWEEP = [
 
 _OPTIONS = {
     "sweep-disk": _COMMON_SWEEP + [
-        ("alpha", "--alpha", float, None, "scale exponent (required)"),
+        ("alpha", "--alpha", float, _NO_DEFAULT, "scale exponent (required)"),
         ("radius", "--radius", float, 0.5, "restriction circle radius"),
         ("s", "--s", float, 0.0,
          "weight power (with --rho1/--rho2 or --derivative)"),
@@ -88,16 +99,16 @@ _OPTIONS = {
          "sweep the h-scaled normal derivative weighted by sigma^{-s}"),
         ("rho", "--rho", float, 2.0 / 3.0,
          "glancing-weight scale for --derivative"),
-        ("out", "--out", str, None, "output prefix (required)"),
+        ("out", "--out", str, _NO_DEFAULT, "output prefix (required)"),
     ],
     "sweep-sphere": _COMMON_SWEEP + [
-        ("alpha", "--alpha", float, None, "scale exponent (required)"),
-        ("out", "--out", str, None, "output prefix (required)"),
+        ("alpha", "--alpha", float, _NO_DEFAULT, "scale exponent (required)"),
+        ("out", "--out", str, _NO_DEFAULT, "output prefix (required)"),
     ],
     "normal-band": _COMMON_SWEEP + [
-        ("alpha", "--alpha", float, None, "scale exponent (required)"),
+        ("alpha", "--alpha", float, _NO_DEFAULT, "scale exponent (required)"),
         ("radius", "--radius", float, 0.5, "restriction circle radius"),
-        ("out", "--out", str, None, "output prefix (required)"),
+        ("out", "--out", str, _NO_DEFAULT, "output prefix (required)"),
     ],
     "quasimode": [
         ("lam_min", "--lam-min", float, 200.0, "first window edge"),
@@ -108,40 +119,31 @@ _OPTIONS = {
         ("s", "--s", float, 0.3, "weight power"),
         ("rho", "--rho", float, 2.0 / 3.0, "glancing-weight scale"),
         ("radius", "--radius", float, 0.5, "restriction circle radius"),
-        ("out", "--out", str, None, "output prefix (required)"),
+        ("out", "--out", str, _NO_DEFAULT, "output prefix (required)"),
     ],
     "fit": [
-        ("infile", "--in", str, None, "input CSV (required)"),
-        ("x", "--x", str, None, "abscissa column (required)"),
-        ("y", "--y", str, None, "ordinate column (required)"),
+        ("infile", "--in", str, _NO_DEFAULT, "input CSV (required)"),
+        ("x", "--x", str, _NO_DEFAULT, "abscissa column (required)"),
+        ("y", "--y", str, _NO_DEFAULT, "ordinate column (required)"),
         ("drop_low", "--drop-low", float, 0.25,
          "leading fraction of rows to drop"),
     ],
     "plot": [
-        ("infile", "--in", str, None, "input CSV (required)"),
-        ("x", "--x", str, None, "abscissa column (required)"),
+        ("infile", "--in", str, _NO_DEFAULT, "input CSV (required)"),
+        ("x", "--x", str, _NO_DEFAULT, "abscissa column (required)"),
+        ("y", "--y", _columns, ["weighted_norm"],
+         "ordinate column (repeat for more series)"),
         ("drop_low", "--drop-low", float, 0.25,
          "leading fraction of rows dropped by the fits"),
         ("title", "--title", str, "", "plot title"),
-        ("out", "--out", str, None, "output prefix (required)"),
+        ("out", "--out", str, _NO_DEFAULT, "output prefix (required)"),
     ],
     "selftest": [],
 }
 
-_REQUIRED = {
-    "sweep-disk": ("alpha", "out"),
-    "sweep-sphere": ("alpha", "out"),
-    "normal-band": ("alpha", "out"),
-    "quasimode": ("out",),
-    "fit": ("infile", "x", "y"),
-    "plot": ("infile", "x", "out"),
-    "selftest": (),
-}
-
-
 # every key some subcommand reads from a config file
 _CONFIG_KEYS = {flag.lstrip("-") for options in _OPTIONS.values()
-                for _dest, flag, *_ in options} | {"y"}
+                for _dest, flag, *_ in options}
 
 
 def _build_parser() -> _Parser:
@@ -154,15 +156,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None,
                        help="INI file of defaults for this subcommand")
         for dest, flag, typ, _default, help_text in options:
-            if typ is _bool:
-                p.add_argument(flag, dest=dest, action="store_const",
-                               const=True, default=None, help=help_text)
-            else:
-                p.add_argument(flag, dest=dest, type=typ, default=None,
-                               help=help_text)
-        if name == "plot":
-            p.add_argument("--y", dest="y", action="append", default=None,
-                           help="ordinate column (repeat for more series)")
+            how = (dict(action="store_const", const=True) if typ is _bool
+                   else dict(action="append") if typ is _columns
+                   else dict(type=typ))
+            p.add_argument(flag, dest=dest, default=None, help=help_text,
+                           **how)
     return parser
 
 
@@ -187,12 +185,11 @@ def _resolve(args, name: str) -> dict:
                 raise _ConfigError(f"config key {key!r}: {exc}") from exc
         if value is None:
             value = default
+        if value is _NO_DEFAULT:
+            raise _ConfigError(f"{name}: {flag} is required"
+                               + (" (flag or config)" if args.config else ""))
         known[dest] = value
         section.pop(key, None)
-    if name == "plot":      # --y flags win over the file's y list
-        from_file = [s.strip() for s in section.pop("y", "").split(",")
-                     if s.strip()]
-        known["y"] = list(args.y or from_file) or ["weighted_norm"]
     # a [common] key another subcommand uses is fine; a stray key in this
     # subcommand's own section, or one no subcommand takes, is a config error
     unknown = sorted(key for key in section
@@ -200,11 +197,6 @@ def _resolve(args, name: str) -> dict:
     if unknown:
         raise _ConfigError(f"unknown config keys for {name}: "
                            + ", ".join(unknown))
-    for dest in _REQUIRED[name]:
-        if known.get(dest) is None:
-            flag = next(f for d, f, *_ in _OPTIONS[name] if d == dest)
-            raise _ConfigError(f"{name}: {flag} is required"
-                               + (" (flag or config)" if args.config else ""))
     if name == "sweep-disk":
         _check_sweep_disk(known, given)
     return known
@@ -230,15 +222,15 @@ def _check_sweep_disk(vals: dict, given: set) -> None:
 # subcommand bodies
 # ----------------------------------------------------------------------
 
-def _write_outputs(out_prefix: str, name: str, result, vals: dict, write,
-                   skipped=(), seed=None) -> str:
-    """Write `result` to ``<out_prefix>.csv`` by `write`, and its manifest."""
-    csv_path = out_prefix + ".csv"
-    write(csv_path, result)
-    io.write_manifest(io.manifest_path(csv_path), name,
+def _write_outputs(path: str, write, content, rows: int, name: str,
+                   vals: dict, **record) -> None:
+    """Write `content` to `path` by `write`, then the manifest next to it:
+    command `name`, the resolved `vals` but the output prefix, `rows`, and
+    the further fields `record` of ``io.write_manifest``."""
+    write(path, content)
+    io.write_manifest(io.manifest_path(path), name,
                       {k: v for k, v in vals.items() if k != "out"},
-                      rows=len(result.rows), skipped=skipped, seed=seed)
-    return csv_path
+                      rows=rows, **record)
 
 
 def _run_sweep(name: str, vals: dict) -> int:
@@ -260,8 +252,9 @@ def _run_sweep(name: str, vals: dict) -> int:
             config, s=vals["s"], band=BandSpec(vals["rho1"], vals["rho2"]))
     else:
         result = experiments.amplitude_sweep(config)
-    path = _write_outputs(vals["out"], name, result, vals,
-                          io.write_sweep_csv, skipped=result.skipped)
+    path = vals["out"] + ".csv"
+    _write_outputs(path, io.write_sweep_csv, result, len(result.rows), name,
+                   vals, skipped=result.skipped)
     print(f"wrote {path} ({len(result.rows)} rows, "
           f"{len(result.skipped)} skipped)")
     return _EXIT_OK
@@ -273,8 +266,9 @@ def _run_quasimode(name: str, vals: dict) -> int:
         lam_lo=vals["lam_min"], lam_hi=vals["lam_max"],
         windows=vals["windows"], trials=vals["trials"], seed=vals["seed"],
         s=vals["s"], rho=vals["rho"], radius=vals["radius"])
-    path = _write_outputs(vals["out"], name, result, vals,
-                          io.write_quasimode_csv, seed=vals["seed"])
+    path = vals["out"] + ".csv"
+    _write_outputs(path, io.write_quasimode_csv, result, len(result.rows),
+                   name, vals, seed=vals["seed"])
     print(f"wrote {path} ({len(result.rows)} windows, "
           f"max/min {result.spread:.3f})")
     return _EXIT_OK
@@ -302,8 +296,7 @@ def _run_fit(name: str, vals: dict) -> int:
 def _run_plot(name: str, vals: dict) -> int:
     from . import svgplot
     svg_path = vals["out"] + ".svg"
-    manifest = io.manifest_path(svg_path)
-    if os.path.realpath(manifest) == os.path.realpath(
+    if os.path.realpath(io.manifest_path(svg_path)) == os.path.realpath(
             io.manifest_path(vals["infile"])):
         raise _ConfigError(f"plot: --out {vals['out']} would overwrite the "
                            f"manifest of --in {vals['infile']}")
@@ -313,11 +306,8 @@ def _run_plot(name: str, vals: dict) -> int:
         table[vals["x"]], [(col, table[col]) for col in ys],
         xlabel=vals["x"], ylabel=", ".join(ys), title=vals["title"],
         drop_low=vals["drop_low"])
-    svgplot.write_svg(svg_path, text)
-    io.write_manifest(manifest, name,
-                      {k: v for k, v in vals.items() if k != "out"},
-                      rows=len(table[vals["x"]]),
-                      input_hash=io.hash_file(vals["infile"]))
+    _write_outputs(svg_path, io.write_text, text, len(table[vals["x"]]),
+                   name, vals, input_hash=io.hash_file(vals["infile"]))
     print(f"wrote {svg_path}")
     return _EXIT_OK
 
@@ -363,13 +353,10 @@ def main(argv=None) -> int:
             return _EXIT_CONFIG
         vals = _resolve(args, args.subcommand)
         return _RUNNERS[args.subcommand](args.subcommand, vals)
-    except _ConfigError as exc:
-        print(f"glancelab: error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except NumericalFailure as exc:
         print(f"glancelab: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (_ConfigError, ValueError, OSError) as exc:
         print(f"glancelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

@@ -63,6 +63,12 @@ _MAX_ORDER = 10 ** 6
 _MAX_REACH = 1e12
 
 
+def _check_radius(radius: float) -> None:
+    if not (0.0 < radius < 1.0):
+        raise ValueError(f"radius = {radius} (--radius) must lie strictly "
+                         f"inside the disk")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Common knobs of the order sweeps.
@@ -92,9 +98,7 @@ class SweepConfig:
         if self.kind == "sphere" and self.radius != SweepConfig.radius:
             raise ValueError("a sphere sweep restricts to the equator: "
                              "radius applies to the disk only")
-        if not (0.0 < self.radius < 1.0):
-            raise ValueError(f"radius = {self.radius} (--radius) must lie "
-                             f"strictly inside the disk")
+        _check_radius(self.radius)
         if not self.n_lo >= 1:
             raise ValueError(f"n_lo = {self.n_lo} (--n-min) must be at "
                              f"least 1")
@@ -151,7 +155,6 @@ class SweepRow(NamedTuple):
 
 @dataclass
 class SweepResult:
-    config: SweepConfig
     rows: list[SweepRow]
     skipped: list[tuple[int, str]]
 
@@ -242,23 +245,31 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            weight: WeightSpec | None = None) -> SweepResult:
     """Shared sweep driver; `quantity` picks the measured norm, one array
     pass over the selection's columns; an order whose measured norm is 0 is
-    skipped, with the cause the quantity names."""
+    skipped, with the cause the quantity names.  A weighted norm that is
+    not finite, where the weight overflowed, is a NumericalError naming
+    --s."""
     traces = (_disk_traces(config, quantity == "normal_derivative", band)
               if config.kind == "disk" else _sphere_traces(config))
     n, lam, h, sigma, xi_d, amp, norm, skipped = traces
     vanishes = "the trace vanishes on the circle"
-    if quantity == "amplitude":
-        weighted, why = norm, vanishes
-    elif quantity == "band_power":
-        inside = band_indicator(sigma, h, band)
-        weighted = np.power(sigma, s, out=np.zeros_like(sigma),
-                            where=inside) * norm
-        why = "selected mode fell outside the band"
-    elif quantity == "normal_flat":
-        weighted = np.sqrt(xi_d) * norm
-        why = "selected mode is evanescent at the circle (sigma <= 0)"
-    else:   # normal_derivative: the weight is positive for every sigma
-        weighted, why = glancing_weight(sigma, h, weight) * norm, vanishes
+    with np.errstate(all="ignore"):     # inf and nan are refused below
+        if quantity == "amplitude":
+            weighted, why = norm, vanishes
+        elif quantity == "band_power":
+            inside = band_indicator(sigma, h, band)
+            weighted = np.power(sigma, s, out=np.zeros_like(sigma),
+                                where=inside) * norm
+            why = "selected mode fell outside the band"
+        elif quantity == "normal_flat":
+            weighted = np.sqrt(xi_d) * norm
+            why = "selected mode is evanescent at the circle (sigma <= 0)"
+        else:   # normal_derivative: the weight is positive for every sigma
+            weighted, why = glancing_weight(sigma, h, weight) * norm, vanishes
+    bad = np.flatnonzero(~np.isfinite(weighted))
+    if bad.size:
+        raise specfun.NumericalError(
+            f"the weighted norm of order {n[bad[0]]} is not a finite number "
+            f"at weight power s = {s} (--s)")
 
     keep = weighted != 0.0
     # the orders are distinct: sorting the pairs merges them in order of n
@@ -272,7 +283,7 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
     if not rows:
         raise FitError(f"sweep produced no usable rows "
                        f"({len(skipped)} skipped)")
-    return SweepResult(config=config, rows=rows, skipped=skipped)
+    return SweepResult(rows=rows, skipped=skipped)
 
 
 def amplitude_sweep(config: SweepConfig) -> SweepResult:
@@ -338,7 +349,6 @@ class QuasimodeResult:
     spec: WeightSpec
     trials: int
     seed: int
-    radius: float
 
     def fit(self, drop_low: float = 0.0) -> FitResult:
         return fit_exponent([r.lam for r in self.rows],
@@ -371,7 +381,9 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     it would mean modes were lost or doubled.
 
     A window that holds no mode (any below the lowest eigenvalue
-    j_{0,1} = 2.405, and some of the first few above it) raises NoModeError.
+    j_{0,1} = 2.405, and some of the first few above it) raises NoModeError,
+    and one whose weighted norms overflow, or all underflow to 0, raises
+    NumericalError naming --s.
 
     Randomness is deterministic: each (window, trial) pair seeds its own
     generator from (seed, window index, trial index).
@@ -395,9 +407,7 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
         raise ValueError(f"lam_hi = {lam_hi} (--lam-max) takes orders up to "
                          f"{math.floor(lam_hi + 1.0)}, past the certified "
                          f"orders, at most {_MAX_ORDER}")
-    if not (0.0 < radius < 1.0):
-        raise ValueError(f"radius = {radius} (--radius) must lie strictly "
-                         f"inside the disk")
+    _check_radius(radius)
     spec = WeightSpec(s=s, rho=rho)
     lams = np.geomspace(lam_lo, lam_hi, windows)
 
@@ -406,7 +416,8 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
     # the weighted trace amplitude of every mode, one coefficient slot per
     # angular sign
     sigma = glancing_distance(n_all, 1.0 / freqs, radius)
-    weighted = glancing_weight(sigma, 1.0 / lams[win], spec) * traces
+    with np.errstate(all="ignore"):     # inf and nan are refused below
+        weighted = glancing_weight(sigma, 1.0 / lams[win], spec) * traces
     slots = np.where(n_all >= 1, 2, 1)
     amps = np.repeat(weighted, slots)
     # the modes come ordered by window, and so do their slots
@@ -425,16 +436,22 @@ def quasimode_boundedness(lam_lo: float = 200.0, lam_hi: float = 2000.0,
                 f"window [{lam:.2f}, {lam + 1:.2f}] found {dim} modes, "
                 f"two-term Weyl predicts {weyl:.1f}; enumeration is broken")
         best = total = 0.0
-        for t in range(trials):
-            rng = np.random.default_rng([seed, wi, t])
-            c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            c /= np.linalg.norm(c)
-            nr = trace_norm(c * amps[a:b], radius)
-            best = max(best, nr)
-            total += nr
+        with np.errstate(all="ignore"):     # inf and nan are refused below
+            for t in range(trials):
+                rng = np.random.default_rng([seed, wi, t])
+                c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                c /= np.linalg.norm(c)
+                nr = trace_norm(c * amps[a:b], radius)
+                best = max(best, nr)
+                total += nr
+        # a nan norm leaves best alone, but not the total
+        if not (best > 0.0 and math.isfinite(total)):
+            raise specfun.NumericalError(
+                f"the weighted norms of window [{lam:.2f}, {lam + 1:.2f}] "
+                f"{'vanish' if total == 0.0 else 'are not all finite'} at "
+                f"weight power s = {s} (--s)")
         rows.append(QuasimodeRow(lam=float(lam), dim=dim, weyl_estimate=weyl,
                                  max_norm=best, mean_norm=total / trials))
 
-    return QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed,
-                           radius=radius)
+    return QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed)
 

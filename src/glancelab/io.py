@@ -1,5 +1,8 @@
 """Deterministic file I/O: CSV tables, run manifests, config files.
 
+This is the one module that writes files: tables, manifests and, through
+`write_text`, the SVG text that ``glancelab.svgplot`` renders.
+
 Every table is written with ``%.17g`` floats (round-trip exact for doubles),
 LF line endings, and no timestamps, so identical runs produce byte-identical
 files; the only timestamp lives in the run manifest written next to a table.
@@ -38,7 +41,8 @@ def format_value(v) -> str:
     return "%.17g" % float(v)
 
 
-def _write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` with LF line endings on every platform."""
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
@@ -64,11 +68,11 @@ def quasimode_to_csv_text(result) -> str:
 
 
 def write_sweep_csv(path: str, result) -> None:
-    _write_text(path, sweep_to_csv_text(result))
+    write_text(path, sweep_to_csv_text(result))
 
 
 def write_quasimode_csv(path: str, result) -> None:
-    _write_text(path, quasimode_to_csv_text(result))
+    write_text(path, quasimode_to_csv_text(result))
 
 
 def read_table(path: str) -> dict[str, tuple[float, ...]]:
@@ -130,7 +134,7 @@ def write_manifest(path: str, command: str, config: dict, rows: int,
         "input_hash": input_hash,
         "written": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def hash_file(path: str) -> str:

@@ -116,21 +116,19 @@ def _norms_and_traces(n: np.ndarray, lam: np.ndarray, radius: float,
     the bits of ``bessel_j_pair``, ``bessel_j`` and ``bessel_j_prime``.
     """
     x = lam * radius
-    below = np.abs(n - 1)
+    below, n, sign = specfun._pair_orders(n)
     orders, args = (((below, n, below, n), (lam, lam, x, x)) if derivative
                     else ((below, n, n), (lam, lam, x)))
     j = np.split(specfun.bessel_j(np.concatenate(orders),
                                   np.concatenate(args)), len(orders))
-    # for n = 0 the member below is J_{-1} = -J_1, as bessel_j_pair has it
-    jm1, jn = np.where(n == 0, -j[0], j[0]), j[1]
+    jm1, jn = sign * j[0], j[1]
     # at a zero of J_n, J_{n+1} = (2n/lam) J_n - J_{n-1} = -J_{n-1}
     jnp1 = np.abs((2.0 * n / lam) * jn - jm1)
     norm = np.divide(1.0, math.sqrt(math.pi) * jnp1, out=np.zeros_like(jnp1),
                      where=jnp1 != 0.0)
     if not derivative:
         return norm, j[2]
-    return norm, specfun._derivatives(n, x, np.where(n == 0, -j[2], j[2]),
-                                      j[3])
+    return norm, specfun._derivatives(n, x, sign * j[2], j[3])
 
 
 # ----------------------------------------------------------------------

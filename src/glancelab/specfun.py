@@ -748,14 +748,22 @@ def bessel_j(n, x):
     return _shaped(_bessel_j(n, x), shape)
 
 
+def _pair_orders(n: np.ndarray):
+    """(|n - 1|, n, sign) of an array of orders n >= 0: the orders at which
+    :func:`bessel_j` gives the pair (J_{n-1}, J_n), and the sign that turns
+    J_{|n-1|} into J_{n-1}: -1 for n = 0, since J_{-1} = -J_1, else 1."""
+    return np.abs(n - 1), n, np.where(n > 0, 1.0, -1.0)
+
+
 def bessel_j_pair(n, x):
     """(J_{n-1}(x), J_n(x)): :func:`bessel_j` at the orders |n - 1| and n,
     bit for bit, from one call of its dispatch; for n = 0 the pair is
     (J_{-1}, J_0) = (-J_1, J_0).  O(1) in the order from n = N_U + 1 on."""
     n, x, shape = _as_arrays(n, x)
-    jm1, jn = np.split(_bessel_j(np.concatenate([np.abs(n - 1), n]),
+    below, n, sign = _pair_orders(n)
+    jm1, jn = np.split(_bessel_j(np.concatenate([below, n]),
                                  np.concatenate([x, x])), 2)
-    return _shaped(np.where(n == 0, -jm1, jm1), shape), _shaped(jn, shape)
+    return _shaped(sign * jm1, shape), _shaped(jn, shape)
 
 
 def _derivatives(n: np.ndarray, x: np.ndarray, jm1: np.ndarray,

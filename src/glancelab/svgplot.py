@@ -5,7 +5,8 @@ and hand-writing it keeps the bytes deterministic — same table in, same SVG
 out, which the reproducibility checks rely on.  Coordinates are formatted
 with two decimals and nothing in the file depends on time, locale, or
 dict iteration order.  It runs on the standard library alone, like the fit
-it draws.
+it draws.  It only renders: ``glancelab.io.write_text`` writes the text
+to a file.
 """
 
 from __future__ import annotations
@@ -164,7 +165,3 @@ def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
 
-
-def write_svg(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)

@@ -112,15 +112,19 @@ def glancing_weight(sigma, h, spec: WeightSpec):
 
     Equal to sigma^s for sigma >= 2 h^rho, to h^{s rho} for sigma <= h^rho,
     and a smooth interpolation between the two in the crossover shell.
-    sigma^s is only evaluated where chi1 > 0, so negative (evanescent)
-    sigma is safe.  h is a scalar or an array like sigma; each element is
+    Each term is only formed where its cutoff is positive: sigma^s where
+    chi1 > 0, so negative (evanescent) sigma is safe, and h^{s rho} where
+    chi2 > 0, so a power that overflows to inf meets no zero cutoff and
+    gives no nan.  h is a scalar or an array like sigma; each element is
     the scalar call on its own, bit for bit (every power is np.power).
     """
     h = _check_h(h)
     sig = np.asarray(sigma, dtype=float)
     chi1, chi2 = cutoff_pair(sig / h ** spec.rho)
-    power = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
-    return (power * chi1 + h ** (spec.s * spec.rho) * chi2)[()]
+    far = np.power(sig, spec.s, out=np.zeros_like(sig), where=chi1 > 0.0)
+    near = np.power(h, spec.s * spec.rho, out=np.zeros_like(chi2),
+                    where=chi2 > 0.0)
+    return (far * chi1 + near * chi2)[()]
 
 
 def band_indicator(sigma, h, band: BandSpec):

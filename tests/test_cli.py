@@ -9,6 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glancelab import io
 from glancelab.cli import main
@@ -477,6 +479,68 @@ def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
     assert code == 0
     doc = io.read_manifest(out + ".manifest.json")
     assert doc["config"]["s"] == 0.25 and doc["config"]["rho"] == 0.7
+
+
+# weight powers whose weighted norms overflow to inf, meet a zero cutoff as
+# inf * 0 = nan, or underflow to 0 in a whole window
+@pytest.mark.parametrize("argv", [
+    [*_QUASIMODE, "--s=-100"],
+    [*_QUASIMODE, "--s=-500"],
+    ["quasimode", "--lam-min", "200", "--lam-max", "300", "--windows", "3",
+     "--trials", "2", "--s", "1e8"],
+    ["sweep-disk", "--alpha", "0.5", "--n-min", "1000", "--n-max", "3000",
+     "--points", "4", "--derivative", "--s", "400"],
+    ["sweep-disk", "--alpha", "0.5", "--n-min", "4000", "--n-max", "30000",
+     "--points", "4", "--rho1", "0.3", "--rho2", "0.6", "--s=-300"],
+], ids=["quasimode-inf", "quasimode-nan", "quasimode-vanishes",
+        "derivative-nan", "band-inf"])
+def test_weight_overflow_is_numerical_error(tmp_path, capsys, argv):
+    out = str(tmp_path / "x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = _run(capsys, *argv, "--out", out)
+    assert code == 2 and stdout == ""
+    assert err.startswith("glancelab: numerical failure:")
+    assert err.count("\n") == 1 and "--s" in err
+    assert not os.path.exists(out + ".csv")
+    assert not os.path.exists(out + ".manifest.json")
+
+
+# extreme, non-finite and ordinary values of the weight flags
+_WEIGHT_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300,
+     -1e-300, 1e300, -1e300, 1e8, -1e8]) | st.floats(-600.0, 600.0)
+# small work: orders up to 2000, two windows at Lambda <= 300, two trials
+_WEIGHTED = {
+    "quasimode": _QUASIMODE,
+    "band": ["sweep-disk", "--alpha", "0.6", "--n-min", "1000", "--n-max",
+             "2000", "--points", "3", "--rho1", "0.3", "--rho2", "0.6"],
+    "derivative": ["sweep-disk", *_GRID, "--derivative"],
+}
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_WEIGHTED)), s=_WEIGHT_VALUES,
+       rho=_WEIGHT_VALUES)
+def test_weight_flags_exit_cleanly(tmp_path_factory, capsys, command, s,
+                                   rho):
+    # a band sweep takes no --rho
+    argv = _WEIGHTED[command] + [f"--s={s!r}"] + (
+        [] if command == "band" else [f"--rho={rho!r}"])
+    out = str(tmp_path_factory.mktemp("weights") / "x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(capsys, *argv, "--out", out)
+    assert code in (0, 1, 2), err
+    if code == 0:
+        table = io.read_table(out + ".csv")
+        assert all(math.isfinite(v) for column in table.values()
+                   for v in column)
+    else:
+        assert err.startswith("glancelab: ") and err.count("\n") == 1
+        assert not os.path.exists(out + ".csv")
+        assert not os.path.exists(out + ".manifest.json")
 
 
 # the glancing weight has one cutoff, and the measured trace picks each disk

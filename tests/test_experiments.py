@@ -556,8 +556,7 @@ def _quasimode_one_window_at_a_time(lam_lo=200.0, lam_hi=2000.0, windows=8,
         rows.append(ex.QuasimodeRow(lam=float(lam), dim=dim,
                                     weyl_estimate=lam / 2.0 - 0.25,
                                     max_norm=best, mean_norm=total / trials))
-    return ex.QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed,
-                              radius=radius)
+    return ex.QuasimodeResult(rows=rows, spec=spec, trials=trials, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2025])

@@ -7,8 +7,9 @@ module imports must be read in it.  ``specfun`` holds no matrix product,
 whose rounding would make an element depend on its batch, the two Airy
 methods are reached through the one Airy dispatch alone, the three Bessel
 methods and their region test through the one Bessel dispatch alone, and the
-one Newton iteration by the two roots it solves alone.  Every flag of a CLI
-subcommand is read by the body that runs it.
+one Newton iteration by the two roots it solves alone.  No two functions
+share a body.  Every flag of a CLI subcommand is a row of its option table,
+and is read by the body that runs it.
 """
 
 import ast
@@ -151,3 +152,36 @@ def test_every_flag_reaches_its_runner():
               for dest, flag, *_ in options if dest not in set(
                   _string_keys(bodies[cli._RUNNERS[name].__name__]))]
     assert not unread, f"flags that no runner reads: {unread}"
+
+
+def _body(function) -> str:
+    """The AST dump of a function's body, its docstring dropped."""
+    body = function.body
+    if ast.get_docstring(function) is not None:
+        body = body[1:]
+    return ast.dump(ast.Module(body=body, type_ignores=[]))
+
+
+def test_no_two_functions_share_a_body():
+    # a rule written twice drifts apart: each body has one home
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes.setdefault(_body(node), []).append(
+                    f"{path.stem}.{node.name}")
+    shared = [names for names in homes.values() if len(names) > 1]
+    assert not shared, f"functions with one body: {shared}"
+
+
+def test_every_flag_is_a_row_of_its_table():
+    # a flag added to the parser beside the option table escapes the
+    # table's defaults, config keys and checks
+    from glancelab import cli
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if action.dest == "subcommand")
+    for name, parser in subparsers.choices.items():
+        flags = {flag for action in parser._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        rows = {flag for _dest, flag, *_ in cli._OPTIONS[name]}
+        assert flags == rows | {"--config"}, name

@@ -103,8 +103,9 @@ def test_constant_data_still_renders():
 
 
 def test_write_svg_lf(tmp_path):
+    # svgplot only renders; io.write_text writes the figure, LF only
     x, y = _power_law()
     path = str(tmp_path / "p.svg")
-    svgplot.write_svg(path, svgplot.render_log_log(x, [("a", y)]))
+    io.write_text(path, svgplot.render_log_log(x, [("a", y)]))
     raw = Path(path).read_bytes()
     assert b"\r" not in raw and raw.endswith(b"</svg>\n")
