@@ -22,7 +22,7 @@ ORDERS = np.array([100, 300, 1000, 3000, 10000, 30000])
 
 def main():
     print("alpha = %.2f, window offset M = %.0f, radius = 1/2" %
-          (TARGET.alpha, TARGET.offset))
+          (TARGET.alpha, modes._OFFSET))
     print()
     print("%8s %16s %12s %12s %12s" %
           ("n", "lambda", "sigma", "n^-alpha", "|amplitude|"))

@@ -83,8 +83,6 @@ _COMMON_SWEEP = [
     ("n_min", "--n-min", int, 1000, "smallest angular order / degree"),
     ("n_max", "--n-max", int, 100000, "largest angular order / degree"),
     ("points", "--points", int, 24, "geometric grid size"),
-    ("offset_const", "--offset-const", float, 4.0,
-     "window offset constant of the scale target"),
 ]
 
 _OPTIONS = {
@@ -239,7 +237,7 @@ def _run_sweep(name: str, vals: dict) -> int:
     config = experiments.SweepConfig(
         kind="sphere" if name == "sweep-sphere" else "disk",
         alpha=vals["alpha"], n_lo=vals["n_min"], n_hi=vals["n_max"],
-        points=vals["points"], offset=vals["offset_const"],
+        points=vals["points"],
         radius=vals.get("radius", experiments.SweepConfig.radius))
     if name == "normal-band":
         result = experiments.normal_band_check(config)

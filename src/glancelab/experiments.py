@@ -56,12 +56,6 @@ from .weights import (BandSpec, WeightSpec, band_indicator, glancing_distance,
 # legendre_equator refuses degrees above 1e6
 _MAX_ORDER = 10 ** 6
 
-# The farthest a window may reach past its order, (offset + 1) n^{1 - alpha}
-# at n_hi: frequencies stay under 1e12 + 2e6, where zero indices, about
-# lam/pi, are exact integers and bessel_zero's 1e-13 relative Newton step
-# (0.1 there) resolves the zero spacing pi
-_MAX_REACH = 1e12
-
 
 def _check_radius(radius: float) -> None:
     if not (0.0 < radius < 1.0):
@@ -79,10 +73,9 @@ class SweepConfig:
         to _MAX_ORDER = 1e6.
     radius : restriction circle radius, in (0, 1) (disk only: the sphere's
         equator is fixed, and a sphere config must keep the default).
-    offset : window offset M of the ScaleTarget; its window at n_hi may
-        reach at most _MAX_REACH = 1e12 past the order, and on the sphere
-        M may be at most n_hi^alpha, past which every degree's order window
-        lies below 0.
+
+    On the sphere n_hi^alpha must be at least the window offset M = 4
+    (``modes._OFFSET``): below it every degree's order window lies below 0.
     """
     kind: str
     alpha: float
@@ -90,7 +83,6 @@ class SweepConfig:
     n_hi: int
     points: int
     radius: float = 0.5
-    offset: float = 4.0
 
     def __post_init__(self):
         if self.kind not in ("disk", "sphere"):
@@ -114,28 +106,22 @@ class SweepConfig:
         if self.n_hi > _MAX_ORDER:
             raise ValueError(f"n_hi = {self.n_hi} (--n-max) is past the "
                              f"certified orders, at most {_MAX_ORDER}")
-        self.target()       # checks alpha and the offset
-        # both windows reach (offset + 1) n^{1 - alpha} from n or 2n
-        reach = (self.offset + 1.0) * self.n_hi ** (1.0 - self.alpha)
-        if not reach <= _MAX_REACH:
-            raise ValueError(f"offset = {self.offset} (--offset-const) puts "
-                             f"the window of order {self.n_hi} {reach:.3g} "
-                             f"past it, more than {_MAX_REACH:.0e}")
+        self.target()       # checks alpha
         # a degree l's orders l - (M + 1) l^{1-alpha} ... l - M l^{1-alpha}
-        # all lie below 0 once M > l^alpha
-        most = self.n_hi ** self.alpha
-        if self.kind == "sphere" and not self.offset <= most:
-            raise ValueError(f"offset = {self.offset} (--offset-const) puts "
-                             f"the order window of every degree up to "
-                             f"{self.n_hi} below 0: it may be at most "
-                             f"n_hi^alpha = {most:.6g}")
+        # all lie below 0 once l^alpha < M
+        if self.kind == "sphere" and not (self.n_hi ** self.alpha
+                                          >= modes_mod._OFFSET):
+            raise ValueError(f"n_hi = {self.n_hi} (--n-max) at alpha = "
+                             f"{self.alpha} (--alpha) puts the order window "
+                             f"of every degree below 0: it needs n_hi^alpha "
+                             f">= {modes_mod._OFFSET:g}")
 
     def orders(self) -> list[int]:
         grid = np.geomspace(self.n_lo, self.n_hi, self.points)
         return sorted({int(round(g)) for g in grid})
 
     def target(self) -> ScaleTarget:
-        return ScaleTarget(alpha=self.alpha, offset=self.offset)
+        return ScaleTarget(alpha=self.alpha)
 
 
 class SweepRow(NamedTuple):
@@ -244,37 +230,45 @@ def _sweep(config: SweepConfig, quantity: str, s: float = 0.0,
            band: BandSpec | None = None,
            weight: WeightSpec | None = None) -> SweepResult:
     """Shared sweep driver; `quantity` picks the measured norm, one array
-    pass over the selection's columns; an order whose measured norm is 0 is
-    skipped, with the cause the quantity names.  A weighted norm that is
-    not finite, where the weight overflowed, is a NumericalError naming
-    --s."""
+    pass over the selection's columns.  An order is skipped only for the
+    quantity's own cause: a mode outside the band, one evanescent at the
+    circle, or a trace that vanishes there.  A weighted norm of a kept order
+    that is not finite, where the weight overflowed, or that is 0, where it
+    underflowed, is a NumericalError naming --s."""
     traces = (_disk_traces(config, quantity == "normal_derivative", band)
               if config.kind == "disk" else _sphere_traces(config))
     n, lam, h, sigma, xi_d, amp, norm, skipped = traces
     vanishes = "the trace vanishes on the circle"
+    own = np.zeros(n.shape, dtype=bool)     # skipped for the quantity's cause
     with np.errstate(all="ignore"):     # inf and nan are refused below
         if quantity == "amplitude":
-            weighted, why = norm, vanishes
+            weighted = norm
         elif quantity == "band_power":
             inside = band_indicator(sigma, h, band)
             weighted = np.power(sigma, s, out=np.zeros_like(sigma),
                                 where=inside) * norm
-            why = "selected mode fell outside the band"
+            own, why = ~inside, "selected mode fell outside the band"
         elif quantity == "normal_flat":
             weighted = np.sqrt(xi_d) * norm
+            own = sigma <= 0.0
             why = "selected mode is evanescent at the circle (sigma <= 0)"
         else:   # normal_derivative: the weight is positive for every sigma
-            weighted, why = glancing_weight(sigma, h, weight) * norm, vanishes
+            weighted = glancing_weight(sigma, h, weight) * norm
     bad = np.flatnonzero(~np.isfinite(weighted))
     if bad.size:
         raise specfun.NumericalError(
             f"the weighted norm of order {n[bad[0]]} is not a finite number "
             f"at weight power s = {s} (--s)")
-
-    keep = weighted != 0.0
+    keep = ~own & (norm != 0.0)
+    lost = np.flatnonzero(keep & (weighted == 0.0))
+    if lost.size:
+        raise specfun.NumericalError(
+            f"the weighted norm of order {n[lost[0]]} underflows to 0 at "
+            f"weight power s = {s} (--s)")
     # the orders are distinct: sorting the pairs merges them in order of n
-    skipped = sorted(skipped + tuple((order, why)
-                                     for order in n[~keep].tolist()))
+    skipped = sorted(skipped + tuple(
+        (order, why if mine else vanishes)
+        for order, mine in zip(n[~keep].tolist(), own[~keep].tolist())))
     rho1 = band.rho1 if band is not None else (weight.rho if weight else 0.0)
     rho2 = band.rho2 if band is not None else 0.0
     columns = (n, lam, h, sigma, xi_d, amp, weighted)

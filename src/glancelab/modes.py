@@ -17,17 +17,17 @@ eigenfrequency inside the window
 
     lam in [2n + M n^{1-alpha}, 2n + (M+1) n^{1-alpha}]      (R = 1/2)
 
-which pins sigma ~ n^{-alpha} at the restriction circle.  Within the window
-the restricted amplitude of individual modes oscillates through an
-equidistributed phase, so "which zero" matters enormously: the selector
-takes the zero whose measured trace (J_n, or J_n' for the h-scaled normal
-derivative) is near the envelope maximum, realizing the extremal modes
-whose growth rates the scaling experiments measure.  The smallest
-eigenvalue of the window would inherit the arcsine-distributed phase
-factor instead, and fits of sweeps built from it have essentially no
-power-law signal (r^2 < 0.2 across the acceptance grids).  Candidates
-are ranked in one array pass over every order by the phase factor of
-their trace, read from the continuous zero index m of
+with the fixed offset M = 4 (``_OFFSET``), which pins sigma ~ n^{-alpha} at
+the restriction circle.  Within the window the restricted amplitude of
+individual modes oscillates through an equidistributed phase, so "which
+zero" matters enormously: the selector takes the zero whose measured trace
+(J_n, or J_n' for the h-scaled normal derivative) is near the envelope
+maximum, realizing the extremal modes whose growth rates the scaling
+experiments measure.  The smallest eigenvalue of the window would inherit
+the arcsine-distributed phase factor instead, and fits of sweeps built from
+it have essentially no power-law signal (r^2 < 0.2 across the acceptance
+grids).  Candidates are ranked in one array pass over every order by the
+phase factor of their trace, read from the continuous zero index m of
 ``specfun.bessel_zero_index`` at their seeds (|J_n| ~ |sin pi m|, |J_n'| ~
 |cos pi m|); only the top few of each order are solved exactly, all orders
 in one batched Newton, keeping selection cheap at orders ~1e5.
@@ -65,37 +65,36 @@ class NoModeError(NumericalFailure):
     """No eigenmode satisfies the requested window/band constraints."""
 
 
+# The window offset M: a window sits M..M+1 units of n^{1-alpha} from its
+# order, keeping it safely inside the oscillatory regime.  It is an O(1)
+# prefactor of sigma and moves no exponent
+_OFFSET = 4.0
+
+
 @dataclass(frozen=True)
 class ScaleTarget:
-    """Glancing-distance target sigma ~ offset * n^{-alpha}.
+    """Glancing-distance target sigma ~ _OFFSET * n^{-alpha}.
 
     alpha : float in (0, 1), the decay exponent of the glancing distance.
-    offset : float, the window sits offset..offset+1 units of n^{1-alpha}
-        above twice the angular order (default 4, keeping the window
-        safely inside the oscillatory regime).
     """
     alpha: float
-    offset: float = 4.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha = {self.alpha} (--alpha) must lie in "
                              f"(0, 1)")
-        if not (0.0 < self.offset < math.inf):
-            raise ValueError(f"offset = {self.offset} (--offset-const) must "
-                             f"be positive and finite")
 
     def disk_window(self, n):
         """Frequency window of an angular order n at R = 1/2, or the two
         edge columns of an array of orders."""
         w = np.power(n, 1.0 - self.alpha)
-        return 2.0 * n + self.offset * w, 2.0 * n + (self.offset + 1.0) * w
+        return 2.0 * n + _OFFSET * w, 2.0 * n + (_OFFSET + 1.0) * w
 
     def sphere_order_window(self, l):
         """Azimuthal-order window [l - (M+1) l^{1-alpha}, l - M l^{1-alpha}]
         of a degree l, or the two edge columns of an array of degrees."""
         w = l ** (1.0 - self.alpha)
-        return l - (self.offset + 1.0) * w, l - self.offset * w
+        return l - (_OFFSET + 1.0) * w, l - _OFFSET * w
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +280,7 @@ def select_sphere_modes(degrees, target: ScaleTarget):
     """The azimuthal order m of a spherical harmonic Y_l^m in the target
     window for every degree l of `degrees`, in one array pass.
 
-    Picks the largest m <= l - offset*l^{1-alpha} inside the window with
+    Picks the largest m <= l - M l^{1-alpha} inside the window with
     l + m even (odd parity has an identically zero equator trace).  The
     equator amplitude of the result grows like l^{alpha/4} with no phase
     factor, so no further optimization is needed on the sphere side.

@@ -55,7 +55,8 @@ def test_sweep_disk_writes_csv_and_manifest(tmp_path, capsys):
     assert doc["command"] == "sweep-disk"
     assert doc["config"]["alpha"] == 0.5
     assert doc["config"]["n_min"] == 100      # fully resolved defaults too
-    assert doc["config"]["offset_const"] == 4.0
+    assert doc["config"]["points"] == 4
+    assert "offset_const" not in doc["config"]   # the offset is fixed at 4
 
 
 def test_sweep_sphere_runs(tmp_path, capsys):
@@ -297,13 +298,21 @@ def test_derivative_sweep_via_cli(tmp_path, capsys):
     assert code == 0
     doc = io.read_manifest(out + ".manifest.json")
     assert doc["config"]["derivative"] is True
+    # a config file's "yes" runs the same sweep
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[sweep-disk]\nderivative = yes\n")
+    code, _, err = _run(capsys, "sweep-disk", "--config", str(cfg),
+                        "--alpha", "0.5", "--s", "0.25", "--n-min", "200",
+                        "--n-max", "2000", "--points", "5",
+                        "--out", out + "-cfg")
+    assert code == 0, err
+    with open(out + ".csv", "rb") as a, open(out + "-cfg.csv", "rb") as b:
+        assert a.read() == b.read()
     # windows where some candidate seeds sit at or below the turning point
     # of the restriction circle, with and without the derivative weight
     near = ["--alpha", "0.5", "--radius", "0.3", "--n-min", "1000",
             "--n-max", "2000", "--points", "3"]
-    for argv in (["--alpha", "0.8", "--n-min", "200", "--n-max", "2000",
-                  "--points", "12", "--offset-const", "0.5"],
-                 near, near + ["--derivative", "--s", "0.25"]):
+    for argv in (near, near + ["--derivative", "--s", "0.25"]):
         code, _, err = _run(capsys, "sweep-disk", *argv, "--out", out)
         assert code == 0, err
 
@@ -343,8 +352,11 @@ _DISK = ["sweep-disk", "--alpha", "0.5", "--n-min", "200", "--n-max", "600",
     _DISK + ["--derivative", "--s", "nan"],
     _DISK + ["--derivative", "--s", "inf"],
     _DISK + ["--rho1", "0.3", "--rho2", "0.6", "--s", "nan"],
-    ["sweep-sphere", "--alpha", "0.5", "--offset-const", "inf"],
-    ["sweep-sphere", "--alpha", "0.5", "--offset-const", "nan"],
+    # a band filter on the derivative sweep; degrees whose order windows
+    # all lie below 0
+    _DISK + ["--derivative", "--rho1", "0.3", "--rho2", "0.6"],
+    ["sweep-sphere", "--alpha", "0.1", "--n-min", "100", "--n-max", "1000",
+     "--points", "4"],
     # bounds are checked before numpy sees them: no warning, no file
     ["sweep-disk", "--alpha", "0.5", "--n-min", "500", "--n-max", "100"],
     _DISK + ["--points", "0"],
@@ -369,29 +381,27 @@ _BAND_GRID = ["--alpha", "0.5", "--rho1", "0.3", "--rho2", "0.6", "--s", "0.1",
               "--n-min", "1000", "--n-max", "100000", "--points", "24"]
 
 
-# refused before any work, naming the flag at fault: an offset whose window
-# overflows gave numpy RuntimeWarnings, and so did finite offsets whose zero
-# indices pass int64 (1e150, 1e300); disk orders past the certified 1e6 and
-# windows just past the reach bound 1e12 ran to exit 0; a bad radius failed
-# inside the sweep, naming no flag; the glancing weight has one cutoff, so
-# --cutoff is refused whatever shape it names, and the measured trace picks
-# each disk mode, so --optimize is refused whatever rule it names; the
-# quasimode checks named no flag; a sphere offset above n_max^alpha, which
-# leaves every degree's order window below 0, exited 2 with no usable rows;
-# one point between two orders swept n_min alone, ignoring --n-max; off
-# radius 1/2, where sigma tends to 1 - 1/(4 R^2), a band that no order up to
-# 1e6 reaches exited 2 with no usable rows; a nonpositive offset, an alpha
-# outside (0, 1), an empty order range, a reversed band and a derivative
-# weight scale below alpha were refused naming no flag
+# refused before any work, naming the flag at fault: the window offset is
+# fixed at 4, so each sweep that took --offset-const refuses it as unknown,
+# at its old default and at values it refused, in both argument forms; disk
+# orders past the certified 1e6 ran to exit 0; a bad radius failed inside
+# the sweep, naming no flag; the glancing weight has one cutoff, so --cutoff
+# is refused whatever shape it names, and the measured trace picks each disk
+# mode, so --optimize is refused whatever rule it names; the quasimode
+# checks named no flag; a sphere grid whose n_max^alpha is below the offset
+# leaves every degree's order window below 0; one point between two orders
+# swept n_min alone, ignoring --n-max; off radius 1/2, where sigma tends to
+# 1 - 1/(4 R^2), a band that no order up to 1e6 reaches exited 2 with no
+# usable rows; an alpha outside (0, 1), an empty order range, a reversed
+# band and a derivative weight scale below alpha were refused naming no flag
 @pytest.mark.parametrize("argv, flag", [
-    (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
-    (["sweep-sphere", *_GRID, "--offset-const", "1e308"], "--offset-const"),
+    (["sweep-disk", *_GRID, "--offset-const", "4"], "--offset-const"),
+    (["sweep-sphere", *_GRID, "--offset-const", "4"], "--offset-const"),
     (["sweep-disk", "--alpha", "0.5", "--n-min", "1000", "--n-max",
       "10000000", "--points", "3"], "--n-max"),
-    (["sweep-disk", *_GRID, "--offset-const", "1e150"], "--offset-const"),
-    (["sweep-sphere", *_GRID, "--offset-const", "1e300"], "--offset-const"),
-    # reach (2.3e10 + 1) 2000^{1/2} = 1.03e12
-    (["sweep-disk", *_GRID, "--offset-const", "2.3e10"], "--offset-const"),
+    (["normal-band", *_GRID, "--offset-const", "4"], "--offset-const"),
+    (["sweep-disk", *_GRID, "--offset-const=4"], "--offset-const"),
+    (["sweep-sphere", *_GRID, "--offset-const=1e300"], "--offset-const"),
     (["sweep-disk", *_GRID, "--radius", "1.5"], "--radius"),
     (["normal-band", *_GRID, "--radius", "nan"], "--radius"),
     (["sweep-disk", *_GRID, "--optimize", "largest"], "--optimize"),
@@ -405,18 +415,23 @@ _BAND_GRID = ["--alpha", "0.5", "--rho1", "0.3", "--rho2", "0.6", "--s", "0.1",
     ([*_DISK, "--derivative", "--s", "inf"], "--s"),
     ([*_DISK, "--rho1", "0.3", "--rho2", "0.6", "--s", "nan"], "--s"),
     (["quasimode", "--windows", "0"], "--windows"),
-    (["sweep-sphere", *_GRID, "--offset-const", "50"], "--offset-const"),
+    (["normal-band", *_GRID, "--offset-const=50"], "--offset-const"),
     (["sweep-disk", *_GRID[:-1], "1"], "--points"),
     (["sweep-sphere", *_GRID[:-1], "1"], "--points"),
     (["sweep-disk", "--radius", "0.6", *_BAND_GRID], "--radius"),
     (["sweep-disk", "--radius", "0.4", *_BAND_GRID], "--radius"),
-    (["sweep-disk", *_GRID, "--offset-const", "-1"], "--offset-const"),
+    (["sweep-disk", *_GRID, "--offset-const", "1e308"], "--offset-const"),
     (["sweep-disk", *_GRID, "--alpha", "1.5"], "--alpha"),
     (["sweep-disk", *_GRID, "--n-min", "3000"], "--n-max"),
     (["sweep-sphere", *_GRID, "--n-min", "0"], "--n-min"),
     (["sweep-disk", *_GRID, "--points", "0"], "--points"),
     ([*_DISK, "--rho1", "0.6", "--rho2", "0.3"], "--rho1"),
     ([*_DISK, "--derivative", "--rho", "0.4"], "--rho"),
+    # 1000^{0.1} = 2.0 and 1000^{0.2} = 3.98 are below the offset 4
+    (["sweep-sphere", "--alpha", "0.1", "--n-min", "100", "--n-max", "1000",
+      "--points", "4"], "--n-max"),
+    (["sweep-sphere", "--alpha", "0.2", "--n-min", "100", "--n-max", "1000",
+      "--points", "4"], "--alpha"),
 ])
 def test_refusals_name_their_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")
@@ -482,7 +497,7 @@ def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
 
 
 # weight powers whose weighted norms overflow to inf, meet a zero cutoff as
-# inf * 0 = nan, or underflow to 0 in a whole window
+# inf * 0 = nan, or underflow to 0 in a whole window or at one order
 @pytest.mark.parametrize("argv", [
     [*_QUASIMODE, "--s=-100"],
     [*_QUASIMODE, "--s=-500"],
@@ -492,8 +507,14 @@ def test_sweep_disk_accepts_derivative_weight_flags(tmp_path, capsys):
      "--points", "4", "--derivative", "--s", "400"],
     ["sweep-disk", "--alpha", "0.5", "--n-min", "4000", "--n-max", "30000",
      "--points", "4", "--rho1", "0.3", "--rho2", "0.6", "--s=-300"],
+    # in-band modes whose weight underflows to 0: refused, not skipped
+    ["sweep-disk", "--alpha", "0.5", "--n-min", "4000", "--n-max", "30000",
+     "--points", "4", "--rho1", "0.3", "--rho2", "0.6", "--s", "230"],
+    ["sweep-disk", "--alpha", "0.5", "--n-min", "1000", "--n-max", "3000",
+     "--points", "4", "--derivative", "--s=-400"],
 ], ids=["quasimode-inf", "quasimode-nan", "quasimode-vanishes",
-        "derivative-nan", "band-inf"])
+        "derivative-nan", "band-inf", "band-underflow",
+        "derivative-underflow"])
 def test_weight_overflow_is_numerical_error(tmp_path, capsys, argv):
     out = str(tmp_path / "x")
     with warnings.catch_warnings():
@@ -543,15 +564,18 @@ def test_weight_flags_exit_cleanly(tmp_path_factory, capsys, command, s,
         assert not os.path.exists(out + ".manifest.json")
 
 
-# the glancing weight has one cutoff, and the measured trace picks each disk
-# mode: a cutoff or optimize key in a config file is refused whatever value
-# it names, never ignored
+# the glancing weight has one cutoff, the measured trace picks each disk
+# mode, and the window offset is fixed: a cutoff, optimize or offset-const
+# key in a config file is refused whatever value it names, never ignored
 @pytest.mark.parametrize("section, key, value, argv", [
     ("quasimode", "cutoff", "exp", _QUASIMODE),
     ("common", "cutoff", "exp", _QUASIMODE),
     ("sweep-disk", "optimize", "restriction", _DISK),
     ("common", "optimize", "restriction", _DISK),
-], ids=["quasimode", "common", "sweep-disk-optimize", "common-optimize"])
+    ("sweep-disk", "offset-const", "4", _DISK),
+    ("common", "offset-const", "4", _DISK),
+], ids=["quasimode", "common", "sweep-disk-optimize", "common-optimize",
+        "sweep-disk-offset-const", "common-offset-const"])
 def test_cutoff_config_key_is_refused(tmp_path, capsys, section, key, value,
                                       argv):
     cfg = tmp_path / "c.ini"
@@ -592,6 +616,23 @@ def test_unknown_key_in_own_section_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "sweep-disk", "--config", str(cfg),
                         "--out", str(tmp_path / "x"))
     assert code == 1 and "frobnicate" in err
+
+
+# a config value is read by its flag's type: one that does not parse is
+# refused naming its key
+@pytest.mark.parametrize("key, value", [("points", "many"),
+                                        ("derivative", "maybe")])
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, capsys, key,
+                                                        value):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[sweep-disk]\nalpha = 0.5\n{key} = {value}\n")
+    out = str(tmp_path / "x")
+    code, _, err = _run(capsys, "sweep-disk", "--config", str(cfg),
+                        "--out", out)
+    assert code == 1
+    assert err.startswith(f"glancelab: error: config key {key!r}: ")
+    assert value in err and err.count("\n") == 1
+    assert not os.path.exists(out + ".csv")
 
 
 def test_common_keys_for_other_subcommands_ignored(tmp_path, capsys):

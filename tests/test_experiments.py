@@ -191,19 +191,18 @@ def test_sphere_config_rejects_an_optimize_rule():
 
 @pytest.mark.parametrize("kind", ["disk", "sphere"])
 def test_window_reach_bound(kind):
-    # the disk's reach (offset + 1) n_hi^{1 - alpha} may equal _MAX_REACH,
-    # not pass it: 1e12 - 1 over 1e4^{1/2} = 100 is exact in floats; the
-    # sphere's offset may equal n_hi^alpha = 100, where the order window of
-    # degree n_hi ends at 0, and the bound on the reach never binds
-    at = dict(kind=kind, alpha=0.5, n_lo=100, n_hi=10000, points=2)
-    most = ex._MAX_REACH / 100 - 1.0 if kind == "disk" else 100.0
-    cfg = ex.SweepConfig(**at, offset=most)
+    # n_hi^alpha may equal the offset 4: at n_hi = 16, alpha = 1/2 the order
+    # window of degree 16 ends at 0; at 15 every degree's lies below 0.  The
+    # disk's windows lie above 2n whatever n_hi, and it keeps no such bound
+    at = dict(kind=kind, alpha=0.5, n_lo=1, points=2)
+    cfg = ex.SweepConfig(**at, n_hi=16)
+    assert ex.amplitude_sweep(cfg).rows[-1].n == 16
     if kind == "disk":
-        assert (cfg.offset + 1.0) * cfg.n_hi ** 0.5 == ex._MAX_REACH
-    else:
-        assert ex.amplitude_sweep(cfg).rows[-1].n == 10000
-    with pytest.raises(ValueError, match="--offset-const"):
-        ex.SweepConfig(**at, offset=math.nextafter(cfg.offset, math.inf))
+        assert ex.SweepConfig(**at, n_hi=15).n_hi == 15
+        return
+    with pytest.raises(ValueError, match="--n-max") as info:
+        ex.SweepConfig(**at, n_hi=15)
+    assert "--alpha" in str(info.value)
 
 
 def test_normal_derivative_sweep_rejects_sphere():
@@ -388,7 +387,7 @@ def test_every_key_field_misses(fresh_traces):
     assert fresh_traces().hits == 1
     keys = [(dataclasses.replace(base, **change), False, None)
             for change in (dict(n_hi=700), dict(points=3), dict(alpha=0.4),
-                           dict(offset=3.0), dict(radius=0.4))]
+                           dict(radius=0.4))]
     keys += [(base, False, BandSpec(0.1, 0.9)), (base, True, None)]
     for k, key in enumerate(keys, start=2):
         ex._disk_traces(*key)
@@ -487,6 +486,23 @@ def test_quasimode_windows_bounded_and_weyl_consistent():
         assert abs(row.dim - row.weyl_estimate) <= 0.2 * row.weyl_estimate
         assert 0.0 < row.mean_norm <= row.max_norm
     assert res.spread < 3.0
+
+
+def test_quasimode_weyl_check_catches_lost_modes(monkeypatch):
+    # an enumeration that drops every other mode about halves the window's
+    # dimension, 500 at Lambda = 1000, far past the Weyl remainder
+    # Lambda^{2/3} = 100
+    exact = modes.modes_in_frequency_windows
+
+    def lossy(*args, **kwargs):
+        return tuple(column[::2] for column in exact(*args, **kwargs))
+
+    monkeypatch.setattr(modes, "modes_in_frequency_windows", lossy)
+    with pytest.raises(specfun.NumericalError,
+                       match="two-term Weyl predicts 499.8; enumeration is "
+                             "broken"):
+        ex.quasimode_boundedness(lam_lo=1000.0, lam_hi=1000.0, windows=1,
+                                 trials=1)
 
 
 def test_quasimode_empty_window_raises():

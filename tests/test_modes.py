@@ -119,7 +119,7 @@ class TestRestriction:
 
 class TestScaleTarget:
     def test_window_formulas(self):
-        t = ScaleTarget(alpha=0.5, offset=4.0)
+        t = ScaleTarget(alpha=0.5)
         lo, hi = t.disk_window(100)
         assert lo == pytest.approx(200.0 + 4.0 * 10.0)
         assert hi == pytest.approx(200.0 + 5.0 * 10.0)
@@ -131,9 +131,10 @@ class TestScaleTarget:
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(ValueError):
                 ScaleTarget(alpha=bad)
-        for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                ScaleTarget(alpha=0.5, offset=bad)
+        # the window offset is the constant modes._OFFSET = 4
+        assert modes._OFFSET == 4.0
+        with pytest.raises(TypeError, match="offset"):
+            ScaleTarget(alpha=0.5, offset=4.0)
 
 
 def _select(n, target, **kw):
@@ -620,16 +621,19 @@ class TestSphereSelection:
         l = np.array([1000, 100000])
         m, _ = modes.select_sphere_modes(l, ScaleTarget(alpha=0.5))
         s1, s2 = 1.0 - m * m / (l * (l + 1.0))
-        # sigma ~ 2 offset l^{-1/2}: two decades in l gives one in sigma
+        # sigma ~ 2 M l^{-1/2}: two decades in l gives one in sigma
         assert s1 / s2 == pytest.approx(10.0, rel=0.2, abs=0.0)
 
     @pytest.mark.parametrize("alpha,offset", [(0.5, 4.0), (0.8, 4.0),
                                               (0.3, 1.0), (0.75, 0.5)])
-    def test_array_pass_matches_one_by_one(self, alpha, offset):
+    def test_array_pass_matches_one_by_one(self, alpha, offset,
+                                           monkeypatch):
         # every degree of the sphere sweeps' range up to 2e4, perfect
         # squares and fourth powers included, and the certified limit 1e6:
-        # the same orders and, byte for byte, the same messages
-        t = ScaleTarget(alpha=alpha, offset=offset)
+        # the same orders and, byte for byte, the same messages.  Offsets
+        # other than 4 (patched in) put the windows nearer m = l
+        monkeypatch.setattr(modes, "_OFFSET", offset)
+        t = ScaleTarget(alpha=alpha)
         degrees = np.append(np.arange(0, 20001), 1000000)
         m, errors = modes.select_sphere_modes(degrees, t)
         for l, got, error in zip(degrees.tolist(), m.tolist(), errors):

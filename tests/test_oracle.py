@@ -433,6 +433,22 @@ class TestBattery:
         check = {c.name: c for c in oracle.run_all().checks}[name]
         assert not check.passed
 
+    def test_summary_marks_each_check_and_ends_with_the_verdict(self):
+        # the summary is all demo 06 prints
+        report = oracle.OracleReport(checks=[
+            oracle.CheckResult("a", True, 0.5, "n = 3"),
+            oracle.CheckResult("b", False, 2.0)], elapsed=1.04)
+        assert report.summary().splitlines() == [
+            "[PASS] a: worst 0.5x tolerance (n = 3)",
+            "[FAIL] b: worst 2x tolerance",
+            "FAILURES PRESENT in 1.0s"]
+        report = oracle.run_all()
+        *lines, last = report.summary().splitlines()
+        assert len(lines) == len(report.checks)
+        for line, check in zip(lines, report.checks):
+            assert line.startswith(f"[PASS] {check.name}: worst ")
+        assert last == f"all checks passed in {report.elapsed:.1f}s"
+
     def test_results_are_python_bool_and_float(self):
         # `selftest` prints them as JSON, which takes no numpy scalar
         for check in oracle.run_all().checks:

@@ -826,6 +826,20 @@ def test_non_integral_orders_and_indices_raise(fn, args):
         fn(*args)
 
 
+# finite arguments outside each function's domain: the Airy zeros start at
+# index 1, the phase integral at w = 1, zeta(z) at z > 0, and its inverse
+# serves the oscillatory side zeta <= 0
+@pytest.mark.parametrize("fn, arg, message", [
+    (specfun.airy_zero, 0, "zero index starts at 1"),
+    (specfun.phase_integral, 0.5, "defined for w >= 1"),
+    (specfun.zeta_of_z, 0.0, "needs z > 0"),
+    (specfun.z_of_zeta, 0.1, "implemented for zeta <= 0"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_arguments_outside_the_domain_raise(fn, arg, message):
+    with pytest.raises(ValueError, match=message):
+        fn(arg)
+
+
 def test_integral_floats_are_orders():
     assert specfun.bessel_j(2.0, 3.0) == specfun.bessel_j(2, 3.0)
     assert specfun.bessel_zero(np.array([2.0]), 1.0)[0] == \
