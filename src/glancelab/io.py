@@ -48,12 +48,10 @@ def write_text(path: str, text: str) -> None:
 
 
 def sweep_to_csv_text(result) -> str:
-    """The CSV text of an ``experiments.SweepResult``."""
+    """The CSV text of an ``experiments.SweepResult``, rows in field order."""
     lines = [",".join(SWEEP_COLUMNS)]
     for r in result.rows:
-        lines.append(",".join(format_value(v) for v in (
-            r.n, r.lam, r.h, r.sigma, r.xi_d, r.amplitude,
-            r.weighted_norm, r.s, r.alpha, r.rho1, r.rho2)))
+        lines.append(",".join(format_value(v) for v in r))
     return "\n".join(lines) + "\n"
 
 

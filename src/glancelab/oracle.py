@@ -565,17 +565,12 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _worst(got: np.ndarray, want: np.ndarray, scale: np.ndarray) -> float:
-    """The largest |got - want| / scale over arrays of results."""
-    return float(np.max(np.abs(got - want) / scale))
-
-
 def _check(name, got, want, scale, tol, detail=""):
     """The CheckResult of results `got` against `want` (numbers or arrays
     that broadcast): passed when the largest |got - want| / scale is at
     most `tol`, which a NaN or infinite figure never is, its worst in units
     of `tol`."""
-    worst = _worst(np.asarray(got, dtype=float), want, scale)
+    worst = float(np.max(np.abs(np.asarray(got, dtype=float) - want) / scale))
     return CheckResult(name, worst <= tol, worst / tol, detail)
 
 

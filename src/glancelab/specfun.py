@@ -20,20 +20,21 @@ Every element is computed from its own arguments alone: series are Horner
 sums, never matrix products, whose BLAS kernels order their sums by the
 shapes of the operands.  So an element has the same bits in any array call
 as alone, with any BLAS build, and no output downstream depends on how its
-callers batch; ``tests/test_structure.py`` keeps matrix products out.
+callers batch; ``tests/test_structure.py`` keeps matrix products out, and
+extended precision, whose width depends on the platform: all is float64.
 
 Bessel J has one dispatch, ``_bessel_j``: it splits its elements by the one
-test ``_regions``, as masks, between three methods, each used strictly inside
-the region where it was validated against backward-recurrence oracles.
-``bessel_j`` is that dispatch at the elements of its arguments, and
-``bessel_j_pair`` is it at the two orders |n - 1| and n in one call, so each
-member of a pair has the bits of ``bessel_j`` at its order:
+test ``_regions``, as masks, between the limit at x = 0 and three methods,
+each used strictly inside the region where it was validated against
+independent oracles.  ``bessel_j`` is that dispatch at the elements of its
+arguments, and ``bessel_j_pair`` is it at the two orders |n - 1| and n in
+one call, so each member of a pair has the bits of ``bessel_j`` at its order:
 
-- ascending power series (DLMF 10.2.2) where x <= 17 or x^2 <= 4(n+1),
-  element by element in long double;
+- Miller's backward recurrence (DLMF 3.6(iii)) for orders n < N_U = 200
+  where x <= 17 or x^2 <= 4(n+1), so x <= 28.3;
 - forward recurrence seeded by order-0/1 Hankel expansions (DLMF 10.17.3),
-  only for orders n < N_U = 200 and x >= n - 4 n^{1/3}; one sweep over the
-  orders serves every element, so it costs O(n);
+  for n < N_U past those x where x >= n - 4 n^{1/3}; each recurrence is one
+  sweep over the orders that serves every element, so it costs O(n);
 - everywhere else Olver's uniform Airy expansion with the second-order terms
   A_1, B_0, B_1 (DLMF 10.20.4, 10.20.10-11 with the Debye polynomials of
   10.41.10), on both sides of and at the turning point.  It costs O(1) in
@@ -516,26 +517,36 @@ def z_of_zeta(zeta):
 # Bessel J, hybrid dispatch
 # ----------------------------------------------------------------------
 
-def _bessel_series_ascending(n: int, x: float) -> float:
-    """Ascending series with log-space prefactor (DLMF 10.2.2); at x = 0,
-    and where x / 2 underflows, the limit: 1 for n = 0, else 0."""
-    if x / 2.0 == 0.0:
-        return 1.0 if n == 0 else 0.0
-    xl = np.longdouble(x)
-    q = -xl * xl / 4.0
-    term = np.longdouble(1.0)
-    total = term
-    for k in range(1, 400):
-        term = term * q / np.longdouble(k * (n + k))
-        total += term
-        if abs(term) <= 1e-22 * abs(total):
-            break
-    log_pref = n * math.log(x / 2.0) - math.lgamma(n + 1)
-    if log_pref < -700.0:
-        # prefactor underflows float64; the value is indistinguishable from 0
-        # at the 1e-300 scale, which satisfies the absolute tolerance
-        return 0.0
-    return float(total) * math.exp(log_pref)
+def _bessel_millers(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_n of every element of arrays (n, x > 0) by Miller's backward
+    recurrence (DLMF 3.6(iii); Gautschi, SIAM Review 9, 1967) on the ratios
+    r_k = J_k / J_{k-1} = x / (2k - x r_{k+1}), from r = 0 above the start
+    max(n, x) + 20 + 8 x^{1/3}, at least 8 orders past where the values of
+    all n < N_U, x <= 28.3 stop changing.  By J_0 + 2 (J_2 + J_4 + ...) = 1,
+    J_n = r_1 ... r_n / (1 + 2 G) with G = r_1 r_2 (1 + r_3 r_4 (1 + ...)).
+    One sweep down the orders serves every element, sorted by descending
+    start so that those recurring are a prefix.  A denominator is 0 at a
+    zero of J_{k-1} alone, and at least 2e-16 off one, so adding 1e-300 to
+    each makes just those nonzero (Lentz's substitution)."""
+    start = (np.maximum(n, x) + 20.0 + 8.0 * np.cbrt(x)).astype(np.int64)
+    order = np.argsort(-start, kind="stable")
+    ns, xs, top = n[order], x[order], int(start[order[0]])
+    live = np.searchsorted(-start[order], -np.arange(top, 0, -1),
+                           side="right").tolist()
+    r, g, t, u = (np.zeros_like(xs) for _ in range(4))
+    p, c = np.ones_like(xs), 0
+    for k, size in zip(range(top, 0, -1), live):
+        if size != c:   # the elements starting at order k join
+            c = size
+            xc, rc, pc, gc, tc, uc = (a[:c] for a in (xs, r, p, g, t, u))
+        np.multiply(xc, rc, tc)
+        np.subtract(2.0 * k, tc, uc)
+        np.add(uc, 1e-300, tc)
+        np.divide(xc, tc, rc)
+        np.multiply(pc, rc, pc, where=ns[:c] >= k)
+        np.add(gc, 1.0 - (k & 1), uc)
+        np.multiply(uc, rc, gc)     # g = r_k (1 + g), or r_k g at odd k
+    return (p / (1.0 + 2.0 * g))[np.argsort(order)]
 
 
 def _bessel_hankels(x: np.ndarray) -> np.ndarray:
@@ -598,19 +609,17 @@ def _bessel_recurrences(n: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.multiply(float(k), f, t)
         np.multiply(t, j, t)
         np.subtract(t, j_prev, j_prev)
-    jn = np.empty_like(two_over_x)
-    jn[order] = rows[ns % 2, np.arange(ns.size)]
-    return jn
+    return rows[ns % 2, np.arange(ns.size)][np.argsort(order)]
 
 
-# Orders at and above which the O(n) forward recurrence is never used.  The
-# margins on both sides, of the scaled J against Miller's backward
-# recurrence on x from the recurrence edge n - 4 n^{1/3} to 3000: just
-# below, the recurrence gives J_199 within 5.9e-12 (largest at that edge,
-# x = 175.6); from here on the truncation error of the uniform expansion is
-# below 2.9e-13 (near z = 1.02), and it is 8.9e-13 at n = 150 and 4.5e-12 at
-# n = 100.  Both sides are over 1e3 times inside the 1e-8 target.  Higher
-# crossovers do not make the quasimode windows (orders up to 2000) faster.
+# Orders at and above which neither recurrence is used.  The margins on both
+# sides, of the scaled J against Miller's backward recurrence on x from the
+# recurrence edge n - 4 n^{1/3} to 3000: just below, the forward recurrence
+# gives J_199 within 5.9e-12 (largest at that edge, x = 175.6); from here on
+# the truncation error of the uniform expansion is below 2.9e-13 (near
+# z = 1.02), and it is 8.9e-13 at n = 150 and 4.5e-12 at n = 100.  Both
+# sides are over 1e3 times inside the 1e-8 target.  Higher crossovers do not
+# make the quasimode windows (orders up to 2000) faster.
 _N_U = 200
 
 # Half-width, in n^{2/3} zeta, of the strip around the turning point where the
@@ -708,36 +717,34 @@ def _bessel_uniforms(n: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _regions(n: np.ndarray, x: np.ndarray):
     """Which method serves J_n(x) at every element of arrays (n, x), as the
-    masks (series, recurrence); the uniform expansion serves the rest."""
+    masks (limit, miller, recurrence), the uniform expansion the rest; the
+    limit at 0 is within 1e-300 where x <= 1e-300 max(n, 1)."""
     if n.size and (n.min() < 0 or x.min() < 0.0):
         raise ValueError("order and argument must be nonnegative")
-    series = (x <= 17.0) | (x * x <= 4.0 * (n + 1.0))
-    recurrence = ~series & (n < _N_U) & (x >= n - 4.0 * n ** (1.0 / 3.0))
-    return series, recurrence
+    limit = x <= 1e-300 * np.maximum(n, 1)
+    small = (n < _N_U) & ((x <= 17.0) | (x * x <= 4.0 * (n + 1.0)))
+    edge = n - 4.0 * n ** (1.0 / 3.0)
+    return limit, small & ~limit, (n < _N_U) & ~small & (x >= edge)
 
 
 def _bessel_j(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_n(x) of every element of checked 1-d arrays (n, x), the one Bessel
-    dispatch: each element goes to the method of its :func:`_regions`."""
-    series, recurrence = _regions(n, x)
-    out = np.empty_like(x)
-    if recurrence.any():
-        out[recurrence] = _bessel_recurrences(n[recurrence], x[recurrence])
-    uniform = ~(series | recurrence)
-    if uniform.any():
-        out[uniform] = _bessel_uniforms(n[uniform], x[uniform])
-    for i in np.flatnonzero(series):
-        out[i] = _bessel_series_ascending(int(n[i]), float(x[i]))
+    dispatch: each element goes to the method of its :func:`_regions`, and
+    takes the limit at 0, 1 for n = 0 and else 0, where it has none."""
+    limit, miller, recurrence = _regions(n, x)
+    out = np.where(n == 0, 1.0, 0.0)
+    for mask, method in ((miller, _bessel_millers),
+                         (recurrence, _bessel_recurrences),
+                         (~(limit | miller | recurrence), _bessel_uniforms)):
+        if mask.any():
+            out[mask] = method(n[mask], x[mask])
     return out
 
 
 def bessel_j(n, x):
-    """Bessel function J_n(x), n >= 0, uniformly accurate in large order.
-
-    Each element is served by the method of its region (see the module
-    notes): numpy passes for the uniform expansion, one recurrence sweep
-    for the recurrence region, and the series element by element.  From
-    n = N_U on the cost does not grow with the order.
+    """Bessel function J_n(x), n >= 0, uniformly accurate in large order:
+    each element by the method of its region (see the module notes), at a
+    cost that does not grow with the order from n = N_U on.
 
     Relative error below 1e-8 measured against max(|J_n(x)|, n^{-1/3});
     validated for orders up to 1e6: by the oracle battery

@@ -777,6 +777,19 @@ def test_selftest_runs_without_scipy():
     assert json.loads(proc.stdout)["all_passed"] is True
 
 
+def test_selftest_passes_where_long_double_is_double():
+    # where C's long double is float64, as with MSVC and on arm64 macOS, so
+    # is numpy's longdouble; the child makes it so before any import of
+    # glancelab
+    proc = _run_fresh("import sys, numpy; numpy.longdouble = numpy.float64; "
+                      "import glancelab.cli; "
+                      "sys.exit(glancelab.cli.main(['selftest']))")
+    doc = json.loads(proc.stdout)
+    assert doc["all_passed"] is True, [
+        (c["name"], c["worst"]) for c in doc["checks"] if not c["passed"]]
+    assert proc.returncode == 0, proc.stderr
+
+
 DEMO_CSV = str(Path(__file__).resolve().parent.parent / "demos"
                / "disk_growth.csv")
 

@@ -38,6 +38,15 @@ def test_sweep_csv_round_trip_exact(tmp_path):
         assert table["weighted_norm"][j] == row.weighted_norm
 
 
+def test_sweep_rows_are_written_in_field_order():
+    # the writer puts each row's fields, in their order, under SWEEP_COLUMNS;
+    # only two columns are named apart from their fields
+    fields = ex.SweepRow._fields
+    assert len(fields) == len(io.SWEEP_COLUMNS)
+    assert {c: f for c, f in zip(io.SWEEP_COLUMNS, fields) if c != f} == {
+        "lambda": "lam", "b": "sigma"}
+
+
 @given(st.floats(min_value=-1e300, max_value=1e300,
                  allow_nan=False).filter(lambda v: v == 0.0 or abs(v) > 1e-300))
 def test_format_value_round_trips_doubles(v):

@@ -25,6 +25,9 @@ AI_AT_0 = 0.35502805388781723926
 AIP_AT_0 = -0.25881940379280679841
 J0_ZERO_1 = 2.40482555769577276862
 J100_AT_130 = 0.08084377958789141517
+# j_{3,2} rounded to a float: there the backward recurrence's denominator
+# 8 - x J_5/J_4 rounds to 0
+J3_ZERO_2 = 9.76102312998167
 ZETA_AT_Z2 = -1.01810488856711602008
 
 # (x, Ai(x), Ai'(x)) to 30 digits across the Taylor-transport region (-8, 8),
@@ -407,7 +410,10 @@ class TestBesselJ:
     # (about twice that): against max(|J|, n^{-1/3}), but relative where
     # J lies far below n^{-1/3} (the evanescent groups)
     REGION_TOL = {
-        "series": 3e-14,             # 1.7e-14
+        "limit": 0.0,                # exact
+        # 1.4e-16, at (4, J3_ZERO_2): the oracle's own error, which is 8.1e-16
+        # where its sums are float64 (where long double is)
+        "miller": 1e-15,
         "recurrence": 5e-12,         # 2.4e-12, at (199, 180) near the seam
         "uniform below N_U": 1e-10,  # 5.3e-11 relative, at (60, 30)
         "evanescent": 8e-13,         # 4.3e-13 relative
@@ -422,10 +428,19 @@ class TestBesselJ:
         # and in the transport band |n^{2/3} zeta| < 8, each group in one
         # array call, against the oracle for J_n and J_{n-1}
         cases = {
-            "series": [(0, 5.0), (3, 16.9), (100, 17.0), (1000, 60.0), (2, 0.0)],
+            "limit": [(0, 0.0), (1, 0.0), (2, 0.0), (199, 0.0), (200, 0.0)],
+            # the backward recurrence at a zero of J_3, where a denominator
+            # rounds to 0, the smallest argument of a batch that overflowed
+            # a recurrence on unnormalized values, and the region's edges
+            "miller": [(0, 5.0), (3, 16.9), (100, 17.0), (0, 1.29e-165),
+                       (3, J3_ZERO_2), (4, J3_ZERO_2), (199, 28.28),
+                       (0, 17.0)],
             "recurrence": [(0, 17.5), (1, 30.0), (5, 500.0), (50, 41.0),
-                           (150, 150.5), (199, 180.0), (199, 3000.0)],
+                           (150, 150.5), (199, 180.0), (199, 3000.0),
+                           (0, math.nextafter(17.0, math.inf))],
             "uniform below N_U": [(60, 30.0), (199, 140.0)],
+            # from N_U on the uniform expansion serves small arguments too
+            "evanescent": [(200, 17.0), (1000, 60.0)],
         }
         # the derivative sweep's pick at n = 81855 (alpha 0.5), where
         # t = sqrt((x/n)^2 - 1) = 0.132 and t - arctan t takes its series
@@ -444,10 +459,10 @@ class TestBesselJ:
                 cases.setdefault("band", []).append((n, n * z))
         for name, pts in cases.items():
             n, x = (np.array(col) for col in zip(*pts))
-            series, recurrence = specfun._regions(n, x)
-            uniform = ~(series | recurrence)
-            expect = {"series": series, "recurrence": recurrence}.get(
-                name, uniform)
+            limit, miller, recurrence = specfun._regions(n, x)
+            uniform = ~(limit | miller | recurrence)
+            expect = {"limit": limit, "miller": miller,
+                      "recurrence": recurrence}.get(name, uniform)
             assert expect.all(), name
             if uniform.all():
                 arg = np.abs(n ** (2.0 / 3.0) * specfun.zeta_of_z(x / n))
@@ -515,9 +530,9 @@ class TestBesselJ:
             pts += [(n, x) for x in (0.5 * n, 0.85 * n, 0.9 * n, float(n),
                                      1.02 * n, 1.5 * n, 2.0 * n, 15.0 * n)]
         n, x = (np.array(col) for col in zip(*pts))
-        series, recurrence = specfun._regions(n, x)
-        assert series.any() and recurrence.any() \
-            and not (series | recurrence).all()
+        limit, miller, recurrence = specfun._regions(n, x)
+        assert limit.any() and miller.any() and recurrence.any() \
+            and not (limit | miller | recurrence).all()
         jm1, jn = specfun.bessel_j_pair(n, x)
         want_m1 = np.where(n == 0, -1.0, 1.0) * specfun.bessel_j(
             np.abs(n - 1), x)
@@ -693,8 +708,9 @@ class TestBesselZeros:
     def test_batched_zeros_match_scalar(self):
         # one Newton over zeros of every region, each against the oracle:
         # J_n / J_n' at the computed zero is its distance to the true one.
-        # Worst measured: 1.1e-15 relative, at (3, 4), whose zero x = 16.2
-        # lies in the series region
+        # Worst measured: 1.5e-16 relative, at (199, 30) and (200, 1); 5e-18
+        # at (3, 4), whose zero x = 16.2 lies in the backward recurrence's
+        # region (1.1e-15 when the ascending series served it)
         n = np.array([0, 0, 1, 3, 57, 150, 199, 200, 201, 1000, 2000, 40])
         m = np.array([1, 9, 1, 4, 2, 1, 30, 1, 7, 218, 1, 40])
         got = specfun.bessel_zero(n, m)
@@ -942,7 +958,8 @@ _BESSEL_BATCH = (
         st.tuples(st.integers(0, specfun._N_U - 1), st.floats(17.5, 3000.0)),
         st.builds(_near_turning_point, st.integers(specfun._N_U, 200000),
                   st.floats(-12.0, 12.0))),
-    [(3, 16.9), (50, 41.0), (60, 30.0), _near_turning_point(1000, 0.3),
+    [(3, 16.9), (0, 1.29e-165), (200, 0.0), (50, 41.0), (60, 30.0),
+     _near_turning_point(1000, 0.3),
      _near_turning_point(1000, -3.0), _near_turning_point(1000, 2.5),
      (20000, 40000.0), (1000, 500.0)])
 _ZERO_BATCH = (st.tuples(st.integers(0, 3000), st.integers(1, 60)),
@@ -1019,10 +1036,15 @@ class TestScalarsAndArrays:
         assert {(bool(f), bool(v > 0)) for f, v in zip(far, x)} == \
             {(f, p) for f in (False, True) for p in (False, True)}
         n, x = (np.array(column) for column in zip(*_BESSEL_BATCH[1]))
-        series, recurrence = specfun._regions(n, x)
-        uniform = ~(series | recurrence)
-        arg = np.abs(n ** (2.0 / 3.0) * specfun.zeta_of_z(x / n))
-        reached = {"series": series, "recurrence": recurrence,
+        limit, miller, recurrence = specfun._regions(n, x)
+        uniform = ~(limit | miller | recurrence)
+        # the Airy argument n^{2/3} zeta of the uniform expansion, where it
+        # serves
+        arg = np.full(n.size, np.nan)
+        arg[uniform] = np.abs(n[uniform] ** (2.0 / 3.0) * specfun.zeta_of_z(
+            x[uniform] / n[uniform]))
+        reached = {"limit": limit, "miller": miller,
+                   "recurrence": recurrence,
                    "uniform below N_U": uniform & (n < specfun._N_U),
                    "strip": uniform & (arg < specfun._UNIFORM_STRIP),
                    "band": uniform & (arg >= specfun._UNIFORM_STRIP)

@@ -4,7 +4,8 @@ Every module-level private function of ``src/glancelab`` must have a caller
 in the package other than its own body: a helper whose callers moved to
 another code path fails here instead of lingering.  Likewise every name a
 module imports must be read in it.  ``specfun`` holds no matrix product,
-whose rounding would make an element depend on its batch, the two Airy
+whose rounding would make an element depend on its batch, and names no
+extended-precision type, whose width depends on the platform.  The two Airy
 methods are reached through the one Airy dispatch alone, the three Bessel
 methods and their region test through the one Bessel dispatch alone, and the
 one Newton iteration by the two roots it solves alone.  No two functions
@@ -13,6 +14,7 @@ and is read by the body that runs it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glancelab"
@@ -56,7 +58,7 @@ _ONE_CALLER = {"_airy_asymps": ("specfun", "_airy_pair"),
                "_regions": ("specfun", "_bessel_j"),
                "_bessel_uniforms": ("specfun", "_bessel_j"),
                "_bessel_recurrences": ("specfun", "_bessel_j"),
-               "_bessel_series_ascending": ("specfun", "_bessel_j")}
+               "_bessel_millers": ("specfun", "_bessel_j")}
 # the private functions whose callers are held, each with the definitions
 # that may call it
 _CALLERS = {name: {caller} for name, caller in _ONE_CALLER.items()} | {
@@ -125,6 +127,17 @@ def test_specfun_has_no_matrix_product():
         elif isinstance(node, ast.Attribute) and node.attr == "linalg":
             found.append(ast.unparse(node))
     assert not found, f"matrix products in specfun: {found}"
+
+
+# numpy's extended-precision types: where C's long double is float64, as with
+# MSVC and on arm64 macOS, longdouble is float64 too, and an accuracy that
+# rests on its 80 bits is lost
+_EXTENDED = re.compile(r"longdouble|float96|float128")
+
+
+def test_specfun_is_float64_throughout():
+    found = _EXTENDED.findall((SRC / "specfun.py").read_text())
+    assert not found, f"extended precision in specfun: {found}"
 
 
 def _string_keys(function: ast.FunctionDef):
